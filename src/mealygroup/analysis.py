@@ -17,20 +17,26 @@ automorphisms is examined.  Workers split the word space by canonical
 prefix; results merge by a max-value / lex-least-witness rule, so output
 is identical for any worker count.
 
-For machines of the dies-or-stays shape (every state either survives a
+The survey's scan runs in a compiled kernel (``_kernel.c``, built with the
+system C compiler on first use) that packs section words into 64-bit
+integers.  The Python scan is its reference and the automatic fallback
+when no kernel can be built or words are too long to pack; there, for
+machines of the dies-or-stays shape (every state either survives a
 letter unchanged or drops to the do-nothing state, as the Hanoi family
 does) sections of a fixed word are encoded as bitmasks of surviving
-positions, which keeps the exhaustive runs fast.
+positions.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import itertools
 import json
 import multiprocessing
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -599,12 +605,19 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-# Worker-side context for process pools (set once per worker by _pool_init).
-_POOL_CTX = None
+def _make_scan(payload) -> Callable:
+    """``scan(prefix, active, n)`` for one survey: the compiled twin of
+    :func:`_scan_exact` (see ``_kernel.c``) when it loads and the survey's
+    words fit its 64-bit packing, else the Python scan itself, which stays
+    the reference the twin is tested against."""
+    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
 
-
-def _pool_init(payload):
-    global _POOL_CTX
+    compiled = _kernel.compiled_scan(
+        payload["next"], payload["emit0"], payload["allowed"], payload["include_root"],
+        payload["n_max"],
+    )
+    if compiled is not None:
+        return compiled
     stats = _make_stats(
         payload["kind"],
         payload["m"],
@@ -613,13 +626,21 @@ def _pool_init(payload):
         payload["emit0"],
         payload["include_root"],
     )
-    _POOL_CTX = (payload["allowed"], stats)
+    return functools.partial(_scan_exact, payload["allowed"], stats)
+
+
+# Worker-side scan for process pools (set once per worker by _pool_init).
+_POOL_SCAN = None
+
+
+def _pool_init(payload):
+    global _POOL_SCAN
+    _POOL_SCAN = _make_scan(payload)
 
 
 def _pool_scan(task):
     n, prefix, active = task
-    allowed, stats = _POOL_CTX
-    return _scan_exact(allowed, stats, prefix, active, n)
+    return _POOL_SCAN(prefix, active, n)
 
 
 def _merge_round(results):
@@ -643,32 +664,38 @@ def _fingerprint(auto, flags) -> str:
 
 
 def _load_checkpoint(path, fingerprint):
+    """Rounds recorded in ``path``.  Every record ends with a newline, so a
+    final line without one was torn by a crash mid-append: it is dropped and
+    the file truncated back to the last complete record, and that round
+    runs again.  A damaged line elsewhere is an error."""
     rows = {}
     path = Path(path)
     if not path.exists():
         return rows
-    with path.open() as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        return rows
-    header = json.loads(lines[0])
-    if header.get("fingerprint") != fingerprint:
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    lines = [ln for ln in data[:end].splitlines() if ln.strip()]
+    if lines and json.loads(lines[0]).get("fingerprint") != fingerprint:
         raise AutomatonError(
             f"checkpoint {path} belongs to a different automaton or option set"
         )
     for ln in lines[1:]:
         rec = json.loads(ln)
         rows[rec["n"]] = rec
+    if end < len(data):
+        os.truncate(path, end)
     return rows
 
 
 def _append_checkpoint(path, fingerprint, rec):
     path = Path(path)
-    is_new = not path.exists() or path.stat().st_size == 0
+    text = json.dumps(rec) + "\n"
+    if not path.exists() or path.stat().st_size == 0:
+        # One write for header and first record: a torn first append then
+        # leaves no header without records behind.
+        text = json.dumps({"fingerprint": fingerprint}) + "\n" + text
     with path.open("a") as fh:
-        if is_new:
-            fh.write(json.dumps({"fingerprint": fingerprint}) + "\n")
-        fh.write(json.dumps(rec) + "\n")
+        fh.write(text)
 
 
 def survey(
@@ -727,21 +754,19 @@ def survey(
     fingerprint = _fingerprint(auto, flags)
     done = _load_checkpoint(checkpoint, fingerprint) if checkpoint else {}
 
-    kind = "mask" if auto._kill_rows is not None else "tuple"
-    stats = _make_stats(
-        kind, auto.alphabet_size, auto._kill_rows, auto._next, auto._emit0, include_root_section
-    )
-
-    pool = None
     payload = {
-        "kind": kind,
+        "kind": "mask" if auto._kill_rows is not None else "tuple",
         "m": auto.alphabet_size,
         "kill": auto._kill_rows,
         "next": auto._next,
         "emit0": auto._emit0,
         "include_root": include_root_section,
         "allowed": allowed,
+        "n_max": n_max,
     }
+    # Built before the pool forks, so that workers inherit a loaded kernel.
+    scan = _make_scan(payload)
+    pool = None
 
     # The empty word has one section (itself) at depth 0; it seeds the
     # cumulative maxima so degenerate machines still report sane rows.
@@ -753,24 +778,23 @@ def survey(
             rec = done.get(n)
             if rec is None:
                 t0 = time.perf_counter()
-                if jobs > 1 and n >= 2 and allowed:
-                    split = _choose_split(allowed, sigmas, jobs, n)
-                else:
-                    split = 0
-                if split == 0:
-                    result = _scan_exact(allowed, stats, (), sigmas, n)
-                else:
+                # A serial round is split by prefix too: a Ctrl-C then waits
+                # for one prefix's kernel call, not for the whole round.
+                split = _choose_split(allowed, sigmas, jobs, n) if allowed else 0
+                tasks = [
+                    (n, prefix, active)
+                    for prefix, active in _canonical_prefixes(allowed, sigmas, split)
+                ]
+                if jobs > 1 and split:
                     if pool is None:
                         pool = _pool_context().Pool(
                             jobs, initializer=_pool_init, initargs=(payload,)
                         )
-                    tasks = [
-                        (n, prefix, active)
-                        for prefix, active in _canonical_prefixes(allowed, sigmas, split)
-                    ]
                     chunk = max(1, len(tasks) // (jobs * 4))
-                    result = _merge_round(pool.imap_unordered(_pool_scan, tasks, chunk))
-                examined, d, dw, t, tw = result
+                    results = pool.imap_unordered(_pool_scan, tasks, chunk)
+                else:
+                    results = (scan(prefix, active, n) for _, prefix, active in tasks)
+                examined, d, dw, t, tw = _merge_round(results)
                 rec = {
                     "n": n,
                     "depth": d if dw is not None else None,
@@ -947,16 +971,13 @@ class ThresholdReport:
         return all(s.passed for s in self.samples)
 
     def max_by_length(self) -> dict:
-        """Empirical maximum threshold per word length (None sorts as failure)."""
+        """Empirical maximum threshold per word length; None when any sample
+        of that length is unbounded."""
         out = {}
         for s in self.samples:
             cur = out.get(s.length, -1)
-            val = -2 if s.t_star is None else s.t_star
-            if cur == -2 or val == -2:
-                out[s.length] = None
-            elif val > cur:
-                out[s.length] = val
-        return {k: (None if v == -2 else v) for k, v in out.items()}
+            out[s.length] = None if cur is None or s.t_star is None else max(cur, s.t_star)
+        return out
 
 
 def threshold_survey(

@@ -7,7 +7,8 @@ carry no wall-clock column values; timings are reported on stderr.
 
 Exit codes: 0 success (and ``wp`` identity / ``claim`` within bound),
 1 negative verdict (``wp`` non-identity, ``claim`` bound exceeded,
-failed ``solve --verify``), 2 usage, parse, or budget errors.
+failed ``solve --verify``), 2 usage, parse, or budget errors, 130 when
+interrupted with Ctrl-C.
 """
 
 from __future__ import annotations
@@ -298,6 +299,9 @@ def main(argv=None) -> int:
     except (AutomatonError, BudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:

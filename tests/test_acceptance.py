@@ -87,7 +87,8 @@ def test_criterion_01_extended_table_long_run(tmp_path):
     if not os.environ.get("MEALYGROUP_ACCEPT_LONG"):
         print(
             "criterion 1 (extended table n<=12): SKIPPED; "
-            "set MEALYGROUP_ACCEPT_LONG=1 to run the multi-hour enumeration"
+            "set MEALYGROUP_ACCEPT_LONG=1 to run the enumeration "
+            "(5 min 18 s at --jobs 2 on a 2-vCPU machine with the compiled kernel)"
         )
         pytest.skip("long run disabled by default")
     path = tmp_path / "full.csv"

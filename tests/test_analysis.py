@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from mealygroup import (
     AutomatonError,
     BudgetError,
     GrowthReport,
+    ThresholdReport,
+    ThresholdSample,
     apply,
     common_fixed_letter,
     fixed_block_count,
@@ -323,6 +326,24 @@ def test_survey_checkpoint_resume(tmp_path, ha4):
         survey(ha4, 2, checkpoint=ck, symmetry=False)
 
 
+def test_survey_resumes_from_a_torn_checkpoint(tmp_path, ha4):
+    ck = tmp_path / "scan.ckpt"
+    whole = survey(ha4, 4, checkpoint=ck)
+    data = ck.read_bytes()
+    ck.write_bytes(data[:-7])  # a crash in the middle of the last append
+    resumed = survey(ha4, 4, checkpoint=ck)
+    assert render_growth_csv(resumed, ha4, timings=False) == render_growth_csv(
+        whole, ha4, timings=False
+    )
+    # The torn line was cut off and round 4 ran again.
+    lines = data.splitlines(keepends=True)
+    redone = ck.read_bytes().splitlines(keepends=True)
+    assert redone[:-1] == lines[:-1] and json.loads(redone[-1])["n"] == 4
+    ck.write_bytes(lines[0] + lines[1][:-7] + b"\n" + b"".join(lines[2:]))
+    with pytest.raises(ValueError):
+        survey(ha4, 4, checkpoint=ck)  # damage before the last line is not a torn append
+
+
 def test_survey_budget_gate(ha4):
     with pytest.raises(BudgetError, match="long_run"):
         survey(ha4, 12)
@@ -431,6 +452,18 @@ def test_threshold_three_pegs_logarithmic(ha3):
     report = threshold_survey(ha3, [4, 8, 16], 60, seed=2)
     for sample in report.samples:
         assert sample.t_star <= strict_log2(sample.length) + 1
+
+
+def test_threshold_maximum_with_unbounded_and_bounded_samples():
+    samples = [
+        ThresholdSample(4, (1,), None, 9, False),
+        ThresholdSample(4, (2,), 3, 9, True),
+        ThresholdSample(8, (2,), 2, 9, True),
+        ThresholdSample(8, (1,), None, 9, False),
+        ThresholdSample(16, (2,), 5, 9, True),
+        ThresholdSample(16, (2,), 1, 9, True),
+    ]
+    assert ThresholdReport(tuple(samples), 0).max_by_length() == {4: None, 8: None, 16: 5}
 
 
 def test_threshold_csv_shape(ha4):

@@ -4,6 +4,7 @@ import io
 import pytest
 
 from mealygroup import hanoi_automaton, parse_automaton
+from mealygroup import cli
 from mealygroup.cli import main
 
 
@@ -162,6 +163,32 @@ def test_claim_fails_on_fixless_machine(tmp_path):
     )
     assert code == 1
     assert all(line.endswith("false") for line in out.splitlines()[1:])
+
+
+def test_claim_table_with_unbounded_and_bounded_words(tmp_path):
+    # r cycles all letters forever; s fixes letter 3, so r and s samples of
+    # one length mix unbounded and finite thresholds.
+    path = tmp_path / "mixed.txt"
+    path.write_text(
+        "alphabet 3\nstates r s\n"
+        "r 1 -> r 2\nr 2 -> r 3\nr 3 -> r 1\n"
+        "s 1 -> s 2\ns 2 -> s 1\ns 3 -> s 3\n"
+    )
+    code, out, err = run_cli(
+        "claim", "--automaton", str(path), "--lengths", "1", "--samples", "20"
+    )
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1].split()[:3] == ["1", "20", "inf"]
+
+
+def test_interrupt_exits_130_with_one_line(monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "survey", interrupted)
+    code, out, err = run_cli("table", "--pegs", "3", "--max-n", "2")
+    assert (code, out) == (130, "")
+    assert len(err.splitlines()) == 1
 
 
 def test_solve_three_pegs():
