@@ -51,10 +51,8 @@ from .analysis import (
     ThresholdReport,
     ThresholdSample,
     common_fixed_letter,
-    depth_function,
     fixed_block_count,
     fixing_threshold,
-    growth_function,
     is_identity,
     render_growth_csv,
     render_threshold_csv,

@@ -86,6 +86,7 @@ class Automaton:
         "_emit0",
         "_invertible",
         "_trivial",
+        "_trivials",
         "_fix_bits",
         "_kill_rows",
     )
@@ -139,14 +140,12 @@ class Automaton:
         self._next = tuple(nxt)
         self._emit0 = tuple(emit0)
         self._invertible = all(sorted(row) == list(range(m)) for row in self._emit0)
-        self._trivial = next(
-            (
-                s
-                for s in range(k)
-                if all(self._next[s][c] == s and self._emit0[s][c] == c for c in range(m))
-            ),
-            None,
+        self._trivials = frozenset(
+            s
+            for s in range(k)
+            if all(self._next[s][c] == s and self._emit0[s][c] == c for c in range(m))
         )
+        self._trivial = min(self._trivials, default=None)
         self._fix_bits = tuple(
             sum(1 << c for c in range(m) if row[c] == c) for row in self._emit0
         )
@@ -172,10 +171,6 @@ class Automaton:
                     return None
             rows.append(tuple(row))
         return tuple(rows)
-
-    @property
-    def m(self) -> int:
-        return self.alphabet_size
 
     @property
     def is_invertible(self) -> bool:
@@ -219,22 +214,17 @@ class Automaton:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Diagnostics for a machine; never raises, group-level ops check it."""
+    """Diagnostics for a machine; never raises, group-level ops check it.
+    Completeness needs no field: the constructor rejects partial tables."""
 
-    complete: bool
     invertible: bool
     issues: tuple
 
 
 def validate(auto: Automaton) -> ValidationReport:
-    """Report completeness and per-state output-permutation status."""
+    """Report per-state output-permutation status."""
     m = auto.alphabet_size
     issues = []
-    complete = True
-    for s, (trow, orow) in enumerate(zip(auto._next, auto._emit0)):
-        if len(trow) != m or len(orow) != m:
-            complete = False
-            issues.append(f"state {auto.states[s]!r}: missing entries")
     invertible = True
     for s, orow in enumerate(auto._emit0):
         if sorted(orow) != list(range(m)):
@@ -243,7 +233,7 @@ def validate(auto: Automaton) -> ValidationReport:
             issues.append(
                 f"state {auto.states[s]!r}: outputs {outs} are not a permutation of 1..{m}"
             )
-    return ValidationReport(complete, invertible, tuple(issues))
+    return ValidationReport(invertible, tuple(issues))
 
 
 def check_letter_word(auto: Automaton, letters: Iterable[int]) -> tuple:

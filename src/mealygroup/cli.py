@@ -14,7 +14,9 @@ interrupted with Ctrl-C.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .automata import (
@@ -30,7 +32,7 @@ from .automata import (
     section_word,
     validate,
 )
-from .hanoi import frame_stewart, hanoi_automaton, legal_moves, solve_3peg
+from .hanoi import frame_stewart, hanoi_automaton, replay_strategy, solve_3peg
 from . import analysis
 from .analysis import (
     BudgetError,
@@ -43,8 +45,14 @@ from .analysis import (
 DEFAULT_PEGS = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # One line on stderr, as for every other failure; --help shows usage.
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     src = common.add_argument_group("automaton source")
     src.add_argument("--automaton", metavar="FILE", help="machine description file")
     src.add_argument(
@@ -69,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="enumerate words containing the do-nothing state too",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mealygroup",
         description="Invertible Mealy automata: actions, sections, word problem, "
         "depth/growth surveys, and Hanoi game strategies.",
@@ -123,10 +131,24 @@ def _load_automaton(args) -> Automaton:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    """Write ``text`` to stdout, or to ``--out`` through a temporary file in
+    the target's directory that then replaces the target, so that a failed
+    write leaves an existing target as it was."""
+    if not args.out:
         sys.stdout.write(text)
+        return
+    target = Path(args.out)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # the mode a plain open would give
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _require_invertible(auto: Automaton) -> None:
@@ -274,11 +296,12 @@ def _cmd_solve(args) -> int:
         start = (args.from_peg,) * args.disks
         goal = (target,) * args.disks
         cfg = start
-        for step, nm in enumerate(reversed(names), 1):
-            if nm not in legal_moves(cfg, pegs):
-                print(f"verify: move {step} ({nm}) illegal at {cfg}", file=sys.stderr)
-                return 1
-            cfg = apply(auto, (auto.state_index(nm),), cfg)
+        try:
+            for cfg in replay_strategy(auto, word, start):
+                pass
+        except AutomatonError as exc:
+            print(f"verify: {exc}", file=sys.stderr)
+            return 1
         if cfg != goal:
             print(f"verify: final configuration {cfg} is not the target", file=sys.stderr)
             return 1

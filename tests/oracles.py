@@ -8,6 +8,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+from hypothesis import strategies as st
+
+from mealygroup import Automaton
+
 
 def state_image(auto, state, letters):
     """Image of a letter word under a single state, by walking the tables."""
@@ -153,3 +157,40 @@ def explicit_orbit_count(allowed, sigmas, length):
         for sg in sigmas:
             seen.add(tuple(sg[s] for s in word))
     return orbits
+
+
+# ---------------------------------------------------------------------------
+# Random machines for property tests.
+
+
+@st.composite
+def invertible_machines(draw):
+    """Small invertible machines of any shape, optionally with a do-nothing
+    state last."""
+    m = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 3))
+    total = k + draw(st.integers(0, 1))
+    nxt = [[draw(st.integers(0, total - 1)) for _ in range(m)] for _ in range(k)]
+    out = [[y + 1 for y in draw(st.permutations(range(m)))] for _ in range(k)]
+    nxt += [[total - 1] * m] * (total - k)
+    out += [list(range(1, m + 1))] * (total - k)
+    return Automaton(m, [f"s{i}" for i in range(total)], nxt, out)
+
+
+@st.composite
+def dies_or_stays_machines(draw):
+    """Small invertible machines of the Hanoi shape: a do-nothing state
+    ``e`` (index 0), and states that on each letter either pass it through
+    and stay, or emit some letter and drop to ``e``.  The letters a state
+    dies on are permuted among themselves, so every output row is a
+    permutation."""
+    m = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 4))
+    nxt = [[0] * m]
+    out = [list(range(1, m + 1))]
+    for s in range(1, k + 1):
+        dies = [x for x in range(m) if draw(st.booleans())]
+        image = dict(zip(dies, draw(st.permutations(dies))))
+        nxt.append([0 if x in image else s for x in range(m)])
+        out.append([image.get(x, x) + 1 for x in range(m)])
+    return Automaton(m, ["e"] + [f"s{i}" for i in range(1, k + 1)], nxt, out)

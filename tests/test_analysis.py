@@ -1,8 +1,11 @@
+import copy
+import functools
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from mealygroup import (
@@ -16,7 +19,6 @@ from mealygroup import (
     common_fixed_letter,
     fixed_block_count,
     fixing_threshold,
-    growth_function,
     hanoi_automaton,
     is_identity,
     render_growth_csv,
@@ -35,7 +37,6 @@ from mealygroup import analysis
 from mealygroup.analysis import (
     _canonical_prefixes,
     _depth_count,
-    _make_stats,
     automaton_symmetries,
     orbit_count,
 )
@@ -55,6 +56,27 @@ def all_words(auto, max_len, skip_trivial=False):
     lo = 1 if skip_trivial else 0
     for n in range(max_len + 1):
         yield from itertools.product(range(lo, len(auto.states)), repeat=n)
+
+
+def tuple_twin(auto):
+    """The same machine with the dies-or-stays bitmask expander switched off,
+    so that its closures run through the generic tuple expander."""
+    twin = copy.copy(auto)
+    twin._kill_rows = None
+    return twin
+
+
+@st.composite
+def machine_and_word(draw, machines, max_len=4):
+    auto = draw(machines)
+    states = st.integers(0, len(auto.states) - 1)
+    return auto, tuple(draw(st.lists(states, max_size=max_len)))
+
+
+both_shapes = st.one_of(oracles.invertible_machines(), oracles.dies_or_stays_machines())
+
+# Brute-force oracles enumerate every input of a length; keep that below this.
+BRUTE_INPUTS = 256
 
 
 # --- closures ---------------------------------------------------------------
@@ -108,13 +130,48 @@ def test_closure_generic_machine_matches_brute():
         assert (d, c) == (bd, bc)
 
 
+def assert_expanders_agree(auto, word):
+    twin = tuple_twin(auto)
+    for consumer in (
+        section_closure,
+        is_identity,
+        fixing_threshold,
+        _depth_count,
+        functools.partial(_depth_count, include_root=False),
+    ):
+        assert consumer(auto, word) == consumer(twin, word), consumer
+
+
 def test_mask_and_tuple_backends_agree(ha4):
-    mask_stats = _make_stats("mask", 4, ha4._kill_rows, ha4._next, ha4._emit0, True)
-    tuple_stats = _make_stats("tuple", 4, None, ha4._next, ha4._emit0, True)
+    assert ha4._kill_rows is not None
     rng = random.Random(3)
     for _ in range(300):
         word = [rng.randrange(7) for _ in range(rng.randrange(9))]
-        assert mask_stats(word) == tuple_stats(word)
+        assert_expanders_agree(ha4, word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=machine_and_word(oracles.dies_or_stays_machines(), max_len=8))
+def test_mask_and_tuple_backends_agree_on_random_machines(case):
+    auto, word = case
+    assert auto._kill_rows is not None
+    assert_expanders_agree(auto, word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=machine_and_word(both_shapes))
+def test_closure_matches_brute_on_random_machines(case):
+    auto, word = case
+    sc = section_closure(auto, word)
+    assume(auto.alphabet_size ** (sc.depth + 1) <= BRUTE_INPUTS)
+    assert [set(lvl) for lvl in sc.levels] == oracles.first_seen_levels(auto, word)
+    later = set().union(
+        *(oracles.sections_at_length(auto, word, n) for n in range(1, sc.depth + 2))
+    )
+    assert sc.root_recurring == (tuple(word) in later)
+    assert _depth_count(auto, word) == (sc.depth, sc.count)
+    assert section_count(auto, word, include_root=False) == sc.section_count(False)
+    assert is_identity(auto, word) == oracles.brute_identity(auto, word, sc.depth + 1)
 
 
 def test_count_bounded_by_geometric_sum(ha5):
@@ -281,7 +338,7 @@ def test_survey_reproduces_published_small_table(ha4):
 
 
 def test_survey_single_length(ha3):
-    report = growth_function(ha3, 1)
+    report = survey(ha3, 1)
     assert report.thetas() == [2]
     assert report.depths() == [1]
 
@@ -294,6 +351,17 @@ def test_survey_reductions_do_not_change_values(ha4):
     assert [r.depth_witness for r in reduced.rows] == [r.depth_witness for r in plain.rows]
     assert [r.theta_witness for r in reduced.rows] == [r.theta_witness for r in plain.rows]
     assert [r.words_examined for r in plain.rows] == [7, 49, 343]
+
+
+@settings(max_examples=150, deadline=None)
+@given(auto=both_shapes, include_root=st.booleans())
+def test_survey_reductions_do_not_change_values_on_random_machines(auto, include_root):
+    def values(report):
+        return [(r.depth, r.depth_witness, r.theta, r.theta_witness) for r in report.rows]
+
+    reduced = survey(auto, 4, include_root_section=include_root)
+    plain = survey(auto, 4, exclude_trivial=False, symmetry=False, include_root_section=include_root)
+    assert values(reduced) == values(plain)
 
 
 def test_survey_rows_are_monotone_and_witnesses_attain(ha4):
@@ -427,6 +495,35 @@ def test_fixing_threshold_matches_direct_level_scan(ha4):
                 common_fixed_letter(ha4, sec) is None
                 for sec in oracles.sections_at_length(ha4, word, t_star - 1)
             )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=machine_and_word(both_shapes))
+def test_fixing_threshold_matches_direct_scan_on_random_machines(case):
+    auto, word = case
+    m = auto.alphabet_size
+    reach = 0
+    while m ** (reach + 1) <= BRUTE_INPUTS:
+        reach += 1
+    t_star = fixing_threshold(auto, word)
+    first = {}
+    bad = []
+    for length in range(reach + 1):
+        sections = frozenset(oracles.sections_at_length(auto, word, length))
+        if sections in first:
+            # The sets of sections at each input length go on periodically
+            # from here, so the scan decides the threshold.
+            start = first[sections]
+            if any(bad[start:]):
+                assert t_star is None
+            else:
+                assert t_star == max((n for n in range(start) if bad[n]), default=-1) + 1
+            return
+        first[sections] = length
+        bad.append(not all(oracles.block_has_common_fixed(auto, sec) for sec in sections))
+    if t_star is not None:
+        assert not any(bad[t_star:])
+        assert t_star == 0 or t_star > reach + 1 or bad[t_star - 1]
 
 
 def test_fixing_threshold_unbounded_when_no_letter_is_ever_fixed():

@@ -1,9 +1,11 @@
 import contextlib
 import io
+import os
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from mealygroup import hanoi_automaton, parse_automaton
+from mealygroup import analysis, hanoi_automaton, parse_automaton
 from mealygroup import cli
 from mealygroup.cli import main
 
@@ -116,6 +118,80 @@ def test_table_deterministic_across_jobs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_table_caps_workers_at_the_cpu_count(monkeypatch):
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            requested.append(processes)
+            initializer(*initargs)
+
+        def imap_unordered(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    class Context:
+        Pool = InProcessPool
+
+    argv = ("table", "--pegs", "4", "--max-n", "5", "--csv")
+    serial = run_cli(*argv)[1]
+    monkeypatch.setattr(analysis, "_POOL_SCAN", None)
+    monkeypatch.setattr(analysis, "_pool_context", Context)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, _ = run_cli(*argv, "--jobs", "100000")
+    assert (code, out) == (0, serial)
+    assert requested == [2]
+
+
+def test_failed_out_write_keeps_the_old_target(tmp_path, monkeypatch):
+    target = tmp_path / "machine.txt"
+    target.write_bytes(b"old contents\n")
+    real_fdopen = os.fdopen
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def fileno(self):
+            return self.fh.fileno()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fdopen", lambda fd, *a, **k: FullDisk(real_fdopen(fd, *a, **k)))
+    code, out, err = run_cli("gen", "--pegs", "3", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "No space left" in err
+    assert target.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["machine.txt"]
+
+
+def test_out_replaces_the_target_with_a_plain_file_mode(tmp_path):
+    target = tmp_path / "machine.txt"
+    target.write_text("old contents\n")
+    umask = os.umask(0o022)
+    try:
+        assert run_cli("gen", "--pegs", "3", "--out", str(target))[0] == 0
+    finally:
+        os.umask(umask)
+    assert parse_automaton(target.read_text()) == hanoi_automaton(3)
+    assert target.stat().st_mode & 0o777 == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["machine.txt"]
+
+
 def test_table_budget_gate():
     code, _, err = run_cli("table", "--pegs", "4", "--max-n", "12")
     assert code == 2
@@ -219,3 +295,86 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# --- argv fuzzing -------------------------------------------------------------
+
+# Every value stays small: a large --pegs builds a huge machine, and a large
+# --jobs would ask for that many worker processes.
+SMALL_VALUES = {
+    "--pegs": ["-1", "0", "2", "3", "4", "5", "x"],
+    "--jobs": ["-1", "0", "1", "2", "x"],
+    "--max-n": ["-1", "0", "1", "2", "4", ""],
+    "--disks": ["-1", "0", "3", "5", "x"],
+    "--samples": ["-1", "0", "1", "3"],
+    "--lengths": ["", "1", "2,3", "0", "-1", "x", ",,"],
+    "--seed": ["0", "-1", "7", "x"],
+    "--word": ["", "e", "a(1,2)", "a(2,1).a(1,3)", "a(1,9)", "s0", "add.id", ".."],
+    "--input": ["", "1", "134", "9", "x", "1 2"],
+    "--from-peg": ["-1", "0", "1", "3", "6"],
+    "--to-peg": ["0", "1", "2", "4", "6"],
+}
+FLAGS = ["--csv", "--verify", "--long-run", "--no-symmetry", "--include-trivial-state"]
+# Options each command needs, drawn up front so that most runs get past
+# argument parsing; claim's are here because its defaults sample 800 words.
+REQUIRED = {
+    "gen": [],
+    "act": ["--word", "--input"],
+    "section": ["--word", "--input"],
+    "wp": ["--word"],
+    "table": ["--max-n"],
+    "claim": ["--samples", "--lengths"],
+    "solve": ["--disks"],
+    "bogus": [],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "odometer.txt").write_text(
+        "alphabet 2\nstates add id\n"
+        "add 1 -> id 2\nadd 2 -> add 1\nid 1 -> id 1\nid 2 -> id 2\n"
+    )
+    (root / "garbage.txt").write_text("alphabet 2\nstates a\na 1 -> b 9\n")
+    return {
+        "--automaton": [str(root / n) for n in ("odometer.txt", "garbage.txt", "missing.txt")],
+        "--out": [str(root / "out.txt"), str(root / "no-such-dir" / "out.txt")],
+    }
+
+
+@st.composite
+def argvs(draw, paths):
+    values = {**SMALL_VALUES, **paths}
+    command = draw(st.sampled_from(sorted(REQUIRED)))
+    argv = [command]
+    for name in REQUIRED[command]:
+        if command == "claim" or draw(st.integers(0, 9)):
+            argv += [name, draw(st.sampled_from(SMALL_VALUES[name]))]
+    option = st.sampled_from(sorted(values)).flatmap(
+        lambda name: st.sampled_from(values[name]).map(lambda v: [name, v])
+    )
+    token = st.one_of(option, st.sampled_from(FLAGS).map(lambda f: [f]),
+                      st.sampled_from(["--bogus", "-h", "7"]).map(lambda t: [t]))
+    for extra in draw(st.lists(token, max_size=6)):
+        argv += extra
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_argv_fuzz_exits_cleanly(fuzz_paths, data):
+    argv = data.draw(argvs(fuzz_paths))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    err = err.getvalue()
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 2:
+        errors = [ln for ln in err.splitlines() if not ln.startswith("# ")]
+        assert len(errors) == 1 and "error" in errors[0], (argv, err)

@@ -15,11 +15,11 @@ from mealygroup import Automaton, hanoi_automaton, parse_automaton, render_growt
 from mealygroup import _kernel
 from mealygroup.analysis import (
     _canonical_prefixes,
-    _make_stats,
+    _depth_count,
     _scan_exact,
-    _trivial_state_set,
     automaton_symmetries,
 )
+from oracles import invertible_machines
 
 BASILICA = Path(__file__).parent.parent / "perfbench" / "basilica.txt"
 
@@ -33,15 +33,13 @@ def twins(auto, n_max, exclude_trivial=True, symmetry=True, include_root=True):
     """(allowed, symmetries, compiled scan, reference scan) as survey() sets them up."""
     k = len(auto.states)
     identity = tuple(range(k))
-    trivials = _trivial_state_set(auto) if exclude_trivial else ()
+    trivials = auto._trivials if exclude_trivial else ()
     allowed = tuple(s for s in range(k) if s not in trivials)
     sigmas = automaton_symmetries(auto) if symmetry else (identity,)
     sigmas = tuple(sg for sg in sigmas if sg != identity)
     compiled = _kernel.compiled_scan(auto._next, auto._emit0, allowed, include_root, n_max)
     assert compiled is not None, "the kernel failed to build or load"
-    kind = "mask" if auto._kill_rows is not None else "tuple"
-    stats = _make_stats(kind, auto.alphabet_size, auto._kill_rows, auto._next, auto._emit0,
-                        include_root)
+    stats = functools.partial(_depth_count, auto, include_root=include_root)
     return allowed, sigmas, compiled, functools.partial(_scan_exact, allowed, stats)
 
 
@@ -62,18 +60,6 @@ def test_kernel_matches_reference_on_hanoi(pegs, max_prefix):
 @requires_cc
 def test_kernel_matches_reference_on_basilica():
     assert_parity(parse_automaton(BASILICA.read_text()), 12, 1)
-
-
-@st.composite
-def invertible_machines(draw):
-    m = draw(st.integers(2, 3))
-    k = draw(st.integers(1, 3))
-    total = k + draw(st.integers(0, 1))  # optionally a do-nothing state last
-    nxt = [[draw(st.integers(0, total - 1)) for _ in range(m)] for _ in range(k)]
-    out = [[y + 1 for y in draw(st.permutations(range(m)))] for _ in range(k)]
-    nxt += [[total - 1] * m] * (total - k)
-    out += [list(range(1, m + 1))] * (total - k)
-    return Automaton(m, [f"s{i}" for i in range(total)], nxt, out)
 
 
 @requires_cc
