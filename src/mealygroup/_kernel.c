@@ -1,13 +1,19 @@
-/* Compiled twin of the survey scan in mealygroup.analysis: _scan_exact with
- * the closure statistics of _make_stats, for machines of any shape.  Built
- * on first use and loaded with ctypes by _kernel.py; the Python scan stays
- * the reference it is tested against.
+/* Compiled twins of two parts of mealygroup.analysis, for machines of any
+ * shape.  Built on first use and loaded with ctypes by _kernel.py; the
+ * Python code stays the reference they are tested against.
  *
- * A section word of length n over k states is packed into a uint64, b bits
- * per position (b = max(1, bit length of k - 1)), position i at bit i*b; the
- * caller guarantees n*b <= 64.  The canonical DFS visits the allowed states
- * in the caller's order and replaces a witness only on a strictly better
- * value, so words examined and witnesses equal those of the Python scan.
+ * mg_scan is the survey scan: _scan_exact with the closure statistics of
+ * _depth_count.  A section word of length n over k states is packed into a
+ * uint64, b bits per position (b = max(1, bit length of k - 1)), position i
+ * at bit i*b; the caller guarantees n*b <= 64.  The canonical DFS visits the
+ * allowed states in the caller's order and replaces a witness only on a
+ * strictly better value, so words examined and witnesses equal those of the
+ * Python scan.
+ *
+ * mg_closure is the closure record of one word that the queries read (the
+ * Python walk in _closure_engine is its twin), and mg_threshold the
+ * eventual-period loop of fixing_threshold over that record.  Section words
+ * there take one byte per position (k <= 256), so words of any length fit.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -126,7 +132,7 @@ static int push(Scan *sc, size_t *len, uint64_t v)
 }
 
 /* Section BFS of one packed word: depth and section count as in
- * _make_stats, level by level, the root counted unless include_root is off
+ * _depth_count, level by level, the root counted unless include_root is off
  * and the word never recurs. */
 static int closure(Scan *sc, uint64_t root, int64_t *depth, int64_t *count)
 {
@@ -291,4 +297,284 @@ done:
     free(sc.seen.keys);
     free(sc.seen.stamp);
     return rc;
+}
+
+/* ---------------------------------------------------------------------------
+ * The closure record of one word. */
+
+/* Filled in by mg_closure and freed by mg_closure_free.  Node 0 is the word;
+ * nodes come in the order the breadth-first walk first reaches them. */
+typedef struct {
+    int64_t count;     /* nodes */
+    int64_t levels;    /* level L holds nodes starts[L] .. starts[L+1] - 1 */
+    uint8_t *words;    /* count * n: the states of node i at [i*n, i*n + n) */
+    int64_t *starts;   /* levels + 1 */
+    int32_t *children; /* count * m: node i's section at letter x at [i*m + x] */
+    int32_t *images;   /* count * m: the 0-based image of letter x under node i */
+    uint64_t *fixed;   /* count: the letters every state of node i fixes */
+} Closure;
+
+typedef struct {
+    int n, m;
+    Closure *c;
+    int64_t cap;       /* nodes the arrays of c have room for */
+    int64_t scap;      /* entries starts has room for */
+    const uint64_t *fix;
+    uint64_t all;      /* every letter */
+    uint64_t *hash;    /* per node */
+    int32_t *slot;     /* open addressing: node index + 1, 0 when empty */
+    size_t tcap;
+} Walk;
+
+static int grow(void *p, size_t size)
+{
+    void *q = realloc(*(void **)p, size ? size : 1);
+    if (!q)
+        return -1;
+    *(void **)p = q;
+    return 0;
+}
+
+/* A hash of n bytes; the tail is read zero-padded, which is unambiguous
+ * because every key of one table has the same length. */
+static uint64_t hash_bytes(const uint8_t *p, size_t n)
+{
+    uint64_t h = 0x9e3779b97f4a7c15ULL, v;
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        memcpy(&v, p + i, 8);
+        h = mix(h ^ v) * 0xc4ceb9fe1a85ec53ULL;
+    }
+    v = 0;
+    memcpy(&v, p + i, n - i);
+    return mix(h ^ v);
+}
+
+static int table_grow(int32_t **slot, size_t *tcap, const uint64_t *hash, int64_t used)
+{
+    size_t cap = *tcap ? 2 * *tcap : 64;
+    int32_t *t = calloc(cap, sizeof *t);
+    if (!t)
+        return -1;
+    for (int64_t i = 0; i < used; i++) {
+        size_t j = hash[i] & (cap - 1);
+        while (t[j])
+            j = (j + 1) & (cap - 1);
+        t[j] = (int32_t)(i + 1);
+    }
+    free(*slot);
+    *slot = t;
+    *tcap = cap;
+    return 0;
+}
+
+/* Index of the node with states w, added when new; -1 when out of memory. */
+static int64_t intern(Walk *b, const uint8_t *w)
+{
+    Closure *c = b->c;
+    const size_t n = (size_t)b->n;
+    uint64_t h = hash_bytes(w, n);
+    size_t j = h & (b->tcap - 1);
+    for (; b->slot[j]; j = (j + 1) & (b->tcap - 1)) {
+        int64_t i = b->slot[j] - 1;
+        if (b->hash[i] == h && memcmp(c->words + i * n, w, n) == 0)
+            return i;
+    }
+    int64_t i = c->count;
+    if (i == INT32_MAX - 1)
+        return -1;
+    if (i == b->cap) {
+        int64_t cap = 2 * b->cap;
+        if (grow(&c->words, cap * n) || grow(&c->children, cap * b->m * sizeof *c->children)
+            || grow(&c->images, cap * b->m * sizeof *c->images)
+            || grow(&c->fixed, cap * sizeof *c->fixed) || grow(&b->hash, cap * sizeof *b->hash))
+            return -1;
+        b->cap = cap;
+    }
+    if (2 * (size_t)(i + 1) > b->tcap) {
+        if (table_grow(&b->slot, &b->tcap, b->hash, i))
+            return -1;
+        for (j = h & (b->tcap - 1); b->slot[j]; j = (j + 1) & (b->tcap - 1))
+            ;
+    }
+    uint64_t fx = b->all;
+    for (size_t p = 0; p < n; p++)
+        fx &= b->fix[w[p]];
+    memcpy(c->words + i * n, w, n);
+    c->fixed[i] = fx;
+    b->hash[i] = h;
+    b->slot[j] = (int32_t)(i + 1);
+    c->count = i + 1;
+    return i;
+}
+
+void mg_closure_free(Closure *c)
+{
+    free(c->words);
+    free(c->starts);
+    free(c->children);
+    free(c->images);
+    free(c->fixed);
+    memset(c, 0, sizeof *c);
+}
+
+/* Breadth-first closure of word[0..n) over a machine of k <= 256 states
+ * and m <= 64 letters, into *c.  Returns 0, or -1 when memory runs out (c
+ * is then freed). */
+int mg_closure(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
+               const uint8_t *word, Closure *c)
+{
+    Walk b = {.n = n, .m = m, .c = c, .cap = 64, .scap = 16};
+    uint64_t *fix = malloc(k * sizeof *fix);
+    int32_t *letter = malloc(m * sizeof *letter);
+    uint8_t *kid = malloc((size_t)m * n + 1), *idle = malloc(k);
+    int rc = -1;
+
+    memset(c, 0, sizeof *c);
+    b.fix = fix;
+    b.all = m == 64 ? ~0ULL : (1ULL << m) - 1;
+    if (!fix || !letter || !kid || !idle || grow(&c->words, b.cap * n)
+        || grow(&c->children, b.cap * m * sizeof *c->children)
+        || grow(&c->images, b.cap * m * sizeof *c->images)
+        || grow(&c->fixed, b.cap * sizeof *c->fixed) || grow(&b.hash, b.cap * sizeof *b.hash)
+        || grow(&c->starts, b.scap * sizeof *c->starts)
+        || table_grow(&b.slot, &b.tcap, b.hash, 0))
+        goto done;
+    for (int s = 0; s < k; s++) {
+        fix[s] = 0;
+        idle[s] = 1;
+        for (int x = 0; x < m; x++) {
+            if (emit[s * m + x] == x)
+                fix[s] |= 1ULL << x;
+            if (nxt[s * m + x] != s || emit[s * m + x] != x)
+                idle[s] = 0;
+        }
+    }
+    if (intern(&b, word) < 0)
+        goto done;
+    c->starts[0] = 0;
+    for (int64_t start = 0, end = 1; start < end; start = end, end = c->count) {
+        for (int64_t q = start; q < end; q++) {
+            /* Read node q whole before interning: that may move c->words.
+             * All m letters step through the positions together, so that
+             * their chains of dependent table loads overlap. */
+            const uint8_t *p = c->words + q * n;
+            for (int x = 0; x < m; x++) {
+                letter[x] = x;
+                memcpy(kid + (size_t)x * n, p, n);
+            }
+            /* A do-nothing state passes every letter on and stays put, so
+             * only the other positions are stepped. */
+            for (int i = n - 1; i >= 0; i--) {
+                if (idle[p[i]])
+                    continue;
+                const int32_t *nrow = nxt + p[i] * m, *erow = emit + p[i] * m;
+                for (int x = 0; x < m; x++) {
+                    int l = letter[x];
+                    kid[x * n + i] = (uint8_t)nrow[l];
+                    letter[x] = erow[l];
+                }
+            }
+            for (int x = 0; x < m; x++) {
+                int64_t child = intern(&b, kid + (size_t)x * n);
+                if (child < 0)
+                    goto done;
+                c->children[q * m + x] = (int32_t)child;
+                c->images[q * m + x] = letter[x];
+            }
+        }
+        if (c->levels + 2 > b.scap) {
+            b.scap *= 2;
+            if (grow(&c->starts, b.scap * sizeof *c->starts))
+                goto done;
+        }
+        c->starts[++c->levels] = end;
+    }
+    rc = 0;
+done:
+    if (rc)
+        mg_closure_free(c);
+    free(fix);
+    free(letter);
+    free(kid);
+    free(idle);
+    free(b.hash);
+    free(b.slot);
+    return rc;
+}
+
+/* The eventual-period loop of fixing_threshold over a closure record of
+ * `count` nodes.  The sets of sections at input lengths 0, 1, ... start at
+ * {node 0} and step through `children`; being subsets of a finite set, they
+ * repeat from some length on.  Returns one past the last length whose set
+ * holds a node fixing no letter, -1 when such a set lies on the repeating
+ * part (no threshold), or -2 when memory runs out.  Sets are bitsets over
+ * node indices. */
+int64_t mg_threshold(int64_t count, int m, const int32_t *children, const uint64_t *fixed)
+{
+    const size_t words = (size_t)(count + 63) / 64, bytes = words * sizeof(uint64_t);
+    uint64_t *bad = calloc(words, sizeof *bad), *next = calloc(words, sizeof *next);
+    uint64_t *hist = NULL, *hash = NULL;
+    uint8_t *hist_bad = NULL;
+    int32_t *slot = NULL;
+    size_t tcap = 0, cap = 0, len = 0;
+    int64_t last_bad = -1, result = -2;
+
+    if (!bad || !next || table_grow(&slot, &tcap, NULL, 0))
+        goto done;
+    for (int64_t i = 0; i < count; i++)
+        if (!fixed[i])
+            bad[i / 64] |= 1ULL << (i % 64);
+    next[0] = 1;
+    for (;;) {
+        uint64_t h = hash_bytes((const uint8_t *)next, bytes);
+        size_t j = h & (tcap - 1);
+        for (; slot[j]; j = (j + 1) & (tcap - 1)) {
+            size_t t = (size_t)slot[j] - 1;
+            if (hash[t] == h && memcmp(hist + t * words, next, bytes) == 0) {
+                result = last_bad + 1;
+                for (; t < len; t++)
+                    if (hist_bad[t])
+                        result = -1;
+                goto done;
+            }
+        }
+        if (len == cap) {
+            cap = cap ? 2 * cap : 16;
+            if (len + 1 >= INT32_MAX || grow(&hist, cap * bytes) || grow(&hash, cap * sizeof *hash)
+                || grow(&hist_bad, cap))
+                goto done;
+        }
+        if (2 * (len + 1) > tcap) {
+            if (table_grow(&slot, &tcap, hash, (int64_t)len))
+                goto done;
+            for (j = h & (tcap - 1); slot[j]; j = (j + 1) & (tcap - 1))
+                ;
+        }
+        uint64_t *cur = hist + len * words;
+        memcpy(cur, next, bytes);
+        hash[len] = h;
+        hist_bad[len] = 0;
+        for (size_t w = 0; w < words; w++)
+            if (cur[w] & bad[w])
+                hist_bad[len] = 1;
+        if (hist_bad[len])
+            last_bad = (int64_t)len;
+        slot[j] = (int32_t)(++len);
+        memset(next, 0, bytes);
+        for (size_t w = 0; w < words; w++)
+            for (uint64_t bits = cur[w]; bits; bits &= bits - 1) {
+                const int32_t *row = children + (int64_t)(w * 64 + __builtin_ctzll(bits)) * m;
+                for (int x = 0; x < m; x++)
+                    next[row[x] / 64] |= 1ULL << (row[x] % 64);
+            }
+    }
+done:
+    free(bad);
+    free(next);
+    free(hist);
+    free(hash);
+    free(hist_bad);
+    free(slot);
+    return result;
 }

@@ -1,15 +1,19 @@
-"""Loader for the compiled survey kernel in ``_kernel.c``.
+"""Loader for the compiled kernels in ``_kernel.c``: the survey scan
+(``mg_scan``) and the closure record and fixing-threshold loop that the
+queries read (``mg_closure``, ``mg_threshold``).
 
 On first use the C source is compiled with the system C compiler into
 ``${XDG_CACHE_HOME:-~/.cache}/mealygroup/``, under a name keyed by the
 sha256 of the source and the compile command, and loaded with ctypes.
 Whenever that is impossible (no compiler, a failed build, an unwritable or
-unsafe cache directory) :func:`compiled_scan` returns None and the survey
-runs the Python reference scan instead.
+unsafe cache directory) :func:`compiled_scan` and :func:`compiled_closure`
+return None and the callers run their Python reference code instead.  A C
+allocation failure raises :class:`MemoryError`.
 """
 
 from __future__ import annotations
 
+import array
 import ctypes
 import functools
 import hashlib
@@ -17,25 +21,54 @@ import itertools
 import os
 import subprocess
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 _CC = "cc"
 _SOURCE = Path(__file__).with_name("_kernel.c")
+_OUT_OF_MEMORY = "the compiled kernel ran out of memory"
 
 _I32 = ctypes.c_int32
+_I64 = ctypes.c_int64
 _I32P = ctypes.POINTER(_I32)
-_ARGTYPES = [_I32, _I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32, _I32, _I32P, _I32, _I32P,
-             ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int64), _I32P]
+_U64P = ctypes.POINTER(ctypes.c_uint64)
 
 
-def _cache_dir() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(base) / "mealygroup"
+class _ClosureOut(ctypes.Structure):
+    """The ``Closure`` struct that ``mg_closure`` fills in."""
+
+    _fields_ = [
+        ("count", _I64),
+        ("levels", _I64),
+        ("words", ctypes.c_void_p),
+        ("starts", ctypes.c_void_p),
+        ("children", ctypes.c_void_p),
+        ("images", ctypes.c_void_p),
+        ("fixed", ctypes.c_void_p),
+    ]
+
+
+_SIGNATURES = {
+    "mg_scan": (ctypes.c_int, [_I32, _I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32, _I32,
+                               _I32P, _I32, _I32P, _U64P, ctypes.POINTER(_I64), _I32P]),
+    "mg_closure": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
+                                  ctypes.c_char_p, ctypes.POINTER(_ClosureOut)]),
+    "mg_closure_free": (None, [ctypes.POINTER(_ClosureOut)]),
+    "mg_threshold": (_I64, [_I64, ctypes.c_int, _I32P, _U64P]),
+}
+
+
+def _library():
+    """The kernel library, or None.  Memoised per compiler and cache
+    setting: the closure queries call this once each."""
+    return _load(_CC, os.environ.get("XDG_CACHE_HOME"))
 
 
 @functools.lru_cache(maxsize=None)
-def _load(cc: str, cache: Path):
-    """The kernel's ``mg_scan``, built into ``cache`` if needed, or None."""
+def _load(cc: str, xdg_cache):
+    """The kernel library, built into the cache directory if needed, or None."""
+    base = xdg_cache or os.path.join(os.path.expanduser("~"), ".cache")
+    cache = Path(base) / "mealygroup"
     cmd = [cc, "-O2", "-shared", "-fPIC"]
     try:
         source = _SOURCE.read_bytes()
@@ -56,12 +89,18 @@ def _load(cc: str, cache: Path):
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        scan = ctypes.CDLL(str(lib)).mg_scan
+        dll = ctypes.CDLL(str(lib))
+        for name, (restype, argtypes) in _SIGNATURES.items():
+            fn = getattr(dll, name)
+            fn.restype = restype
+            fn.argtypes = argtypes
     except (OSError, AttributeError, subprocess.CalledProcessError):
         return None
-    scan.argtypes = _ARGTYPES
-    scan.restype = ctypes.c_int
-    return scan
+    return dll
+
+
+def _tables(nxt, emit0):
+    return [(_I32 * (len(t) * len(t[0])))(*itertools.chain.from_iterable(t)) for t in (nxt, emit0)]
 
 
 def compiled_scan(nxt, emit0, allowed, include_root, n_max):
@@ -73,23 +112,120 @@ def compiled_scan(nxt, emit0, allowed, include_root, n_max):
     bits = max(1, (k - 1).bit_length())
     if n_max * bits > 64:
         return None
-    fn = _load(_CC, _cache_dir())
-    if fn is None:
+    lib = _library()
+    if lib is None:
         return None
-    tables = [(_I32 * (k * m))(*itertools.chain.from_iterable(t)) for t in (nxt, emit0)]
+    fn = lib.mg_scan
+    tables = _tables(nxt, emit0)
     states = (_I32 * len(allowed))(*allowed)
 
     def scan(prefix, active, n):
         if n * bits > 64:
             raise ValueError(f"words of length {n} do not fit the kernel's 64-bit packing")
         sigmas = (_I32 * (len(active) * k))(*itertools.chain.from_iterable(active))
-        examined, best, witness = ctypes.c_uint64(), (ctypes.c_int64 * 2)(), (_I32 * (2 * n))()
+        examined, best, witness = ctypes.c_uint64(), (_I64 * 2)(), (_I32 * (2 * n))()
         rc = fn(k, m, bits, *tables, len(allowed), states, bool(include_root), n, len(prefix),
                 (_I32 * len(prefix))(*prefix), len(active), sigmas, examined, best, witness)
         if rc != 0:
-            raise MemoryError("the compiled survey kernel ran out of memory")
+            raise MemoryError(_OUT_OF_MEMORY)
         if not examined.value:
             return 0, -1, None, -1, None
         return examined.value, best[0], tuple(witness[:n]), best[1], tuple(witness[n:])
 
     return scan
+
+
+def _array(typecode, pointer, count):
+    """An array of ``count`` C integers copied from ``pointer``."""
+    values = array.array(typecode)
+    values.frombytes(ctypes.string_at(pointer, count * values.itemsize))
+    return values
+
+
+class _Nodes(Sequence):
+    """The section words of a compiled closure record, kept one byte per
+    state and turned into tuples of state indices when read: only
+    ``section_closure`` reads them."""
+
+    __slots__ = ("_words", "_n", "_count")
+
+    def __init__(self, words, n, count):
+        self._words, self._n, self._count = words, n, count
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, i):
+        if not -self._count <= i < self._count:
+            raise IndexError("closure node index out of range")
+        start = i % self._count * self._n
+        return tuple(self._words[start : start + self._n])
+
+    def __iter__(self):
+        if not self._n:
+            return iter([()] * self._count)
+        return zip(*[iter(self._words)] * self._n)  # consecutive groups of n bytes
+
+
+class ClosureKernel:
+    """``mg_closure`` and ``mg_threshold`` bound to one machine's tables."""
+
+    def __init__(self, lib, nxt, emit0):
+        self._lib = lib
+        self._k, self._m = len(nxt), len(nxt[0])
+        self._tables = _tables(nxt, emit0)
+
+    def closure(self, word):
+        """``(nodes, starts, children, images, fixed)`` of the closure of
+        ``word`` (a tuple of state indices), laid out as in
+        ``analysis._Closure``; ``children`` and ``fixed`` are arrays that
+        :meth:`threshold` reads without copying."""
+        n, m = len(word), self._m
+        if n and max(word) >= self._k:
+            raise ValueError(f"state index {max(word)} out of range 0..{self._k - 1}")
+        out = _ClosureOut()
+        if self._lib.mg_closure(self._k, m, *self._tables, n, bytes(word), out) != 0:
+            raise MemoryError(_OUT_OF_MEMORY)
+        try:
+            count = out.count
+            return (
+                _Nodes(ctypes.string_at(out.words, count * n), n, count),
+                _array("q", out.starts, out.levels + 1).tolist(),
+                _array("i", out.children, count * m),
+                _array("i", out.images, count * m).tolist(),
+                _array("Q", out.fixed, count),
+            )
+        finally:
+            self._lib.mg_closure_free(out)
+
+    def threshold(self, children, fixed):
+        """The fixing threshold of a closure record from :meth:`closure`,
+        given its ``children`` and ``fixed`` arrays; None when there is
+        none."""
+        if len(children) != len(fixed) * self._m:
+            raise ValueError("a child table needs one entry per node and letter")
+        t = self._lib.mg_threshold(
+            len(fixed), self._m, (_I32 * len(children)).from_buffer(children),
+            (ctypes.c_uint64 * len(fixed)).from_buffer(fixed),
+        )
+        if t == -2:
+            raise MemoryError(_OUT_OF_MEMORY)
+        return None if t == -1 else t
+
+
+@functools.lru_cache(maxsize=16)
+def _closure_kernel(lib, nxt, emit0):
+    return ClosureKernel(lib, nxt, emit0)
+
+
+def compiled_closure(nxt, emit0):
+    """The :class:`ClosureKernel` of a machine, or None when the kernel
+    cannot be loaded or the machine has more than 256 states (a section
+    word takes one byte per position) or more than 64 letters (fixed
+    letters form a 64-bit mask)."""
+    if len(nxt) > 256 or len(nxt[0]) > 64:
+        return None
+    lib = _library()
+    if lib is None:
+        return None
+    return _closure_kernel(lib, nxt, emit0)

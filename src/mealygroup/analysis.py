@@ -18,19 +18,22 @@ prefix; results merge by a max-value / lex-least-witness rule, so output
 is identical for any worker count.
 
 Every closure question -- depth, section count, the word problem, fixing
-thresholds -- reads one breadth-first walk (``_closure_engine``).  On
-machines of the dies-or-stays shape (every state either survives a
-letter unchanged or drops to the do-nothing state, as the Hanoi family
-does) the walk encodes the sections of a fixed word as bitmasks of
-surviving positions, which answers 4-peg queries 1.4 to 1.6 times
-faster than expanding state tuples; other machines get the tuple
-expander.
+thresholds -- reads one closure record of the word: its sections in
+breadth-first order with level boundaries, the child table, the images
+of single letters and each section's fixed letters (``_Closure``).  The
+record comes from a compiled kernel (``mg_closure`` in ``_kernel.c``,
+built with the system C compiler on first use) that stores section words
+one byte per state, so words of any length fit.  The Python walk
+(``_closure_engine``) is its reference twin and builds the record when no
+kernel can be built or the machine has more than 256 states or 64
+letters; the eventual-period loop of :func:`fixing_threshold` has a
+compiled twin (``mg_threshold``) too.
 
-The survey's scan runs in a compiled kernel (``_kernel.c``, built with the
-system C compiler on first use) that packs section words into 64-bit
-integers.  The Python scan, which takes its statistics from the same
-walk, is the kernel's reference and the automatic fallback when no
-kernel can be built or words are too long to pack.
+The survey's scan runs in the same compiled library (``mg_scan``), which
+packs section words into 64-bit integers.  The Python scan, which takes
+its statistics straight from the walk, is that kernel's reference and
+the automatic fallback when no kernel can be built or words are too long
+to pack.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .automata import (
     Automaton,
@@ -89,72 +92,37 @@ __all__ = [
 
 
 def _closure_engine(auto: Automaton, word: Sequence[int]):
-    """Return (root, walk, decode) for the section closure of ``word``.
+    """Return (root, walk) for the section closure of ``word``.
 
     ``walk`` is the breadth-first walk of the closure.  It yields one
     ``(frontier, children, images)`` per input length L = 0, 1, ...: the
     sections first reached at length L, then, node after node, the m
     children of each (its sections at one more letter) and the m 0-based
-    images of single letters under it.  Every section is expanded once;
-    the walk ends after the first level that reaches nothing new, and a
-    consumer may stop it earlier.  Nodes are bitmasks of surviving
-    positions on dies-or-stays machines and state-index tuples otherwise;
-    ``decode`` turns a node into a state-index tuple.
+    images of single letters under it.  Nodes are state-index tuples and
+    ``root`` is the word itself.  Every section is expanded once; the walk
+    ends after the first level that reaches nothing new, and a consumer
+    may stop it earlier.
     """
-    w = check_state_word(auto, word)
+    root = check_state_word(auto, word)
     letters = range(auto.alphabet_size)
-    kill = auto._kill_rows
-    if kill is not None:
-        krows = [kill[s] for s in w]
-        root = (1 << len(w)) - 1
-        triv = auto.trivial_state
+    nxt, emit0 = auto._next, auto._emit0
+    n = len(root)
+    positions = range(n - 1, -1, -1)
 
-        def expand(frontier):
-            children = []
-            images = []
-            for msk in frontier:
-                for x in letters:
-                    rem = msk
-                    nm = msk
-                    c = x
-                    while rem:
-                        i = rem.bit_length() - 1
-                        b = 1 << i
-                        rem ^= b
-                        f = krows[i][c]
-                        if f >= 0:
-                            nm ^= b
-                            c = f
-                    children.append(nm)
-                    images.append(c)
-            return children, images
-
-        def decode(msk):
-            return tuple(s if msk >> i & 1 else triv for i, s in enumerate(w))
-
-    else:
-        root = w
-        nxt, emit0 = auto._next, auto._emit0
-        n = len(w)
-        positions = range(n - 1, -1, -1)
-
-        def expand(frontier):
-            children = []
-            images = []
-            for p in frontier:
-                for x in letters:
-                    c = x
-                    child = [0] * n
-                    for i in positions:
-                        s = p[i]
-                        child[i] = nxt[s][c]
-                        c = emit0[s][c]
-                    children.append(tuple(child))
-                    images.append(c)
-            return children, images
-
-        def decode(p):
-            return p
+    def expand(frontier):
+        children = []
+        images = []
+        for p in frontier:
+            for x in letters:
+                c = x
+                child = [0] * n
+                for i in positions:
+                    s = p[i]
+                    child[i] = nxt[s][c]
+                    c = emit0[s][c]
+                children.append(tuple(child))
+                images.append(c)
+        return children, images
 
     def walk():
         seen = {root}
@@ -165,7 +133,63 @@ def _closure_engine(auto: Automaton, word: Sequence[int]):
             frontier = [ch for ch in dict.fromkeys(children) if ch not in seen]
             seen.update(frontier)
 
-    return root, walk(), decode
+    return root, walk()
+
+
+class _Closure(NamedTuple):
+    """The section closure of one word, its nodes in the order the
+    breadth-first walk first reaches them; node 0 is the word itself."""
+
+    nodes: list  # the state word of each node
+    starts: list  # level L holds nodes starts[L] .. starts[L+1] - 1
+    children: list  # children[i*m + x]: index of node i's section at letter x
+    images: list  # images[i*m + x]: the 0-based image of letter x under node i
+    fixed: list  # per node, the bitmask of the letters all its states fix
+
+    @property
+    def depth(self) -> int:
+        return len(self.starts) - 2
+
+    @property
+    def root_recurring(self) -> bool:
+        return 0 in self.children
+
+    def size(self, include_root: bool = True) -> int:
+        """Closure size; ``include_root=False`` drops the word itself unless
+        it recurs as a section at a nonempty input."""
+        return len(self.nodes) - (0 if include_root or self.root_recurring else 1)
+
+
+def _walk_record(auto: Automaton, word: Sequence[int]) -> _Closure:
+    """The closure record from the Python walk: the reference twin of the
+    compiled ``mg_closure``, and the fallback when it cannot be used."""
+    _, walk = _closure_engine(auto, word)
+    nodes, starts, children, images = [], [0], [], []
+    for frontier, kids, imgs in walk:
+        nodes += frontier
+        starts.append(len(nodes))
+        children += kids
+        images += imgs
+    index = {node: i for i, node in enumerate(nodes)}
+    return _Closure(
+        nodes, starts, [index[c] for c in children], images, [_fixed_mask(auto, p) for p in nodes]
+    )
+
+
+def _closure_kernel(auto: Automaton):
+    """The compiled closure kernel bound to ``auto``, or None (see
+    ``_kernel.compiled_closure``)."""
+    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
+
+    return _kernel.compiled_closure(auto._next, auto._emit0)
+
+
+def _closure_record(auto: Automaton, word: Sequence[int]) -> _Closure:
+    """The closure record of ``word``, which every closure query reads."""
+    kernel = _closure_kernel(auto)
+    if kernel is None:
+        return _walk_record(auto, word)
+    return _Closure(*kernel.closure(check_state_word(auto, word)))
 
 
 @dataclass(frozen=True)
@@ -193,25 +217,21 @@ class SectionClosure:
 
 def section_closure(auto: Automaton, word: Sequence[int]) -> SectionClosure:
     """Breadth-first closure of ``word`` under sectioning at single letters."""
-    root, walk, decode = _closure_engine(auto, word)
-    levels = []
-    recurring = False
-    for frontier, children, _ in walk:
-        levels.append(frozenset(map(decode, frontier)))
-        recurring = recurring or root in children
+    rec = _closure_record(auto, word)
+    nodes, starts = list(rec.nodes), rec.starts
     return SectionClosure(
-        word=decode(root),
-        levels=tuple(levels),
-        all_sections=frozenset().union(*levels),
-        depth=len(levels) - 1,
-        root_recurring=recurring,
+        word=nodes[0],
+        levels=tuple(frozenset(nodes[a:b]) for a, b in zip(starts, starts[1:])),
+        all_sections=frozenset(nodes),
+        depth=rec.depth,
+        root_recurring=rec.root_recurring,
     )
 
 
 def _depth_count(auto, word, include_root=True):
-    """(depth, section count) of ``word``: the closure statistics of the
-    reference survey scan."""
-    root, walk, _ = _closure_engine(auto, word)
+    """(depth, section count) of ``word`` straight from the walk: the
+    closure statistics of the reference survey scan."""
+    root, walk = _closure_engine(auto, word)
     count = 0
     keep_root = include_root  # else only if the word recurs as a later section
     for depth, (frontier, children, _) in enumerate(walk):
@@ -222,23 +242,21 @@ def _depth_count(auto, word, include_root=True):
 
 def word_depth(auto: Automaton, word: Sequence[int]) -> int:
     """Largest input length at which ``word`` still has a new section."""
-    return _depth_count(auto, word)[0]
+    return _closure_record(auto, word).depth
 
 
 def section_count(auto: Automaton, word: Sequence[int], include_root: bool = True) -> int:
     """Number of distinct sections of ``word``."""
-    return _depth_count(auto, word, include_root)[1]
+    return _closure_record(auto, word).size(include_root)
 
 
 def is_identity(auto: Automaton, word: Sequence[int]) -> bool:
     """Decide whether the word acts as the identity on all inputs: true iff
-    every section permutes single letters trivially.  The walk stops at the
-    first level holding a section that moves a letter."""
+    every section permutes single letters trivially."""
     if not auto.is_invertible:
         raise AutomatonError("the word problem is decided only for invertible automata")
-    _, walk, _ = _closure_engine(auto, word)
-    letters = list(range(auto.alphabet_size))
-    return all(images == letters * len(frontier) for frontier, _, images in walk)
+    rec = _closure_record(auto, word)
+    return rec.images == list(range(auto.alphabet_size)) * len(rec.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +327,15 @@ def automaton_symmetries(auto: Automaton) -> tuple:
     identity = tuple(range(k))
     if m > 8:
         return (identity,)
-    nxt, emit0 = auto._next, auto._emit0
+    nxt = auto._next
+    by_row = {}
+    for t, row in enumerate(auto._emit0):
+        by_row.setdefault(row, []).append(t)
     found = {identity}
     nodes = 0
     for pi in itertools.permutations(range(m)):
-        cands = []
-        feasible = True
-        for s in range(k):
-            cs = [
-                t
-                for t in range(k)
-                if all(emit0[t][pi[c]] == pi[emit0[s][c]] for c in range(m))
-            ]
-            if not cs:
-                feasible = False
-                break
-            cands.append(cs)
-        if not feasible:
+        cands = _symmetry_candidates(auto._emit0, by_row, pi)
+        if cands is None:
             continue
         order = sorted(range(k), key=lambda s: len(cands[s]))
         sigma = [None] * k
@@ -366,6 +376,22 @@ def automaton_symmetries(auto: Automaton) -> tuple:
         except _SearchBudget:
             return (identity,)
     return tuple(sorted(found))
+
+
+def _symmetry_candidates(emit0, by_row, pi):
+    """Per state s, the states t that can stand in for s under the letter
+    permutation ``pi``, ascending: those with emit0[t][pi[c]] equal to
+    pi[emit0[s][c]] for every letter c, that is, whose output row is s's
+    conjugated by ``pi``.  ``by_row`` maps each output row to its states.
+    None when some state has no candidate."""
+    inverse = sorted(range(len(pi)), key=pi.__getitem__)
+    cands = []
+    for row in emit0:
+        cs = by_row.get(tuple(pi[row[c]] for c in inverse))
+        if cs is None:
+            return None
+        cands.append(cs)
+    return cands
 
 
 class _SearchBudget(Exception):
@@ -762,24 +788,27 @@ def fixing_threshold(auto: Automaton, word: Sequence[int]) -> Optional[int]:
 
     Works on the finite closure: the sets of sections reachable at exact
     input lengths L form an eventually periodic sequence; thresholds fall
-    out of the last length whose set contains a bad section.
+    out of the last length whose set contains a bad section.  The loop over
+    that sequence runs in the compiled kernel when the record came from it.
     """
-    root, walk, decode = _closure_engine(auto, word)
-    m = auto.alphabet_size
-    children = {}
-    bad = set()
-    for frontier, kids, _ in walk:
-        for j, node in enumerate(frontier):
-            children[node] = kids[j * m : j * m + m]
-            if not _fixed_mask(auto, decode(node)):
-                bad.add(node)
+    rec = _closure_record(auto, word)
+    kernel = _closure_kernel(auto)
+    if kernel is not None:
+        return kernel.threshold(rec.children, rec.fixed)
+    return _period_threshold(rec, auto.alphabet_size)
 
-    cur = frozenset([root])
+
+def _period_threshold(rec: _Closure, m: int) -> Optional[int]:
+    """The eventual-period loop of :func:`fixing_threshold` over node
+    indices: the reference twin of the compiled ``mg_threshold``."""
+    children = rec.children
+    bad = {i for i, fx in enumerate(rec.fixed) if not fx}
+    cur = frozenset([0])
     hist = [cur]
     hist_index = {cur: 0}
-    last_bad = 0 if root in bad else -1
+    last_bad = 0 if 0 in bad else -1
     while True:
-        cur = frozenset(c for node in cur for c in children[node])
+        cur = frozenset(c for i in cur for c in children[i * m : i * m + m])
         start = hist_index.get(cur)
         if start is not None:
             if any(not bad.isdisjoint(sections) for sections in hist[start:]):

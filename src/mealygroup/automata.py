@@ -88,7 +88,6 @@ class Automaton:
         "_trivial",
         "_trivials",
         "_fix_bits",
-        "_kill_rows",
     )
 
     def __init__(
@@ -149,28 +148,6 @@ class Automaton:
         self._fix_bits = tuple(
             sum(1 << c for c in range(m) if row[c] == c) for row in self._emit0
         )
-        self._kill_rows = self._binary_profile()
-
-    def _binary_profile(self):
-        # Fast-path shape: a state either survives a letter unchanged
-        # (loop, letter passes through) or drops to the trivial state.
-        # Row entry: -1 = survive, otherwise the 0-based letter emitted
-        # while dying.  None when the machine is not of this shape.
-        t = self._trivial
-        if t is None:
-            return None
-        rows = []
-        for s in range(len(self.states)):
-            row = []
-            for c in range(self.alphabet_size):
-                if self._next[s][c] == s and self._emit0[s][c] == c:
-                    row.append(-1)
-                elif self._next[s][c] == t:
-                    row.append(self._emit0[s][c])
-                else:
-                    return None
-            rows.append(tuple(row))
-        return tuple(rows)
 
     @property
     def is_invertible(self) -> bool:

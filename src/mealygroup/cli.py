@@ -7,8 +7,8 @@ carry no wall-clock column values; timings are reported on stderr.
 
 Exit codes: 0 success (and ``wp`` identity / ``claim`` within bound),
 1 negative verdict (``wp`` non-identity, ``claim`` bound exceeded,
-failed ``solve --verify``), 2 usage, parse, or budget errors, 130 when
-interrupted with Ctrl-C.
+failed ``solve --verify``), 2 usage, parse, budget or out-of-memory
+errors, 130 when interrupted with Ctrl-C.
 """
 
 from __future__ import annotations
@@ -321,6 +321,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (AutomatonError, BudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # The compiled kernels raise it with a message; Python's own has none.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -26,6 +26,7 @@ from .automata import (
 )
 
 __all__ = [
+    "MAX_PEGS",
     "hanoi_automaton",
     "generator_name",
     "transposition_pairs",
@@ -48,8 +49,14 @@ def transposition_pairs(pegs: int) -> list:
     return [(i, j) for i in range(1, pegs + 1) for j in range(i + 1, pegs + 1)]
 
 
+# The machine has pegs*(pegs-1)/2 + 1 states with a row of pegs entries
+# each, so its tables grow as pegs**3.  At 23 pegs it has 254 states, the
+# most the compiled closure kernel holds at one byte per state.
+MAX_PEGS = 23
+
+
 def hanoi_automaton(pegs: int) -> Automaton:
-    """Machine modelling single disk moves on ``pegs`` >= 3 pegs.
+    """Machine modelling single disk moves on 3 to :data:`MAX_PEGS` pegs.
 
     States: ``e`` (index 0, all loops x|x) and one state per peg pair;
     ``a(i,j)`` reads i emitting j (and j emitting i) while dropping to
@@ -58,6 +65,8 @@ def hanoi_automaton(pegs: int) -> Automaton:
     pegs = int(pegs)
     if pegs < 3:
         raise AutomatonError("the game needs at least 3 pegs")
+    if pegs > MAX_PEGS:
+        raise AutomatonError(f"at most {MAX_PEGS} pegs are supported, got {pegs}")
     names = ["e"] + [generator_name(i, j) for i, j in transposition_pairs(pegs)]
     nxt = [[0] * pegs]
     emit = [list(range(1, pegs + 1))]

@@ -159,6 +159,23 @@ def explicit_orbit_count(allowed, sigmas, length):
     return orbits
 
 
+def brute_symmetries(auto):
+    """Every state permutation that some letter permutation turns into a
+    machine automorphism, by trying all pairs of permutations."""
+    k, m = len(auto.states), auto.alphabet_size
+    nxt, emit0 = auto._next, auto._emit0
+    found = set()
+    for pi in itertools.permutations(range(m)):
+        for sigma in itertools.permutations(range(k)):
+            if all(
+                emit0[sigma[s]][pi[c]] == pi[emit0[s][c]] and sigma[nxt[s][c]] == nxt[sigma[s]][pi[c]]
+                for s in range(k)
+                for c in range(m)
+            ):
+                found.add(sigma)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Random machines for property tests.
 

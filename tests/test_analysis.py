@@ -1,5 +1,3 @@
-import copy
-import functools
 import itertools
 import json
 import random
@@ -47,8 +45,8 @@ def w(auto, *names):
 
 
 def odometer():
-    """Carry machine over {1,2}: not of the dies-or-stays shape, so it
-    exercises the generic closure path."""
+    """Carry machine over {1,2}: not of the dies-or-stays shape of the
+    Hanoi family."""
     return Automaton(2, ["add", "id"], [[1, 0], [1, 1]], [[2, 1], [1, 2]])
 
 
@@ -56,14 +54,6 @@ def all_words(auto, max_len, skip_trivial=False):
     lo = 1 if skip_trivial else 0
     for n in range(max_len + 1):
         yield from itertools.product(range(lo, len(auto.states)), repeat=n)
-
-
-def tuple_twin(auto):
-    """The same machine with the dies-or-stays bitmask expander switched off,
-    so that its closures run through the generic tuple expander."""
-    twin = copy.copy(auto)
-    twin._kill_rows = None
-    return twin
 
 
 @st.composite
@@ -123,39 +113,10 @@ def test_closure_matches_brute_enumeration(pegs, max_len):
 
 def test_closure_generic_machine_matches_brute():
     auto = odometer()
-    assert auto._kill_rows is None
     for word in all_words(auto, 4):
         d, c = _depth_count(auto, word)
         bd, bc = oracles.brute_depth_and_count(auto, word)
         assert (d, c) == (bd, bc)
-
-
-def assert_expanders_agree(auto, word):
-    twin = tuple_twin(auto)
-    for consumer in (
-        section_closure,
-        is_identity,
-        fixing_threshold,
-        _depth_count,
-        functools.partial(_depth_count, include_root=False),
-    ):
-        assert consumer(auto, word) == consumer(twin, word), consumer
-
-
-def test_mask_and_tuple_backends_agree(ha4):
-    assert ha4._kill_rows is not None
-    rng = random.Random(3)
-    for _ in range(300):
-        word = [rng.randrange(7) for _ in range(rng.randrange(9))]
-        assert_expanders_agree(ha4, word)
-
-
-@settings(max_examples=100, deadline=None)
-@given(case=machine_and_word(oracles.dies_or_stays_machines(), max_len=8))
-def test_mask_and_tuple_backends_agree_on_random_machines(case):
-    auto, word = case
-    assert auto._kill_rows is not None
-    assert_expanders_agree(auto, word)
 
 
 @settings(max_examples=300, deadline=None)
@@ -282,6 +243,55 @@ def test_hanoi_symmetry_group_size(pegs, size):
 def test_asymmetric_machine_has_identity_only():
     auto = odometer()
     assert automaton_symmetries(auto) == ((0, 1),)
+
+
+def pairwise_candidates(auto, pi):
+    """The candidate filter of the symmetry search before its output-row
+    lookup: every pair of states tested letter by letter."""
+    k, m, emit0 = len(auto.states), auto.alphabet_size, auto._emit0
+    cands = [
+        [t for t in range(k) if all(emit0[t][pi[c]] == pi[emit0[s][c]] for c in range(m))]
+        for s in range(k)
+    ]
+    return None if not all(cands) else cands
+
+
+def assert_candidates_match_pairwise_filter(auto, perms):
+    by_row = {}
+    for t, row in enumerate(auto._emit0):
+        by_row.setdefault(row, []).append(t)
+    for pi in perms:
+        assert analysis._symmetry_candidates(auto._emit0, by_row, pi) == pairwise_candidates(
+            auto, pi
+        ), pi
+
+
+@pytest.mark.parametrize("pegs", [3, 4, 5, 6, 7])
+def test_symmetries_match_the_pairwise_filter_on_hanoi(pegs):
+    auto = hanoi_automaton(pegs)
+    perms = list(itertools.permutations(range(pegs)))
+    # The pairwise filter takes about 4 s over all 5,040 permutations of 7
+    # letters; a seeded sample of them keeps this test short.
+    if pegs == 7:
+        perms = random.Random(7).sample(perms, 300)
+    assert_candidates_match_pairwise_filter(auto, perms)
+    # Every relabelling of the pegs is a symmetry, and nothing else is.
+    index = {name: s for s, name in enumerate(auto.states)}
+    relabellings = {
+        (0,) + tuple(index[f"a({min(pi[i], pi[j]) + 1},{max(pi[i], pi[j]) + 1})"]
+                     for i, j in itertools.combinations(range(pegs), 2))
+        for pi in itertools.permutations(range(pegs))
+    }
+    assert set(automaton_symmetries(auto)) == relabellings
+
+
+@settings(max_examples=150, deadline=None)
+@given(auto=both_shapes)
+def test_symmetries_match_the_pairwise_filter_on_random_machines(auto):
+    assert_candidates_match_pairwise_filter(
+        auto, itertools.permutations(range(auto.alphabet_size))
+    )
+    assert set(automaton_symmetries(auto)) == oracles.brute_symmetries(auto)
 
 
 def test_duplicate_states_are_interchangeable():

@@ -1,13 +1,15 @@
 import contextlib
 import io
 import os
+import time
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from mealygroup import analysis, hanoi_automaton, parse_automaton
-from mealygroup import cli
+from mealygroup import _kernel, cli
 from mealygroup.cli import main
+from mealygroup.hanoi import MAX_PEGS
 
 
 def run_cli(*argv):
@@ -265,6 +267,34 @@ def test_interrupt_exits_130_with_one_line(monkeypatch):
     code, out, err = run_cli("table", "--pegs", "3", "--max-n", "2")
     assert (code, out) == (130, "")
     assert len(err.splitlines()) == 1
+
+
+def test_kernel_out_of_memory_exits_2_with_one_line(monkeypatch):
+    class Starved:
+        def closure(self, word):
+            raise MemoryError(_kernel._OUT_OF_MEMORY)
+
+    monkeypatch.setattr(_kernel, "compiled_closure", lambda nxt, emit0: Starved())
+    code, out, err = run_cli("wp", "--word", "a(1,2).a(1,3)")
+    assert (code, out) == (2, "")
+    assert err == "error: the compiled kernel ran out of memory\n"
+
+    def starved_scan(prefix, active, n):
+        raise MemoryError  # as Python raises it: no message
+
+    monkeypatch.setattr(_kernel, "compiled_scan", lambda *args: starved_scan)
+    code, out, err = run_cli("table", "--pegs", "4", "--max-n", "3")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: out of memory"
+    assert len([ln for ln in err.splitlines() if not ln.startswith("# ")]) == 1
+
+
+def test_gen_rejects_huge_peg_counts_at_once():
+    t0 = time.perf_counter()
+    code, out, err = run_cli("gen", "--pegs", "100000")
+    assert (code, out) == (2, "")
+    assert err == f"error: at most {MAX_PEGS} pegs are supported, got 100000\n"
+    assert time.perf_counter() - t0 < 1
 
 
 def test_solve_three_pegs():

@@ -16,6 +16,7 @@ from mealygroup import (
     solve_3peg,
     transposition_pairs,
 )
+from mealygroup.hanoi import MAX_PEGS
 
 
 @pytest.mark.parametrize("pegs", [3, 4, 5, 6])
@@ -29,6 +30,12 @@ def test_state_count(pegs):
 def test_rejects_too_few_pegs():
     with pytest.raises(AutomatonError):
         hanoi_automaton(2)
+
+
+def test_peg_count_is_capped():
+    assert len(hanoi_automaton(MAX_PEGS).states) == 254
+    with pytest.raises(AutomatonError, match=f"at most {MAX_PEGS} pegs"):
+        hanoi_automaton(MAX_PEGS + 1)
 
 
 def test_arrows_follow_the_swap_rules(ha4):

@@ -1,8 +1,12 @@
-"""The compiled survey kernel against its Python reference twin, and the
-survey's fallback to the reference when no kernel can be used."""
+"""The compiled kernels against their Python reference twins: the survey
+scan, and the closure record and fixing-threshold loop that the queries
+read; and the fallback to the references when no kernel can be used."""
 
+import contextlib
 import functools
+import io
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -11,15 +15,30 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mealygroup import Automaton, hanoi_automaton, parse_automaton, render_growth_csv, survey
-from mealygroup import _kernel
+from mealygroup import (
+    Automaton,
+    fixing_threshold,
+    hanoi_automaton,
+    is_identity,
+    parse_automaton,
+    render_growth_csv,
+    section_closure,
+    section_count,
+    survey,
+    word_depth,
+)
+from mealygroup import _kernel, analysis
 from mealygroup.analysis import (
     _canonical_prefixes,
+    _Closure,
     _depth_count,
+    _period_threshold,
     _scan_exact,
+    _walk_record,
     automaton_symmetries,
 )
-from oracles import invertible_machines
+from mealygroup.cli import main
+from oracles import brute_depth_and_count, dies_or_stays_machines, invertible_machines
 
 BASILICA = Path(__file__).parent.parent / "perfbench" / "basilica.txt"
 
@@ -123,3 +142,132 @@ def test_import_loads_no_compiler_machinery():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+# --- the closure record -----------------------------------------------------
+
+
+@contextlib.contextmanager
+def no_compiler():
+    """Closure queries inside run on the Python walk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
+        yield
+
+
+def closure_answers(auto, word):
+    return (
+        section_closure(auto, word),
+        is_identity(auto, word),
+        word_depth(auto, word),
+        section_count(auto, word),
+        section_count(auto, word, include_root=False),
+        fixing_threshold(auto, word),
+    )
+
+
+def assert_closure_parity(auto, word):
+    """The compiled record, threshold and all five consumers against the
+    Python walk, on one word."""
+    kernel = _kernel.compiled_closure(auto._next, auto._emit0)
+    assert kernel is not None, "the kernel failed to build or load"
+    compiled = _Closure(*kernel.closure(word))
+    reference = _walk_record(auto, word)
+    assert [list(field) for field in compiled] == [list(field) for field in reference], word
+    assert kernel.threshold(compiled.children, compiled.fixed) == _period_threshold(
+        reference, auto.alphabet_size
+    )
+    answers = closure_answers(auto, word)
+    with no_compiler():
+        assert analysis._closure_kernel(auto) is None
+        assert closure_answers(auto, word) == answers, word
+
+
+def random_words(auto, count, max_len, seed):
+    """Seeded words over every state, the do-nothing one included, with
+    lengths up to ``max_len``: past 21, where the survey's 64-bit packing
+    of Hanoi-4 words ends."""
+    rng = random.Random(seed)
+    k = len(auto.states)
+    return [tuple(rng.randrange(k) for _ in range(rng.randrange(max_len + 1))) for _ in range(count)]
+
+
+@requires_cc
+def test_closure_kernel_matches_reference_on_named_machines():
+    machines = [hanoi_automaton(3), hanoi_automaton(4), hanoi_automaton(5),
+                parse_automaton(BASILICA.read_text())]
+    for seed, auto in enumerate(machines):
+        for word in random_words(auto, 40, 40, seed):
+            assert_closure_parity(auto, word)
+        # Hanoi words without the do-nothing state, as claim samples them.
+        allowed = range(1, len(auto.states))
+        rng = random.Random(seed)
+        for _ in range(10):
+            assert_closure_parity(auto, tuple(rng.choices(allowed, k=32)))
+
+
+def closure_within(auto, word, limit):
+    """Whether the closure of ``word`` has at most ``limit`` nodes, found
+    by walking it level by level and stopping once past the limit."""
+    _, walk = analysis._closure_engine(auto, word)
+    count = 0
+    for frontier, _, _ in walk:
+        count += len(frontier)
+        if count > limit:
+            return False
+    return True
+
+
+@requires_cc
+@settings(max_examples=120, deadline=None)
+@given(
+    auto=st.one_of(invertible_machines(), dies_or_stays_machines()),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closure_kernel_matches_reference_on_random_machines(auto, seed):
+    # Closures of random machines can grow exponentially with the word, so
+    # words whose closure passes 2,000 sections are left out.
+    for word in random_words(auto, 3, 30, seed):
+        if closure_within(auto, word, 2000):
+            assert_closure_parity(auto, word)
+
+
+@requires_cc
+def test_closure_kernel_handles_the_empty_word_and_long_words(ha4):
+    assert_closure_parity(ha4, ())
+    # An identity word of length 300 (w followed by w reversed: every
+    # generator is an involution) far past any 64-bit packing.
+    rng = random.Random(5)
+    half = tuple(rng.choices(range(1, 7), k=150))
+    word = half + half[::-1]
+    assert_closure_parity(ha4, word)
+    assert is_identity(ha4, word)
+
+
+def test_machines_the_closure_kernel_cannot_hold_use_the_walk():
+    # 257 states do not fit one byte per position.
+    names = ["a"] + [f"e{i}" for i in range(256)]
+    big = Automaton(2, names, [[0, 0]] + [[i, i] for i in range(1, 257)],
+                    [[2, 1]] + [[1, 2]] * 256)
+    assert _kernel.compiled_closure(big._next, big._emit0) is None
+    assert analysis._closure_kernel(big) is None
+    for word in [(0, 0, 1), (0, 256, 0), (5, 7)]:
+        assert (word_depth(big, word), section_count(big, word)) == brute_depth_and_count(big, word)
+    assert not is_identity(big, (0, 1))
+    assert is_identity(big, (0, 1, 0))
+
+
+def claim_csv(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["claim", "--csv", *argv])
+    return code, out.getvalue()
+
+
+@requires_cc
+def test_claim_without_compiler_gives_the_same_csv():
+    argv = ("--pegs", "4", "--lengths", "8,32", "--samples", "25", "--seed", "3")
+    compiled = claim_csv(*argv)
+    with no_compiler():
+        assert claim_csv(*argv) == compiled
+    assert compiled[0] == 0 and compiled[1].count("\n") == 51
