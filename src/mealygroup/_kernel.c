@@ -3,17 +3,26 @@
  * Python code stays the reference they are tested against.
  *
  * mg_scan is the survey scan: _scan_exact with the closure statistics of
- * _depth_count.  A section word of length n over k states is packed into a
- * uint64, b bits per position (b = max(1, bit length of k - 1)), position i
- * at bit i*b; the caller guarantees n*b <= 64.  The canonical DFS visits the
- * allowed states in the caller's order and replaces a witness only on a
- * strictly better value, so words examined and witnesses equal those of the
- * Python scan.
+ * _depth_count.  A section of a product is a product of sections: with s
+ * the state that reads a letter first, (w s)|x = w|s(x) s|x.  So the
+ * closure of w s is the part of closure(w) x states reachable from
+ * (w, s), and the pair (a, t) has at letter x the child
+ * (ch[a][emit[t][x]], nxt[t][x]).  Distinct pairs are distinct section
+ * words, so a breadth-first walk over pairs has the levels, depth, section
+ * count and root recurrence of the walk over section words.  Depth and
+ * count need no images of letters, so the canonical DFS keeps only the
+ * child table of the prefix's closure at each depth, and a leaf walks its
+ * pairs without storing one.  The DFS visits the allowed states in
+ * the caller's order and replaces a witness only on a strictly better
+ * value, so words examined and witnesses equal those of the Python scan.
  *
  * mg_closure is the closure record of one word that the queries read (the
  * Python walk in _closure_engine is its twin), and mg_threshold the
  * eventual-period loop of fixing_threshold over that record.  Section words
  * there take one byte per position (k <= 256), so words of any length fit.
+ *
+ * Both walks stop with -2 once a closure passes `budget` sections, and
+ * return -1 when memory runs out.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -21,210 +30,148 @@
 
 #define MAXN 64
 
-/* Open-addressing set of packed words.  A slot is occupied iff its stamp
- * equals gen, so emptying the set between words costs one increment. */
+static int grow(void *p, size_t size)
+{
+    void *q = realloc(*(void **)p, size ? size : 1);
+    if (!q)
+        return -1;
+    *(void **)p = q;
+    return 0;
+}
+
+/* The closure automaton of one prefix: node 0 is the prefix itself. */
 typedef struct {
-    uint64_t *keys;
-    uint32_t *stamp;
-    size_t cap, used;
-    uint32_t gen;
-} Set;
+    int32_t *ch; /* size * m: node a's section at letter x at [a*m + x] */
+    int64_t size, cap;
+} Level;
 
 typedef struct {
-    int k, m, b, n, na, ns, include_root;
+    int k, m, n, na, ns, include_root;
+    int64_t budget;
     const int32_t *nxt, *emit, *allowed, *sigmas;
-    char *idle;      /* per state: a do-nothing state (self-loops, x -> x) */
-    int32_t *letter; /* per input letter, the letter reaching the next position */
-    uint64_t *child; /* per input letter, the section being built */
-    int32_t *active; /* per DFS level, indices of the symmetries still tying */
+    int32_t *active;   /* per DFS level, indices of the symmetries still tying */
     int32_t word[MAXN];
-    uint64_t *queue;
-    size_t qcap;
-    Set seen;
+    Level lv[MAXN];    /* lv[d]: the closure automaton of word[0..d) */
+    int32_t *qa, *qt;  /* the walk's queue of pairs (prefix node, state) */
+    int64_t qcap;      /* entries qa and qt have room for */
+    uint32_t *stamp;   /* per pair code a*k + t: seen in this walk iff == gen */
+    int32_t *index;    /* per pair code: its node index, when out is kept */
+    size_t vcap;
+    uint32_t gen;
     uint64_t examined;
     int64_t best_d, best_t;
-    int32_t *witness; /* the caller's: depth witness, then count witness */
+    int32_t *witness;  /* the caller's: depth witness, then count witness */
 } Scan;
 
-static uint64_t mix(uint64_t x)
+/* Walk the closure of (word of p) s, whose nodes are pairs (node of p,
+ * state); root 0 = (0, s).  Writes depth and section count as _depth_count
+ * does, and, when out is not NULL, the closure automaton into *out. */
+static int extend(Scan *sc, const Level *p, int s, Level *out, int64_t *depth, int64_t *count)
 {
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return x;
-}
-
-static int set_init(Set *s, size_t cap)
-{
-    s->keys = malloc(cap * sizeof *s->keys);
-    s->stamp = calloc(cap, sizeof *s->stamp);
-    s->cap = cap;
-    s->used = 0;
-    s->gen = 0;
-    return s->keys && s->stamp ? 0 : -1;
-}
-
-static void set_clear(Set *s)
-{
-    s->used = 0;
-    if (++s->gen == 0) {
-        memset(s->stamp, 0, s->cap * sizeof *s->stamp);
-        s->gen = 1;
-    }
-}
-
-static int set_grow(Set *s)
-{
-    size_t cap = s->cap * 2;
-    uint64_t *keys = malloc(cap * sizeof *keys);
-    uint32_t *stamp = calloc(cap, sizeof *stamp);
-    if (!keys || !stamp) {
-        free(keys);
-        free(stamp);
-        return -1;
-    }
-    for (size_t i = 0; i < s->cap; i++) {
-        if (s->stamp[i] != s->gen)
-            continue;
-        size_t j = mix(s->keys[i]) & (cap - 1);
-        while (stamp[j])
-            j = (j + 1) & (cap - 1);
-        keys[j] = s->keys[i];
-        stamp[j] = 1;
-    }
-    free(s->keys);
-    free(s->stamp);
-    s->keys = keys;
-    s->stamp = stamp;
-    s->cap = cap;
-    s->gen = 1;
-    return 0;
-}
-
-/* 1 when key is new, 0 when already present, -1 when out of memory. */
-static int set_add(Set *s, uint64_t key)
-{
-    if (2 * (s->used + 1) > s->cap && set_grow(s))
-        return -1;
-    size_t mask = s->cap - 1, j = mix(key) & mask;
-    while (s->stamp[j] == s->gen) {
-        if (s->keys[j] == key)
-            return 0;
-        j = (j + 1) & mask;
-    }
-    s->keys[j] = key;
-    s->stamp[j] = s->gen;
-    s->used++;
-    return 1;
-}
-
-static int push(Scan *sc, size_t *len, uint64_t v)
-{
-    if (*len == sc->qcap) {
-        uint64_t *q = realloc(sc->queue, 2 * sc->qcap * sizeof *q);
-        if (!q)
-            return -1;
-        sc->queue = q;
-        sc->qcap *= 2;
-    }
-    sc->queue[(*len)++] = v;
-    return 0;
-}
-
-/* Section BFS of one packed word: depth and section count as in
- * _depth_count, level by level, the root counted unless include_root is off
- * and the word never recurs. */
-static int closure(Scan *sc, uint64_t root, int64_t *depth, int64_t *count)
-{
-    const int n = sc->n, m = sc->m, b = sc->b;
-    const uint64_t low = (1ULL << b) - 1;
-    int32_t st[MAXN], shift[MAXN];
-    size_t len = 0, start = 0, end;
-    int64_t level = 0;
+    const int k = sc->k, m = sc->m;
+    const int32_t *nxt = sc->nxt, *emit = sc->emit;
+    const size_t codes = (size_t)p->size * k, root = (size_t)s;
+    const int64_t budget = sc->budget;
+    /* A walk has at most one node per pair code, and stops at the budget. */
+    const int64_t most = (int64_t)codes < budget ? (int64_t)codes : budget;
+    int64_t len = 1, start = 0, end = 1, levels = 0;
     int recur = 0;
 
-    *depth = 0;
-    set_clear(&sc->seen);
-    if (set_add(&sc->seen, root) < 0 || push(sc, &len, root))
-        return -1;
-    end = len;
+    if (codes > sc->vcap) {
+        free(sc->stamp);
+        sc->stamp = calloc(codes, sizeof *sc->stamp);
+        if (!sc->stamp || grow(&sc->index, codes * sizeof *sc->index))
+            return -1;
+        sc->vcap = codes;
+        sc->gen = 0;
+    }
+    if (most > sc->qcap) {
+        if (grow(&sc->qa, most * sizeof *sc->qa) || grow(&sc->qt, most * sizeof *sc->qt))
+            return -1;
+        sc->qcap = most;
+    }
+    if (out && most > out->cap) {
+        if (grow(&out->ch, most * m * sizeof *out->ch))
+            return -1;
+        out->cap = most;
+    }
+    if (++sc->gen == 0) {
+        memset(sc->stamp, 0, sc->vcap * sizeof *sc->stamp);
+        sc->gen = 1;
+    }
+    const uint32_t gen = sc->gen;
+    uint32_t *stamp = sc->stamp;
+    int32_t *index = sc->index, *qa = sc->qa, *qt = sc->qt;
+    stamp[root] = gen;
+    index[root] = 0;
+    qa[0] = 0;
+    qt[0] = s;
     while (start < end) {
-        level++;
-        for (size_t q = start; q < end; q++) {
-            uint64_t p = sc->queue[q], idle = 0;
-            int live = 0;
-            /* A do-nothing state passes every letter on and stays put, so
-             * only the other positions are stepped. */
-            for (int i = 0; i < n; i++) {
-                int32_t s = (int32_t)(p >> (i * b) & low);
-                if (sc->idle[s]) {
-                    idle |= (uint64_t)s << (i * b);
-                } else {
-                    st[live] = s;
-                    shift[live++] = i * b;
-                }
-            }
-            /* All m letters step through the positions together: their
-             * chains of dependent table loads then overlap. */
+        for (int64_t q = start; q < end; q++) {
+            const int32_t *ch = p->ch + (size_t)qa[q] * m;
+            const int32_t *nrow = nxt + (size_t)qt[q] * m, *erow = emit + (size_t)qt[q] * m;
             for (int x = 0; x < m; x++) {
-                sc->letter[x] = x;
-                sc->child[x] = idle;
-            }
-            for (int j = live - 1; j >= 0; j--) {
-                const int32_t *nrow = sc->nxt + st[j] * m, *erow = sc->emit + st[j] * m;
-                for (int x = 0; x < m; x++) {
-                    int c = sc->letter[x];
-                    sc->child[x] |= (uint64_t)nrow[c] << shift[j];
-                    sc->letter[x] = erow[c];
+                const int y = erow[x];
+                const size_t code = (size_t)ch[y] * k + nrow[x];
+                if (stamp[code] != gen) {
+                    if (len == budget)
+                        return -2;
+                    stamp[code] = gen;
+                    qa[len] = ch[y];
+                    qt[len] = nrow[x];
+                    if (out)
+                        index[code] = (int32_t)len;
+                    len++;
+                } else if (code == root) {
+                    recur = 1;
                 }
-            }
-            for (int x = 0; x < m; x++) {
-                uint64_t child = sc->child[x];
-                int r = set_add(&sc->seen, child);
-                if (r < 0)
-                    return -1;
-                if (r == 0) {
-                    if (child == root)
-                        recur = 1;
-                } else if (push(sc, &len, child)) {
-                    return -1;
-                }
+                if (out)
+                    out->ch[q * m + x] = index[code];
             }
         }
         if (len == end)
             break;
-        *depth = level;
+        levels++;
         start = end;
         end = len;
     }
-    *count = (int64_t)sc->seen.used - (sc->include_root || recur ? 0 : 1);
+    if (out)
+        out->size = len;
+    *depth = levels;
+    *count = len - (sc->include_root || recur ? 0 : 1);
     return 0;
 }
 
-/* Canonical DFS from `depth`, with the _extend_active rule: a symmetry
- * mapping the next state lower prunes it, one mapping it to itself keeps
- * tying. */
-static int rec(Scan *sc, int depth, uint64_t packed, const int32_t *active, int nact)
+/* Depth and count of the word whose last state is s (the prefix closure
+ * is lv[n-1]), kept as best when strictly better. */
+static int leaf(Scan *sc, int s)
 {
     const int n = sc->n;
-    if (depth == n) {
-        int64_t d, t;
-        if (closure(sc, packed, &d, &t))
-            return -1;
-        sc->examined++;
-        if (d > sc->best_d) {
-            sc->best_d = d;
-            memcpy(sc->witness, sc->word, n * sizeof *sc->word);
-        }
-        if (t > sc->best_t) {
-            sc->best_t = t;
-            memcpy(sc->witness + n, sc->word, n * sizeof *sc->word);
-        }
-        return 0;
+    int64_t d, t;
+    int rc = extend(sc, &sc->lv[n - 1], s, NULL, &d, &t);
+    if (rc)
+        return rc;
+    sc->examined++;
+    if (d > sc->best_d) {
+        sc->best_d = d;
+        memcpy(sc->witness, sc->word, n * sizeof *sc->word);
     }
+    if (t > sc->best_t) {
+        sc->best_t = t;
+        memcpy(sc->witness + n, sc->word, n * sizeof *sc->word);
+    }
+    return 0;
+}
+
+/* Canonical DFS below word[0..depth), whose closure automaton is
+ * lv[depth], with the _extend_active rule: a symmetry mapping the next
+ * state lower prunes it, one mapping it to itself keeps tying. */
+static int rec(Scan *sc, int depth, const int32_t *active, int nact)
+{
     int32_t *sub = sc->active + (size_t)(depth + 1) * sc->ns;
     for (int a = 0; a < sc->na; a++) {
-        int s = sc->allowed[a], keep = 0, canonical = 1;
+        int s = sc->allowed[a], keep = 0, canonical = 1, rc;
+        int64_t d, t;
         for (int j = 0; j < nact; j++) {
             int c = sc->sigmas[(size_t)active[j] * sc->k + s];
             if (c < s) {
@@ -237,65 +184,61 @@ static int rec(Scan *sc, int depth, uint64_t packed, const int32_t *active, int 
         if (!canonical)
             continue;
         sc->word[depth] = s;
-        if (rec(sc, depth + 1, packed | (uint64_t)s << (depth * sc->b), sub, keep))
-            return -1;
+        if (depth + 1 == sc->n)
+            rc = leaf(sc, s);
+        else if (!(rc = extend(sc, &sc->lv[depth], s, &sc->lv[depth + 1], &d, &t)))
+            rc = rec(sc, depth + 1, sub, keep);
+        if (rc)
+            return rc;
     }
     return 0;
 }
 
-/* Scan every canonical word of length n extending prefix[0..np), with the
- * ns symmetries in sigmas (k entries each) still tying on the prefix.
- * Writes words examined, best[0] = best depth, best[1] = best count, and
- * their witnesses into witness[0..n) and witness[n..2n).  Returns 0, or -1
- * when memory runs out (outputs are then meaningless). */
-int mg_scan(int k, int m, int b, const int32_t *nxt, const int32_t *emit,
+/* Scan every canonical word of length 1 <= n <= MAXN extending
+ * prefix[0..np), with the ns symmetries in sigmas (k entries each) still
+ * tying on the prefix.  Writes words examined, best[0] = best depth,
+ * best[1] = best count, and their witnesses into witness[0..n) and
+ * witness[n..2n).  Returns 0, -1 when memory runs out or -2 when a closure
+ * passes `budget` sections (outputs are then meaningless). */
+int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit,
             int na, const int32_t *allowed, int include_root,
             int n, int np, const int32_t *prefix, int ns, const int32_t *sigmas,
-            uint64_t *examined, int64_t *best, int32_t *witness)
+            int64_t budget, uint64_t *examined, int64_t *best, int32_t *witness)
 {
     Scan sc = {
-        .k = k, .m = m, .b = b, .n = n, .na = na, .ns = ns,
-        .include_root = include_root,
+        .k = k, .m = m, .n = n, .na = na, .ns = ns, .include_root = include_root,
+        .budget = budget < INT32_MAX ? budget : INT32_MAX, /* node indices are int32 */
         .nxt = nxt, .emit = emit, .allowed = allowed, .sigmas = sigmas,
         .best_d = -1, .best_t = -1, .witness = witness,
     };
-    uint64_t packed = 0;
+    int64_t d, t;
     int rc = -1;
 
-    sc.idle = malloc(k);
-    if (sc.idle)
-        for (int s = 0; s < k; s++) {
-            sc.idle[s] = 1;
-            for (int c = 0; c < m; c++)
-                if (nxt[s * m + c] != s || emit[s * m + c] != c)
-                    sc.idle[s] = 0;
-        }
-    sc.letter = malloc(m * sizeof *sc.letter);
-    sc.child = malloc(m * sizeof *sc.child);
+    if (n < 1 || n > MAXN || np > n)
+        return -1;
     sc.active = malloc((size_t)(n + 1) * (ns ? ns : 1) * sizeof *sc.active);
-    sc.qcap = 256;
-    sc.queue = malloc(sc.qcap * sizeof *sc.queue);
-    if (set_init(&sc.seen, 1024) || !sc.idle || !sc.letter || !sc.child || !sc.active
-        || !sc.queue)
+    /* The empty word is its own only section. */
+    sc.lv[0] = (Level){.ch = calloc(m, sizeof(int32_t)), .size = 1, .cap = 1};
+    if (!sc.active || !sc.lv[0].ch)
         goto done;
     for (int j = 0; j < ns; j++)
         sc.active[(size_t)np * ns + j] = j;
-    for (int i = 0; i < np; i++) {
-        sc.word[i] = prefix[i];
-        packed |= (uint64_t)prefix[i] << (i * b);
-    }
-    rc = rec(&sc, np, packed, sc.active + (size_t)np * ns, ns);
+    memcpy(sc.word, prefix, np * sizeof *prefix);
+    for (int i = 0; i < np && i + 1 < n; i++)
+        if ((rc = extend(&sc, &sc.lv[i], prefix[i], &sc.lv[i + 1], &d, &t)))
+            goto done;
+    rc = np == n ? leaf(&sc, prefix[n - 1]) : rec(&sc, np, sc.active + (size_t)np * ns, ns);
     *examined = sc.examined;
     best[0] = sc.best_d;
     best[1] = sc.best_t;
 done:
-    free(sc.idle);
-    free(sc.letter);
-    free(sc.child);
+    for (int i = 0; i < n; i++)
+        free(sc.lv[i].ch);
     free(sc.active);
-    free(sc.queue);
-    free(sc.seen.keys);
-    free(sc.seen.stamp);
+    free(sc.qa);
+    free(sc.qt);
+    free(sc.stamp);
+    free(sc.index);
     return rc;
 }
 
@@ -316,6 +259,7 @@ typedef struct {
 
 typedef struct {
     int n, m;
+    int64_t budget;
     Closure *c;
     int64_t cap;       /* nodes the arrays of c have room for */
     int64_t scap;      /* entries starts has room for */
@@ -326,13 +270,12 @@ typedef struct {
     size_t tcap;
 } Walk;
 
-static int grow(void *p, size_t size)
+static uint64_t mix(uint64_t x)
 {
-    void *q = realloc(*(void **)p, size ? size : 1);
-    if (!q)
-        return -1;
-    *(void **)p = q;
-    return 0;
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    return x;
 }
 
 /* A hash of n bytes; the tail is read zero-padded, which is unambiguous
@@ -368,7 +311,8 @@ static int table_grow(int32_t **slot, size_t *tcap, const uint64_t *hash, int64_
     return 0;
 }
 
-/* Index of the node with states w, added when new; -1 when out of memory. */
+/* Index of the node with states w, added when new; -1 when out of memory,
+ * -2 past the budget. */
 static int64_t intern(Walk *b, const uint8_t *w)
 {
     Closure *c = b->c;
@@ -381,6 +325,8 @@ static int64_t intern(Walk *b, const uint8_t *w)
             return i;
     }
     int64_t i = c->count;
+    if (i == b->budget)
+        return -2;
     if (i == INT32_MAX - 1)
         return -1;
     if (i == b->cap) {
@@ -419,12 +365,12 @@ void mg_closure_free(Closure *c)
 }
 
 /* Breadth-first closure of word[0..n) over a machine of k <= 256 states
- * and m <= 64 letters, into *c.  Returns 0, or -1 when memory runs out (c
- * is then freed). */
+ * and m <= 64 letters, into *c.  Returns 0, -1 when memory runs out or -2
+ * when the closure passes `budget` nodes (c is then freed). */
 int mg_closure(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
-               const uint8_t *word, Closure *c)
+               const uint8_t *word, int64_t budget, Closure *c)
 {
-    Walk b = {.n = n, .m = m, .c = c, .cap = 64, .scap = 16};
+    Walk b = {.n = n, .m = m, .budget = budget, .c = c, .cap = 64, .scap = 16};
     uint64_t *fix = malloc(k * sizeof *fix);
     int32_t *letter = malloc(m * sizeof *letter);
     uint8_t *kid = malloc((size_t)m * n + 1), *idle = malloc(k);
@@ -450,8 +396,11 @@ int mg_closure(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
                 idle[s] = 0;
         }
     }
-    if (intern(&b, word) < 0)
+    int64_t root = intern(&b, word);
+    if (root < 0) {
+        rc = (int)root;
         goto done;
+    }
     c->starts[0] = 0;
     for (int64_t start = 0, end = 1; start < end; start = end, end = c->count) {
         for (int64_t q = start; q < end; q++) {
@@ -477,8 +426,10 @@ int mg_closure(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
             }
             for (int x = 0; x < m; x++) {
                 int64_t child = intern(&b, kid + (size_t)x * n);
-                if (child < 0)
+                if (child < 0) {
+                    rc = (int)child;
                     goto done;
+                }
                 c->children[q * m + x] = (int32_t)child;
                 c->images[q * m + x] = letter[x];
             }

@@ -8,7 +8,9 @@ sha256 of the source and the compile command, and loaded with ctypes.
 Whenever that is impossible (no compiler, a failed build, an unwritable or
 unsafe cache directory) :func:`compiled_scan` and :func:`compiled_closure`
 return None and the callers run their Python reference code instead.  A C
-allocation failure raises :class:`MemoryError`.
+allocation failure raises :class:`MemoryError`, and a closure of more than
+:data:`SECTION_BUDGET` sections raises :class:`BudgetError` in the kernels
+and in the Python walk alike.
 """
 
 from __future__ import annotations
@@ -24,9 +26,30 @@ import tempfile
 from collections.abc import Sequence
 from pathlib import Path
 
+from .analysis import BudgetError
+
 _CC = "cc"
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _OUT_OF_MEMORY = "the compiled kernel ran out of memory"
+_MAXN = 64  # MAXN in _kernel.c: the longest word the survey scan takes
+
+# The most sections one closure may have.  Closures can grow exponentially
+# with the word (a lamplighter word of length n has 2**n sections), and past
+# this a walk stops with BudgetError instead of exhausting memory.
+SECTION_BUDGET = 1 << 20
+
+
+def budget_error() -> BudgetError:
+    """The error of a closure walk that passes :data:`SECTION_BUDGET`."""
+    return BudgetError(f"a section closure has more than {SECTION_BUDGET} sections")
+
+
+def _check(rc):
+    """Raise the error a nonzero kernel return code stands for."""
+    if rc == -2:
+        raise budget_error()
+    if rc != 0:
+        raise MemoryError(_OUT_OF_MEMORY)
 
 _I32 = ctypes.c_int32
 _I64 = ctypes.c_int64
@@ -49,10 +72,10 @@ class _ClosureOut(ctypes.Structure):
 
 
 _SIGNATURES = {
-    "mg_scan": (ctypes.c_int, [_I32, _I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32, _I32,
-                               _I32P, _I32, _I32P, _U64P, ctypes.POINTER(_I64), _I32P]),
+    "mg_scan": (ctypes.c_int, [_I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32, _I32,
+                               _I32P, _I32, _I32P, _I64, _U64P, ctypes.POINTER(_I64), _I32P]),
     "mg_closure": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
-                                  ctypes.c_char_p, ctypes.POINTER(_ClosureOut)]),
+                                  ctypes.c_char_p, _I64, ctypes.POINTER(_ClosureOut)]),
     "mg_closure_free": (None, [ctypes.POINTER(_ClosureOut)]),
     "mg_threshold": (_I64, [_I64, ctypes.c_int, _I32P, _U64P]),
 }
@@ -105,29 +128,26 @@ def _tables(nxt, emit0):
 
 def compiled_scan(nxt, emit0, allowed, include_root, n_max):
     """A twin of ``analysis._scan_exact`` with the machine's closure
-    statistics bound in: ``scan(prefix, active, n)`` for ``n <= n_max``.
-    None when the kernel cannot be loaded or a section word of length
-    ``n_max`` does not fit in 64 bits."""
-    k, m = len(nxt), len(nxt[0])
-    bits = max(1, (k - 1).bit_length())
-    if n_max * bits > 64:
+    statistics bound in: ``scan(prefix, active, n)`` for ``1 <= n <=
+    n_max``.  The closure of each word is built from its prefix's closure
+    automaton (see ``_kernel.c``).  None when the kernel cannot be loaded
+    or ``n_max`` is past the kernel's longest word (64)."""
+    if n_max > _MAXN:
         return None
     lib = _library()
     if lib is None:
         return None
     fn = lib.mg_scan
+    k, m = len(nxt), len(nxt[0])
     tables = _tables(nxt, emit0)
     states = (_I32 * len(allowed))(*allowed)
 
     def scan(prefix, active, n):
-        if n * bits > 64:
-            raise ValueError(f"words of length {n} do not fit the kernel's 64-bit packing")
         sigmas = (_I32 * (len(active) * k))(*itertools.chain.from_iterable(active))
         examined, best, witness = ctypes.c_uint64(), (_I64 * 2)(), (_I32 * (2 * n))()
-        rc = fn(k, m, bits, *tables, len(allowed), states, bool(include_root), n, len(prefix),
-                (_I32 * len(prefix))(*prefix), len(active), sigmas, examined, best, witness)
-        if rc != 0:
-            raise MemoryError(_OUT_OF_MEMORY)
+        _check(fn(k, m, *tables, len(allowed), states, bool(include_root), n, len(prefix),
+                  (_I32 * len(prefix))(*prefix), len(active), sigmas, SECTION_BUDGET,
+                  examined, best, witness))
         if not examined.value:
             return 0, -1, None, -1, None
         return examined.value, best[0], tuple(witness[:n]), best[1], tuple(witness[n:])
@@ -184,8 +204,7 @@ class ClosureKernel:
         if n and max(word) >= self._k:
             raise ValueError(f"state index {max(word)} out of range 0..{self._k - 1}")
         out = _ClosureOut()
-        if self._lib.mg_closure(self._k, m, *self._tables, n, bytes(word), out) != 0:
-            raise MemoryError(_OUT_OF_MEMORY)
+        _check(self._lib.mg_closure(self._k, m, *self._tables, n, bytes(word), SECTION_BUDGET, out))
         try:
             count = out.count
             return (

@@ -29,11 +29,13 @@ kernel can be built or the machine has more than 256 states or 64
 letters; the eventual-period loop of :func:`fixing_threshold` has a
 compiled twin (``mg_threshold``) too.
 
-The survey's scan runs in the same compiled library (``mg_scan``), which
-packs section words into 64-bit integers.  The Python scan, which takes
-its statistics straight from the walk, is that kernel's reference and
-the automatic fallback when no kernel can be built or words are too long
-to pack.
+The survey's scan runs in the same compiled library (``mg_scan``).  A
+section of a product is a product of sections, so it builds the closure
+of each word from the closure automaton of its prefix, which the
+canonical DFS keeps at every depth, without ever forming a section word.
+The Python scan, which takes its statistics straight from the walk, is
+that kernel's reference and the automatic fallback when no kernel can be
+built or words are longer than 64.
 """
 
 from __future__ import annotations
@@ -101,8 +103,11 @@ def _closure_engine(auto: Automaton, word: Sequence[int]):
     images of single letters under it.  Nodes are state-index tuples and
     ``root`` is the word itself.  Every section is expanded once; the walk
     ends after the first level that reaches nothing new, and a consumer
-    may stop it earlier.
+    may stop it earlier.  Past ``_kernel.SECTION_BUDGET`` sections it
+    raises :class:`BudgetError`.
     """
+    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
+
     root = check_state_word(auto, word)
     letters = range(auto.alphabet_size)
     nxt, emit0 = auto._next, auto._emit0
@@ -132,6 +137,8 @@ def _closure_engine(auto: Automaton, word: Sequence[int]):
             yield frontier, children, images
             frontier = [ch for ch in dict.fromkeys(children) if ch not in seen]
             seen.update(frontier)
+            if len(seen) > _kernel.SECTION_BUDGET:
+                raise _kernel.budget_error()
 
     return root, walk()
 
@@ -415,7 +422,8 @@ WORD_BUDGET = 200_000_000
 
 
 class BudgetError(RuntimeError):
-    """The requested enumeration exceeds the default word budget."""
+    """The requested enumeration exceeds the default word budget, or a
+    closure exceeds the section budget (``_kernel.SECTION_BUDGET``)."""
 
 
 @dataclass(frozen=True)
@@ -514,9 +522,9 @@ def _pool_context():
 
 def _make_scan(auto, allowed, include_root, n_max) -> Callable:
     """``scan(prefix, active, n)`` for one survey: the compiled twin of
-    :func:`_scan_exact` (see ``_kernel.c``) when it loads and the survey's
-    words fit its 64-bit packing, else the Python scan itself, which stays
-    the reference the twin is tested against."""
+    :func:`_scan_exact` (see ``_kernel.c``) when it loads and ``n_max`` is
+    at most 64, else the Python scan itself, which stays the reference the
+    twin is tested against."""
     from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
 
     compiled = _kernel.compiled_scan(auto._next, auto._emit0, allowed, include_root, n_max)

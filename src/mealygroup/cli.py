@@ -226,7 +226,7 @@ def _cmd_table(args) -> int:
     def progress(row):
         print(
             f"# n={row.n} depth={row.depth} theta={row.theta} "
-            f"words={row.words_examined} seconds={row.seconds:.3f}",
+            f"words={row.words_examined} seconds={row.seconds:.6f}",
             file=sys.stderr,
             flush=True,
         )

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import shutil
 import time
 
 import pytest
@@ -287,6 +288,37 @@ def test_kernel_out_of_memory_exits_2_with_one_line(monkeypatch):
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == "error: out of memory"
     assert len([ln for ln in err.splitlines() if not ln.startswith("# ")]) == 1
+
+
+LAMPLIGHTER = """\
+alphabet 2
+states a b
+a 1 -> a 1
+a 2 -> b 2
+b 1 -> a 2
+b 2 -> b 1
+"""
+
+
+@pytest.mark.parametrize("compiler", [True, False])
+def test_closures_past_the_section_budget_exit_2_with_one_line(tmp_path, monkeypatch, compiler):
+    # A lamplighter word of length n has 2**n sections.
+    if compiler and shutil.which(_kernel._CC) is None:
+        pytest.skip(f"no C compiler ({_kernel._CC}) on PATH")
+    if not compiler:
+        monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
+    monkeypatch.setattr(_kernel, "SECTION_BUDGET", 1000)
+    machine = tmp_path / "lamplighter.txt"
+    machine.write_text(LAMPLIGHTER)
+    assert (analysis._closure_kernel(parse_automaton(LAMPLIGHTER)) is None) is not compiler
+    expected = (2, "", "error: a section closure has more than 1000 sections\n")
+    assert run_cli("wp", "--automaton", str(machine), "--word", ".".join("ab" * 20)) == expected
+    code, out, err = run_cli("table", "--automaton", str(machine), "--max-n", "10")
+    assert (code, out) == expected[:2]
+    assert [ln for ln in err.splitlines(True) if not ln.startswith("# ")] == [expected[2]]
+    # Within the budget the same machine answers.
+    code, out, _ = run_cli("wp", "--automaton", str(machine), "--word", "a.b.a.b.a.b.a.b")
+    assert (code, out) == (1, "non-identity sections=256 depth=8\n")
 
 
 def test_gen_rejects_huge_peg_counts_at_once():

@@ -58,7 +58,11 @@ def twins(auto, n_max, exclude_trivial=True, symmetry=True, include_root=True):
     sigmas = tuple(sg for sg in sigmas if sg != identity)
     compiled = _kernel.compiled_scan(auto._next, auto._emit0, allowed, include_root, n_max)
     assert compiled is not None, "the kernel failed to build or load"
-    stats = functools.partial(_depth_count, auto, include_root=include_root)
+    # Every prefix length re-scans the same words: the walk runs once per word.
+    walk = functools.lru_cache(maxsize=None)(
+        functools.partial(_depth_count, auto, include_root=include_root)
+    )
+    stats = lambda word: walk(tuple(word))
     return allowed, sigmas, compiled, functools.partial(_scan_exact, allowed, stats)
 
 
@@ -78,7 +82,24 @@ def test_kernel_matches_reference_on_hanoi(pegs, max_prefix):
 
 @requires_cc
 def test_kernel_matches_reference_on_basilica():
-    assert_parity(parse_automaton(BASILICA.read_text()), 12, 1)
+    assert_parity(parse_automaton(BASILICA.read_text()), 14, 2)
+
+
+@requires_cc
+@pytest.mark.parametrize(
+    "machine, n_max, options",
+    [
+        ("basilica", 10, {"include_root": False}),
+        ("basilica", 9, {"exclude_trivial": False}),
+        ("basilica", 9, {"exclude_trivial": False, "include_root": False}),
+        ("hanoi4", 6, {"include_root": False}),
+    ],
+)
+def test_kernel_matches_reference_with_options(machine, n_max, options):
+    # The root counts only when it recurs, and the do-nothing state, whose
+    # pairs mirror the prefix closure, may sit at any position.
+    auto = parse_automaton(BASILICA.read_text()) if machine == "basilica" else hanoi_automaton(4)
+    assert_parity(auto, n_max, 2, **options)
 
 
 @requires_cc
@@ -108,20 +129,22 @@ def test_missing_compiler_falls_back_to_the_same_rows(monkeypatch, ha4):
 
 
 @requires_cc
-def test_words_too_long_to_pack_fall_back_to_the_same_rows():
-    # 512 do-nothing states make 10 bits per position: 6 positions fit, 7 do not.
+def test_many_state_machine_scans_in_the_kernel_with_the_reference_rows(monkeypatch):
+    # 514 states, 512 of them do-nothing: the survey kernel takes machines
+    # of any number of states, at lengths up to 64.
     pad = 512
     names = ["a", "b"] + [f"e{i}" for i in range(pad)]
     nxt = [[1, 2], [0, 2]] + [[2 + i] * 2 for i in range(pad)]
     out = [[1, 2], [2, 1]] + [[1, 2]] * pad
     auto = Automaton(2, names, nxt, out)
-    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), True, 6) is not None
+    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), True, 7) is not None
+    compiled = survey(auto, 7, symmetry=False).rows
+    monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
     assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), True, 7) is None
-    packed = survey(auto, 6, symmetry=False).rows
-    unpacked = survey(auto, 7, symmetry=False).rows
+    reference = survey(auto, 7, symmetry=False).rows
     strip = lambda rows: [(r.depth, r.depth_witness, r.theta, r.theta_witness, r.words_examined)
                           for r in rows]
-    assert strip(unpacked[:6]) == strip(packed)
+    assert strip(compiled) == strip(reference)
 
 
 def test_unusable_cache_directory_gives_no_kernel(tmp_path, monkeypatch, ha4):
@@ -185,8 +208,7 @@ def assert_closure_parity(auto, word):
 
 def random_words(auto, count, max_len, seed):
     """Seeded words over every state, the do-nothing one included, with
-    lengths up to ``max_len``: past 21, where the survey's 64-bit packing
-    of Hanoi-4 words ends."""
+    lengths up to ``max_len``."""
     rng = random.Random(seed)
     k = len(auto.states)
     return [tuple(rng.randrange(k) for _ in range(rng.randrange(max_len + 1))) for _ in range(count)]
@@ -236,7 +258,7 @@ def test_closure_kernel_matches_reference_on_random_machines(auto, seed):
 def test_closure_kernel_handles_the_empty_word_and_long_words(ha4):
     assert_closure_parity(ha4, ())
     # An identity word of length 300 (w followed by w reversed: every
-    # generator is an involution) far past any 64-bit packing.
+    # generator is an involution), far past the survey's longest word.
     rng = random.Random(5)
     half = tuple(rng.choices(range(1, 7), k=150))
     word = half + half[::-1]
