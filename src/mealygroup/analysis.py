@@ -13,9 +13,9 @@ with witnesses.  Two value-preserving reductions keep this tractable:
 words containing do-nothing states are skipped (inserting such a state
 changes neither depth nor section count), and only the lexicographically
 least representative of each orbit under the machine's letter-relabeling
-automorphisms is examined.  Workers split the word space by canonical
-prefix; results merge by a max-value / lex-least-witness rule, so output
-is identical for any worker count.
+automorphisms is examined.  Worker threads split the word space by
+canonical prefix; results merge by a max-value / lex-least-witness rule,
+so output is identical for any worker count.
 
 Every closure question -- depth, section count, the word problem, fixing
 thresholds -- reads one closure record of the word: its sections in
@@ -46,10 +46,10 @@ import hashlib
 import io
 import itertools
 import json
-import multiprocessing
 import os
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -511,43 +511,6 @@ def _canonical_prefixes(allowed, sigmas, length):
     ]
 
 
-def _pool_context():
-    # fork keeps workers importable-state-free and REPL-friendly; fall back
-    # to the platform default where fork does not exist.
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return multiprocessing.get_context()
-
-
-def _make_scan(auto, allowed, include_root, n_max) -> Callable:
-    """``scan(prefix, active, n)`` for one survey: the compiled twin of
-    :func:`_scan_exact` (see ``_kernel.c``) when it loads and ``n_max`` is
-    at most 64, else the Python scan itself, which stays the reference the
-    twin is tested against."""
-    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
-
-    compiled = _kernel.compiled_scan(auto._next, auto._emit0, allowed, include_root, n_max)
-    if compiled is not None:
-        return compiled
-    stats = functools.partial(_depth_count, auto, include_root=include_root)
-    return functools.partial(_scan_exact, allowed, stats)
-
-
-# Worker-side scan for process pools (set once per worker by _pool_init).
-_POOL_SCAN = None
-
-
-def _pool_init(*scan_args):
-    global _POOL_SCAN
-    _POOL_SCAN = _make_scan(*scan_args)
-
-
-def _pool_scan(task):
-    n, prefix, active = task
-    return _POOL_SCAN(prefix, active, n)
-
-
 def _merge_round(results):
     examined = 0
     best_d = -1
@@ -621,16 +584,17 @@ def survey(
     Rounds run over canonical orbit representatives of words without
     do-nothing states unless the reductions are switched off; both
     reductions preserve the maxima.  ``jobs`` > 1 splits each round by
-    canonical prefix across a process pool; results are identical for any
-    ``jobs``.  ``checkpoint`` names a file that records completed rounds
-    and lets an interrupted run resume.  ``progress`` is called with the
-    cumulative :class:`GrowthRow` after each round.
+    canonical prefix across threads that run the compiled scan; the Python
+    scan runs serially.  Results are identical for any ``jobs``.
+    ``checkpoint`` names a file that records completed rounds and lets an
+    interrupted run resume.  ``progress`` is called with the cumulative
+    :class:`GrowthRow` after each round.
     """
     if not auto.is_invertible:
         raise AutomatonError("growth surveys need an invertible automaton")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    # More workers than CPUs only add processes: rounds split by prefix, so
+    # More workers than CPUs only add threads: rounds split by prefix, so
     # the rows are the same for any worker count.
     jobs = min(max(1, int(jobs)), os.cpu_count() or 1)
 
@@ -658,10 +622,18 @@ def survey(
     fingerprint = _fingerprint(auto, flags)
     done = _load_checkpoint(checkpoint, fingerprint) if checkpoint else {}
 
-    scan_args = (auto, allowed, include_root_section, n_max)
-    # Built before the pool forks, so that workers inherit a loaded kernel.
-    scan = _make_scan(*scan_args)
-    pool = None
+    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
+
+    # The compiled twin of _scan_exact (see _kernel.c) when it loads and
+    # n_max <= 64.  It releases the GIL in each kernel call and keeps no
+    # state between calls, so threads scan prefixes in parallel.  The
+    # Python scan, its reference, holds the GIL and runs serially.
+    scan = _kernel.compiled_scan(auto._next, auto._emit0, allowed, include_root_section, n_max)
+    if scan is None:
+        stats = functools.partial(_depth_count, auto, include_root=include_root_section)
+        scan = functools.partial(_scan_exact, allowed, stats)
+        jobs = 1
+    pool = ThreadPoolExecutor(jobs) if jobs > 1 else None
 
     # The empty word has one section (itself) at depth 0; it seeds the
     # cumulative maxima so degenerate machines still report sane rows.
@@ -676,19 +648,8 @@ def survey(
                 # A serial round is split by prefix too: a Ctrl-C then waits
                 # for one prefix's kernel call, not for the whole round.
                 split = _choose_split(allowed, sigmas, jobs, n) if allowed else 0
-                tasks = [
-                    (n, prefix, active)
-                    for prefix, active in _canonical_prefixes(allowed, sigmas, split)
-                ]
-                if jobs > 1 and split:
-                    if pool is None:
-                        pool = _pool_context().Pool(
-                            jobs, initializer=_pool_init, initargs=scan_args
-                        )
-                    chunk = max(1, len(tasks) // (jobs * 4))
-                    results = pool.imap_unordered(_pool_scan, tasks, chunk)
-                else:
-                    results = (scan(prefix, active, n) for _, prefix, active in tasks)
+                tasks = _canonical_prefixes(allowed, sigmas, split)
+                results = (pool.map if pool else map)(lambda task, n=n: scan(*task, n), tasks)
                 examined, d, dw, t, tw = _merge_round(results)
                 rec = {
                     "n": n,
@@ -721,8 +682,9 @@ def survey(
                 progress(row)
     finally:
         if pool is not None:
-            pool.terminate()
-            pool.join()
+            # Tasks not yet started are dropped; running ones end with their
+            # prefix, which bounds the wait after Ctrl-C or an error.
+            pool.shutdown(cancel_futures=True)
 
     return GrowthReport(
         rows=tuple(rows),

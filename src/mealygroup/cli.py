@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="M",
         help=f"use the M-peg Hanoi machine (default {DEFAULT_PEGS} when no file is given)",
     )
-    common.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes")
+    common.add_argument("--jobs", type=int, default=1, metavar="N", help="worker threads")
     common.add_argument("--seed", type=int, default=0, metavar="U64", help="sampling seed")
     common.add_argument("--out", metavar="PATH", help="write data output to PATH instead of stdout")
     common.add_argument("--csv", action="store_true", help="emit CSV instead of the plain table")

@@ -1,8 +1,11 @@
+import _thread
 import contextlib
 import io
 import os
 import shutil
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
@@ -121,34 +124,80 @@ def test_table_deterministic_across_jobs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+requires_cc = pytest.mark.skipif(
+    shutil.which(_kernel._CC) is None,
+    reason=f"no C compiler ({_kernel._CC}) on PATH: surveys run serially on the Python scan",
+)
+
+
+@requires_cc
 def test_table_caps_workers_at_the_cpu_count(monkeypatch):
     requested = []
 
-    class InProcessPool:
-        def __init__(self, processes, initializer, initargs):
-            requested.append(processes)
-            initializer(*initargs)
-
-        def imap_unordered(self, fn, tasks, chunksize):
-            return map(fn, tasks)
-
-        def terminate(self):
-            pass
-
-        def join(self):
-            pass
-
-    class Context:
-        Pool = InProcessPool
+    class RecordingExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+            super().__init__(max_workers)
 
     argv = ("table", "--pegs", "4", "--max-n", "5", "--csv")
     serial = run_cli(*argv)[1]
-    monkeypatch.setattr(analysis, "_POOL_SCAN", None)
-    monkeypatch.setattr(analysis, "_pool_context", Context)
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, out, _ = run_cli(*argv, "--jobs", "100000")
     assert (code, out) == (0, serial)
     assert requested == [2]
+
+
+def over_budget():
+    raise _kernel.budget_error()
+
+
+@requires_cc
+@pytest.mark.parametrize(
+    "fault, code, line",
+    [
+        (_thread.interrupt_main, 130, "interrupted"),
+        (over_budget, 2,
+         f"error: a section closure has more than {_kernel.SECTION_BUDGET} sections"),
+    ],
+)
+def test_fault_in_a_threaded_round_stops_it_with_one_line(monkeypatch, fault, code, line):
+    # The compiled scan faults in the first task of round 5 (60 tasks) at
+    # --jobs 2, and that round's other tasks are slowed down.  The interrupt
+    # lands when the main thread wakes, as the faulting task ends.  Waiting
+    # tasks are dropped: besides the faulting task, only the one already
+    # running on the other thread and the one the faulting thread takes
+    # next may start.
+    jobs, faulty = 2, 5
+    started = []  # (round, on the main thread) per task
+    lock = threading.Lock()
+    real = _kernel.compiled_scan
+
+    def slowed(*args):
+        scan = real(*args)
+
+        def slow_scan(prefix, active, n):
+            with lock:
+                first = n not in [m for m, _ in started]
+                started.append((n, threading.current_thread() is threading.main_thread()))
+            if n == faulty:
+                if first:
+                    fault()
+                else:
+                    time.sleep(0.05)
+            return scan(prefix, active, n)
+
+        return slow_scan
+
+    monkeypatch.setattr(_kernel, "compiled_scan", slowed)
+    monkeypatch.setattr(os, "cpu_count", lambda: jobs)
+    result, out, err = run_cli("table", "--pegs", "4", "--max-n", "6", "--jobs", str(jobs))
+    assert (result, out) == (code, "")
+    assert [ln for ln in err.splitlines() if not ln.startswith("# ")] == [line]
+    rounds = [n for n, _ in started]
+    assert 1 <= rounds.count(faulty) <= jobs + 1
+    assert faulty + 1 not in rounds
+    assert not any(main for _, main in started)
 
 
 def test_failed_out_write_keeps_the_old_target(tmp_path, monkeypatch):
@@ -362,7 +411,7 @@ def test_missing_subcommand_is_usage_error(capsys):
 # --- argv fuzzing -------------------------------------------------------------
 
 # Every value stays small: a large --pegs builds a huge machine, and a large
-# --jobs would ask for that many worker processes.
+# --jobs would ask for that many worker threads.
 SMALL_VALUES = {
     "--pegs": ["-1", "0", "2", "3", "4", "5", "x"],
     "--jobs": ["-1", "0", "1", "2", "x"],

@@ -10,6 +10,8 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -125,7 +127,39 @@ def test_missing_compiler_falls_back_to_the_same_rows(monkeypatch, ha4):
     monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
     assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), True, 5) is None
     assert csv_of(ha4, 5) == compiled_rows
+
+    # The Python scan holds the GIL: at jobs=2 it runs serially, on no pool.
+    def no_pool(*args, **kwargs):
+        pytest.fail("the Python scan started a thread pool")
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert csv_of(ha4, 5, jobs=2) == compiled_rows
+
+
+@requires_cc
+def test_compiled_scans_on_two_threads_match_their_serial_results():
+    # Two machines' scans run side by side on threads, as survey() runs
+    # prefixes; state shared between calls in _kernel.c would mix them up.
+    def job(auto, n_max):
+        allowed, sigmas, compiled, _ = twins(auto, n_max)
+        return lambda: [
+            compiled(prefix, active, n)
+            for n in range(1, n_max + 1)
+            for prefix, active in _canonical_prefixes(allowed, sigmas, min(n, 2))
+        ]
+
+    jobs = [job(hanoi_automaton(4), 8), job(parse_automaton(BASILICA.read_text()), 13)]
+    serial = [run() for run in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def together(run):
+        start.wait(timeout=60)
+        return [run() for _ in range(3)]
+
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        threaded = list(pool.map(together, jobs, timeout=120))
+    assert threaded == [[results] * 3 for results in serial]
 
 
 @requires_cc
