@@ -3,18 +3,23 @@
  * Python code stays the reference they are tested against.
  *
  * mg_scan is the survey scan: _scan_exact with the closure statistics of
- * _depth_count.  A section of a product is a product of sections: with s
- * the state that reads a letter first, (w s)|x = w|s(x) s|x.  So the
- * closure of w s is the part of closure(w) x states reachable from
- * (w, s), and the pair (a, t) has at letter x the child
- * (ch[a][emit[t][x]], nxt[t][x]).  Distinct pairs are distinct section
- * words, so a breadth-first walk over pairs has the levels, depth, section
- * count and root recurrence of the walk over section words.  Depth and
- * count need no images of letters, so the canonical DFS keeps only the
- * child table of the prefix's closure at each depth, and a leaf walks its
- * pairs without storing one.  The DFS visits the allowed states in
- * the caller's order and replaces a witness only on a strictly better
- * value, so words examined and witnesses equal those of the Python scan.
+ * _depth_count, at every length up to the longest in one DFS.  A section of
+ * a product is a product of sections: with s the state that reads a letter
+ * first, (w s)|x = w|s(x) s|x.  So the closure of w s is the part of
+ * closure(w) x states reachable from (w, s), and the pair (a, t) has at
+ * letter x the child (ch[a][emit[t][x]], nxt[t][x]).  Distinct pairs are
+ * distinct section words, so a breadth-first walk over pairs has the
+ * levels, depth, section count and root recurrence of the walk over
+ * section words.  Depth and count need no images of letters, so the
+ * canonical DFS keeps only the child table of the prefix's closure at each
+ * depth, and a leaf walks its pairs without storing one.  Every node of the
+ * DFS is a canonical word, and the walk that builds its closure yields its
+ * depth and count too, so each node counts toward its own length: one DFS
+ * to length n gives the results of every shorter length as well.  The DFS
+ * visits the allowed states in the caller's order, so the words of each
+ * length come in the order the Python scan of that length visits them, and
+ * a witness is replaced only on a strictly better value: words examined
+ * and witnesses equal those of the Python scan, length by length.
  *
  * mg_closure is the closure record of one word that the queries read (the
  * Python walk in _closure_engine is its twin), and mg_threshold the
@@ -58,9 +63,10 @@ typedef struct {
     int32_t *index;    /* per pair code: its node index, when out is kept */
     size_t vcap;
     uint32_t gen;
-    uint64_t examined;
-    int64_t best_d, best_t;
-    int32_t *witness;  /* the caller's: depth witness, then count witness */
+    int first;         /* the shortest length counted: outputs start there */
+    uint64_t *examined; /* the caller's, per length */
+    int64_t *best;     /* the caller's: best depth, then best count, per length */
+    int32_t *witness;  /* the caller's: depth witness, then count witness, n each per length */
 } Scan;
 
 /* Walk the closure of (word of p) s, whose nodes are pairs (node of p,
@@ -142,30 +148,27 @@ static int extend(Scan *sc, const Level *p, int s, Level *out, int64_t *depth, i
     return 0;
 }
 
-/* Depth and count of the word whose last state is s (the prefix closure
- * is lv[n-1]), kept as best when strictly better. */
-static int leaf(Scan *sc, int s)
+/* Count word[0..len), of closure depth d and count t, toward its length,
+ * and keep d and t as that length's best when strictly better. */
+static void record(Scan *sc, int len, int64_t d, int64_t t)
 {
-    const int n = sc->n;
-    int64_t d, t;
-    int rc = extend(sc, &sc->lv[n - 1], s, NULL, &d, &t);
-    if (rc)
-        return rc;
-    sc->examined++;
-    if (d > sc->best_d) {
-        sc->best_d = d;
-        memcpy(sc->witness, sc->word, n * sizeof *sc->word);
+    const size_t i = (size_t)(len - sc->first);
+    int32_t *w = sc->witness + i * 2 * sc->n;
+    sc->examined[i]++;
+    if (d > sc->best[2 * i]) {
+        sc->best[2 * i] = d;
+        memcpy(w, sc->word, len * sizeof *sc->word);
     }
-    if (t > sc->best_t) {
-        sc->best_t = t;
-        memcpy(sc->witness + n, sc->word, n * sizeof *sc->word);
+    if (t > sc->best[2 * i + 1]) {
+        sc->best[2 * i + 1] = t;
+        memcpy(w + sc->n, sc->word, len * sizeof *sc->word);
     }
-    return 0;
 }
 
 /* Canonical DFS below word[0..depth), whose closure automaton is
- * lv[depth], with the _extend_active rule: a symmetry mapping the next
- * state lower prunes it, one mapping it to itself keeps tying. */
+ * lv[depth], down to length n, with the _extend_active rule: a symmetry
+ * mapping the next state lower prunes it, one mapping it to itself keeps
+ * tying.  Every word it reaches is recorded; a leaf keeps no automaton. */
 static int rec(Scan *sc, int depth, const int32_t *active, int nact)
 {
     int32_t *sub = sc->active + (size_t)(depth + 1) * sc->ns;
@@ -183,23 +186,26 @@ static int rec(Scan *sc, int depth, const int32_t *active, int nact)
         }
         if (!canonical)
             continue;
+        Level *out = depth + 1 < sc->n ? &sc->lv[depth + 1] : NULL;
         sc->word[depth] = s;
-        if (depth + 1 == sc->n)
-            rc = leaf(sc, s);
-        else if (!(rc = extend(sc, &sc->lv[depth], s, &sc->lv[depth + 1], &d, &t)))
-            rc = rec(sc, depth + 1, sub, keep);
-        if (rc)
+        if ((rc = extend(sc, &sc->lv[depth], s, out, &d, &t)))
+            return rc;
+        record(sc, depth + 1, d, t);
+        if (out && (rc = rec(sc, depth + 1, sub, keep)))
             return rc;
     }
     return 0;
 }
 
-/* Scan every canonical word of length 1 <= n <= MAXN extending
- * prefix[0..np), with the ns symmetries in sigmas (k entries each) still
- * tying on the prefix.  Writes words examined, best[0] = best depth,
- * best[1] = best count, and their witnesses into witness[0..n) and
- * witness[n..2n).  Returns 0, -1 when memory runs out or -2 when a closure
- * passes `budget` sections (outputs are then meaningless). */
+/* Scan every canonical word of each length L = np+1 .. n (n <= MAXN)
+ * extending prefix[0..np), with the ns symmetries in sigmas (k entries
+ * each) still tying on the prefix.  Length L has index i = L - np - 1 in
+ * the outputs: words examined in examined[i], best depth in best[2i], best
+ * count in best[2i+1], and their witnesses in witness[2ni .. 2ni+L) and
+ * witness[2ni+n .. 2ni+n+L).  The prefix's own length and shorter ones are
+ * not counted.  Returns 0, -1 when memory runs out or the lengths are out
+ * of range, or -2 when a closure passes `budget` sections (outputs are
+ * then meaningless). */
 int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit,
             int na, const int32_t *allowed, int include_root,
             int n, int np, const int32_t *prefix, int ns, const int32_t *sigmas,
@@ -209,13 +215,17 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit,
         .k = k, .m = m, .n = n, .na = na, .ns = ns, .include_root = include_root,
         .budget = budget < INT32_MAX ? budget : INT32_MAX, /* node indices are int32 */
         .nxt = nxt, .emit = emit, .allowed = allowed, .sigmas = sigmas,
-        .best_d = -1, .best_t = -1, .witness = witness,
+        .first = np + 1, .examined = examined, .best = best, .witness = witness,
     };
     int64_t d, t;
     int rc = -1;
 
-    if (n < 1 || n > MAXN || np > n)
+    if (np < 0 || np >= n || n > MAXN)
         return -1;
+    for (int i = 0; i < n - np; i++) {
+        examined[i] = 0;
+        best[2 * i] = best[2 * i + 1] = -1;
+    }
     sc.active = malloc((size_t)(n + 1) * (ns ? ns : 1) * sizeof *sc.active);
     /* The empty word is its own only section. */
     sc.lv[0] = (Level){.ch = calloc(m, sizeof(int32_t)), .size = 1, .cap = 1};
@@ -224,13 +234,10 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit,
     for (int j = 0; j < ns; j++)
         sc.active[(size_t)np * ns + j] = j;
     memcpy(sc.word, prefix, np * sizeof *prefix);
-    for (int i = 0; i < np && i + 1 < n; i++)
+    for (int i = 0; i < np; i++)
         if ((rc = extend(&sc, &sc.lv[i], prefix[i], &sc.lv[i + 1], &d, &t)))
             goto done;
-    rc = np == n ? leaf(&sc, prefix[n - 1]) : rec(&sc, np, sc.active + (size_t)np * ns, ns);
-    *examined = sc.examined;
-    best[0] = sc.best_d;
-    best[1] = sc.best_t;
+    rc = rec(&sc, np, sc.active + (size_t)np * ns, ns);
 done:
     for (int i = 0; i < n; i++)
         free(sc.lv[i].ch);

@@ -127,11 +127,13 @@ def _tables(nxt, emit0):
 
 
 def compiled_scan(nxt, emit0, allowed, include_root, n_max):
-    """A twin of ``analysis._scan_exact`` with the machine's closure
-    statistics bound in: ``scan(prefix, active, n)`` for ``1 <= n <=
-    n_max``.  The closure of each word is built from its prefix's closure
-    automaton (see ``_kernel.c``).  None when the kernel cannot be loaded
-    or ``n_max`` is past the kernel's longest word (64)."""
+    """A twin of ``analysis._scan_lengths`` with the machine's closure
+    statistics bound in: ``scan(prefix, active, n)`` for ``len(prefix) < n
+    <= n_max`` returns one ``(examined, best depth, its witness, best
+    count, its witness)`` per length ``len(prefix) + 1 .. n``, from one
+    canonical DFS that builds the closure of each word from its prefix's
+    closure automaton (see ``_kernel.c``).  None when the kernel cannot be
+    loaded or ``n_max`` is past the kernel's longest word (64)."""
     if n_max > _MAXN:
         return None
     lib = _library()
@@ -143,14 +145,25 @@ def compiled_scan(nxt, emit0, allowed, include_root, n_max):
     states = (_I32 * len(allowed))(*allowed)
 
     def scan(prefix, active, n):
+        np = len(prefix)
+        if not np < n <= n_max:
+            raise ValueError(f"cannot scan lengths {np + 1}..{n} (at most {n_max})")
+        lengths = n - np
         sigmas = (_I32 * (len(active) * k))(*itertools.chain.from_iterable(active))
-        examined, best, witness = ctypes.c_uint64(), (_I64 * 2)(), (_I32 * (2 * n))()
-        _check(fn(k, m, *tables, len(allowed), states, bool(include_root), n, len(prefix),
-                  (_I32 * len(prefix))(*prefix), len(active), sigmas, SECTION_BUDGET,
+        examined, best = (ctypes.c_uint64 * lengths)(), (_I64 * (2 * lengths))()
+        witness = (_I32 * (2 * n * lengths))()
+        _check(fn(k, m, *tables, len(allowed), states, bool(include_root), n, np,
+                  (_I32 * np)(*prefix), len(active), sigmas, SECTION_BUDGET,
                   examined, best, witness))
-        if not examined.value:
-            return 0, -1, None, -1, None
-        return examined.value, best[0], tuple(witness[:n]), best[1], tuple(witness[n:])
+        results = []
+        for i, length in enumerate(range(np + 1, n + 1)):
+            if not examined[i]:
+                results.append((0, -1, None, -1, None))
+                continue
+            w = 2 * n * i
+            results.append((examined[i], best[2 * i], tuple(witness[w : w + length]),
+                            best[2 * i + 1], tuple(witness[w + n : w + n + length])))
+        return tuple(results)
 
     return scan
 

@@ -13,9 +13,11 @@ with witnesses.  Two value-preserving reductions keep this tractable:
 words containing do-nothing states are skipped (inserting such a state
 changes neither depth nor section count), and only the lexicographically
 least representative of each orbit under the machine's letter-relabeling
-automorphisms is examined.  Worker threads split the word space by
-canonical prefix; results merge by a max-value / lex-least-witness rule,
-so output is identical for any worker count.
+automorphisms is examined.  One canonical DFS to the longest length gives
+every length's maxima, since each word it reaches counts toward its own
+length.  Worker threads split that DFS by canonical prefix; results merge
+per length by a max-value / lex-least-witness rule, so output is
+identical for any worker count.
 
 Every closure question -- depth, section count, the word problem, fixing
 thresholds -- reads one closure record of the word: its sections in
@@ -32,7 +34,8 @@ compiled twin (``mg_threshold``) too.
 The survey's scan runs in the same compiled library (``mg_scan``).  A
 section of a product is a product of sections, so it builds the closure
 of each word from the closure automaton of its prefix, which the
-canonical DFS keeps at every depth, without ever forming a section word.
+canonical DFS keeps at every depth, without ever forming a section word,
+and records the depth and count of every word on the way.
 The Python scan, which takes its statistics straight from the walk, is
 that kernel's reference and the automatic fallback when no kernel can be
 built or words are longer than 64.
@@ -48,6 +51,7 @@ import itertools
 import json
 import os
 import random
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -420,6 +424,9 @@ def orbit_count(allowed: Sequence[int], sigmas: Sequence[tuple], length: int) ->
 
 WORD_BUDGET = 200_000_000
 
+# The shortest interval between two reports of a survey scan's tasks.
+TASK_REPORT_SECONDS = 10
+
 
 class BudgetError(RuntimeError):
     """The requested enumeration exceeds the default word budget, or a
@@ -428,7 +435,7 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class GrowthRow:
-    """Maxima over all words of length <= n, plus round bookkeeping."""
+    """Maxima over all words of length <= n, plus scan bookkeeping."""
 
     n: int
     depth: int
@@ -503,6 +510,15 @@ def _scan_exact(allowed, stats, prefix, active, n):
     return examined, best_d, best_dw, best_t, best_tw
 
 
+def _scan_lengths(allowed, stats, prefix, active, n):
+    """:func:`_scan_exact` at each length ``len(prefix) + 1 .. n``: the
+    reference twin of ``_kernel.compiled_scan``."""
+    return tuple(
+        _scan_exact(allowed, stats, prefix, active, length)
+        for length in range(len(prefix) + 1, n + 1)
+    )
+
+
 def _canonical_prefixes(allowed, sigmas, length):
     """Canonical words of ``length`` with the symmetries still tying on them."""
     return [
@@ -534,8 +550,8 @@ def _fingerprint(auto, flags) -> str:
 def _load_checkpoint(path, fingerprint):
     """Rounds recorded in ``path``.  Every record ends with a newline, so a
     final line without one was torn by a crash mid-append: it is dropped and
-    the file truncated back to the last complete record, and that round
-    runs again.  A damaged line elsewhere is an error."""
+    the file truncated back to the last complete record, and that row is
+    scanned again.  A damaged line elsewhere is an error."""
     rows = {}
     path = Path(path)
     if not path.exists():
@@ -579,23 +595,31 @@ def survey(
     progress: Optional[Callable] = None,
 ) -> GrowthReport:
     """Exact maxima of depth and section count over all words of length
-    <= ``n_max``, one round per length, with witnesses.
+    <= ``n_max``, one row per length, with witnesses.
 
-    Rounds run over canonical orbit representatives of words without
-    do-nothing states unless the reductions are switched off; both
-    reductions preserve the maxima.  ``jobs`` > 1 splits each round by
-    canonical prefix across threads that run the compiled scan; the Python
-    scan runs serially.  Results are identical for any ``jobs``.
-    ``checkpoint`` names a file that records completed rounds and lets an
-    interrupted run resume.  ``progress`` is called with the cumulative
-    :class:`GrowthRow` after each round.
+    One canonical DFS to length ``n_max`` gives every row: each word it
+    reaches counts toward its own length.  It runs over canonical orbit
+    representatives of words without do-nothing states unless the
+    reductions are switched off; both reductions preserve the maxima.
+    ``jobs`` > 1 splits the scan by canonical prefix across threads that
+    run the compiled scan; the Python scan runs serially.  Results are
+    identical for any ``jobs``.  A scan that runs for long reports its
+    finished tasks on stderr (``# scan tasks=k/N seconds=S``).
+
+    ``checkpoint`` names a file that records each row once the scan ends.
+    A later run keeps the rows it holds; when it must scan for longer
+    ones, the rows it recomputes must equal the recorded ones, or it
+    raises :class:`AutomatonError`.  Every row the scan computes carries
+    the scan's wall time as ``seconds``.  ``progress`` is called with the
+    cumulative :class:`GrowthRow` of each length in turn, once the scan
+    ends.
     """
     if not auto.is_invertible:
         raise AutomatonError("growth surveys need an invertible automaton")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    # More workers than CPUs only add threads: rounds split by prefix, so
-    # the rows are the same for any worker count.
+    # More workers than CPUs only add threads: the scan splits by prefix,
+    # so the rows are the same for any worker count.
     jobs = min(max(1, int(jobs)), os.cpu_count() or 1)
 
     trivials = auto._trivials if exclude_trivial else ()
@@ -624,67 +648,64 @@ def survey(
 
     from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
 
-    # The compiled twin of _scan_exact (see _kernel.c) when it loads and
+    # The compiled twin of _scan_lengths (see _kernel.c) when it loads and
     # n_max <= 64.  It releases the GIL in each kernel call and keeps no
     # state between calls, so threads scan prefixes in parallel.  The
     # Python scan, its reference, holds the GIL and runs serially.
     scan = _kernel.compiled_scan(auto._next, auto._emit0, allowed, include_root_section, n_max)
     if scan is None:
         stats = functools.partial(_depth_count, auto, include_root=include_root_section)
-        scan = functools.partial(_scan_exact, allowed, stats)
+        scan = functools.partial(_scan_lengths, allowed, stats)
         jobs = 1
-    pool = ThreadPoolExecutor(jobs) if jobs > 1 else None
+
+    scanned = {}
+    if any(n not in done for n in range(1, n_max + 1)):
+        t0 = time.perf_counter()
+        merged = _scan_all(scan, allowed, sigmas, jobs, n_max)
+        seconds = time.perf_counter() - t0
+        for n, (examined, d, dw, t, tw) in merged.items():
+            scanned[n] = rec = {
+                "n": n,
+                "depth": d if dw is not None else None,
+                "depth_witness": list(dw) if dw is not None else None,
+                "theta": t if tw is not None else None,
+                "theta_witness": list(tw) if tw is not None else None,
+                "examined": examined,
+                "orbits": orbit_count(allowed, sigmas_all, n),
+                "seconds": seconds,
+            }
+            # The scan recomputes the rows the checkpoint holds: a free check.
+            if n in done and _values(done[n]) != _values(rec):
+                raise AutomatonError(f"checkpoint {checkpoint} disagrees with the scan at n={n}")
 
     # The empty word has one section (itself) at depth 0; it seeds the
     # cumulative maxima so degenerate machines still report sane rows.
     best_d = (0, 0, ())
     best_t = (1, 0, ())
     rows = []
-    try:
-        for n in range(1, n_max + 1):
-            rec = done.get(n)
-            if rec is None:
-                t0 = time.perf_counter()
-                # A serial round is split by prefix too: a Ctrl-C then waits
-                # for one prefix's kernel call, not for the whole round.
-                split = _choose_split(allowed, sigmas, jobs, n) if allowed else 0
-                tasks = _canonical_prefixes(allowed, sigmas, split)
-                results = (pool.map if pool else map)(lambda task, n=n: scan(*task, n), tasks)
-                examined, d, dw, t, tw = _merge_round(results)
-                rec = {
-                    "n": n,
-                    "depth": d if dw is not None else None,
-                    "depth_witness": list(dw) if dw is not None else None,
-                    "theta": t if tw is not None else None,
-                    "theta_witness": list(tw) if tw is not None else None,
-                    "examined": examined,
-                    "orbits": orbit_count(allowed, sigmas_all, n),
-                    "seconds": time.perf_counter() - t0,
-                }
-                if checkpoint:
-                    _append_checkpoint(checkpoint, fingerprint, rec)
-            if rec["depth_witness"] is not None and rec["depth"] > best_d[0]:
-                best_d = (rec["depth"], n, tuple(rec["depth_witness"]))
-            if rec["theta_witness"] is not None and rec["theta"] > best_t[0]:
-                best_t = (rec["theta"], n, tuple(rec["theta_witness"]))
-            row = GrowthRow(
-                n=n,
-                depth=best_d[0],
-                depth_witness=best_d[2],
-                theta=best_t[0],
-                theta_witness=best_t[2],
-                words_examined=rec["examined"],
-                orbits=rec["orbits"],
-                seconds=rec["seconds"],
-            )
-            rows.append(row)
-            if progress:
-                progress(row)
-    finally:
-        if pool is not None:
-            # Tasks not yet started are dropped; running ones end with their
-            # prefix, which bounds the wait after Ctrl-C or an error.
-            pool.shutdown(cancel_futures=True)
+    for n in range(1, n_max + 1):
+        rec = done.get(n)
+        if rec is None:
+            rec = scanned[n]
+            if checkpoint:
+                _append_checkpoint(checkpoint, fingerprint, rec)
+        if rec["depth_witness"] is not None and rec["depth"] > best_d[0]:
+            best_d = (rec["depth"], n, tuple(rec["depth_witness"]))
+        if rec["theta_witness"] is not None and rec["theta"] > best_t[0]:
+            best_t = (rec["theta"], n, tuple(rec["theta_witness"]))
+        row = GrowthRow(
+            n=n,
+            depth=best_d[0],
+            depth_witness=best_d[2],
+            theta=best_t[0],
+            theta_witness=best_t[2],
+            words_examined=rec["examined"],
+            orbits=rec["orbits"],
+            seconds=rec["seconds"],
+        )
+        rows.append(row)
+        if progress:
+            progress(row)
 
     return GrowthReport(
         rows=tuple(rows),
@@ -692,6 +713,45 @@ def survey(
         symmetry=symmetry,
         include_root_section=include_root_section,
     )
+
+
+def _values(rec):
+    """A checkpoint record without its wall time."""
+    return {key: value for key, value in rec.items() if key != "seconds"}
+
+
+def _scan_all(scan, allowed, sigmas, jobs, n_max):
+    """Merged ``(examined, best depth, witness, best count, witness)`` of
+    every length 1 .. ``n_max``, from one canonical DFS split into tasks by
+    prefix: one task scans lengths 1 .. split below the empty word, and one
+    per canonical prefix of length split scans the longer lengths below it.
+    ``jobs`` > 1 runs the tasks on that many threads.  A serial scan is split
+    too: a Ctrl-C then waits for one task's kernel call, not for the whole
+    scan.  Every :data:`TASK_REPORT_SECONDS` at most, the tasks done so far
+    are reported on stderr."""
+    t0 = last = time.perf_counter()
+    split = _choose_split(allowed, sigmas, jobs, n_max) if allowed else 0
+    tasks = [(p, active, n_max) for p, active in _canonical_prefixes(allowed, sigmas, split)]
+    if split:
+        tasks.insert(0, ((), sigmas, split))
+    by_length = {n: [] for n in range(1, n_max + 1)}
+    pool = ThreadPoolExecutor(jobs) if jobs > 1 else None
+    try:
+        results = (pool.map if pool else map)(lambda task: scan(*task), tasks)
+        for done, ((prefix, _, _), result) in enumerate(zip(tasks, results), 1):
+            for n, res in enumerate(result, len(prefix) + 1):
+                by_length[n].append(res)
+            now = time.perf_counter()
+            if now - last >= TASK_REPORT_SECONDS:
+                print(f"# scan tasks={done}/{len(tasks)} seconds={now - t0:.3f}",
+                      file=sys.stderr, flush=True)
+                last = now
+    finally:
+        if pool is not None:
+            # Tasks not yet started are dropped; running ones end with their
+            # prefix, which bounds the wait after Ctrl-C or an error.
+            pool.shutdown(cancel_futures=True)
+    return {n: _merge_round(found) for n, found in by_length.items()}
 
 
 def _choose_split(allowed, sigmas, jobs, n):

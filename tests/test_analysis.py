@@ -404,6 +404,14 @@ def test_survey_checkpoint_resume(tmp_path, ha4):
         survey(ha4, 2, checkpoint=ck, symmetry=False)
 
 
+def test_survey_within_its_checkpoint_scans_nothing(tmp_path, ha4, monkeypatch):
+    ck = tmp_path / "scan.ckpt"
+    whole = survey(ha4, 4, checkpoint=ck)
+    monkeypatch.setattr(analysis, "_scan_all", lambda *args: pytest.fail("scanned again"))
+    assert survey(ha4, 3, checkpoint=ck).rows == whole.rows[:3]
+    assert survey(ha4, 4, checkpoint=ck).rows == whole.rows
+
+
 def test_survey_resumes_from_a_torn_checkpoint(tmp_path, ha4):
     ck = tmp_path / "scan.ckpt"
     whole = survey(ha4, 4, checkpoint=ck)

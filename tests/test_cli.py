@@ -1,6 +1,7 @@
 import _thread
 import contextlib
 import io
+import json
 import os
 import shutil
 import threading
@@ -162,14 +163,15 @@ def over_budget():
     ],
 )
 def test_fault_in_a_threaded_round_stops_it_with_one_line(monkeypatch, fault, code, line):
-    # The compiled scan faults in the first task of round 5 (60 tasks) at
-    # --jobs 2, and that round's other tasks are slowed down.  The interrupt
-    # lands when the main thread wakes, as the faulting task ends.  Waiting
-    # tasks are dropped: besides the faulting task, only the one already
-    # running on the other thread and the one the faulting thread takes
-    # next may start.
-    jobs, faulty = 2, 5
-    started = []  # (round, on the main thread) per task
+    # The first task of the scan (lengths 1-4 below the empty word, before
+    # 60 tasks below the prefixes of length 4) faults at --jobs 2, and the
+    # other tasks are slowed down.  The interrupt lands when the main thread
+    # wakes, as the faulting task ends.  Waiting tasks are dropped: besides
+    # the faulting task, only the one already running on the other thread
+    # and the one the faulting thread takes next may start, and none starts
+    # once the command has ended.
+    jobs = 2
+    started = []  # (prefix, bound, on the main thread) per task
     lock = threading.Lock()
     real = _kernel.compiled_scan
 
@@ -178,13 +180,12 @@ def test_fault_in_a_threaded_round_stops_it_with_one_line(monkeypatch, fault, co
 
         def slow_scan(prefix, active, n):
             with lock:
-                first = n not in [m for m, _ in started]
-                started.append((n, threading.current_thread() is threading.main_thread()))
-            if n == faulty:
-                if first:
-                    fault()
-                else:
-                    time.sleep(0.05)
+                first = not started
+                started.append((prefix, n, threading.current_thread() is threading.main_thread()))
+            if first:
+                fault()
+            else:
+                time.sleep(0.05)
             return scan(prefix, active, n)
 
         return slow_scan
@@ -194,10 +195,74 @@ def test_fault_in_a_threaded_round_stops_it_with_one_line(monkeypatch, fault, co
     result, out, err = run_cli("table", "--pegs", "4", "--max-n", "6", "--jobs", str(jobs))
     assert (result, out) == (code, "")
     assert [ln for ln in err.splitlines() if not ln.startswith("# ")] == [line]
-    rounds = [n for n, _ in started]
-    assert 1 <= rounds.count(faulty) <= jobs + 1
-    assert faulty + 1 not in rounds
-    assert not any(main for _, main in started)
+    assert started[0][:2] == ((), 4)
+    ended = len(started)
+    time.sleep(0.2)
+    assert 1 <= ended == len(started) <= jobs + 1
+    assert not any(main for _, _, main in started)
+
+
+def table_lines(err):
+    """The ``# n=`` progress lines of a table run's stderr."""
+    return [ln for ln in err.splitlines() if ln.startswith("# n=")]
+
+
+def test_table_reports_scan_tasks_as_they_finish(monkeypatch):
+    argv = ("table", "--pegs", "4", "--max-n", "6", "--csv")
+    code, quiet_out, quiet_err = run_cli(*argv)
+    assert code == 0 and "# scan" not in quiet_err
+    monkeypatch.setattr(analysis, "TASK_REPORT_SECONDS", 0)
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (0, quiet_out)
+    lines = err.splitlines()
+    # One line per task: the one below the empty word, then one per prefix.
+    tasks = [ln for ln in lines if ln.startswith("# scan tasks=")]
+    total = len(tasks)
+    assert total > 1
+    assert [ln.split()[2] for ln in tasks] == [f"tasks={k}/{total}" for k in range(1, total + 1)]
+    assert all(float(ln.split("seconds=")[1]) >= 0 for ln in tasks)
+    # The rows come once the scan ends, and the other lines are left alone.
+    assert lines == tasks + table_lines(err)
+    assert len(table_lines(err)) == 6
+
+
+def test_resume_rejects_a_checkpoint_that_disagrees_with_the_scan(tmp_path):
+    out = tmp_path / "t.csv"
+    ckpt = tmp_path / "t.csv.ckpt"
+    argv = ("table", "--pegs", "4", "--long-run", "--out", str(out))
+    assert run_cli(*argv, "--max-n", "3")[0] == 0
+    lines = ckpt.read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    assert record["n"] == 2
+    record["depth"] += 1
+    lines[2] = json.dumps(record) + "\n"
+    ckpt.write_text("".join(lines))
+    table = out.read_bytes()
+    code, _, err = run_cli(*argv, "--max-n", "4")
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: checkpoint {ckpt} disagrees with the scan at n=2"
+    assert [ln for ln in err.splitlines() if not ln.startswith("# ")] == err.splitlines()[-1:]
+    # Nothing is written: the checkpoint and the table stay as they were.
+    assert ckpt.read_text() == "".join(lines)
+    assert out.read_bytes() == table
+
+
+def test_resume_scans_once_and_keeps_the_recorded_rows(tmp_path):
+    out = tmp_path / "t.csv"
+    ckpt = tmp_path / "t.csv.ckpt"
+    argv = ("table", "--pegs", "4", "--long-run", "--out", str(out))
+    assert run_cli(*argv, "--max-n", "3")[0] == 0
+    first = ckpt.read_text().splitlines()
+    code, _, err = run_cli(*argv, "--max-n", "5")
+    assert code == 0
+    resumed = ckpt.read_text().splitlines()
+    assert resumed[:4] == first and [json.loads(ln)["n"] for ln in resumed[4:]] == [4, 5]
+    fresh = tmp_path / "fresh.csv"
+    assert run_cli("table", "--pegs", "4", "--max-n", "5", "--out", str(fresh))[0] == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    # The recorded rows keep their own seconds; the new ones share the scan's.
+    seconds = [ln.split("seconds=")[1] for ln in table_lines(err)]
+    assert seconds[3] == seconds[4]
 
 
 def test_failed_out_write_keeps_the_old_target(tmp_path, monkeypatch):

@@ -35,7 +35,7 @@ from mealygroup.analysis import (
     _Closure,
     _depth_count,
     _period_threshold,
-    _scan_exact,
+    _scan_lengths,
     _walk_record,
     automaton_symmetries,
 )
@@ -65,15 +65,23 @@ def twins(auto, n_max, exclude_trivial=True, symmetry=True, include_root=True):
         functools.partial(_depth_count, auto, include_root=include_root)
     )
     stats = lambda word: walk(tuple(word))
-    return allowed, sigmas, compiled, functools.partial(_scan_exact, allowed, stats)
+    return allowed, sigmas, compiled, functools.partial(_scan_lengths, allowed, stats)
 
 
 def assert_parity(auto, n_max, max_prefix, **options):
+    """The compiled scan against the reference, length by length, below
+    the empty word (the survey's first task) and every canonical prefix of
+    up to ``max_prefix`` letters, to every bound from one past the prefix
+    (n = 1 below the empty word) up to ``n_max``."""
     allowed, sigmas, compiled, reference = twins(auto, n_max, **options)
-    for n in range(1, n_max + 1):
-        for p in range(min(n, max_prefix) + 1):
-            for prefix, active in _canonical_prefixes(allowed, sigmas, p):
-                assert compiled(prefix, active, n) == reference(prefix, active, n), (n, prefix)
+    for p in range(min(n_max - 1, max_prefix) + 1):
+        for prefix, active in _canonical_prefixes(allowed, sigmas, p):
+            # The reference scans each length on its own, so its results to
+            # a shorter bound are the first ones of these.
+            whole = reference(prefix, active, n_max)
+            assert len(whole) == n_max - p
+            for n in range(p + 1, n_max + 1):
+                assert compiled(prefix, active, n) == whole[: n - p], (n, prefix)
 
 
 @requires_cc
@@ -117,6 +125,14 @@ def test_kernel_matches_reference_on_random_machines(auto, exclude_trivial, symm
                   include_root=include_root)
 
 
+@requires_cc
+def test_compiled_scan_takes_only_lengths_past_its_prefix(ha4):
+    allowed, sigmas, compiled, _ = twins(ha4, 3)
+    for prefix, n in [((1,), 1), ((), 0), ((), 4)]:
+        with pytest.raises(ValueError):
+            compiled(prefix, sigmas, n)
+
+
 def csv_of(auto, n_max, **options):
     return render_growth_csv(survey(auto, n_max, **options), auto, timings=False)
 
@@ -141,12 +157,12 @@ def test_missing_compiler_falls_back_to_the_same_rows(monkeypatch, ha4):
 def test_compiled_scans_on_two_threads_match_their_serial_results():
     # Two machines' scans run side by side on threads, as survey() runs
     # prefixes; state shared between calls in _kernel.c would mix them up.
+    # Each job runs the survey's tasks at split 2, and the scan to n = 1.
     def job(auto, n_max):
         allowed, sigmas, compiled, _ = twins(auto, n_max)
-        return lambda: [
-            compiled(prefix, active, n)
-            for n in range(1, n_max + 1)
-            for prefix, active in _canonical_prefixes(allowed, sigmas, min(n, 2))
+        return lambda: [compiled((), sigmas, 1), compiled((), sigmas, 2)] + [
+            compiled(prefix, active, n_max)
+            for prefix, active in _canonical_prefixes(allowed, sigmas, 2)
         ]
 
     jobs = [job(hanoi_automaton(4), 8), job(parse_automaton(BASILICA.read_text()), 13)]
