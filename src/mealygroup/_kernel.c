@@ -9,8 +9,8 @@
  * closure(w) x states reachable from (w, s), and the pair (a, t) has at
  * letter x the child (ch[a][emit[t][x]], nxt[t][x]).  Distinct pairs are
  * distinct section words, so a breadth-first walk over pairs has the
- * levels, depth, section count and root recurrence of the walk over
- * section words.  Depth and count need no images of letters, so the
+ * levels, depth and section count (the word itself included) of the walk
+ * over section words.  Depth and count need no images of letters, so the
  * canonical DFS keeps only the child table of the prefix's closure at each
  * depth, and a leaf walks its pairs without storing one.  Every node of the
  * DFS is a canonical word, and the walk that builds its closure yields its
@@ -51,7 +51,7 @@ typedef struct {
 } Level;
 
 typedef struct {
-    int k, m, n, na, ns, include_root;
+    int k, m, n, na, ns;
     int64_t budget;
     const int32_t *nxt, *emit, *allowed, *sigmas;
     int32_t *active;   /* per DFS level, indices of the symmetries still tying */
@@ -81,7 +81,6 @@ static int extend(Scan *sc, const Level *p, int s, Level *out, int64_t *depth, i
     /* A walk has at most one node per pair code, and stops at the budget. */
     const int64_t most = (int64_t)codes < budget ? (int64_t)codes : budget;
     int64_t len = 1, start = 0, end = 1, levels = 0;
-    int recur = 0;
 
     if (codes > sc->vcap) {
         free(sc->stamp);
@@ -128,8 +127,6 @@ static int extend(Scan *sc, const Level *p, int s, Level *out, int64_t *depth, i
                     if (out)
                         index[code] = (int32_t)len;
                     len++;
-                } else if (code == root) {
-                    recur = 1;
                 }
                 if (out)
                     out->ch[q * m + x] = index[code];
@@ -144,7 +141,7 @@ static int extend(Scan *sc, const Level *p, int s, Level *out, int64_t *depth, i
     if (out)
         out->size = len;
     *depth = levels;
-    *count = len - (sc->include_root || recur ? 0 : 1);
+    *count = len;
     return 0;
 }
 
@@ -206,13 +203,12 @@ static int rec(Scan *sc, int depth, const int32_t *active, int nact)
  * not counted.  Returns 0, -1 when memory runs out or the lengths are out
  * of range, or -2 when a closure passes `budget` sections (outputs are
  * then meaningless). */
-int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit,
-            int na, const int32_t *allowed, int include_root,
+int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const int32_t *allowed,
             int n, int np, const int32_t *prefix, int ns, const int32_t *sigmas,
             int64_t budget, uint64_t *examined, int64_t *best, int32_t *witness)
 {
     Scan sc = {
-        .k = k, .m = m, .n = n, .na = na, .ns = ns, .include_root = include_root,
+        .k = k, .m = m, .n = n, .na = na, .ns = ns,
         .budget = budget < INT32_MAX ? budget : INT32_MAX, /* node indices are int32 */
         .nxt = nxt, .emit = emit, .allowed = allowed, .sigmas = sigmas,
         .first = np + 1, .examined = examined, .best = best, .witness = witness,

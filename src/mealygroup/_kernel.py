@@ -72,8 +72,8 @@ class _ClosureOut(ctypes.Structure):
 
 
 _SIGNATURES = {
-    "mg_scan": (ctypes.c_int, [_I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32, _I32,
-                               _I32P, _I32, _I32P, _I64, _U64P, ctypes.POINTER(_I64), _I32P]),
+    "mg_scan": (ctypes.c_int, [_I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32, _I32P,
+                               _I32, _I32P, _I64, _U64P, ctypes.POINTER(_I64), _I32P]),
     "mg_closure": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
                                   ctypes.c_char_p, _I64, ctypes.POINTER(_ClosureOut)]),
     "mg_closure_free": (None, [ctypes.POINTER(_ClosureOut)]),
@@ -126,14 +126,15 @@ def _tables(nxt, emit0):
     return [(_I32 * (len(t) * len(t[0])))(*itertools.chain.from_iterable(t)) for t in (nxt, emit0)]
 
 
-def compiled_scan(nxt, emit0, allowed, include_root, n_max):
-    """A twin of ``analysis._scan_lengths`` with the machine's closure
-    statistics bound in: ``scan(prefix, active, n)`` for ``len(prefix) < n
-    <= n_max`` returns one ``(examined, best depth, its witness, best
-    count, its witness)`` per length ``len(prefix) + 1 .. n``, from one
-    canonical DFS that builds the closure of each word from its prefix's
-    closure automaton (see ``_kernel.c``).  None when the kernel cannot be
-    loaded or ``n_max`` is past the kernel's longest word (64)."""
+def compiled_scan(nxt, emit0, allowed, n_max):
+    """A twin of ``analysis._scan_lengths`` with the closure statistics of
+    ``analysis._depth_count`` bound in: ``scan(prefix, active, n)`` for
+    ``len(prefix) < n <= n_max`` returns one ``(examined, best depth, its
+    witness, best section count, its witness)`` per length ``len(prefix) +
+    1 .. n``, from one canonical DFS that builds the closure of each word
+    from its prefix's closure automaton (see ``_kernel.c``).  A section
+    count includes the word itself.  None when the kernel cannot be loaded
+    or ``n_max`` is past the kernel's longest word (64)."""
     if n_max > _MAXN:
         return None
     lib = _library()
@@ -152,9 +153,8 @@ def compiled_scan(nxt, emit0, allowed, include_root, n_max):
         sigmas = (_I32 * (len(active) * k))(*itertools.chain.from_iterable(active))
         examined, best = (ctypes.c_uint64 * lengths)(), (_I64 * (2 * lengths))()
         witness = (_I32 * (2 * n * lengths))()
-        _check(fn(k, m, *tables, len(allowed), states, bool(include_root), n, np,
-                  (_I32 * np)(*prefix), len(active), sigmas, SECTION_BUDGET,
-                  examined, best, witness))
+        _check(fn(k, m, *tables, len(allowed), states, n, np, (_I32 * np)(*prefix),
+                  len(active), sigmas, SECTION_BUDGET, examined, best, witness))
         results = []
         for i, length in enumerate(range(np + 1, n + 1)):
             if not examined[i]:

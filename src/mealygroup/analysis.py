@@ -161,15 +161,6 @@ class _Closure(NamedTuple):
     def depth(self) -> int:
         return len(self.starts) - 2
 
-    @property
-    def root_recurring(self) -> bool:
-        return 0 in self.children
-
-    def size(self, include_root: bool = True) -> int:
-        """Closure size; ``include_root=False`` drops the word itself unless
-        it recurs as a section at a nonempty input."""
-        return len(self.nodes) - (0 if include_root or self.root_recurring else 1)
-
 
 def _walk_record(auto: Automaton, word: Sequence[int]) -> _Closure:
     """The closure record from the Python walk: the reference twin of the
@@ -212,18 +203,10 @@ class SectionClosure:
     levels: tuple  # tuple[frozenset[StateWord], ...]; index = first input length
     all_sections: frozenset
     depth: int
-    root_recurring: bool  # word reappears as a section at some nonempty input
 
     @property
     def count(self) -> int:
         return len(self.all_sections)
-
-    def section_count(self, include_root: bool = True) -> int:
-        """Closure size; ``include_root=False`` drops the section at the
-        empty input unless the word recurs at a longer one."""
-        if include_root or self.root_recurring:
-            return len(self.all_sections)
-        return len(self.all_sections) - 1
 
 
 def section_closure(auto: Automaton, word: Sequence[int]) -> SectionClosure:
@@ -235,20 +218,17 @@ def section_closure(auto: Automaton, word: Sequence[int]) -> SectionClosure:
         levels=tuple(frozenset(nodes[a:b]) for a, b in zip(starts, starts[1:])),
         all_sections=frozenset(nodes),
         depth=rec.depth,
-        root_recurring=rec.root_recurring,
     )
 
 
-def _depth_count(auto, word, include_root=True):
+def _depth_count(auto, word):
     """(depth, section count) of ``word`` straight from the walk: the
     closure statistics of the reference survey scan."""
-    root, walk = _closure_engine(auto, word)
+    _, walk = _closure_engine(auto, word)
     count = 0
-    keep_root = include_root  # else only if the word recurs as a later section
-    for depth, (frontier, children, _) in enumerate(walk):
+    for depth, (frontier, _, _) in enumerate(walk):
         count += len(frontier)
-        keep_root = keep_root or root in children
-    return depth, count if keep_root else count - 1
+    return depth, count
 
 
 def word_depth(auto: Automaton, word: Sequence[int]) -> int:
@@ -256,9 +236,9 @@ def word_depth(auto: Automaton, word: Sequence[int]) -> int:
     return _closure_record(auto, word).depth
 
 
-def section_count(auto: Automaton, word: Sequence[int], include_root: bool = True) -> int:
-    """Number of distinct sections of ``word``."""
-    return _closure_record(auto, word).size(include_root)
+def section_count(auto: Automaton, word: Sequence[int]) -> int:
+    """Number of distinct sections of ``word``, the word itself included."""
+    return len(_closure_record(auto, word).nodes)
 
 
 def is_identity(auto: Automaton, word: Sequence[int]) -> bool:
@@ -452,7 +432,6 @@ class GrowthReport:
     rows: tuple
     exclude_trivial: bool
     symmetry: bool
-    include_root_section: bool
 
     def depths(self) -> list:
         return [row.depth for row in self.rows]
@@ -590,7 +569,6 @@ def survey(
     symmetry: bool = True,
     jobs: int = 1,
     long_run: bool = False,
-    include_root_section: bool = True,
     checkpoint=None,
     progress: Optional[Callable] = None,
 ) -> GrowthReport:
@@ -641,7 +619,7 @@ def survey(
     flags = {
         "exclude_trivial": exclude_trivial,
         "symmetry": symmetry,
-        "include_root_section": include_root_section,
+        "include_root_section": True,  # always; kept so existing checkpoints still resume
     }
     fingerprint = _fingerprint(auto, flags)
     done = _load_checkpoint(checkpoint, fingerprint) if checkpoint else {}
@@ -652,10 +630,9 @@ def survey(
     # n_max <= 64.  It releases the GIL in each kernel call and keeps no
     # state between calls, so threads scan prefixes in parallel.  The
     # Python scan, its reference, holds the GIL and runs serially.
-    scan = _kernel.compiled_scan(auto._next, auto._emit0, allowed, include_root_section, n_max)
+    scan = _kernel.compiled_scan(auto._next, auto._emit0, allowed, n_max)
     if scan is None:
-        stats = functools.partial(_depth_count, auto, include_root=include_root_section)
-        scan = functools.partial(_scan_lengths, allowed, stats)
+        scan = functools.partial(_scan_lengths, allowed, functools.partial(_depth_count, auto))
         jobs = 1
 
     scanned = {}
@@ -707,12 +684,7 @@ def survey(
         if progress:
             progress(row)
 
-    return GrowthReport(
-        rows=tuple(rows),
-        exclude_trivial=exclude_trivial,
-        symmetry=symmetry,
-        include_root_section=include_root_section,
-    )
+    return GrowthReport(rows=tuple(rows), exclude_trivial=exclude_trivial, symmetry=symmetry)
 
 
 def _values(rec):
@@ -763,11 +735,11 @@ def _choose_split(allowed, sigmas, jobs, n):
     return cap
 
 
-def render_growth_csv(report: GrowthReport, auto: Automaton, timings: bool = True) -> str:
+def render_growth_csv(report: GrowthReport, auto: Automaton) -> str:
     """CSV artifact for a survey; witness words use dotted state names.
 
-    ``timings=False`` leaves the seconds column empty so that repeated
-    runs of the same configuration produce byte-identical output.
+    The seconds column is left empty, so that repeated runs of the same
+    configuration, at any ``jobs``, produce byte-identical output.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -783,7 +755,7 @@ def render_growth_csv(report: GrowthReport, auto: Automaton, timings: bool = Tru
                 format_state_word(auto, row.depth_witness),
                 format_state_word(auto, row.theta_witness),
                 row.words_examined,
-                f"{row.seconds:.3f}" if timings else "",
+                "",
             ]
         )
     return buf.getvalue()

@@ -166,9 +166,6 @@ class Automaton:
                 f"unknown state {name!r}; states are {', '.join(self.states)}"
             ) from None
 
-    def state_name(self, index: int) -> str:
-        return self.states[index]
-
     def word_from_names(self, names: Iterable[str]) -> tuple:
         return tuple(self.state_index(nm) for nm in names)
 

@@ -32,7 +32,7 @@ from .automata import (
     section_word,
     validate,
 )
-from .hanoi import frame_stewart, hanoi_automaton, replay_strategy, solve_3peg
+from .hanoi import frame_stewart, hanoi_automaton, replay_strategy
 from . import analysis
 from .analysis import (
     BudgetError,
@@ -242,7 +242,7 @@ def _cmd_table(args) -> int:
         progress=progress,
     )
     if args.csv or args.out:
-        _emit(args, render_growth_csv(report, auto, timings=False))
+        _emit(args, render_growth_csv(report, auto))
     else:
         _emit(args, _format_growth_plain(report, auto))
     return 0
@@ -286,10 +286,7 @@ def _cmd_solve(args) -> int:
     if args.disks < 0:
         raise AutomatonError("--disks must be nonnegative")
     target = args.to_peg if args.to_peg is not None else pegs
-    if pegs == 3:
-        names = solve_3peg(args.disks, args.from_peg, target)
-    else:
-        names = frame_stewart(pegs, args.disks, args.from_peg, target)
+    names = frame_stewart(pegs, args.disks, args.from_peg, target)
     word = auto.word_from_names(names)
     _emit(args, format_state_word(auto, word) + "\n")
     if args.verify:

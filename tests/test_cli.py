@@ -467,6 +467,12 @@ def test_solve_custom_target():
     assert (code, out) == (0, "a(1,2)\n")
 
 
+def test_solve_zero_disks_from_the_target_peg_is_empty_for_any_pegs():
+    three = run_cli("solve", "--pegs", "3", "--disks", "0", "--from-peg", "3")
+    four = run_cli("solve", "--pegs", "4", "--disks", "0", "--from-peg", "4")
+    assert three[:2] == four[:2] == (0, "\n")
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

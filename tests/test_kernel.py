@@ -50,7 +50,7 @@ requires_cc = pytest.mark.skipif(
 )
 
 
-def twins(auto, n_max, exclude_trivial=True, symmetry=True, include_root=True):
+def twins(auto, n_max, exclude_trivial=True, symmetry=True):
     """(allowed, symmetries, compiled scan, reference scan) as survey() sets them up."""
     k = len(auto.states)
     identity = tuple(range(k))
@@ -58,12 +58,10 @@ def twins(auto, n_max, exclude_trivial=True, symmetry=True, include_root=True):
     allowed = tuple(s for s in range(k) if s not in trivials)
     sigmas = automaton_symmetries(auto) if symmetry else (identity,)
     sigmas = tuple(sg for sg in sigmas if sg != identity)
-    compiled = _kernel.compiled_scan(auto._next, auto._emit0, allowed, include_root, n_max)
+    compiled = _kernel.compiled_scan(auto._next, auto._emit0, allowed, n_max)
     assert compiled is not None, "the kernel failed to build or load"
     # Every prefix length re-scans the same words: the walk runs once per word.
-    walk = functools.lru_cache(maxsize=None)(
-        functools.partial(_depth_count, auto, include_root=include_root)
-    )
+    walk = functools.lru_cache(maxsize=None)(functools.partial(_depth_count, auto))
     stats = lambda word: walk(tuple(word))
     return allowed, sigmas, compiled, functools.partial(_scan_lengths, allowed, stats)
 
@@ -96,20 +94,10 @@ def test_kernel_matches_reference_on_basilica():
 
 
 @requires_cc
-@pytest.mark.parametrize(
-    "machine, n_max, options",
-    [
-        ("basilica", 10, {"include_root": False}),
-        ("basilica", 9, {"exclude_trivial": False}),
-        ("basilica", 9, {"exclude_trivial": False, "include_root": False}),
-        ("hanoi4", 6, {"include_root": False}),
-    ],
-)
-def test_kernel_matches_reference_with_options(machine, n_max, options):
-    # The root counts only when it recurs, and the do-nothing state, whose
-    # pairs mirror the prefix closure, may sit at any position.
-    auto = parse_automaton(BASILICA.read_text()) if machine == "basilica" else hanoi_automaton(4)
-    assert_parity(auto, n_max, 2, **options)
+def test_kernel_matches_reference_with_the_do_nothing_state():
+    # The do-nothing state, whose pairs mirror the prefix closure, may sit
+    # at any position.
+    assert_parity(parse_automaton(BASILICA.read_text()), 9, 2, exclude_trivial=False)
 
 
 @requires_cc
@@ -118,11 +106,9 @@ def test_kernel_matches_reference_with_options(machine, n_max, options):
     auto=invertible_machines(),
     exclude_trivial=st.booleans(),
     symmetry=st.booleans(),
-    include_root=st.booleans(),
 )
-def test_kernel_matches_reference_on_random_machines(auto, exclude_trivial, symmetry, include_root):
-    assert_parity(auto, 5, 1, exclude_trivial=exclude_trivial, symmetry=symmetry,
-                  include_root=include_root)
+def test_kernel_matches_reference_on_random_machines(auto, exclude_trivial, symmetry):
+    assert_parity(auto, 5, 1, exclude_trivial=exclude_trivial, symmetry=symmetry)
 
 
 @requires_cc
@@ -134,14 +120,14 @@ def test_compiled_scan_takes_only_lengths_past_its_prefix(ha4):
 
 
 def csv_of(auto, n_max, **options):
-    return render_growth_csv(survey(auto, n_max, **options), auto, timings=False)
+    return render_growth_csv(survey(auto, n_max, **options), auto)
 
 
 @requires_cc
 def test_missing_compiler_falls_back_to_the_same_rows(monkeypatch, ha4):
     compiled_rows = csv_of(ha4, 5)
     monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
-    assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), True, 5) is None
+    assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), 5) is None
     assert csv_of(ha4, 5) == compiled_rows
 
     # The Python scan holds the GIL: at jobs=2 it runs serially, on no pool.
@@ -187,10 +173,10 @@ def test_many_state_machine_scans_in_the_kernel_with_the_reference_rows(monkeypa
     nxt = [[1, 2], [0, 2]] + [[2 + i] * 2 for i in range(pad)]
     out = [[1, 2], [2, 1]] + [[1, 2]] * pad
     auto = Automaton(2, names, nxt, out)
-    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), True, 7) is not None
+    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), 7) is not None
     compiled = survey(auto, 7, symmetry=False).rows
     monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
-    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), True, 7) is None
+    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), 7) is None
     reference = survey(auto, 7, symmetry=False).rows
     strip = lambda rows: [(r.depth, r.depth_witness, r.theta, r.theta_witness, r.words_examined)
                           for r in rows]
@@ -205,7 +191,7 @@ def test_unusable_cache_directory_gives_no_kernel(tmp_path, monkeypatch, ha4):
     (open_dir / "mealygroup").chmod(0o777)
     for cache in (blocker, open_dir):
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-        assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), True, 4) is None
+        assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), 4) is None
     assert not list((open_dir / "mealygroup").iterdir())
 
 
@@ -234,7 +220,6 @@ def closure_answers(auto, word):
         is_identity(auto, word),
         word_depth(auto, word),
         section_count(auto, word),
-        section_count(auto, word, include_root=False),
         fixing_threshold(auto, word),
     )
 
