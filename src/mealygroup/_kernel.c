@@ -22,7 +22,7 @@
  * and witnesses equal those of the Python scan, length by length.
  *
  * mg_closure is the closure record of one word that the queries read (the
- * Python walk in _closure_engine is its twin), and mg_threshold the
+ * Python walk in _walk_record is its twin), and mg_threshold the
  * eventual-period loop of fixing_threshold over that record.  Section words
  * there take one byte per position (k <= 256), so words of any length fit.
  *

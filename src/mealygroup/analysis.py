@@ -26,10 +26,11 @@ of single letters and each section's fixed letters (``_Closure``).  The
 record comes from a compiled kernel (``mg_closure`` in ``_kernel.c``,
 built with the system C compiler on first use) that stores section words
 one byte per state, so words of any length fit.  The Python walk
-(``_closure_engine``) is its reference twin and builds the record when no
-kernel can be built or the machine has more than 256 states or 64
-letters; the eventual-period loop of :func:`fixing_threshold` has a
-compiled twin (``mg_threshold``) too.
+(``_walk_record``), one breadth-first loop that fills the same record, is
+its reference twin: it builds the record when no kernel can be built or
+the machine has more than 256 states or 64 letters, and the reference
+survey scan reads depth and count off it.  The eventual-period loop of
+:func:`fixing_threshold` has a compiled twin (``mg_threshold``) too.
 
 The survey's scan runs in the same compiled library (``mg_scan``).  A
 section of a product is a product of sections, so it builds the closure
@@ -97,56 +98,6 @@ __all__ = [
 # Closure machinery.
 
 
-def _closure_engine(auto: Automaton, word: Sequence[int]):
-    """Return (root, walk) for the section closure of ``word``.
-
-    ``walk`` is the breadth-first walk of the closure.  It yields one
-    ``(frontier, children, images)`` per input length L = 0, 1, ...: the
-    sections first reached at length L, then, node after node, the m
-    children of each (its sections at one more letter) and the m 0-based
-    images of single letters under it.  Nodes are state-index tuples and
-    ``root`` is the word itself.  Every section is expanded once; the walk
-    ends after the first level that reaches nothing new, and a consumer
-    may stop it earlier.  Past ``_kernel.SECTION_BUDGET`` sections it
-    raises :class:`BudgetError`.
-    """
-    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
-
-    root = check_state_word(auto, word)
-    letters = range(auto.alphabet_size)
-    nxt, emit0 = auto._next, auto._emit0
-    n = len(root)
-    positions = range(n - 1, -1, -1)
-
-    def expand(frontier):
-        children = []
-        images = []
-        for p in frontier:
-            for x in letters:
-                c = x
-                child = [0] * n
-                for i in positions:
-                    s = p[i]
-                    child[i] = nxt[s][c]
-                    c = emit0[s][c]
-                children.append(tuple(child))
-                images.append(c)
-        return children, images
-
-    def walk():
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            children, images = expand(frontier)
-            yield frontier, children, images
-            frontier = [ch for ch in dict.fromkeys(children) if ch not in seen]
-            seen.update(frontier)
-            if len(seen) > _kernel.SECTION_BUDGET:
-                raise _kernel.budget_error()
-
-    return root, walk()
-
-
 class _Closure(NamedTuple):
     """The section closure of one word, its nodes in the order the
     breadth-first walk first reaches them; node 0 is the word itself."""
@@ -164,18 +115,44 @@ class _Closure(NamedTuple):
 
 def _walk_record(auto: Automaton, word: Sequence[int]) -> _Closure:
     """The closure record from the Python walk: the reference twin of the
-    compiled ``mg_closure``, and the fallback when it cannot be used."""
-    _, walk = _closure_engine(auto, word)
-    nodes, starts, children, images = [], [0], [], []
-    for frontier, kids, imgs in walk:
-        nodes += frontier
-        starts.append(len(nodes))
-        children += kids
-        images += imgs
-    index = {node: i for i, node in enumerate(nodes)}
-    return _Closure(
-        nodes, starts, [index[c] for c in children], images, [_fixed_mask(auto, p) for p in nodes]
-    )
+    compiled ``mg_closure``, and the fallback when it cannot be used.
+
+    One breadth-first loop expands each node once and numbers each section
+    as it is first reached; a level ends where the sections that the level
+    before it reached end.  Adding section ``_kernel.SECTION_BUDGET`` + 1
+    raises :class:`BudgetError`."""
+    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
+
+    root = check_state_word(auto, word)
+    letters = range(auto.alphabet_size)
+    nxt, emit0 = auto._next, auto._emit0
+    n = len(root)
+    positions = range(n - 1, -1, -1)
+    budget = _kernel.SECTION_BUDGET
+    nodes, starts, children, images = [root], [0], [], []
+    fixed = [_fixed_mask(auto, root)]
+    index = {root: 0}
+    for q, p in enumerate(nodes):  # nodes grows while the loop reads it
+        if q == starts[-1]:
+            starts.append(len(nodes))
+        for x in letters:
+            c = x
+            child = [0] * n
+            for i in positions:
+                s = p[i]
+                child[i] = nxt[s][c]
+                c = emit0[s][c]
+            child = tuple(child)
+            j = index.get(child)
+            if j is None:
+                j = index[child] = len(nodes)
+                if j == budget:
+                    raise _kernel.budget_error()
+                nodes.append(child)
+                fixed.append(_fixed_mask(auto, child))
+            children.append(j)
+            images.append(c)
+    return _Closure(nodes, starts, children, images, fixed)
 
 
 def _closure_kernel(auto: Automaton):
@@ -222,13 +199,10 @@ def section_closure(auto: Automaton, word: Sequence[int]) -> SectionClosure:
 
 
 def _depth_count(auto, word):
-    """(depth, section count) of ``word`` straight from the walk: the
+    """(depth, section count) of ``word`` from the Python walk: the
     closure statistics of the reference survey scan."""
-    _, walk = _closure_engine(auto, word)
-    count = 0
-    for depth, (frontier, _, _) in enumerate(walk):
-        count += len(frontier)
-    return depth, count
+    rec = _walk_record(auto, word)
+    return rec.depth, len(rec.nodes)
 
 
 def word_depth(auto: Automaton, word: Sequence[int]) -> int:
@@ -430,8 +404,6 @@ class GrowthRow:
 @dataclass(frozen=True)
 class GrowthReport:
     rows: tuple
-    exclude_trivial: bool
-    symmetry: bool
 
     def depths(self) -> list:
         return [row.depth for row in self.rows]
@@ -684,7 +656,7 @@ def survey(
         if progress:
             progress(row)
 
-    return GrowthReport(rows=tuple(rows), exclude_trivial=exclude_trivial, symmetry=symmetry)
+    return GrowthReport(rows=tuple(rows))
 
 
 def _values(rec):

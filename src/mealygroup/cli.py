@@ -32,7 +32,7 @@ from .automata import (
     section_word,
     validate,
 )
-from .hanoi import frame_stewart, hanoi_automaton, replay_strategy
+from .hanoi import frame_stewart, frame_stewart_length, hanoi_automaton, replay_strategy
 from . import analysis
 from .analysis import (
     BudgetError,
@@ -44,6 +44,11 @@ from .analysis import (
 
 DEFAULT_PEGS = 4
 
+# Bounds on what ``solve`` builds: the word takes memory in proportion to its
+# moves, and the move count grows exponentially with the disks.
+MAX_DISKS = 64
+MAX_MOVES = 1 << 20
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -52,29 +57,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    src = common.add_argument_group("automaton source")
-    src.add_argument("--automaton", metavar="FILE", help="machine description file")
-    src.add_argument(
+    # Each subcommand takes only the options it reads.
+    hanoi = _Parser(add_help=False)
+    hanoi.add_argument("--out", metavar="PATH", help="write data output to PATH instead of stdout")
+    hanoi.add_argument(
         "--pegs",
         type=int,
         metavar="M",
         help=f"use the M-peg Hanoi machine (default {DEFAULT_PEGS} when no file is given)",
     )
-    common.add_argument("--jobs", type=int, default=1, metavar="N", help="worker threads")
-    common.add_argument("--seed", type=int, default=0, metavar="U64", help="sampling seed")
-    common.add_argument("--out", metavar="PATH", help="write data output to PATH instead of stdout")
-    common.add_argument("--csv", action="store_true", help="emit CSV instead of the plain table")
-    common.add_argument(
-        "--long-run", action="store_true", help="allow enumerations beyond the default budget"
-    )
-    common.add_argument(
-        "--no-symmetry", action="store_true", help="disable symmetry orbit reduction"
-    )
-    common.add_argument(
-        "--include-trivial-state",
-        action="store_true",
-        help="enumerate words containing the do-nothing state too",
+    machine = _Parser(add_help=False, parents=[hanoi])
+    machine.add_argument("--automaton", metavar="FILE", help="machine description file")
+    csv_output = _Parser(add_help=False)
+    csv_output.add_argument(
+        "--csv", action="store_true", help="emit CSV instead of the plain table"
     )
 
     parser = _Parser(
@@ -84,35 +80,52 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="emit a Hanoi machine description")
+    p = sub.add_parser("gen", parents=[hanoi], help="emit a Hanoi machine description")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("act", parents=[common], help="apply a state word to an input word")
+    p = sub.add_parser("act", parents=[machine], help="apply a state word to an input word")
     p.add_argument("--word", required=True, help="dot-separated state names (may be empty)")
     p.add_argument("--input", required=True, help="input letters")
     p.set_defaults(func=_cmd_act)
 
-    p = sub.add_parser("section", parents=[common], help="section of a state word at an input word")
+    p = sub.add_parser(
+        "section", parents=[machine], help="section of a state word at an input word"
+    )
     p.add_argument("--word", required=True)
     p.add_argument("--input", required=True)
     p.set_defaults(func=_cmd_section)
 
-    p = sub.add_parser("wp", parents=[common], help="decide whether a state word acts as identity")
+    p = sub.add_parser("wp", parents=[machine], help="decide whether a state word acts as identity")
     p.add_argument("--word", required=True)
     p.set_defaults(func=_cmd_wp)
 
-    p = sub.add_parser("table", parents=[common], help="exhaustive depth / section-growth table")
+    p = sub.add_parser(
+        "table", parents=[machine, csv_output], help="exhaustive depth / section-growth table"
+    )
     p.add_argument("--max-n", type=int, required=True, metavar="N", help="largest word length")
+    p.add_argument("--jobs", type=int, default=1, metavar="N", help="worker threads")
+    p.add_argument(
+        "--long-run", action="store_true", help="allow enumerations beyond the default budget"
+    )
+    p.add_argument("--no-symmetry", action="store_true", help="disable symmetry orbit reduction")
+    p.add_argument(
+        "--include-trivial-state",
+        action="store_true",
+        help="enumerate words containing the do-nothing state too",
+    )
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("claim", parents=[common], help="fixing thresholds of random words vs bound")
+    p = sub.add_parser(
+        "claim", parents=[machine, csv_output], help="fixing thresholds of random words vs bound"
+    )
     p.add_argument(
         "--lengths", default="4,8,16,32", metavar="LIST", help="comma-separated word lengths"
     )
     p.add_argument("--samples", type=int, default=200, metavar="K", help="words per length")
+    p.add_argument("--seed", type=int, default=0, metavar="U64", help="sampling seed")
     p.set_defaults(func=_cmd_claim)
 
-    p = sub.add_parser("solve", parents=[common], help="strategy word moving a full tower")
+    p = sub.add_parser("solve", parents=[machine], help="strategy word moving a full tower")
     p.add_argument("--disks", type=int, required=True, metavar="K")
     p.add_argument("--from-peg", type=int, default=1, metavar="P", dest="from_peg")
     p.add_argument("--to-peg", type=int, default=None, metavar="P", dest="to_peg")
@@ -158,8 +171,6 @@ def _require_invertible(auto: Automaton) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.automaton:
-        raise AutomatonError("gen builds Hanoi machines; use --pegs")
     auto = hanoi_automaton(args.pegs if args.pegs is not None else DEFAULT_PEGS)
     _emit(args, format_automaton(auto))
     return 0
@@ -285,6 +296,11 @@ def _cmd_solve(args) -> int:
     pegs = auto.alphabet_size
     if args.disks < 0:
         raise AutomatonError("--disks must be nonnegative")
+    if args.disks > MAX_DISKS:
+        raise AutomatonError(f"at most {MAX_DISKS} disks are supported, got {args.disks}")
+    moves = frame_stewart_length(pegs, args.disks)
+    if moves > MAX_MOVES:
+        raise AutomatonError(f"{args.disks} disks take {moves} moves, more than {MAX_MOVES}")
     target = args.to_peg if args.to_peg is not None else pegs
     names = frame_stewart(pegs, args.disks, args.from_peg, target)
     word = auto.word_from_names(names)

@@ -455,7 +455,7 @@ def test_growth_csv_shape(ha4):
     assert '"a(1,2)"' in lines[1]  # names contain commas, so fields are quoted
     # the seconds column stays empty: output is byte-identical across runs
     assert all(line.endswith(",") for line in lines[1:])
-    empty = render_growth_csv(GrowthReport(rows=(), exclude_trivial=True, symmetry=True), ha4)
+    empty = render_growth_csv(GrowthReport(rows=()), ha4)
     assert empty == "n,depth,theta,depth_witness,theta_witness,words_examined,seconds\n"
 
 

@@ -473,10 +473,43 @@ def test_solve_zero_disks_from_the_target_peg_is_empty_for_any_pegs():
     assert three[:2] == four[:2] == (0, "\n")
 
 
+@pytest.mark.parametrize("pegs, disks, line", [
+    (3, 21, "error: 21 disks take 2097151 moves, more than 1048576"),
+    (4, 100000, "error: at most 64 disks are supported, got 100000"),
+])
+def test_solve_rejects_strategies_past_its_bounds_at_once(pegs, disks, line):
+    t0 = time.perf_counter()
+    code, out, err = run_cli("solve", "--pegs", str(pegs), "--disks", str(disks))
+    assert (code, out, err) == (2, "", line + "\n")
+    assert time.perf_counter() - t0 < 1
+
+
+def test_solve_takes_the_most_disks_when_the_strategy_is_short():
+    code, out, _ = run_cli("solve", "--pegs", "23", "--disks", "64")
+    assert code == 0
+    assert len(out.strip().split(".")) == 211
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, foreign", [
+    ("wp --pegs 4 --word e", "--jobs 2"),
+    ("claim", "--no-symmetry"),
+    ("act --word e --input 1", "--seed 1"),
+    ("solve --disks 3", "--csv"),
+    ("gen", "--automaton F"),
+])
+def test_options_a_subcommand_does_not_read_exit_2_with_one_line(argv, foreign):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(f"{argv} {foreign}".split())
+    assert (exc.value.code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"mealygroup: error: unrecognized arguments: {foreign}\n"
 
 
 # --- argv fuzzing -------------------------------------------------------------

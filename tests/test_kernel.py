@@ -31,6 +31,7 @@ from mealygroup import (
 )
 from mealygroup import _kernel, analysis
 from mealygroup.analysis import (
+    BudgetError,
     _canonical_prefixes,
     _Closure,
     _depth_count,
@@ -264,13 +265,14 @@ def test_closure_kernel_matches_reference_on_named_machines():
 
 
 def closure_within(auto, word, limit):
-    """Whether the closure of ``word`` has at most ``limit`` nodes, found
-    by walking it level by level and stopping once past the limit."""
-    _, walk = analysis._closure_engine(auto, word)
-    count = 0
-    for frontier, _, _ in walk:
-        count += len(frontier)
-        if count > limit:
+    """Whether the closure of ``word`` has at most ``limit`` nodes: the
+    Python walk, with the section budget set to ``limit``, stops with
+    BudgetError once it would add one more."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "SECTION_BUDGET", limit)
+        try:
+            _walk_record(auto, word)
+        except BudgetError:
             return False
     return True
 
@@ -287,6 +289,27 @@ def test_closure_kernel_matches_reference_on_random_machines(auto, seed):
     for word in random_words(auto, 3, 30, seed):
         if closure_within(auto, word, 2000):
             assert_closure_parity(auto, word)
+
+
+@pytest.mark.parametrize("twin", [pytest.param("kernel", marks=requires_cc), "walk"])
+def test_a_closure_of_exactly_the_budget_fits_and_one_section_more_raises(ha4, monkeypatch, twin):
+    word = tuple(random.Random(0).choices(range(1, 7), k=16))
+    rec = _walk_record(ha4, word)
+    count = len(rec.nodes)
+    # The last level holds more than one section, so at count - 1 the
+    # budget runs out inside it, not at a level's end.
+    assert rec.starts[-2] < count - 1
+    if twin == "kernel":
+        kernel = _kernel.compiled_closure(ha4._next, ha4._emit0)
+        assert kernel is not None, "the kernel failed to build or load"
+        walk = lambda: _Closure(*kernel.closure(word))
+    else:
+        walk = lambda: _walk_record(ha4, word)
+    monkeypatch.setattr(_kernel, "SECTION_BUDGET", count)
+    assert len(walk().nodes) == count
+    monkeypatch.setattr(_kernel, "SECTION_BUDGET", count - 1)
+    with pytest.raises(BudgetError, match=f"more than {count - 1} sections"):
+        walk()
 
 
 @requires_cc
