@@ -22,9 +22,12 @@
  * and witnesses equal those of the Python scan, length by length.
  *
  * mg_closure is the closure record of one word that the queries read (the
- * Python walk in _walk_record is its twin), and mg_threshold the
- * eventual-period loop of fixing_threshold over that record.  Section words
- * there take one byte per position (k <= 256), so words of any length fit.
+ * Python walk in _walk_record is its twin).  mg_threshold is
+ * fixing_threshold in one call: it builds the record with mg_closure, runs
+ * the eventual-period loop (the twin of _period_threshold) over its child
+ * table and fixed letters, frees it, and hands back only the threshold.
+ * Section words there take one byte per position (k <= 256), so words of
+ * any length fit.
  *
  * Both walks stop with -2 once a closure passes `budget` sections, and
  * return -1 when memory runs out.
@@ -460,11 +463,12 @@ done:
 /* The eventual-period loop of fixing_threshold over a closure record of
  * `count` nodes.  The sets of sections at input lengths 0, 1, ... start at
  * {node 0} and step through `children`; being subsets of a finite set, they
- * repeat from some length on.  Returns one past the last length whose set
- * holds a node fixing no letter, -1 when such a set lies on the repeating
- * part (no threshold), or -2 when memory runs out.  Sets are bitsets over
- * node indices. */
-int64_t mg_threshold(int64_t count, int m, const int32_t *children, const uint64_t *fixed)
+ * repeat from some length on.  Sets *threshold to one past the last length
+ * whose set holds a node fixing no letter, or to -1 when such a set lies on
+ * the repeating part (no threshold).  Returns 0, or -1 when memory runs
+ * out.  Sets are bitsets over node indices. */
+static int period(int64_t count, int m, const int32_t *children, const uint64_t *fixed,
+                  int64_t *threshold)
 {
     const size_t words = (size_t)(count + 63) / 64, bytes = words * sizeof(uint64_t);
     uint64_t *bad = calloc(words, sizeof *bad), *next = calloc(words, sizeof *next);
@@ -472,7 +476,8 @@ int64_t mg_threshold(int64_t count, int m, const int32_t *children, const uint64
     uint8_t *hist_bad = NULL;
     int32_t *slot = NULL;
     size_t tcap = 0, cap = 0, len = 0;
-    int64_t last_bad = -1, result = -2;
+    int64_t last_bad = -1;
+    int rc = -1;
 
     if (!bad || !next || table_grow(&slot, &tcap, NULL, 0))
         goto done;
@@ -486,10 +491,11 @@ int64_t mg_threshold(int64_t count, int m, const int32_t *children, const uint64
         for (; slot[j]; j = (j + 1) & (tcap - 1)) {
             size_t t = (size_t)slot[j] - 1;
             if (hash[t] == h && memcmp(hist + t * words, next, bytes) == 0) {
-                result = last_bad + 1;
+                *threshold = last_bad + 1;
                 for (; t < len; t++)
                     if (hist_bad[t])
-                        result = -1;
+                        *threshold = -1;
+                rc = 0;
                 goto done;
             }
         }
@@ -530,5 +536,21 @@ done:
     free(hash);
     free(hist_bad);
     free(slot);
-    return result;
+    return rc;
+}
+
+/* The fixing threshold of word[0..n) into *threshold (-1 when there is
+ * none): mg_closure and the loop above in one call, so the record never
+ * leaves C.  Returns what mg_closure returns, or -1 when the loop runs out
+ * of memory. */
+int mg_threshold(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
+                 const uint8_t *word, int64_t budget, int64_t *threshold)
+{
+    Closure c;
+    int rc = mg_closure(k, m, nxt, emit, n, word, budget, &c);
+    if (rc)
+        return rc;
+    rc = period(c.count, m, c.children, c.fixed, threshold);
+    mg_closure_free(&c);
+    return rc;
 }

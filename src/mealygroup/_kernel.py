@@ -1,6 +1,9 @@
 """Loader for the compiled kernels in ``_kernel.c``: the survey scan
-(``mg_scan``) and the closure record and fixing-threshold loop that the
-queries read (``mg_closure``, ``mg_threshold``).
+(``mg_scan``) and the closure queries.  ``mg_closure`` builds the closure
+record of one word, and each query copies out only what it answers with;
+``mg_threshold`` builds the record and runs the eventual-period loop of
+``fixing_threshold`` over it in the same call, so a threshold is one
+ctypes call.
 
 On first use the C source is compiled with the system C compiler into
 ``${XDG_CACHE_HOME:-~/.cache}/mealygroup/``, under a name keyed by the
@@ -23,7 +26,6 @@ import itertools
 import os
 import subprocess
 import tempfile
-from collections.abc import Sequence
 from pathlib import Path
 
 from .analysis import BudgetError
@@ -77,7 +79,8 @@ _SIGNATURES = {
     "mg_closure": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
                                   ctypes.c_char_p, _I64, ctypes.POINTER(_ClosureOut)]),
     "mg_closure_free": (None, [ctypes.POINTER(_ClosureOut)]),
-    "mg_threshold": (_I64, [_I64, ctypes.c_int, _I32P, _U64P]),
+    "mg_threshold": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
+                                    ctypes.c_char_p, _I64, ctypes.POINTER(_I64)]),
 }
 
 
@@ -168,96 +171,108 @@ def compiled_scan(nxt, emit0, allowed, n_max):
     return scan
 
 
-def _array(typecode, pointer, count):
-    """An array of ``count`` C integers copied from ``pointer``."""
+def _ints(typecode, pointer, count):
+    """A list of the ``count`` C integers (an ``array`` typecode) at ``pointer``."""
     values = array.array(typecode)
     values.frombytes(ctypes.string_at(pointer, count * values.itemsize))
-    return values
+    return values.tolist()
 
 
-class _Nodes(Sequence):
-    """The section words of a compiled closure record, kept one byte per
-    state and turned into tuples of state indices when read: only
-    ``section_closure`` reads them."""
-
-    __slots__ = ("_words", "_n", "_count")
-
-    def __init__(self, words, n, count):
-        self._words, self._n, self._count = words, n, count
-
-    def __len__(self):
-        return self._count
-
-    def __getitem__(self, i):
-        if not -self._count <= i < self._count:
-            raise IndexError("closure node index out of range")
-        start = i % self._count * self._n
-        return tuple(self._words[start : start + self._n])
-
-    def __iter__(self):
-        if not self._n:
-            return iter([()] * self._count)
-        return zip(*[iter(self._words)] * self._n)  # consecutive groups of n bytes
+def _section_words(out, n):
+    """The section words of a record that ``mg_closure`` filled in, kept
+    there one byte per state, as tuples of state indices."""
+    if not n:
+        return [()] * out.count
+    words = iter(ctypes.string_at(out.words, out.count * n))
+    return list(zip(*[words] * n))  # consecutive groups of n bytes
 
 
 class ClosureKernel:
-    """``mg_closure`` and ``mg_threshold`` bound to one machine's tables."""
+    """``mg_closure`` and ``mg_threshold`` bound to one machine's tables.
+    Each query takes a tuple of state indices and copies out of C only
+    what it answers with."""
 
     def __init__(self, lib, nxt, emit0):
         self._lib = lib
         self._k, self._m = len(nxt), len(nxt[0])
         self._tables = _tables(nxt, emit0)
+        self._letters = array.array("i", range(self._m)).tobytes()
 
-    def closure(self, word):
-        """``(nodes, starts, children, images, fixed)`` of the closure of
-        ``word`` (a tuple of state indices), laid out as in
-        ``analysis._Closure``; ``children`` and ``fixed`` are arrays that
-        :meth:`threshold` reads without copying."""
-        n, m = len(word), self._m
-        if n and max(word) >= self._k:
+    def _word(self, word):
+        """``word`` as one byte per state, checked against the tables."""
+        if word and max(word) >= self._k:
             raise ValueError(f"state index {max(word)} out of range 0..{self._k - 1}")
+        return bytes(word)
+
+    def _read(self, word, read):
+        """``read(out)`` of the record ``mg_closure`` fills in for ``word``."""
+        w = self._word(word)
         out = _ClosureOut()
-        _check(self._lib.mg_closure(self._k, m, *self._tables, n, bytes(word), SECTION_BUDGET, out))
+        _check(self._lib.mg_closure(self._k, self._m, *self._tables, len(w), w, SECTION_BUDGET, out))
         try:
-            count = out.count
-            return (
-                _Nodes(ctypes.string_at(out.words, count * n), n, count),
-                _array("q", out.starts, out.levels + 1).tolist(),
-                _array("i", out.children, count * m),
-                _array("i", out.images, count * m).tolist(),
-                _array("Q", out.fixed, count),
-            )
+            return read(out)
         finally:
             self._lib.mg_closure_free(out)
 
-    def threshold(self, children, fixed):
-        """The fixing threshold of a closure record from :meth:`closure`,
-        given its ``children`` and ``fixed`` arrays; None when there is
-        none."""
-        if len(children) != len(fixed) * self._m:
-            raise ValueError("a child table needs one entry per node and letter")
-        t = self._lib.mg_threshold(
-            len(fixed), self._m, (_I32 * len(children)).from_buffer(children),
-            (ctypes.c_uint64 * len(fixed)).from_buffer(fixed),
+    def closure(self, word):
+        """The whole closure record of ``word``, ``(nodes, starts,
+        children, images, fixed)`` as in ``analysis._Closure``: the twin
+        of ``analysis._walk_record`` that the tests compare."""
+        n, m = len(word), self._m
+
+        def record(out):
+            count = out.count
+            return (
+                _section_words(out, n),
+                _ints("q", out.starts, out.levels + 1),
+                _ints("i", out.children, count * m),
+                _ints("i", out.images, count * m),
+                _ints("Q", out.fixed, count),
+            )
+
+        return self._read(word, record)
+
+    def sections(self, word):
+        """``(nodes, starts)`` of the closure record of ``word``."""
+        return self._read(
+            word, lambda out: (_section_words(out, len(word)), _ints("q", out.starts, out.levels + 1))
         )
-        if t == -2:
-            raise MemoryError(_OUT_OF_MEMORY)
-        return None if t == -1 else t
+
+    def size(self, word):
+        """``(depth, section count)`` of the closure of ``word``."""
+        return self._read(word, lambda out: (out.levels - 1, out.count))
+
+    def identity(self, word):
+        """Whether every section of ``word`` fixes every letter: its image
+        table, compared as raw bytes, is the identity row once per node."""
+        row = self._letters
+        return self._read(
+            word, lambda out: ctypes.string_at(out.images, out.count * len(row)) == row * out.count
+        )
+
+    def threshold(self, word):
+        """The fixing threshold of ``word``, None when there is none: the
+        closure and the loop over it run in one ``mg_threshold`` call."""
+        w = self._word(word)
+        t = _I64()
+        _check(self._lib.mg_threshold(self._k, self._m, *self._tables, len(w), w, SECTION_BUDGET, t))
+        return None if t.value == -1 else t.value
 
 
 @functools.lru_cache(maxsize=16)
-def _closure_kernel(lib, nxt, emit0):
-    return ClosureKernel(lib, nxt, emit0)
+def _closure_kernel(lib, auto):
+    return ClosureKernel(lib, auto._next, auto._emit0)
 
 
-def compiled_closure(nxt, emit0):
-    """The :class:`ClosureKernel` of a machine, or None when the kernel
-    cannot be loaded or the machine has more than 256 states (a section
-    word takes one byte per position) or more than 64 letters (fixed
-    letters form a 64-bit mask)."""
-    if len(nxt) > 256 or len(nxt[0]) > 64:
+def compiled_closure(auto):
+    """The :class:`ClosureKernel` of the machine ``auto``, or None when the
+    kernel cannot be loaded or the machine has more than 256 states (a
+    section word takes one byte per position) or more than 64 letters
+    (fixed letters form a 64-bit mask).  Kernels are kept per machine, and
+    a machine keeps its hash, so a lookup hashes no table."""
+    if len(auto.states) > 256 or auto.alphabet_size > 64:
         return None
     lib = _library()
     if lib is None:
         return None
-    return _closure_kernel(lib, nxt, emit0)
+    return _closure_kernel(lib, auto)

@@ -29,8 +29,9 @@ one byte per state, so words of any length fit.  The Python walk
 (``_walk_record``), one breadth-first loop that fills the same record, is
 its reference twin: it builds the record when no kernel can be built or
 the machine has more than 256 states or 64 letters, and the reference
-survey scan reads depth and count off it.  The eventual-period loop of
-:func:`fixing_threshold` has a compiled twin (``mg_threshold``) too.
+survey scan reads depth and count off it.  Each query copies out of the
+kernel only what it reads, and :func:`fixing_threshold` runs the record and
+its eventual-period loop in one kernel call (``mg_threshold``).
 
 The survey's scan runs in the same compiled library (``mg_scan``).  A
 section of a product is a product of sections, so it builds the closure
@@ -157,18 +158,10 @@ def _walk_record(auto: Automaton, word: Sequence[int]) -> _Closure:
 
 def _closure_kernel(auto: Automaton):
     """The compiled closure kernel bound to ``auto``, or None (see
-    ``_kernel.compiled_closure``)."""
+    ``_kernel.compiled_closure``).  Each closure query looks it up once."""
     from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
 
-    return _kernel.compiled_closure(auto._next, auto._emit0)
-
-
-def _closure_record(auto: Automaton, word: Sequence[int]) -> _Closure:
-    """The closure record of ``word``, which every closure query reads."""
-    kernel = _closure_kernel(auto)
-    if kernel is None:
-        return _walk_record(auto, word)
-    return _Closure(*kernel.closure(check_state_word(auto, word)))
+    return _kernel.compiled_closure(auto)
 
 
 @dataclass(frozen=True)
@@ -188,13 +181,18 @@ class SectionClosure:
 
 def section_closure(auto: Automaton, word: Sequence[int]) -> SectionClosure:
     """Breadth-first closure of ``word`` under sectioning at single letters."""
-    rec = _closure_record(auto, word)
-    nodes, starts = list(rec.nodes), rec.starts
+    kernel = _closure_kernel(auto)
+    if kernel is None:
+        rec = _walk_record(auto, word)
+        nodes, starts = rec.nodes, rec.starts
+    else:
+        nodes, starts = kernel.sections(check_state_word(auto, word))
+    levels = tuple(frozenset(nodes[a:b]) for a, b in zip(starts, starts[1:]))
     return SectionClosure(
         word=nodes[0],
-        levels=tuple(frozenset(nodes[a:b]) for a, b in zip(starts, starts[1:])),
-        all_sections=frozenset(nodes),
-        depth=rec.depth,
+        levels=levels,
+        all_sections=frozenset().union(*levels),  # reuses the hashes the levels hold
+        depth=len(starts) - 2,
     )
 
 
@@ -205,14 +203,22 @@ def _depth_count(auto, word):
     return rec.depth, len(rec.nodes)
 
 
+def _size(auto, word):
+    """(depth, section count) of ``word``, from the kernel when it loads."""
+    kernel = _closure_kernel(auto)
+    if kernel is None:
+        return _depth_count(auto, word)
+    return kernel.size(check_state_word(auto, word))
+
+
 def word_depth(auto: Automaton, word: Sequence[int]) -> int:
     """Largest input length at which ``word`` still has a new section."""
-    return _closure_record(auto, word).depth
+    return _size(auto, word)[0]
 
 
 def section_count(auto: Automaton, word: Sequence[int]) -> int:
     """Number of distinct sections of ``word``, the word itself included."""
-    return len(_closure_record(auto, word).nodes)
+    return _size(auto, word)[1]
 
 
 def is_identity(auto: Automaton, word: Sequence[int]) -> bool:
@@ -220,8 +226,11 @@ def is_identity(auto: Automaton, word: Sequence[int]) -> bool:
     every section permutes single letters trivially."""
     if not auto.is_invertible:
         raise AutomatonError("the word problem is decided only for invertible automata")
-    rec = _closure_record(auto, word)
-    return rec.images == list(range(auto.alphabet_size)) * len(rec.nodes)
+    kernel = _closure_kernel(auto)
+    if kernel is None:
+        rec = _walk_record(auto, word)
+        return rec.images == list(range(auto.alphabet_size)) * len(rec.nodes)
+    return kernel.identity(check_state_word(auto, word))
 
 
 # ---------------------------------------------------------------------------
@@ -762,19 +771,19 @@ def fixing_threshold(auto: Automaton, word: Sequence[int]) -> Optional[int]:
 
     Works on the finite closure: the sets of sections reachable at exact
     input lengths L form an eventually periodic sequence; thresholds fall
-    out of the last length whose set contains a bad section.  The loop over
-    that sequence runs in the compiled kernel when the record came from it.
+    out of the last length whose set contains a bad section.  With the
+    compiled kernel the closure and that loop run in one call.
     """
-    rec = _closure_record(auto, word)
     kernel = _closure_kernel(auto)
-    if kernel is not None:
-        return kernel.threshold(rec.children, rec.fixed)
-    return _period_threshold(rec, auto.alphabet_size)
+    if kernel is None:
+        return _period_threshold(_walk_record(auto, word), auto.alphabet_size)
+    return kernel.threshold(check_state_word(auto, word))
 
 
 def _period_threshold(rec: _Closure, m: int) -> Optional[int]:
     """The eventual-period loop of :func:`fixing_threshold` over node
-    indices: the reference twin of the compiled ``mg_threshold``."""
+    indices: the reference twin of the loop (``period``) that the compiled
+    ``mg_threshold`` runs over its record."""
     children = rec.children
     bad = {i for i, fx in enumerate(rec.fixed) if not fx}
     cur = frozenset([0])

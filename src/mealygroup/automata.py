@@ -88,6 +88,7 @@ class Automaton:
         "_trivial",
         "_trivials",
         "_fix_bits",
+        "_hash",
     )
 
     def __init__(
@@ -148,6 +149,8 @@ class Automaton:
         self._fix_bits = tuple(
             sum(1 << c for c in range(m) if row[c] == c) for row in self._emit0
         )
+        # Kept: the closure queries look their kernel up by machine on every call.
+        self._hash = hash((m, names, self._next, self._emit0))
 
     @property
     def is_invertible(self) -> bool:
@@ -180,7 +183,7 @@ class Automaton:
         )
 
     def __hash__(self):
-        return hash((self.alphabet_size, self.states, self._next, self._emit0))
+        return self._hash
 
     def __repr__(self):
         return f"Automaton(alphabet={self.alphabet_size}, states={len(self.states)})"
@@ -223,6 +226,16 @@ def check_letter_word(auto: Automaton, letters: Iterable[int]) -> tuple:
 
 def check_state_word(auto: Automaton, word: Iterable[int]) -> tuple:
     k = len(auto.states)
+    if type(word) is tuple:
+        # The common case, a tuple of ints in range, is checked by min and
+        # max; anything else goes through the loop below, which names the
+        # position of a bad entry.
+        try:
+            out = tuple(map(int, word))
+        except (TypeError, ValueError, OverflowError):
+            out = None
+        if out is not None and (not out or (min(out) >= 0 and max(out) < k)):
+            return out
     out = []
     for pos, s in enumerate(word, 1):
         s = int(s)

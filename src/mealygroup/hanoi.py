@@ -20,7 +20,7 @@ from typing import Sequence
 from .automata import (
     Automaton,
     AutomatonError,
-    apply,
+    check_state_word,
     renamed,
     restrict_to_fixing_states,
 )
@@ -106,14 +106,43 @@ def replay_strategy(auto: Automaton, word: Sequence[int], config: Sequence[int])
     """Play a strategy word move by move (time order = right to left).
 
     Yields the configuration after each move; raises if a move touches no
-    disk, i.e. is not a legal play.
+    disk, i.e. is not a legal play.  Each move is checked as
+    :func:`legal_moves` and stepped as :func:`apply` would, with the same
+    errors at the same move, but from the number of disks on each peg and
+    by running the one state over the configuration until it reaches a
+    do-nothing state: a move costs O(1) plus the depth of the disk it moves.
     """
+    pegs = auto.alphabet_size
+    names, nxt, emit0 = auto.states, auto._next, auto._emit0
+    idle = [s in auto._trivials for s in range(len(names))]
+    pair_of = {generator_name(i, j): (i, j) for i, j in transposition_pairs(pegs)}
+    pairs = [pair_of.get(nm) for nm in names]  # per state, the pegs its name moves between
     cfg = tuple(config)
+    on_peg = None
     for s in reversed(list(word)):
-        nm = auto.states[s]
-        if nm not in legal_moves(cfg, auto.alphabet_size):
+        if on_peg is None:
+            legal_moves(cfg, pegs)  # raises for a peg out of range
+            v = [int(x) for x in cfg]
+            on_peg = [0] * (pegs + 1)
+            for x in v:
+                on_peg[x] += 1
+        nm = names[s]
+        pair = pairs[s]
+        if pair is None or not (on_peg[pair[0]] or on_peg[pair[1]]):
             raise AutomatonError(f"move {nm} is illegal at configuration {cfg}")
-        cfg = apply(auto, (s,), cfg)
+        if not 0 <= s < len(names):
+            check_state_word(auto, (s,))  # raises, as apply does
+        st = s
+        for pos, x in enumerate(v):
+            if idle[st]:
+                break
+            y = emit0[st][x - 1] + 1
+            st = nxt[st][x - 1]
+            if y != x:
+                v[pos] = y
+                on_peg[x] -= 1
+                on_peg[y] += 1
+        cfg = tuple(v)
         yield cfg
 
 

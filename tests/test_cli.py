@@ -386,10 +386,15 @@ def test_interrupt_exits_130_with_one_line(monkeypatch):
 
 def test_kernel_out_of_memory_exits_2_with_one_line(monkeypatch):
     class Starved:
-        def closure(self, word):
-            raise MemoryError(_kernel._OUT_OF_MEMORY)
+        """A closure kernel whose every query runs out of memory."""
 
-    monkeypatch.setattr(_kernel, "compiled_closure", lambda nxt, emit0: Starved())
+        def __getattr__(self, query):
+            def starved(word):
+                raise MemoryError(_kernel._OUT_OF_MEMORY)
+
+            return starved
+
+    monkeypatch.setattr(_kernel, "compiled_closure", lambda auto: Starved())
     code, out, err = run_cli("wp", "--word", "a(1,2).a(1,3)")
     assert (code, out) == (2, "")
     assert err == "error: the compiled kernel ran out of memory\n"

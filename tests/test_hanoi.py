@@ -198,3 +198,53 @@ def test_replay_rejects_null_moves(ha3):
     word = ha3.word_from_names(["a(2,3)"])
     with pytest.raises(AutomatonError, match="illegal"):
         list(replay_strategy(ha3, word, (1, 1)))
+
+
+def replay_by_definition(auto, word, config):
+    """The replay as the game defines it: each move must be one of
+    ``legal_moves`` and is played with ``apply``."""
+    cfg = tuple(config)
+    for s in reversed(list(word)):
+        nm = auto.states[s]
+        if nm not in legal_moves(cfg, auto.alphabet_size):
+            raise AutomatonError(f"move {nm} is illegal at configuration {cfg}")
+        cfg = apply(auto, (s,), cfg)
+        yield cfg
+
+
+def played(replay):
+    """The configurations a replay yields, and the error that ends it."""
+    configs = []
+    try:
+        for cfg in replay:
+            configs.append(cfg)
+    except AutomatonError as exc:
+        return configs, str(exc)
+    return configs, None
+
+
+@pytest.mark.parametrize("pegs", [3, 4, 5])
+def test_replay_matches_legal_moves_and_apply_on_random_words(pegs):
+    # Random words, mostly of moves but with the do-nothing state and index
+    # -1 among them, on random configurations, some with empty pegs and
+    # some with a peg out of range: illegal moves end most of them.
+    auto = hanoi_automaton(pegs)
+    k = len(auto.states)
+    rng = random.Random(pegs)
+    errors = 0
+    for _ in range(400):
+        config = tuple(rng.randint(1, pegs) for _ in range(rng.randrange(8)))
+        if rng.random() < 0.05:
+            config += (rng.choice([0, pegs + 1]),)
+        word = tuple(rng.randrange(1, k) if rng.random() < 0.97 else rng.choice([-1, 0])
+                     for _ in range(rng.randrange(60)))
+        result = played(replay_strategy(auto, word, config))
+        assert result == played(replay_by_definition(auto, word, config)), (word, config)
+        errors += result[1] is not None
+    assert 100 < errors < 400
+    # A long legal play, then a move between the two pegs it leaves empty.
+    start = (1,) * 6
+    word = auto.word_from_names(frame_stewart(pegs, 6))
+    for w in (word, (auto.state_index("a(1,2)"),) + word):
+        assert played(replay_strategy(auto, w, start)) == played(replay_by_definition(auto, w, start))
+    assert played(replay_strategy(auto, w, start))[1].startswith("move a(1,2) is illegal")

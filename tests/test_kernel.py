@@ -228,14 +228,12 @@ def closure_answers(auto, word):
 def assert_closure_parity(auto, word):
     """The compiled record, threshold and all five consumers against the
     Python walk, on one word."""
-    kernel = _kernel.compiled_closure(auto._next, auto._emit0)
+    kernel = _kernel.compiled_closure(auto)
     assert kernel is not None, "the kernel failed to build or load"
     compiled = _Closure(*kernel.closure(word))
     reference = _walk_record(auto, word)
     assert [list(field) for field in compiled] == [list(field) for field in reference], word
-    assert kernel.threshold(compiled.children, compiled.fixed) == _period_threshold(
-        reference, auto.alphabet_size
-    )
+    assert kernel.threshold(word) == _period_threshold(reference, auto.alphabet_size), word
     answers = closure_answers(auto, word)
     with no_compiler():
         assert analysis._closure_kernel(auto) is None
@@ -296,20 +294,79 @@ def test_a_closure_of_exactly_the_budget_fits_and_one_section_more_raises(ha4, m
     word = tuple(random.Random(0).choices(range(1, 7), k=16))
     rec = _walk_record(ha4, word)
     count = len(rec.nodes)
+    threshold = _period_threshold(rec, ha4.alphabet_size)
     # The last level holds more than one section, so at count - 1 the
     # budget runs out inside it, not at a level's end.
     assert rec.starts[-2] < count - 1
+    assert threshold is not None
     if twin == "kernel":
-        kernel = _kernel.compiled_closure(ha4._next, ha4._emit0)
+        kernel = _kernel.compiled_closure(ha4)
         assert kernel is not None, "the kernel failed to build or load"
         walk = lambda: _Closure(*kernel.closure(word))
     else:
+        monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
         walk = lambda: _walk_record(ha4, word)
+    # fixing_threshold runs on the twin under test.
+    assert (analysis._closure_kernel(ha4) is None) == (twin == "walk")
     monkeypatch.setattr(_kernel, "SECTION_BUDGET", count)
     assert len(walk().nodes) == count
+    assert fixing_threshold(ha4, word) == threshold
     monkeypatch.setattr(_kernel, "SECTION_BUDGET", count - 1)
-    with pytest.raises(BudgetError, match=f"more than {count - 1} sections"):
-        walk()
+    for query in (walk, lambda: fixing_threshold(ha4, word)):
+        with pytest.raises(BudgetError, match=f"more than {count - 1} sections"):
+            query()
+
+
+@requires_cc
+def test_a_compiled_threshold_is_one_kernel_call(ha4, monkeypatch):
+    kernel = analysis._closure_kernel(ha4)
+    lib, calls = kernel._lib, []
+
+    class Counting:
+        def __getattr__(self, name):
+            fn = getattr(lib, name)
+            return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(kernel, "_lib", Counting())
+    word = tuple(random.Random(1).choices(range(1, 7), k=32))
+    assert fixing_threshold(ha4, word) == _period_threshold(_walk_record(ha4, word), 4)
+    assert calls == ["mg_threshold"]
+
+
+@requires_cc
+def test_closure_kernel_rejects_state_indices_outside_its_tables(ha4):
+    kernel = _kernel.compiled_closure(ha4)
+    k = len(ha4.states)
+    for query in (kernel.closure, kernel.threshold):
+        with pytest.raises(ValueError, match=f"state index {k} out of range 0..{k - 1}"):
+            query((1, k, 2))
+        with pytest.raises(ValueError):
+            query((1, -1))
+
+
+@pytest.mark.parametrize("twin", [pytest.param("kernel", marks=requires_cc), "walk"])
+@pytest.mark.parametrize("pegs", [3, 4, 5])
+def test_a_word_times_its_reverse_is_the_identity_and_one_state_off_is_not(pegs, twin):
+    # Every generator is an involution, so w followed by w reversed is the
+    # identity.  Changing one state s of it to t != s leaves a conjugate of
+    # t s, or of s when t is the do-nothing state: never the identity.
+    auto = hanoi_automaton(pegs)
+    k = len(auto.states)
+    rng = random.Random(pegs)
+    lengths = [*range(1, 65), 150]  # w of length 150 makes a word of length 300
+    if (pegs, twin) == (5, "walk"):
+        # On 5 pegs the walk takes 14 s for w up to length 64 and 40 s more
+        # for the 300-state pair (243,000 sections); up to 32 it takes 1 s.
+        lengths = range(1, 33)
+    with contextlib.nullcontext() if twin == "kernel" else no_compiler():
+        assert (analysis._closure_kernel(auto) is None) == (twin == "walk")
+        for n in lengths:
+            half = tuple(rng.choices(range(1, k), k=n))
+            word = half + half[::-1]
+            i = rng.randrange(len(word))
+            off = word[:i] + (rng.choice([s for s in range(k) if s != word[i]]),) + word[i + 1:]
+            assert is_identity(auto, word), word
+            assert not is_identity(auto, off), off
 
 
 @requires_cc
@@ -329,7 +386,7 @@ def test_machines_the_closure_kernel_cannot_hold_use_the_walk():
     names = ["a"] + [f"e{i}" for i in range(256)]
     big = Automaton(2, names, [[0, 0]] + [[i, i] for i in range(1, 257)],
                     [[2, 1]] + [[1, 2]] * 256)
-    assert _kernel.compiled_closure(big._next, big._emit0) is None
+    assert _kernel.compiled_closure(big) is None
     assert analysis._closure_kernel(big) is None
     for word in [(0, 0, 1), (0, 256, 0), (5, 7)]:
         assert (word_depth(big, word), section_count(big, word)) == brute_depth_and_count(big, word)
