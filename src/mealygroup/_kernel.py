@@ -238,10 +238,6 @@ class ClosureKernel:
             word, lambda out: (_section_words(out, len(word)), _ints("q", out.starts, out.levels + 1))
         )
 
-    def size(self, word):
-        """``(depth, section count)`` of the closure of ``word``."""
-        return self._read(word, lambda out: (out.levels - 1, out.count))
-
     def identity(self, word):
         """Whether every section of ``word`` fixes every letter: its image
         table, compared as raw bytes, is the identity row once per node."""

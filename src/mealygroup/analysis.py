@@ -158,10 +158,25 @@ def _walk_record(auto: Automaton, word: Sequence[int]) -> _Closure:
 
 def _closure_kernel(auto: Automaton):
     """The compiled closure kernel bound to ``auto``, or None (see
-    ``_kernel.compiled_closure``).  Each closure query looks it up once."""
+    ``_kernel.compiled_closure``)."""
     from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
 
     return _kernel.compiled_closure(auto)
+
+
+def _closure_query(auto: Automaton, word: Sequence[int], query: str, walked: Callable):
+    """A closure query on ``word``: the compiled kernel's method ``query``
+    on the checked word when the kernel loads for ``auto``, else ``walked``
+    of the Python walk's record.  Every query picks its twin here."""
+    kernel = _closure_kernel(auto)
+    if kernel is None:
+        return walked(_walk_record(auto, word))
+    return getattr(kernel, query)(check_state_word(auto, word))
+
+
+def _sections(auto: Automaton, word: Sequence[int]):
+    """``(nodes, starts)`` of the closure record of ``word``."""
+    return _closure_query(auto, word, "sections", lambda rec: (rec.nodes, rec.starts))
 
 
 @dataclass(frozen=True)
@@ -181,12 +196,7 @@ class SectionClosure:
 
 def section_closure(auto: Automaton, word: Sequence[int]) -> SectionClosure:
     """Breadth-first closure of ``word`` under sectioning at single letters."""
-    kernel = _closure_kernel(auto)
-    if kernel is None:
-        rec = _walk_record(auto, word)
-        nodes, starts = rec.nodes, rec.starts
-    else:
-        nodes, starts = kernel.sections(check_state_word(auto, word))
+    nodes, starts = _sections(auto, word)
     levels = tuple(frozenset(nodes[a:b]) for a, b in zip(starts, starts[1:]))
     return SectionClosure(
         word=nodes[0],
@@ -203,22 +213,14 @@ def _depth_count(auto, word):
     return rec.depth, len(rec.nodes)
 
 
-def _size(auto, word):
-    """(depth, section count) of ``word``, from the kernel when it loads."""
-    kernel = _closure_kernel(auto)
-    if kernel is None:
-        return _depth_count(auto, word)
-    return kernel.size(check_state_word(auto, word))
-
-
 def word_depth(auto: Automaton, word: Sequence[int]) -> int:
     """Largest input length at which ``word`` still has a new section."""
-    return _size(auto, word)[0]
+    return len(_sections(auto, word)[1]) - 2
 
 
 def section_count(auto: Automaton, word: Sequence[int]) -> int:
     """Number of distinct sections of ``word``, the word itself included."""
-    return _size(auto, word)[1]
+    return len(_sections(auto, word)[0])
 
 
 def is_identity(auto: Automaton, word: Sequence[int]) -> bool:
@@ -226,11 +228,10 @@ def is_identity(auto: Automaton, word: Sequence[int]) -> bool:
     every section permutes single letters trivially."""
     if not auto.is_invertible:
         raise AutomatonError("the word problem is decided only for invertible automata")
-    kernel = _closure_kernel(auto)
-    if kernel is None:
-        rec = _walk_record(auto, word)
-        return rec.images == list(range(auto.alphabet_size)) * len(rec.nodes)
-    return kernel.identity(check_state_word(auto, word))
+    identity = list(range(auto.alphabet_size))
+    return _closure_query(
+        auto, word, "identity", lambda rec: rec.images == identity * len(rec.nodes)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -774,10 +775,9 @@ def fixing_threshold(auto: Automaton, word: Sequence[int]) -> Optional[int]:
     out of the last length whose set contains a bad section.  With the
     compiled kernel the closure and that loop run in one call.
     """
-    kernel = _closure_kernel(auto)
-    if kernel is None:
-        return _period_threshold(_walk_record(auto, word), auto.alphabet_size)
-    return kernel.threshold(check_state_word(auto, word))
+    return _closure_query(
+        auto, word, "threshold", lambda rec: _period_threshold(rec, auto.alphabet_size)
+    )
 
 
 def _period_threshold(rec: _Closure, m: int) -> Optional[int]:

@@ -226,35 +226,30 @@ def check_letter_word(auto: Automaton, letters: Iterable[int]) -> tuple:
 
 def check_state_word(auto: Automaton, word: Iterable[int]) -> tuple:
     k = len(auto.states)
-    if type(word) is tuple:
-        # The common case, a tuple of ints in range, is checked by min and
-        # max; anything else goes through the loop below, which names the
-        # position of a bad entry.
-        try:
-            out = tuple(map(int, word))
-        except (TypeError, ValueError, OverflowError):
-            out = None
-        if out is not None and (not out or (min(out) >= 0 and max(out) < k)):
-            return out
-    out = []
-    for pos, s in enumerate(word, 1):
-        s = int(s)
-        if not 0 <= s < k:
-            raise AutomatonError(f"state index {s} at position {pos} out of range 0..{k - 1}")
-        out.append(s)
-    return tuple(out)
+    out = tuple(map(int, word))
+    if out and (min(out) < 0 or max(out) >= k):
+        pos, s = next((pos, s) for pos, s in enumerate(out, 1) if not 0 <= s < k)
+        raise AutomatonError(f"state index {s} at position {pos} out of range 0..{k - 1}")
+    return out
+
+
+def _run_state(auto: Automaton, st: int, v: list) -> None:
+    """Run state ``st`` over the 0-based letters ``v``, rewriting them in
+    place; it stops at a do-nothing state, which leaves the rest as it is."""
+    nxt, emit0, idle = auto._next, auto._emit0, auto._trivials
+    for j, c in enumerate(v):
+        if st in idle:
+            return
+        v[j] = emit0[st][c]
+        st = nxt[st][c]
 
 
 def apply(auto: Automaton, word: Sequence[int], letters: Sequence[int]) -> tuple:
     """Image of ``letters`` under the state word (rightmost state reads first)."""
     w = check_state_word(auto, word)
     v = [x - 1 for x in check_letter_word(auto, letters)]
-    nxt, emit0 = auto._next, auto._emit0
     for s in reversed(w):
-        st = s
-        for j, c in enumerate(v):
-            v[j] = emit0[st][c]
-            st = nxt[st][c]
+        _run_state(auto, s, v)
     return tuple(c + 1 for c in v)
 
 

@@ -20,6 +20,8 @@ from typing import Sequence
 from .automata import (
     Automaton,
     AutomatonError,
+    _run_state,
+    check_letter_word,
     check_state_word,
     renamed,
     restrict_to_fixing_states,
@@ -88,17 +90,29 @@ def hanoi_automaton(pegs: int) -> Automaton:
     return Automaton(pegs, names, nxt, emit)
 
 
-def legal_moves(config: Sequence[int], pegs: int) -> set:
-    """Generator names that change the configuration: ``a(i,j)`` moves a
-    disk exactly when some disk sits on peg i or j."""
+def _pegs_in_use(config: Sequence[int], pegs: int) -> set:
+    """The pegs that hold a disk in ``config``, checked to lie in 1..pegs."""
     present = set(config)
     for x in present:
         if not 1 <= int(x) <= pegs:
             raise AutomatonError(f"peg {x} out of range 1..{pegs}")
+    return present
+
+
+def _moves_a_disk(present, i: int, j: int) -> bool:
+    """The rule of :func:`legal_moves`, given the pegs in use (any
+    container of them)."""
+    return i in present or j in present
+
+
+def legal_moves(config: Sequence[int], pegs: int) -> set:
+    """Generator names that change the configuration: ``a(i,j)`` moves a
+    disk exactly when some disk sits on peg i or j."""
+    present = _pegs_in_use(config, pegs)
     return {
         generator_name(i, j)
         for i, j in transposition_pairs(pegs)
-        if i in present or j in present
+        if _moves_a_disk(present, i, j)
     }
 
 
@@ -106,43 +120,26 @@ def replay_strategy(auto: Automaton, word: Sequence[int], config: Sequence[int])
     """Play a strategy word move by move (time order = right to left).
 
     Yields the configuration after each move; raises if a move touches no
-    disk, i.e. is not a legal play.  Each move is checked as
-    :func:`legal_moves` and stepped as :func:`apply` would, with the same
-    errors at the same move, but from the number of disks on each peg and
-    by running the one state over the configuration until it reaches a
-    do-nothing state: a move costs O(1) plus the depth of the disk it moves.
+    disk, i.e. is not a legal play.  A move is checked by the rule of
+    :func:`legal_moves` against the configuration itself and played by the
+    stepping loop of :func:`apply`, which stops at the do-nothing state, so
+    it costs the depth of the disk it moves rather than a set of names.
     """
-    pegs = auto.alphabet_size
-    names, nxt, emit0 = auto.states, auto._next, auto._emit0
-    idle = [s in auto._trivials for s in range(len(names))]
+    pegs, names = auto.alphabet_size, auto.states
     pair_of = {generator_name(i, j): (i, j) for i, j in transposition_pairs(pegs)}
     pairs = [pair_of.get(nm) for nm in names]  # per state, the pegs its name moves between
     cfg = tuple(config)
-    on_peg = None
+    present = None
     for s in reversed(list(word)):
-        if on_peg is None:
-            legal_moves(cfg, pegs)  # raises for a peg out of range
-            v = [int(x) for x in cfg]
-            on_peg = [0] * (pegs + 1)
-            for x in v:
-                on_peg[x] += 1
-        nm = names[s]
-        pair = pairs[s]
-        if pair is None or not (on_peg[pair[0]] or on_peg[pair[1]]):
+        if present is None:  # the configuration is checked at the first move
+            present = _pegs_in_use(cfg, pegs)
+            v = [x - 1 for x in check_letter_word(auto, cfg)]
+        nm, pair = names[s], pairs[s]
+        if pair is None or not _moves_a_disk(present, *pair):
             raise AutomatonError(f"move {nm} is illegal at configuration {cfg}")
-        if not 0 <= s < len(names):
-            check_state_word(auto, (s,))  # raises, as apply does
-        st = s
-        for pos, x in enumerate(v):
-            if idle[st]:
-                break
-            y = emit0[st][x - 1] + 1
-            st = nxt[st][x - 1]
-            if y != x:
-                v[pos] = y
-                on_peg[x] -= 1
-                on_peg[y] += 1
-        cfg = tuple(v)
+        (s,) = check_state_word(auto, (s,))
+        _run_state(auto, s, v)
+        cfg = present = tuple([c + 1 for c in v])
         yield cfg
 
 

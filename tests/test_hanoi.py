@@ -248,3 +248,14 @@ def test_replay_matches_legal_moves_and_apply_on_random_words(pegs):
     for w in (word, (auto.state_index("a(1,2)"),) + word):
         assert played(replay_strategy(auto, w, start)) == played(replay_by_definition(auto, w, start))
     assert played(replay_strategy(auto, w, start))[1].startswith("move a(1,2) is illegal")
+    # Entries that int() reads as pegs but that are not equal to one hold
+    # no disk to legal_moves, so the first move off them is illegal; after
+    # a legal first move the configuration holds ints, which do count.
+    a12, a23 = auto.state_index("a(1,2)"), auto.state_index("a(2,3)")
+    for word, config in [((a12,), ("1", "1")), ((a12,), (1.5, 2)), ((a12, a23), ("1", 2))]:
+        result = played(replay_strategy(auto, word, config))
+        assert result == played(replay_by_definition(auto, word, config)), (word, config)
+    assert played(replay_strategy(auto, (a12,), ("1", "1"))) == (
+        [], "move a(1,2) is illegal at configuration ('1', '1')"
+    )
+    assert played(replay_strategy(auto, (a12, a23), ("1", 2))) == ([(1, 3), (2, 3)], None)
