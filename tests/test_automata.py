@@ -89,6 +89,12 @@ def test_apply_empty_word_and_empty_input(ha4):
 def test_apply_rejects_out_of_range(ha4):
     with pytest.raises(AutomatonError, match="position 2"):
         apply(ha4, w(ha4, "a(1,2)"), (1, 9))
+    # The first bad state index is named, in a tuple, a list or any iterable.
+    for word in [(0, 7, -1), [0, 1, 7, 99], iter((1, 2, 7))]:
+        with pytest.raises(AutomatonError, match=r"^state index 7 at position \d out of range 0\.\.6$"):
+            apply(ha4, word, (1,))
+    with pytest.raises(AutomatonError, match="state index -1 at position 3 out"):
+        apply(ha4, (0, 1, -1, 7), (1,))
 
 
 def test_section_state_drops_on_move(ha4):
