@@ -18,8 +18,13 @@
  * to length n gives the results of every shorter length as well.  The DFS
  * visits the allowed states in the caller's order, so the words of each
  * length come in the order the Python scan of that length visits them, and
- * a witness is replaced only on a strictly better value: words examined
- * and witnesses equal those of the Python scan, length by length.
+ * a witness is replaced only on a strictly better value: closures computed
+ * and witnesses equal those of the Python scan, length by length.  Given
+ * iota, the scan also passes over a word of its last length when some map
+ * t = sigma o iota, sigma in the group or the identity, makes
+ * t(reversed(word)) lex-smaller: that word has the same depth and count
+ * (the argument is in survey's docstring), and the rule is the Python
+ * scan's too.
  *
  * mg_closure is the closure record of one word that the queries read (the
  * Python walk in _walk_record is its twin).  mg_threshold is
@@ -54,10 +59,15 @@ typedef struct {
 } Level;
 
 typedef struct {
-    int k, m, n, na, ns;
+    int k, m, n, na, ng;
     int64_t budget;
-    const int32_t *nxt, *emit, *allowed, *sigmas;
-    int32_t *active;   /* per DFS level, indices of the symmetries still tying */
+    const int32_t *nxt, *emit, *allowed, *group;
+    int32_t *active;   /* per DFS level, indices into group of the symmetries still tying */
+    /* The reversal test, when twin is not NULL: twin holds the maps
+     * sigma o iota (the identity first, then each of group), k entries each;
+     * per state l, lo[l] is the least t(l) over those maps t, and
+     * tie[tie_at[l] .. tie_at[l+1]) lists the maps that give it. */
+    int32_t *twin, *lo, *tie, *tie_at;
     int32_t word[MAXN];
     Level lv[MAXN];    /* lv[d]: the closure automaton of word[0..d) */
     int32_t *qa, *qt;  /* the walk's queue of pairs (prefix node, state) */
@@ -165,18 +175,71 @@ static void record(Scan *sc, int len, int64_t d, int64_t t)
     }
 }
 
+/* Fill the tables of the reversal test from iota (see Scan). */
+static int twins(Scan *sc, const int32_t *iota)
+{
+    const int k = sc->k, nt = sc->ng + 1;
+    sc->twin = malloc((size_t)nt * k * sizeof *sc->twin);
+    sc->tie = malloc((size_t)nt * k * sizeof *sc->tie);
+    sc->lo = malloc(k * sizeof *sc->lo);
+    sc->tie_at = malloc((k + 1) * sizeof *sc->tie_at);
+    if (!sc->twin || !sc->tie || !sc->lo || !sc->tie_at)
+        return -1;
+    for (int j = 0; j < nt; j++)
+        for (int s = 0; s < k; s++)
+            sc->twin[(size_t)j * k + s] = j ? sc->group[(size_t)(j - 1) * k + iota[s]] : iota[s];
+    int at = 0;
+    for (int l = 0; l < k; l++) {
+        int lo = sc->twin[l];
+        for (int j = 1; j < nt; j++)
+            if (sc->twin[(size_t)j * k + l] < lo)
+                lo = sc->twin[(size_t)j * k + l];
+        sc->lo[l] = lo;
+        sc->tie_at[l] = at;
+        for (int j = 0; j < nt; j++)
+            if (sc->twin[(size_t)j * k + l] == lo)
+                sc->tie[at++] = j;
+    }
+    sc->tie_at[k] = at;
+    return 0;
+}
+
+/* Whether some map t of the reversal test makes t(reversed(word[0..n)))
+ * lex-smaller than the word.  Its first letter is t(word[n-1]), so lo
+ * settles most words at once, and only the maps that tie there read on. */
+static int reversal_smaller(const Scan *sc)
+{
+    const int n = sc->n, last = sc->word[n - 1];
+    const int32_t *w = sc->word;
+    if (sc->lo[last] != w[0])
+        return sc->lo[last] < w[0];
+    for (int j = sc->tie_at[last]; j < sc->tie_at[last + 1]; j++) {
+        const int32_t *t = sc->twin + (size_t)sc->tie[j] * sc->k;
+        for (int i = 1; i < n; i++) {
+            const int c = t[w[n - 1 - i]];
+            if (c != w[i]) {
+                if (c < w[i])
+                    return 1;
+                break;
+            }
+        }
+    }
+    return 0;
+}
+
 /* Canonical DFS below word[0..depth), whose closure automaton is
  * lv[depth], down to length n, with the _extend_active rule: a symmetry
  * mapping the next state lower prunes it, one mapping it to itself keeps
- * tying.  Every word it reaches is recorded; a leaf keeps no automaton. */
+ * tying.  Every word it reaches is recorded, except a word of length n
+ * that the reversal test passes over; a leaf keeps no automaton. */
 static int rec(Scan *sc, int depth, const int32_t *active, int nact)
 {
-    int32_t *sub = sc->active + (size_t)(depth + 1) * sc->ns;
+    int32_t *sub = sc->active + (size_t)(depth + 1) * sc->ng;
     for (int a = 0; a < sc->na; a++) {
         int s = sc->allowed[a], keep = 0, canonical = 1, rc;
         int64_t d, t;
         for (int j = 0; j < nact; j++) {
-            int c = sc->sigmas[(size_t)active[j] * sc->k + s];
+            int c = sc->group[(size_t)active[j] * sc->k + s];
             if (c < s) {
                 canonical = 0;
                 break;
@@ -188,6 +251,8 @@ static int rec(Scan *sc, int depth, const int32_t *active, int nact)
             continue;
         Level *out = depth + 1 < sc->n ? &sc->lv[depth + 1] : NULL;
         sc->word[depth] = s;
+        if (!out && sc->twin && reversal_smaller(sc))
+            continue;
         if ((rc = extend(sc, &sc->lv[depth], s, out, &d, &t)))
             return rc;
         record(sc, depth + 1, d, t);
@@ -198,45 +263,46 @@ static int rec(Scan *sc, int depth, const int32_t *active, int nact)
 }
 
 /* Scan every canonical word of each length L = np+1 .. n (n <= MAXN)
- * extending prefix[0..np), with the ns symmetries in sigmas (k entries
- * each) still tying on the prefix.  Length L has index i = L - np - 1 in
- * the outputs: words examined in examined[i], best depth in best[2i], best
- * count in best[2i+1], and their witnesses in witness[2ni .. 2ni+L) and
- * witness[2ni+n .. 2ni+n+L).  The prefix's own length and shorter ones are
- * not counted.  Returns 0, -1 when memory runs out or the lengths are out
- * of range, or -2 when a closure passes `budget` sections (outputs are
- * then meaningless). */
+ * extending prefix[0..np).  group holds ng symmetries, k entries each, and
+ * active the indices of the ns of them still tying on the prefix.  With
+ * iota (k entries) not NULL, words of length n pass the reversal test.
+ * Length L has index i = L - np - 1 in the outputs: closures computed in
+ * examined[i], best depth in best[2i], best count in best[2i+1], and their
+ * witnesses in witness[2ni .. 2ni+L) and witness[2ni+n .. 2ni+n+L).  The
+ * prefix's own length and shorter ones are not counted.  Returns 0, -1
+ * when memory runs out or the lengths are out of range, or -2 when a
+ * closure passes `budget` sections (outputs are then meaningless). */
 int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const int32_t *allowed,
-            int n, int np, const int32_t *prefix, int ns, const int32_t *sigmas,
-            int64_t budget, uint64_t *examined, int64_t *best, int32_t *witness)
+            int n, int np, const int32_t *prefix, int ng, const int32_t *group, int ns,
+            const int32_t *active, const int32_t *iota, int64_t budget, uint64_t *examined,
+            int64_t *best, int32_t *witness)
 {
     Scan sc = {
-        .k = k, .m = m, .n = n, .na = na, .ns = ns,
+        .k = k, .m = m, .n = n, .na = na, .ng = ng,
         .budget = budget < INT32_MAX ? budget : INT32_MAX, /* node indices are int32 */
-        .nxt = nxt, .emit = emit, .allowed = allowed, .sigmas = sigmas,
+        .nxt = nxt, .emit = emit, .allowed = allowed, .group = group,
         .first = np + 1, .examined = examined, .best = best, .witness = witness,
     };
     int64_t d, t;
     int rc = -1;
 
-    if (np < 0 || np >= n || n > MAXN)
+    if (np < 0 || np >= n || n > MAXN || ns > ng)
         return -1;
     for (int i = 0; i < n - np; i++) {
         examined[i] = 0;
         best[2 * i] = best[2 * i + 1] = -1;
     }
-    sc.active = malloc((size_t)(n + 1) * (ns ? ns : 1) * sizeof *sc.active);
+    sc.active = malloc((size_t)(n + 1) * (ng ? ng : 1) * sizeof *sc.active);
     /* The empty word is its own only section. */
     sc.lv[0] = (Level){.ch = calloc(m, sizeof(int32_t)), .size = 1, .cap = 1};
-    if (!sc.active || !sc.lv[0].ch)
+    if (!sc.active || !sc.lv[0].ch || (iota && twins(&sc, iota)))
         goto done;
-    for (int j = 0; j < ns; j++)
-        sc.active[(size_t)np * ns + j] = j;
+    memcpy(sc.active + (size_t)np * ng, active, ns * sizeof *active);
     memcpy(sc.word, prefix, np * sizeof *prefix);
     for (int i = 0; i < np; i++)
         if ((rc = extend(&sc, &sc.lv[i], prefix[i], &sc.lv[i + 1], &d, &t)))
             goto done;
-    rc = rec(&sc, np, sc.active + (size_t)np * ns, ns);
+    rc = rec(&sc, np, sc.active + (size_t)np * ng, ns);
 done:
     for (int i = 0; i < n; i++)
         free(sc.lv[i].ch);
@@ -245,6 +311,10 @@ done:
     free(sc.qt);
     free(sc.stamp);
     free(sc.index);
+    free(sc.twin);
+    free(sc.lo);
+    free(sc.tie);
+    free(sc.tie_at);
     return rc;
 }
 

@@ -75,7 +75,8 @@ class _ClosureOut(ctypes.Structure):
 
 _SIGNATURES = {
     "mg_scan": (ctypes.c_int, [_I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32, _I32P,
-                               _I32, _I32P, _I64, _U64P, ctypes.POINTER(_I64), _I32P]),
+                               _I32, _I32P, _I32, _I32P, _I32P, _I64, _U64P,
+                               ctypes.POINTER(_I64), _I32P]),
     "mg_closure": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
                                   ctypes.c_char_p, _I64, ctypes.POINTER(_ClosureOut)]),
     "mg_closure_free": (None, [ctypes.POINTER(_ClosureOut)]),
@@ -129,15 +130,20 @@ def _tables(nxt, emit0):
     return [(_I32 * (len(t) * len(t[0])))(*itertools.chain.from_iterable(t)) for t in (nxt, emit0)]
 
 
-def compiled_scan(nxt, emit0, allowed, n_max):
+def compiled_scan(nxt, emit0, allowed, group, iota, n_max):
     """A twin of ``analysis._scan_lengths`` with the closure statistics of
-    ``analysis._depth_count`` bound in: ``scan(prefix, active, n)`` for
-    ``len(prefix) < n <= n_max`` returns one ``(examined, best depth, its
-    witness, best section count, its witness)`` per length ``len(prefix) +
-    1 .. n``, from one canonical DFS that builds the closure of each word
-    from its prefix's closure automaton (see ``_kernel.c``).  A section
-    count includes the word itself.  None when the kernel cannot be loaded
-    or ``n_max`` is past the kernel's longest word (64)."""
+    ``analysis._depth_count`` bound in: ``scan(prefix, active, n,
+    reversal=False)`` for ``len(prefix) < n <= n_max`` returns one
+    ``(closures computed, best depth, its witness, best section count, its
+    witness)`` per length ``len(prefix) + 1 .. n``, from one canonical DFS
+    that builds the closure of each word from its prefix's closure
+    automaton (see ``_kernel.c``).  ``group`` is the symmetry group without
+    the identity and ``active`` the members of it still tying on the
+    prefix.  With ``reversal`` and an ``iota`` (see
+    ``analysis.inverse_states``), words of length ``n`` pass the reversal
+    test of ``analysis._scan_exact``.  A section count includes the word
+    itself.  None when the kernel cannot be loaded or ``n_max`` is past the
+    kernel's longest word (64)."""
     if n_max > _MAXN:
         return None
     lib = _library()
@@ -147,17 +153,21 @@ def compiled_scan(nxt, emit0, allowed, n_max):
     k, m = len(nxt), len(nxt[0])
     tables = _tables(nxt, emit0)
     states = (_I32 * len(allowed))(*allowed)
+    sigmas = (_I32 * (len(group) * k))(*itertools.chain.from_iterable(group))
+    position = {sg: i for i, sg in enumerate(group)}
+    mirror = None if iota is None else (_I32 * k)(*iota)
 
-    def scan(prefix, active, n):
+    def scan(prefix, active, n, reversal=False):
         np = len(prefix)
         if not np < n <= n_max:
             raise ValueError(f"cannot scan lengths {np + 1}..{n} (at most {n_max})")
         lengths = n - np
-        sigmas = (_I32 * (len(active) * k))(*itertools.chain.from_iterable(active))
+        tying = (_I32 * len(active))(*map(position.__getitem__, active))
         examined, best = (ctypes.c_uint64 * lengths)(), (_I64 * (2 * lengths))()
         witness = (_I32 * (2 * n * lengths))()
         _check(fn(k, m, *tables, len(allowed), states, n, np, (_I32 * np)(*prefix),
-                  len(active), sigmas, SECTION_BUDGET, examined, best, witness))
+                  len(group), sigmas, len(active), tying, mirror if reversal else None,
+                  SECTION_BUDGET, examined, best, witness))
         results = []
         for i, length in enumerate(range(np + 1, n + 1)):
             if not examined[i]:
@@ -238,13 +248,18 @@ class ClosureKernel:
             word, lambda out: (_section_words(out, len(word)), _ints("q", out.starts, out.levels + 1))
         )
 
-    def identity(self, word):
-        """Whether every section of ``word`` fixes every letter: its image
-        table, compared as raw bytes, is the identity row once per node."""
+    def word_problem(self, word):
+        """``(is_identity, section count, depth)`` of ``word``: it is the
+        identity when every section fixes every letter, that is, when its
+        image table, compared as raw bytes, is the identity row once per
+        node."""
         row = self._letters
-        return self._read(
-            word, lambda out: ctypes.string_at(out.images, out.count * len(row)) == row * out.count
-        )
+
+        def answer(out):
+            images = ctypes.string_at(out.images, out.count * len(row))
+            return images == row * out.count, out.count, out.levels - 1
+
+        return self._read(word, answer)
 
     def threshold(self, word):
         """The fixing threshold of ``word``, None when there is none: the

@@ -9,15 +9,17 @@ trivially -- which is the decision procedure behind :func:`is_identity`.
 
 The survey enumerates all words up to a length bound and reports, per
 length, the maximum depth and the maximum number of sections together
-with witnesses.  Two value-preserving reductions keep this tractable:
+with witnesses.  Three value-preserving reductions keep this tractable:
 words containing do-nothing states are skipped (inserting such a state
-changes neither depth nor section count), and only the lexicographically
+changes neither depth nor section count), only the lexicographically
 least representative of each orbit under the machine's letter-relabeling
-automorphisms is examined.  One canonical DFS to the longest length gives
-every length's maxima, since each word it reaches counts toward its own
-length.  Worker threads split that DFS by canonical prefix; results merge
-per length by a max-value / lex-least-witness rule, so output is
-identical for any worker count.
+automorphisms is examined, and at the longest length a word is passed
+over when a relabeled mirror image of it that acts as its inverse is
+lex-smaller (:func:`inverse_states`).  One canonical DFS to the longest
+length gives every length's maxima, since each word it reaches counts
+toward its own length.  Worker threads split that DFS by canonical
+prefix; results merge per length by a max-value / lex-least-witness rule,
+so output is identical for any worker count.
 
 Every closure question -- depth, section count, the word problem, fixing
 thresholds -- reads one closure record of the word: its sections in
@@ -74,6 +76,7 @@ __all__ = [
     "word_depth",
     "section_count",
     "is_identity",
+    "word_problem",
     "common_fixed_letter",
     "strip_fixed_letter",
     "fixed_block_count",
@@ -84,6 +87,7 @@ __all__ = [
     "survey",
     "render_growth_csv",
     "automaton_symmetries",
+    "inverse_states",
     "orbit_count",
     "strict_log2",
     "threshold_bound",
@@ -226,11 +230,20 @@ def section_count(auto: Automaton, word: Sequence[int]) -> int:
 def is_identity(auto: Automaton, word: Sequence[int]) -> bool:
     """Decide whether the word acts as the identity on all inputs: true iff
     every section permutes single letters trivially."""
+    return word_problem(auto, word)[0]
+
+
+def word_problem(auto: Automaton, word: Sequence[int]) -> tuple:
+    """``(is_identity, section count, depth)`` of ``word``, all three read
+    off one closure record."""
     if not auto.is_invertible:
         raise AutomatonError("the word problem is decided only for invertible automata")
     identity = list(range(auto.alphabet_size))
     return _closure_query(
-        auto, word, "identity", lambda rec: rec.images == identity * len(rec.nodes)
+        auto,
+        word,
+        "word_problem",
+        lambda rec: (rec.images == identity * len(rec.nodes), len(rec.nodes), rec.depth),
     )
 
 
@@ -373,6 +386,97 @@ class _SearchBudget(Exception):
     pass
 
 
+def inverse_states(auto: Automaton) -> Optional[tuple]:
+    """A permutation iota of the states of an invertible machine with
+    iota(s) acting as s^-1, or None when the search below finds none.
+
+    iota(s) emits the inverse of s's output row and, on reading s(x),
+    moves to iota(next(s, x)).  By induction on the input, iota(s) then
+    undoes s, and the state word iota(reversed(w)) acts as w^-1 (see
+    :func:`survey`).  On Hanoi machines iota is the identity.
+
+    The candidates for iota(s) are the states with the inverse output row,
+    do-nothing ones exactly for do-nothing s, so that iota keeps words
+    free of do-nothing states.  A backtracking search picks one per state;
+    each pick sets the values it forces, iota(next(s, x)) = next(t, s(x)),
+    and gives up on a value that is no candidate, clashes with one set
+    before or is taken.  Do-nothing states force only themselves, so those
+    left over are paired with the unused ones afterwards.  Both properties
+    are checked on the result.  Past ``_SYMMETRY_SEARCH_BUDGET`` picks the
+    answer is None."""
+    k, m = len(auto.states), auto.alphabet_size
+    nxt, emit0, trivials = auto._next, auto._emit0, auto._trivials
+    by_row = {}
+    for t, row in enumerate(emit0):
+        by_row.setdefault((row, t in trivials), set()).add(t)
+    cands = [
+        by_row.get((tuple(sorted(range(m), key=row.__getitem__)), s in trivials), set())
+        for s, row in enumerate(emit0)
+    ]
+    iota, owner = [None] * k, [None] * k
+    moving = sorted((s for s in range(k) if s not in trivials), key=lambda s: len(cands[s]))
+    picks = 0
+
+    def search(i):
+        nonlocal picks
+        while i < len(moving) and iota[moving[i]] is not None:
+            i += 1
+        if i == len(moving):
+            return True
+        for t in sorted(cands[moving[i]]):
+            picks += 1
+            if picks > _SYMMETRY_SEARCH_BUDGET:
+                raise _SearchBudget
+            made = _force(auto, cands, iota, owner, moving[i], t)
+            if made is not None:
+                if search(i + 1):
+                    return True
+                _unset(iota, owner, made)
+        return False
+
+    try:
+        if not search(0):
+            return None
+    except (_SearchBudget, RecursionError):
+        return None
+    free = iter(sorted(t for t in trivials if owner[t] is None))
+    for s in sorted(trivials):
+        if iota[s] is None:
+            iota[s] = next(free)
+    if len(set(iota)) == k and all(
+        emit0[iota[s]][emit0[s][x]] == x and nxt[iota[s]][emit0[s][x]] == iota[nxt[s][x]]
+        for s in range(k)
+        for x in range(m)
+    ):
+        return tuple(iota)
+    return None
+
+
+def _force(auto, cands, iota, owner, s, t):
+    """Set iota[s] = t and every value it forces, where ``owner`` is
+    iota's inverse so far.  The states set, or None (and nothing set) when
+    a value is no candidate, clashes with one set before or is taken."""
+    nxt, emit0 = auto._next, auto._emit0
+    pending, made = [(s, t)], []
+    while pending:
+        s, t = pending.pop()
+        if iota[s] == t:
+            continue
+        if iota[s] is not None or owner[t] is not None or t not in cands[s]:
+            _unset(iota, owner, made)
+            return None
+        iota[s], owner[t] = t, s
+        made.append(s)
+        pending.extend((nxt[s][x], nxt[t][y]) for x, y in enumerate(emit0[s]))
+    return made
+
+
+def _unset(iota, owner, states):
+    for s in states:
+        owner[iota[s]] = None
+        iota[s] = None
+
+
 def orbit_count(allowed: Sequence[int], sigmas: Sequence[tuple], length: int) -> int:
     """Number of orbits of length-``length`` words over ``allowed`` states
     under the given permutation group, by averaging fixed-point counts."""
@@ -399,7 +503,13 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class GrowthRow:
-    """Maxima over all words of length <= n, plus scan bookkeeping."""
+    """Maxima over all words of length <= n, plus scan bookkeeping.
+
+    ``words_examined`` and ``orbits`` are both the number of words of
+    length n counted up to the machine's letter symmetries
+    (:func:`orbit_count`).  ``closures`` is the number of closures the
+    scan computed at length n, which the reductions make smaller; None for
+    a row read from a checkpoint without a scan."""
 
     n: int
     depth: int
@@ -408,6 +518,7 @@ class GrowthRow:
     theta_witness: tuple
     words_examined: int
     orbits: int
+    closures: Optional[int]
     seconds: float
 
 
@@ -455,13 +566,18 @@ def _canonical_words(allowed, prefix, active, n):
     return rec(list(active))
 
 
-def _scan_exact(allowed, stats, prefix, active, n):
+def _scan_exact(allowed, stats, prefix, active, n, twins=()):
     """Visit every canonical word of length exactly ``n`` extending
-    ``prefix``; return (examined, best depth + witness, best count + witness)."""
+    ``prefix``, except a word w for which some map t in ``twins`` makes
+    t(reversed(w)) lex-smaller than w (the reversal test, see
+    :func:`survey`); return (closures computed, best depth + witness, best
+    count + witness)."""
     examined = 0
     best_d = best_t = -1
     best_dw = best_tw = None
     for word, _ in _canonical_words(allowed, prefix, active, n):
+        if any(t[word[-1]] <= word[0] and [t[s] for s in reversed(word)] < word for t in twins):
+            continue
         d, t = stats(word)
         examined += 1
         if d > best_d:
@@ -471,11 +587,17 @@ def _scan_exact(allowed, stats, prefix, active, n):
     return examined, best_d, best_dw, best_t, best_tw
 
 
-def _scan_lengths(allowed, stats, prefix, active, n):
+def _scan_lengths(allowed, stats, group, iota, prefix, active, n, reversal=False):
     """:func:`_scan_exact` at each length ``len(prefix) + 1 .. n``: the
-    reference twin of ``_kernel.compiled_scan``."""
+    reference twin of ``_kernel.compiled_scan``.  With ``reversal`` and an
+    ``iota``, the words of length ``n`` pass the reversal test with the
+    maps sigma o iota for sigma in ``group`` (the symmetries without the
+    identity) and the identity."""
+    twins = ()
+    if reversal and iota is not None:
+        twins = (iota, *(tuple(sg[s] for s in iota) for sg in group))
     return tuple(
-        _scan_exact(allowed, stats, prefix, active, length)
+        _scan_exact(allowed, stats, prefix, active, length, twins if length == n else ())
         for length in range(len(prefix) + 1, n + 1)
     )
 
@@ -549,6 +671,7 @@ def survey(
     *,
     exclude_trivial: bool = True,
     symmetry: bool = True,
+    reversal: bool = True,
     jobs: int = 1,
     long_run: bool = False,
     checkpoint=None,
@@ -561,6 +684,24 @@ def survey(
     reaches counts toward its own length.  It runs over canonical orbit
     representatives of words without do-nothing states unless the
     reductions are switched off; both reductions preserve the maxima.
+
+    ``reversal`` adds a third reduction at length ``n_max`` when the
+    machine has an :func:`inverse_states` map iota.  The state word
+    iota(reversed(w)) acts as w^-1, and its section at y is
+    iota(reversed(w|v)) with v = w^-1(y), so iota o reversed maps the
+    sections of w at each input length one to one onto those of
+    iota(reversed(w)): depth and section count agree.  A symmetry sigma
+    keeps them too.  So a word w of length ``n_max`` is passed over when
+    some sigma in the symmetry group or the identity makes
+    sigma(iota(reversed(w))) lex-smaller than w.  Nothing is lost: let u
+    be the lex-least word reachable from w by symmetries and iota o
+    reversed (iota and the symmetries keep do-nothing states out).  Every
+    such word has w's depth and count, and none is smaller than u, so u is
+    canonical and not passed over.  When w is the lex-least word of the
+    best value, u = w, so the witnesses stay the same.  A word shorter than
+    ``n_max`` is a prefix the DFS goes on from, so it is never passed over;
+    the scan counts only the closures it computes (``closures``).
+
     ``jobs`` > 1 splits the scan by canonical prefix across threads that
     run the compiled scan; the Python scan runs serially.  Results are
     identical for any ``jobs``.  A scan that runs for long reports its
@@ -595,6 +736,7 @@ def survey(
     sigmas_all = automaton_symmetries(auto) if symmetry else (tuple(range(len(auto.states))),)
     identity = tuple(range(len(auto.states)))
     sigmas = tuple(sg for sg in sigmas_all if sg != identity)
+    iota = inverse_states(auto) if reversal else None
 
     # n_max stays out of the fingerprint: per-length rows from a shorter or
     # interrupted run remain valid when the bound is raised.
@@ -612,25 +754,30 @@ def survey(
     # n_max <= 64.  It releases the GIL in each kernel call and keeps no
     # state between calls, so threads scan prefixes in parallel.  The
     # Python scan, its reference, holds the GIL and runs serially.
-    scan = _kernel.compiled_scan(auto._next, auto._emit0, allowed, n_max)
+    scan = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max)
     if scan is None:
-        scan = functools.partial(_scan_lengths, allowed, functools.partial(_depth_count, auto))
+        stats = functools.partial(_depth_count, auto)
+        scan = functools.partial(_scan_lengths, allowed, stats, sigmas, iota)
         jobs = 1
 
-    scanned = {}
+    scanned, closures = {}, {}
     if any(n not in done for n in range(1, n_max + 1)):
         t0 = time.perf_counter()
         merged = _scan_all(scan, allowed, sigmas, jobs, n_max)
         seconds = time.perf_counter() - t0
-        for n, (examined, d, dw, t, tw) in merged.items():
+        for n, (computed, d, dw, t, tw) in merged.items():
+            closures[n] = computed
+            orbits = orbit_count(allowed, sigmas_all, n)
+            # "examined" is the orbit count, which is what the scan counted
+            # before the reversal test: checkpoints keep their bytes.
             scanned[n] = rec = {
                 "n": n,
                 "depth": d if dw is not None else None,
                 "depth_witness": list(dw) if dw is not None else None,
                 "theta": t if tw is not None else None,
                 "theta_witness": list(tw) if tw is not None else None,
-                "examined": examined,
-                "orbits": orbit_count(allowed, sigmas_all, n),
+                "examined": orbits,
+                "orbits": orbits,
                 "seconds": seconds,
             }
             # The scan recomputes the rows the checkpoint holds: a free check.
@@ -660,6 +807,7 @@ def survey(
             theta_witness=best_t[2],
             words_examined=rec["examined"],
             orbits=rec["orbits"],
+            closures=closures.get(n),
             seconds=rec["seconds"],
         )
         rows.append(row)
@@ -675,14 +823,16 @@ def _values(rec):
 
 
 def _scan_all(scan, allowed, sigmas, jobs, n_max):
-    """Merged ``(examined, best depth, witness, best count, witness)`` of
-    every length 1 .. ``n_max``, from one canonical DFS split into tasks by
-    prefix: one task scans lengths 1 .. split below the empty word, and one
-    per canonical prefix of length split scans the longer lengths below it.
-    ``jobs`` > 1 runs the tasks on that many threads.  A serial scan is split
-    too: a Ctrl-C then waits for one task's kernel call, not for the whole
-    scan.  Every :data:`TASK_REPORT_SECONDS` at most, the tasks done so far
-    are reported on stderr."""
+    """Merged ``(closures computed, best depth, witness, best count,
+    witness)`` of every length 1 .. ``n_max``, from one canonical DFS split
+    into tasks by prefix: one task scans lengths 1 .. split below the empty
+    word, and one per canonical prefix of length split scans the longer
+    lengths below it.  Only the tasks to ``n_max`` apply the reversal test,
+    so the closures computed do not depend on the split.  ``jobs`` > 1
+    runs the tasks on that many threads.  A serial scan is split too: a
+    Ctrl-C then waits for one task's kernel call, not for the whole scan.
+    Every :data:`TASK_REPORT_SECONDS` at most, the tasks done so far are
+    reported on stderr."""
     t0 = last = time.perf_counter()
     split = _choose_split(allowed, sigmas, jobs, n_max) if allowed else 0
     tasks = [(p, active, n_max) for p, active in _canonical_prefixes(allowed, sigmas, split)]
@@ -691,7 +841,7 @@ def _scan_all(scan, allowed, sigmas, jobs, n_max):
     by_length = {n: [] for n in range(1, n_max + 1)}
     pool = ThreadPoolExecutor(jobs) if jobs > 1 else None
     try:
-        results = (pool.map if pool else map)(lambda task: scan(*task), tasks)
+        results = (pool.map if pool else map)(lambda task: scan(*task, task[2] == n_max), tasks)
         for done, ((prefix, _, _), result) in enumerate(zip(tasks, results), 1):
             for n, res in enumerate(result, len(prefix) + 1):
                 by_length[n].append(res)

@@ -349,7 +349,7 @@ def parse_letter_word(text: str, alphabet_size: int) -> tuple:
 
 
 def format_state_word(auto: Automaton, word: Sequence[int]) -> str:
-    return ".".join(auto.states[s] for s in check_state_word(auto, word))
+    return ".".join(map(auto.states.__getitem__, check_state_word(auto, word)))
 
 
 def parse_state_word(auto: Automaton, text: str) -> tuple:

@@ -32,7 +32,13 @@ from .automata import (
     section_word,
     validate,
 )
-from .hanoi import frame_stewart, frame_stewart_length, hanoi_automaton, replay_strategy
+from .hanoi import (
+    frame_stewart_length,
+    frame_stewart_moves,
+    generator_name,
+    hanoi_automaton,
+    replay_strategy,
+)
 from . import analysis
 from .analysis import (
     BudgetError,
@@ -198,10 +204,9 @@ def _cmd_wp(args) -> int:
     auto = _load_automaton(args)
     _require_invertible(auto)
     word = parse_state_word(auto, args.word)
-    closure = analysis.section_closure(auto, word)
-    trivial = analysis.is_identity(auto, word)
+    trivial, count, depth = analysis.word_problem(auto, word)
     verdict = "identity" if trivial else "non-identity"
-    _emit(args, f"{verdict} sections={closure.count} depth={closure.depth}\n")
+    _emit(args, f"{verdict} sections={count} depth={depth}\n")
     return 0 if trivial else 1
 
 
@@ -235,9 +240,11 @@ def _cmd_table(args) -> int:
         checkpoint = args.out + ".ckpt"
 
     def progress(row):
+        # closures=-: the row was read from the checkpoint and not scanned.
+        closures = "-" if row.closures is None else row.closures
         print(
             f"# n={row.n} depth={row.depth} theta={row.theta} "
-            f"words={row.words_examined} seconds={row.seconds:.6f}",
+            f"words={row.words_examined} closures={closures} seconds={row.seconds:.6f}",
             file=sys.stderr,
             flush=True,
         )
@@ -302,8 +309,11 @@ def _cmd_solve(args) -> int:
     if moves > MAX_MOVES:
         raise AutomatonError(f"{args.disks} disks take {moves} moves, more than {MAX_MOVES}")
     target = args.to_peg if args.to_peg is not None else pegs
-    names = frame_stewart(pegs, args.disks, args.from_peg, target)
-    word = auto.word_from_names(names)
+    pairs = frame_stewart_moves(pegs, args.disks, args.from_peg, target)
+    # Each peg pair is named and looked up once, in the order the word first
+    # uses it, so an unknown name fails as word_from_names would.
+    state_of = {pair: auto.state_index(generator_name(*pair)) for pair in dict.fromkeys(pairs)}
+    word = tuple(map(state_of.__getitem__, pairs))
     _emit(args, format_state_word(auto, word) + "\n")
     if args.verify:
         start = (args.from_peg,) * args.disks
@@ -319,7 +329,7 @@ def _cmd_solve(args) -> int:
             print(f"verify: final configuration {cfg} is not the target", file=sys.stderr)
             return 1
         print(
-            f"verify: {len(names)} moves take "
+            f"verify: {len(word)} moves take "
             f"{format_letter_word(start, pegs) or 'the empty tower'} to "
             f"{format_letter_word(goal, pegs) or 'itself'}",
             file=sys.stderr,

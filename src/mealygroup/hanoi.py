@@ -36,6 +36,7 @@ __all__ = [
     "solve_3peg",
     "frame_stewart",
     "frame_stewart_length",
+    "frame_stewart_moves",
     "replay_strategy",
     "restriction_as_smaller_hanoi",
 ]
@@ -217,6 +218,12 @@ def frame_stewart(pegs: int, disks: int, source: int = 1, target: int = None) ->
     count (dynamic program over splits).  Returns generator names,
     rightmost move first.
     """
+    return tuple(generator_name(i, j) for i, j in frame_stewart_moves(pegs, disks, source, target))
+
+
+def frame_stewart_moves(pegs: int, disks: int, source: int = 1, target: int = None) -> list:
+    """The moves of :func:`frame_stewart` as (from peg, to peg) pairs,
+    rightmost move first."""
     if pegs < 3:
         raise AutomatonError("the game needs at least 3 pegs")
     if disks < 0:
@@ -240,7 +247,7 @@ def frame_stewart(pegs: int, disks: int, source: int = 1, target: int = None) ->
             moves.append((a, b))
             return
         if len(pegset) == 3:
-            c = next(x for x in pegset if x not in (a, b))
+            c = sum(pegset) - a - b
             rec(pegset, k - 1, a, c)
             moves.append((a, b))
             rec(pegset, k - 1, c, b)
@@ -253,7 +260,7 @@ def frame_stewart(pegs: int, disks: int, source: int = 1, target: int = None) ->
 
     rec(tuple(range(1, pegs + 1)), disks, source, target)
     moves.reverse()
-    return tuple(generator_name(i, j) for i, j in moves)
+    return moves
 
 
 def restriction_as_smaller_hanoi(pegs: int, fixed: int) -> Automaton:

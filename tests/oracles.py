@@ -211,3 +211,51 @@ def dies_or_stays_machines(draw):
         nxt.append([0 if x in image else s for x in range(m)])
         out.append([image.get(x, x) + 1 for x in range(m)])
     return Automaton(m, ["e"] + [f"s{i}" for i in range(1, k + 1)], nxt, out)
+
+
+@st.composite
+def inverse_closed_machines(draw):
+    """A machine from :func:`invertible_machines` plus, for every state s,
+    a state ``s'`` that acts as s^-1: it emits the inverse of s's output
+    row, and on reading s(x) it moves to next(s, x)'.  The states come in a
+    drawn order."""
+    auto = draw(invertible_machines())
+    k, m = len(auto.states), auto.alphabet_size
+    nxt = [list(row) for row in auto._next]
+    out = [list(row) for row in auto._emit0]
+    for s in range(k):
+        inv_next, inv_out = [0] * m, [0] * m
+        for x, y in enumerate(auto._emit0[s]):
+            inv_next[y] = k + auto._next[s][x]
+            inv_out[y] = x
+        nxt.append(inv_next)
+        out.append(inv_out)
+    names = list(auto.states) + [f"{name}'" for name in auto.states]
+    order = draw(st.permutations(range(2 * k)))  # order[s]: the new index of state s
+    at = sorted(range(2 * k), key=order.__getitem__)  # at[i]: the state placed at i
+    return Automaton(
+        m,
+        [names[s] for s in at],
+        [[order[t] for t in nxt[s]] for s in at],
+        [[y + 1 for y in out[s]] for s in at],
+    )
+
+
+def reversal_classes(allowed, sigmas, iota, length):
+    """The words of ``length`` over ``allowed`` split into the classes that
+    the symmetries and w -> iota(reversed(w)) generate, by search from
+    each word not yet placed."""
+    seen = set()
+    for word in itertools.product(allowed, repeat=length):
+        if word in seen:
+            continue
+        seen.add(word)
+        members, todo = [word], [word]
+        while todo:
+            w = todo.pop()
+            for v in [tuple(sg[s] for s in w) for sg in sigmas] + [tuple(iota[s] for s in reversed(w))]:
+                if v not in seen:
+                    seen.add(v)
+                    members.append(v)
+                    todo.append(v)
+        yield members

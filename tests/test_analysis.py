@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +21,7 @@ from mealygroup import (
     fixing_threshold,
     hanoi_automaton,
     is_identity,
+    parse_automaton,
     render_growth_csv,
     render_threshold_csv,
     section_closure,
@@ -35,7 +38,9 @@ from mealygroup import analysis
 from mealygroup.analysis import (
     _canonical_prefixes,
     _depth_count,
+    _scan_lengths,
     automaton_symmetries,
+    inverse_states,
     orbit_count,
 )
 
@@ -62,6 +67,8 @@ def machine_and_word(draw, machines, max_len=4):
     states = st.integers(0, len(auto.states) - 1)
     return auto, tuple(draw(st.lists(states, max_size=max_len)))
 
+
+BASILICA = Path(__file__).parent.parent / "perfbench" / "basilica.txt"
 
 both_shapes = st.one_of(oracles.invertible_machines(), oracles.dies_or_stays_machines())
 
@@ -411,8 +418,11 @@ def test_survey_within_its_checkpoint_scans_nothing(tmp_path, ha4, monkeypatch):
     ck = tmp_path / "scan.ckpt"
     whole = survey(ha4, 4, checkpoint=ck)
     monkeypatch.setattr(analysis, "_scan_all", lambda *args: pytest.fail("scanned again"))
-    assert survey(ha4, 3, checkpoint=ck).rows == whole.rows[:3]
-    assert survey(ha4, 4, checkpoint=ck).rows == whole.rows
+    # Rows read back have every value but the closures, which no scan computed.
+    recorded = [dataclasses.replace(row, closures=None) for row in whole.rows]
+    assert all(row.closures for row in whole.rows)
+    assert list(survey(ha4, 3, checkpoint=ck).rows) == recorded[:3]
+    assert list(survey(ha4, 4, checkpoint=ck).rows) == recorded
 
 
 def test_survey_resumes_from_a_torn_checkpoint(tmp_path, ha4):
@@ -444,6 +454,122 @@ def test_survey_input_validation(ha4):
     broken = Automaton(2, ["s"], [[0, 0]], [[1, 1]])
     with pytest.raises(AutomatonError):
         survey(broken, 2)
+
+
+# A checkpoint of ``table --pegs 4 --max-n 4 --long-run`` from before the
+# scan counted closures apart from orbits.
+OLD_CHECKPOINT = """\
+{"fingerprint": "4ebd4fc94f8ea3dabb3c517e968386c9e8da3d83f3cddeb47bc32e49d52ba82a"}
+{"n": 1, "depth": 1, "depth_witness": [1], "theta": 2, "theta_witness": [1], "examined": 1, "orbits": 1, "seconds": 0.0007063010000365466}
+{"n": 2, "depth": 2, "depth_witness": [1, 6], "theta": 4, "theta_witness": [1, 2], "examined": 3, "orbits": 3, "seconds": 0.0007063010000365466}
+{"n": 3, "depth": 2, "depth_witness": [1, 1, 6], "theta": 8, "theta_witness": [1, 2, 6], "examined": 12, "orbits": 12, "seconds": 0.0007063010000365466}
+{"n": 4, "depth": 3, "depth_witness": [1, 2, 3, 6], "theta": 13, "theta_witness": [1, 2, 5, 6], "examined": 60, "orbits": 60, "seconds": 0.0007063010000365466}
+"""
+
+
+def test_an_older_checkpoint_resumes_unchanged(tmp_path, ha4):
+    ck = tmp_path / "scan.ckpt"
+    ck.write_text(OLD_CHECKPOINT)
+    resumed = survey(ha4, 6, checkpoint=ck)
+    lines = ck.read_text().splitlines(keepends=True)
+    assert "".join(lines[:5]) == OLD_CHECKPOINT
+    assert [json.loads(ln)["n"] for ln in lines[5:]] == [5, 6]
+    assert render_growth_csv(resumed, ha4) == render_growth_csv(survey(ha4, 6), ha4)
+    # The recorded rows keep their seconds; the scan that checked them
+    # counted their closures.
+    assert [row.seconds for row in resumed.rows[:4]] == [0.0007063010000365466] * 4
+    assert [row.closures for row in resumed.rows] == [1, 3, 12, 60, 336, 1030]
+
+
+def test_closures_at_the_last_length_take_one_word_per_reversed_pair(ha4):
+    for jobs in (1, 2):
+        rows = survey(ha4, 8, jobs=jobs).rows
+        assert [row.words_examined for row in rows] == [1, 3, 12, 60, 336, 1968, 11712, 70080]
+        assert [row.closures for row in rows] == [1, 3, 12, 60, 336, 1968, 11712, 35312]
+
+
+@settings(max_examples=60, deadline=None)
+@given(auto=both_shapes, reversal=st.booleans(), symmetry=st.booleans())
+def test_words_examined_is_the_orbit_count(auto, reversal, symmetry):
+    report = survey(auto, 4, symmetry=symmetry, reversal=reversal)
+    allowed = [s for s in range(len(auto.states)) if s not in auto._trivials]
+    sigmas = automaton_symmetries(auto) if symmetry else (tuple(range(len(auto.states))),)
+    orbits = [orbit_count(allowed, sigmas, n) for n in range(1, 5)]
+    column = [int(line.split(",")[-2]) for line in render_growth_csv(report, auto).splitlines()[1:]]
+    assert [row.words_examined for row in report.rows] == column == orbits
+
+
+# --- the reversal test ------------------------------------------------------
+
+
+def test_inverse_states_is_the_identity_on_hanoi_and_none_on_basilica():
+    for pegs in range(3, 7):
+        assert inverse_states(hanoi_automaton(pegs)) == tuple(range(pegs * (pegs - 1) // 2 + 1))
+    assert inverse_states(parse_automaton(BASILICA.read_text())) is None
+
+
+def values_to(auto, n_max, **options):
+    """Depth, theta and witnesses of every row of surveys to each bound up
+    to ``n_max``: the reversal test applies to the last length only."""
+    return [
+        (r.depth, r.depth_witness, r.theta, r.theta_witness)
+        for n in range(1, n_max + 1)
+        for r in survey(auto, n, **options).rows[-1:]
+    ]
+
+
+@pytest.mark.parametrize("pegs", [3, 4, 5])
+def test_reversal_keeps_every_value_on_hanoi(pegs):
+    auto = hanoi_automaton(pegs)
+    assert values_to(auto, 6) == values_to(auto, 6, reversal=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(auto=oracles.inverse_closed_machines(), symmetry=st.booleans())
+def test_reversal_keeps_every_value_on_inverse_closed_machines(auto, symmetry):
+    iota = inverse_states(auto)
+    assert iota is not None
+    for s in range(len(auto.states)):
+        assert all(
+            apply(auto, (iota[s], s), v) == v for v in oracles.all_letter_words(auto.alphabet_size, 3)
+        )
+    assert values_to(auto, 6, symmetry=symmetry) == values_to(
+        auto, 6, symmetry=symmetry, reversal=False
+    )
+
+
+def visited_words(auto, n):
+    """The words of length ``n`` that the reference scan to ``n`` computes
+    a closure for, with the reversal test."""
+    k = len(auto.states)
+    allowed = tuple(s for s in range(k) if s not in auto._trivials)
+    group = tuple(sg for sg in automaton_symmetries(auto) if sg != tuple(range(k)))
+    visited = set()
+    stats = lambda word: visited.add(tuple(word)) or (0, 0)
+    _scan_lengths(allowed, stats, group, inverse_states(auto), (), group, n, True)
+    return allowed, {word for word in visited if len(word) == n}
+
+
+@pytest.mark.parametrize("pegs, n_max", [(3, 6), (4, 6), (5, 3)])
+def test_every_reversal_class_has_a_visited_word(pegs, n_max):
+    auto = hanoi_automaton(pegs)
+    sigmas = automaton_symmetries(auto)
+    for n in range(1, n_max + 1):
+        allowed, visited = visited_words(auto, n)
+        # iota is the identity, which commutes with every symmetry, so a
+        # class is one orbit or two, and the test leaves one word of each.
+        for members in oracles.reversal_classes(allowed, sigmas, inverse_states(auto), n):
+            assert len(visited & set(members)) == 1, members[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(auto=oracles.inverse_closed_machines())
+def test_every_reversal_class_has_a_visited_word_on_inverse_closed_machines(auto):
+    sigmas = automaton_symmetries(auto)
+    for n in range(1, 5):
+        allowed, visited = visited_words(auto, n)
+        for members in oracles.reversal_classes(allowed, sigmas, inverse_states(auto), n):
+            assert visited & set(members), members[0]
 
 
 def test_growth_csv_shape(ha4):

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from mealygroup import analysis, hanoi_automaton, parse_automaton
+from mealygroup import analysis, format_state_word, frame_stewart, hanoi_automaton, parse_automaton
 from mealygroup import _kernel, cli
 from mealygroup.cli import main
 from mealygroup.hanoi import MAX_PEGS
@@ -178,7 +178,7 @@ def test_fault_in_a_threaded_round_stops_it_with_one_line(monkeypatch, fault, co
     def slowed(*args):
         scan = real(*args)
 
-        def slow_scan(prefix, active, n):
+        def slow_scan(prefix, active, n, reversal):
             with lock:
                 first = not started
                 started.append((prefix, n, threading.current_thread() is threading.main_thread()))
@@ -186,7 +186,7 @@ def test_fault_in_a_threaded_round_stops_it_with_one_line(monkeypatch, fault, co
                 fault()
             else:
                 time.sleep(0.05)
-            return scan(prefix, active, n)
+            return scan(prefix, active, n, reversal)
 
         return slow_scan
 
@@ -399,7 +399,7 @@ def test_kernel_out_of_memory_exits_2_with_one_line(monkeypatch):
     assert (code, out) == (2, "")
     assert err == "error: the compiled kernel ran out of memory\n"
 
-    def starved_scan(prefix, active, n):
+    def starved_scan(prefix, active, n, reversal):
         raise MemoryError  # as Python raises it: no message
 
     monkeypatch.setattr(_kernel, "compiled_scan", lambda *args: starved_scan)
@@ -460,6 +460,16 @@ def test_solve_four_pegs_verified():
     assert code == 0
     assert len(out.strip().split(".")) == 13
     assert "11111 to 44444" in err
+
+
+@pytest.mark.parametrize("pegs, disks", [(3, 1), (3, 4), (3, 9), (4, 2), (4, 7), (4, 12), (5, 10)])
+def test_solve_prints_the_frame_stewart_names(pegs, disks):
+    auto = hanoi_automaton(pegs)
+    names = frame_stewart(pegs, disks)
+    expected = format_state_word(auto, auto.word_from_names(names)) + "\n"
+    code, out, err = run_cli("solve", "--pegs", str(pegs), "--disks", str(disks), "--verify")
+    assert (code, out) == (0, expected)
+    assert f"verify: {len(names)} moves take " in err
 
 
 def test_solve_zero_disks():

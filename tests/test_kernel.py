@@ -39,9 +39,15 @@ from mealygroup.analysis import (
     _scan_lengths,
     _walk_record,
     automaton_symmetries,
+    inverse_states,
 )
 from mealygroup.cli import main
-from oracles import brute_depth_and_count, dies_or_stays_machines, invertible_machines
+from oracles import (
+    brute_depth_and_count,
+    dies_or_stays_machines,
+    inverse_closed_machines,
+    invertible_machines,
+)
 
 BASILICA = Path(__file__).parent.parent / "perfbench" / "basilica.txt"
 
@@ -59,28 +65,37 @@ def twins(auto, n_max, exclude_trivial=True, symmetry=True):
     allowed = tuple(s for s in range(k) if s not in trivials)
     sigmas = automaton_symmetries(auto) if symmetry else (identity,)
     sigmas = tuple(sg for sg in sigmas if sg != identity)
-    compiled = _kernel.compiled_scan(auto._next, auto._emit0, allowed, n_max)
+    iota = inverse_states(auto)
+    compiled = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max)
     assert compiled is not None, "the kernel failed to build or load"
     # Every prefix length re-scans the same words: the walk runs once per word.
     walk = functools.lru_cache(maxsize=None)(functools.partial(_depth_count, auto))
     stats = lambda word: walk(tuple(word))
-    return allowed, sigmas, compiled, functools.partial(_scan_lengths, allowed, stats)
+    return allowed, sigmas, compiled, functools.partial(_scan_lengths, allowed, stats, sigmas, iota)
 
 
 def assert_parity(auto, n_max, max_prefix, **options):
     """The compiled scan against the reference, length by length, below
     the empty word (the survey's first task) and every canonical prefix of
     up to ``max_prefix`` letters, to every bound from one past the prefix
-    (n = 1 below the empty word) up to ``n_max``."""
+    (n = 1 below the empty word) up to ``n_max``, without the reversal test
+    and, when the machine has an inverse_states map, with it."""
     allowed, sigmas, compiled, reference = twins(auto, n_max, **options)
+    mirrored = inverse_states(auto) is not None
     for p in range(min(n_max - 1, max_prefix) + 1):
         for prefix, active in _canonical_prefixes(allowed, sigmas, p):
-            # The reference scans each length on its own, so its results to
-            # a shorter bound are the first ones of these.
+            # Without the reversal test the reference scans each length on
+            # its own, so its results to a shorter bound are the first ones
+            # of these.
             whole = reference(prefix, active, n_max)
             assert len(whole) == n_max - p
             for n in range(p + 1, n_max + 1):
                 assert compiled(prefix, active, n) == whole[: n - p], (n, prefix)
+                # The reversal test reads the last length of a call, so each
+                # bound is compared with the reference run to that bound.
+                if mirrored:
+                    expected = reference(prefix, active, n, True)
+                    assert compiled(prefix, active, n, True) == expected, (n, prefix)
 
 
 @requires_cc
@@ -113,6 +128,14 @@ def test_kernel_matches_reference_on_random_machines(auto, exclude_trivial, symm
 
 
 @requires_cc
+@settings(max_examples=20, deadline=None)
+@given(auto=inverse_closed_machines(), symmetry=st.booleans())
+def test_kernel_matches_reference_on_inverse_closed_machines(auto, symmetry):
+    # Machines whose inverse_states map is not the identity.
+    assert_parity(auto, 4, 1, symmetry=symmetry)
+
+
+@requires_cc
 def test_compiled_scan_takes_only_lengths_past_its_prefix(ha4):
     allowed, sigmas, compiled, _ = twins(ha4, 3)
     for prefix, n in [((1,), 1), ((), 0), ((), 4)]:
@@ -128,7 +151,7 @@ def csv_of(auto, n_max, **options):
 def test_missing_compiler_falls_back_to_the_same_rows(monkeypatch, ha4):
     compiled_rows = csv_of(ha4, 5)
     monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
-    assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), 5) is None
+    assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), (), None, 5) is None
     assert csv_of(ha4, 5) == compiled_rows
 
     # The Python scan holds the GIL: at jobs=2 it runs serially, on no pool.
@@ -148,7 +171,7 @@ def test_compiled_scans_on_two_threads_match_their_serial_results():
     def job(auto, n_max):
         allowed, sigmas, compiled, _ = twins(auto, n_max)
         return lambda: [compiled((), sigmas, 1), compiled((), sigmas, 2)] + [
-            compiled(prefix, active, n_max)
+            compiled(prefix, active, n_max, True)
             for prefix, active in _canonical_prefixes(allowed, sigmas, 2)
         ]
 
@@ -174,10 +197,10 @@ def test_many_state_machine_scans_in_the_kernel_with_the_reference_rows(monkeypa
     nxt = [[1, 2], [0, 2]] + [[2 + i] * 2 for i in range(pad)]
     out = [[1, 2], [2, 1]] + [[1, 2]] * pad
     auto = Automaton(2, names, nxt, out)
-    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), 7) is not None
+    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), (), None, 7) is not None
     compiled = survey(auto, 7, symmetry=False).rows
     monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
-    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), 7) is None
+    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), (), None, 7) is None
     reference = survey(auto, 7, symmetry=False).rows
     strip = lambda rows: [(r.depth, r.depth_witness, r.theta, r.theta_witness, r.words_examined)
                           for r in rows]
@@ -192,7 +215,7 @@ def test_unusable_cache_directory_gives_no_kernel(tmp_path, monkeypatch, ha4):
     (open_dir / "mealygroup").chmod(0o777)
     for cache in (blocker, open_dir):
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-        assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), 4) is None
+        assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), (), None, 4) is None
     assert not list((open_dir / "mealygroup").iterdir())
 
 
@@ -331,6 +354,26 @@ def test_a_compiled_threshold_is_one_kernel_call(ha4, monkeypatch):
     word = tuple(random.Random(1).choices(range(1, 7), k=32))
     assert fixing_threshold(ha4, word) == _period_threshold(_walk_record(ha4, word), 4)
     assert calls == ["mg_threshold"]
+
+
+@requires_cc
+def test_wp_is_one_kernel_call(ha4, monkeypatch):
+    kernel = analysis._closure_kernel(ha4)
+    lib, calls = kernel._lib, []
+
+    class Counting:
+        def __getattr__(self, name):
+            fn = getattr(lib, name)
+            return lambda *args: calls.append(name) or fn(*args)
+
+    names = "a(1,2).a(3,4).a(1,3).a(1,2).a(3,4).a(1,3)"
+    closure = section_closure(ha4, ha4.word_from_names(names.split(".")))
+    monkeypatch.setattr(kernel, "_lib", Counting())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["wp", "--pegs", "4", "--word", names]) == 1
+    assert out.getvalue() == f"non-identity sections={closure.count} depth={closure.depth}\n"
+    assert calls == ["mg_closure", "mg_closure_free"]
 
 
 @requires_cc
