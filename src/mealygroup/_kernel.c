@@ -20,11 +20,16 @@
  * length come in the order the Python scan of that length visits them, and
  * a witness is replaced only on a strictly better value: closures computed
  * and witnesses equal those of the Python scan, length by length.  Given
- * iota, the scan also passes over a word of its last length when some map
- * t = sigma o iota, sigma in the group or the identity, makes
- * t(reversed(word)) lex-smaller: that word has the same depth and count
- * (the argument is in survey's docstring), and the rule is the Python
- * scan's too.
+ * one mask per state of the states that commute with it, the DFS carries
+ * the set f of states that may not come next: after appending c it is
+ * comm[c] & (f | {a : a < c}).  The words that f lets through are the
+ * lex-least of their classes under swaps of adjacent commuting states, and
+ * the rule is closed under prefixes, so it prunes whole subtrees.  Given iota, the scan also
+ * passes over a word of its last length when some map t = sigma o iota,
+ * sigma in the group or the identity, makes t(reversed(word)) lex-smaller.
+ * Words either rule leaves out have the depth and count of one it keeps
+ * (the arguments are in survey's docstring), and both rules are the
+ * Python scan's too.
  *
  * mg_closure is the closure record of one word that the queries read (the
  * Python walk in _walk_record is its twin).  mg_threshold is
@@ -62,6 +67,7 @@ typedef struct {
     int k, m, n, na, ng;
     int64_t budget;
     const int32_t *nxt, *emit, *allowed, *group;
+    const uint64_t *comm; /* per state, the states that commute with it, or NULL */
     int32_t *active;   /* per DFS level, indices into group of the symmetries still tying */
     /* The reversal test, when twin is not NULL: twin holds the maps
      * sigma o iota (the identity first, then each of group), k entries each;
@@ -227,17 +233,28 @@ static int reversal_smaller(const Scan *sc)
     return 0;
 }
 
+/* The forbidden set after appending s to a word whose set is f: the
+ * states a that commute with s and are smaller than s or already
+ * forbidden (the commutation rule of analysis._canonical_words). */
+static uint64_t forbid(const Scan *sc, uint64_t f, int s)
+{
+    return sc->comm ? sc->comm[s] & (f | ((1ULL << s) - 1)) : 0;
+}
+
 /* Canonical DFS below word[0..depth), whose closure automaton is
- * lv[depth], down to length n, with the _extend_active rule: a symmetry
- * mapping the next state lower prunes it, one mapping it to itself keeps
- * tying.  Every word it reaches is recorded, except a word of length n
- * that the reversal test passes over; a leaf keeps no automaton. */
-static int rec(Scan *sc, int depth, const int32_t *active, int nact)
+ * lv[depth] and whose forbidden set is f, down to length n.  A state in f
+ * is pruned, and so, by the _extend_active rule, is a state that a
+ * symmetry maps lower; one mapping it to itself keeps tying.  Every word
+ * it reaches is recorded, except a word of length n that the reversal
+ * test passes over; a leaf keeps no automaton. */
+static int rec(Scan *sc, int depth, const int32_t *active, int nact, uint64_t f)
 {
     int32_t *sub = sc->active + (size_t)(depth + 1) * sc->ng;
     for (int a = 0; a < sc->na; a++) {
         int s = sc->allowed[a], keep = 0, canonical = 1, rc;
         int64_t d, t;
+        if (sc->comm && f >> s & 1)
+            continue;
         for (int j = 0; j < nact; j++) {
             int c = sc->group[(size_t)active[j] * sc->k + s];
             if (c < s) {
@@ -256,7 +273,7 @@ static int rec(Scan *sc, int depth, const int32_t *active, int nact)
         if ((rc = extend(sc, &sc->lv[depth], s, out, &d, &t)))
             return rc;
         record(sc, depth + 1, d, t);
-        if (out && (rc = rec(sc, depth + 1, sub, keep)))
+        if (out && (rc = rec(sc, depth + 1, sub, keep, forbid(sc, f, s))))
             return rc;
     }
     return 0;
@@ -265,7 +282,9 @@ static int rec(Scan *sc, int depth, const int32_t *active, int nact)
 /* Scan every canonical word of each length L = np+1 .. n (n <= MAXN)
  * extending prefix[0..np).  group holds ng symmetries, k entries each, and
  * active the indices of the ns of them still tying on the prefix.  With
- * iota (k entries) not NULL, words of length n pass the reversal test.
+ * comm (k <= 64 masks) not NULL, words pass the commutation rule too, its
+ * forbidden set rebuilt along the prefix; with iota (k entries) not NULL,
+ * words of length n pass the reversal test.
  * Length L has index i = L - np - 1 in the outputs: closures computed in
  * examined[i], best depth in best[2i], best count in best[2i+1], and their
  * witnesses in witness[2ni .. 2ni+L) and witness[2ni+n .. 2ni+n+L).  The
@@ -274,19 +293,20 @@ static int rec(Scan *sc, int depth, const int32_t *active, int nact)
  * closure passes `budget` sections (outputs are then meaningless). */
 int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const int32_t *allowed,
             int n, int np, const int32_t *prefix, int ng, const int32_t *group, int ns,
-            const int32_t *active, const int32_t *iota, int64_t budget, uint64_t *examined,
-            int64_t *best, int32_t *witness)
+            const int32_t *active, const int32_t *iota, const uint64_t *comm, int64_t budget,
+            uint64_t *examined, int64_t *best, int32_t *witness)
 {
     Scan sc = {
         .k = k, .m = m, .n = n, .na = na, .ng = ng,
         .budget = budget < INT32_MAX ? budget : INT32_MAX, /* node indices are int32 */
-        .nxt = nxt, .emit = emit, .allowed = allowed, .group = group,
+        .nxt = nxt, .emit = emit, .allowed = allowed, .group = group, .comm = comm,
         .first = np + 1, .examined = examined, .best = best, .witness = witness,
     };
     int64_t d, t;
+    uint64_t f = 0;
     int rc = -1;
 
-    if (np < 0 || np >= n || n > MAXN || ns > ng)
+    if (np < 0 || np >= n || n > MAXN || ns > ng || (comm && k > 64))
         return -1;
     for (int i = 0; i < n - np; i++) {
         examined[i] = 0;
@@ -299,10 +319,12 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const
         goto done;
     memcpy(sc.active + (size_t)np * ng, active, ns * sizeof *active);
     memcpy(sc.word, prefix, np * sizeof *prefix);
-    for (int i = 0; i < np; i++)
+    for (int i = 0; i < np; i++) {
         if ((rc = extend(&sc, &sc.lv[i], prefix[i], &sc.lv[i + 1], &d, &t)))
             goto done;
-    rc = rec(&sc, np, sc.active + (size_t)np * ng, ns);
+        f = forbid(&sc, f, prefix[i]);
+    }
+    rc = rec(&sc, np, sc.active + (size_t)np * ng, ns, f);
 done:
     for (int i = 0; i < n; i++)
         free(sc.lv[i].ch);

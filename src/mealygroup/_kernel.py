@@ -75,7 +75,7 @@ class _ClosureOut(ctypes.Structure):
 
 _SIGNATURES = {
     "mg_scan": (ctypes.c_int, [_I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32, _I32P,
-                               _I32, _I32P, _I32, _I32P, _I32P, _I64, _U64P,
+                               _I32, _I32P, _I32, _I32P, _I32P, _U64P, _I64, _U64P,
                                ctypes.POINTER(_I64), _I32P]),
     "mg_closure": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
                                   ctypes.c_char_p, _I64, ctypes.POINTER(_ClosureOut)]),
@@ -130,7 +130,7 @@ def _tables(nxt, emit0):
     return [(_I32 * (len(t) * len(t[0])))(*itertools.chain.from_iterable(t)) for t in (nxt, emit0)]
 
 
-def compiled_scan(nxt, emit0, allowed, group, iota, n_max):
+def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None):
     """A twin of ``analysis._scan_lengths`` with the closure statistics of
     ``analysis._depth_count`` bound in: ``scan(prefix, active, n,
     reversal=False)`` for ``len(prefix) < n <= n_max`` returns one
@@ -141,9 +141,11 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max):
     the identity and ``active`` the members of it still tying on the
     prefix.  With ``reversal`` and an ``iota`` (see
     ``analysis.inverse_states``), words of length ``n`` pass the reversal
-    test of ``analysis._scan_exact``.  A section count includes the word
-    itself.  None when the kernel cannot be loaded or ``n_max`` is past the
-    kernel's longest word (64)."""
+    test of ``analysis._scan_exact``.  With the masks ``comm`` of
+    ``analysis.commuting_states``, words of every length pass the
+    commutation rule of ``analysis._canonical_words``.  A section count
+    includes the word itself.  None when the kernel cannot be loaded or
+    ``n_max`` is past the kernel's longest word (64)."""
     if n_max > _MAXN:
         return None
     lib = _library()
@@ -156,6 +158,7 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max):
     sigmas = (_I32 * (len(group) * k))(*itertools.chain.from_iterable(group))
     position = {sg: i for i, sg in enumerate(group)}
     mirror = None if iota is None else (_I32 * k)(*iota)
+    masks = None if comm is None else (ctypes.c_uint64 * k)(*comm)
 
     def scan(prefix, active, n, reversal=False):
         np = len(prefix)
@@ -166,7 +169,7 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max):
         examined, best = (ctypes.c_uint64 * lengths)(), (_I64 * (2 * lengths))()
         witness = (_I32 * (2 * n * lengths))()
         _check(fn(k, m, *tables, len(allowed), states, n, np, (_I32 * np)(*prefix),
-                  len(group), sigmas, len(active), tying, mirror if reversal else None,
+                  len(group), sigmas, len(active), tying, mirror if reversal else None, masks,
                   SECTION_BUDGET, examined, best, witness))
         results = []
         for i, length in enumerate(range(np + 1, n + 1)):

@@ -9,17 +9,18 @@ trivially -- which is the decision procedure behind :func:`is_identity`.
 
 The survey enumerates all words up to a length bound and reports, per
 length, the maximum depth and the maximum number of sections together
-with witnesses.  Three value-preserving reductions keep this tractable:
+with witnesses.  Four value-preserving reductions keep this tractable:
 words containing do-nothing states are skipped (inserting such a state
 changes neither depth nor section count), only the lexicographically
 least representative of each orbit under the machine's letter-relabeling
-automorphisms is examined, and at the longest length a word is passed
-over when a relabeled mirror image of it that acts as its inverse is
-lex-smaller (:func:`inverse_states`).  One canonical DFS to the longest
-length gives every length's maxima, since each word it reaches counts
-toward its own length.  Worker threads split that DFS by canonical
-prefix; results merge per length by a max-value / lex-least-witness rule,
-so output is identical for any worker count.
+automorphisms is examined, only the lex-least order of adjacent
+commuting states is (:func:`commuting_states`), and at the longest
+length a word is passed over when a relabeled mirror image of it that
+acts as its inverse is lex-smaller (:func:`inverse_states`).  One
+canonical DFS to the longest length gives every length's maxima, since
+each word it reaches counts toward its own length.  Worker threads split
+that DFS by canonical prefix; results merge per length by a max-value /
+lex-least-witness rule, so output is identical for any worker count.
 
 Every closure question -- depth, section count, the word problem, fixing
 thresholds -- reads one closure record of the word: its sections in
@@ -88,6 +89,7 @@ __all__ = [
     "render_growth_csv",
     "automaton_symmetries",
     "inverse_states",
+    "commuting_states",
     "orbit_count",
     "strict_log2",
     "threshold_bound",
@@ -477,6 +479,32 @@ def _unset(iota, owner, states):
         iota[s] = None
 
 
+def commuting_states(auto: Automaton, allowed: Sequence[int]) -> Optional[tuple]:
+    """Per state, the bitmask of the states in ``allowed`` that commute
+    with it; None when none do or the machine has more than 64 states.
+    p and q commute when for every letter x, p(q(x)) = q(p(x)),
+    next(p, q(x)) = next(p, x), next(q, p(x)) = next(q, x), and the
+    sections next(p, x), next(q, x) are equal, do-nothing or commute: the
+    largest such relation, by dropping failing pairs until none fails."""
+    k, nxt, emit0, trivials = len(auto.states), auto._next, auto._emit0, auto._trivials
+    if k > 64:
+        return None
+    letters = range(auto.alphabet_size)
+    pairs = {
+        (p, q) for p in allowed for q in allowed
+        if p != q and all(emit0[p][emit0[q][x]] == emit0[q][emit0[p][x]]
+                          and nxt[p][emit0[q][x]] == nxt[p][x] and nxt[q][emit0[p][x]] == nxt[q][x]
+                          for x in letters)
+    }
+    fine = lambda p, q: p == q or p in trivials or q in trivials or (p, q) in pairs
+    while bad := {(p, q) for p, q in pairs if not all(fine(nxt[p][x], nxt[q][x]) for x in letters)}:
+        pairs -= bad
+    masks = [0] * k
+    for p, q in pairs:
+        masks[p] |= 1 << q
+    return tuple(masks) if pairs else None
+
+
 def orbit_count(allowed: Sequence[int], sigmas: Sequence[tuple], length: int) -> int:
     """Number of orbits of length-``length`` words over ``allowed`` states
     under the given permutation group, by averaging fixed-point counts."""
@@ -546,27 +574,36 @@ def _extend_active(active, s):
     return keep
 
 
-def _canonical_words(allowed, prefix, active, n):
+def _forbid(comm, forbid, s):
+    """The forbidden set once s is appended to a word whose set is
+    ``forbid`` (``mg_scan``'s rule): no state may end a factor b u a with
+    a < b and a commuting with b and with all of u."""
+    return comm[s] & (forbid | ((1 << s) - 1)) if comm else 0
+
+
+def _canonical_words(allowed, prefix, active, n, comm=None):
     """Every canonical word of length ``n`` that extends ``prefix``, in
-    ``allowed`` order, with the symmetries still tying on it.  The word is
-    one list that the walk goes on changing; copy it to keep it."""
+    ``allowed`` order, with the symmetries still tying on it; with the
+    masks ``comm`` of :func:`commuting_states`, only words that are the
+    lex-least order of their commuting letters.  The word is one list that
+    the walk goes on changing; copy it to keep it."""
     word = list(prefix)
 
-    def rec(active):
+    def rec(active, forbid):
         if len(word) == n:
             yield word, active
             return
         for s in allowed:
-            sub = _extend_active(active, s)
+            sub = None if forbid >> s & 1 else _extend_active(active, s)
             if sub is not None:
                 word.append(s)
-                yield from rec(sub)
+                yield from rec(sub, _forbid(comm, forbid, s))
                 word.pop()
 
-    return rec(list(active))
+    return rec(list(active), functools.reduce(functools.partial(_forbid, comm), prefix, 0))
 
 
-def _scan_exact(allowed, stats, prefix, active, n, twins=()):
+def _scan_exact(allowed, stats, prefix, active, n, twins=(), comm=None):
     """Visit every canonical word of length exactly ``n`` extending
     ``prefix``, except a word w for which some map t in ``twins`` makes
     t(reversed(w)) lex-smaller than w (the reversal test, see
@@ -575,7 +612,7 @@ def _scan_exact(allowed, stats, prefix, active, n, twins=()):
     examined = 0
     best_d = best_t = -1
     best_dw = best_tw = None
-    for word, _ in _canonical_words(allowed, prefix, active, n):
+    for word, _ in _canonical_words(allowed, prefix, active, n, comm):
         if any(t[word[-1]] <= word[0] and [t[s] for s in reversed(word)] < word for t in twins):
             continue
         d, t = stats(word)
@@ -587,26 +624,26 @@ def _scan_exact(allowed, stats, prefix, active, n, twins=()):
     return examined, best_d, best_dw, best_t, best_tw
 
 
-def _scan_lengths(allowed, stats, group, iota, prefix, active, n, reversal=False):
+def _scan_lengths(allowed, stats, group, iota, prefix, active, n, reversal=False, *, comm=None):
     """:func:`_scan_exact` at each length ``len(prefix) + 1 .. n``: the
     reference twin of ``_kernel.compiled_scan``.  With ``reversal`` and an
     ``iota``, the words of length ``n`` pass the reversal test with the
     maps sigma o iota for sigma in ``group`` (the symmetries without the
-    identity) and the identity."""
+    identity) and the identity.  ``comm`` as in :func:`_canonical_words`."""
     twins = ()
     if reversal and iota is not None:
         twins = (iota, *(tuple(sg[s] for s in iota) for sg in group))
     return tuple(
-        _scan_exact(allowed, stats, prefix, active, length, twins if length == n else ())
+        _scan_exact(allowed, stats, prefix, active, length, twins if length == n else (), comm)
         for length in range(len(prefix) + 1, n + 1)
     )
 
 
-def _canonical_prefixes(allowed, sigmas, length):
+def _canonical_prefixes(allowed, sigmas, length, comm=None):
     """Canonical words of ``length`` with the symmetries still tying on them."""
     return [
         (tuple(word), tuple(active))
-        for word, active in _canonical_words(allowed, (), sigmas, length)
+        for word, active in _canonical_words(allowed, (), sigmas, length, comm)
     ]
 
 
@@ -672,6 +709,7 @@ def survey(
     exclude_trivial: bool = True,
     symmetry: bool = True,
     reversal: bool = True,
+    commutation: bool = True,
     jobs: int = 1,
     long_run: bool = False,
     checkpoint=None,
@@ -701,6 +739,18 @@ def survey(
     best value, u = w, so the witnesses stay the same.  A word shorter than
     ``n_max`` is a prefix the DFS goes on from, so it is never passed over;
     the scan counts only the closures it computes (``closures``).
+
+    ``commutation`` prunes the DFS with :func:`commuting_states`.  When p
+    and q commute, the sections of ...qp... are those of ...pq... with two
+    positions swapped (equal, do-nothing or commuting states again), so
+    both words have the same depth and count.  A word is the lex-least of
+    its class under such swaps iff it has no factor b u a with a < b and a
+    commuting with b and all of u (Anisimov and Knuth, 1979); the DFS keeps
+    the states that would end such a factor and never appends one.  The
+    lex-least word u of a class under symmetries, swaps and, at ``n_max``,
+    iota o reversed passes all three tests (prefixes of a lex-least word
+    are lex-least), and the whole class has u's depth and count, so the
+    values and witnesses stay as above.
 
     ``jobs`` > 1 splits the scan by canonical prefix across threads that
     run the compiled scan; the Python scan runs serially.  Results are
@@ -737,6 +787,7 @@ def survey(
     identity = tuple(range(len(auto.states)))
     sigmas = tuple(sg for sg in sigmas_all if sg != identity)
     iota = inverse_states(auto) if reversal else None
+    comm = commuting_states(auto, allowed) if commutation else None
 
     # n_max stays out of the fingerprint: per-length rows from a shorter or
     # interrupted run remain valid when the bound is raised.
@@ -754,16 +805,16 @@ def survey(
     # n_max <= 64.  It releases the GIL in each kernel call and keeps no
     # state between calls, so threads scan prefixes in parallel.  The
     # Python scan, its reference, holds the GIL and runs serially.
-    scan = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max)
+    scan = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max, comm)
     if scan is None:
         stats = functools.partial(_depth_count, auto)
-        scan = functools.partial(_scan_lengths, allowed, stats, sigmas, iota)
+        scan = functools.partial(_scan_lengths, allowed, stats, sigmas, iota, comm=comm)
         jobs = 1
 
     scanned, closures = {}, {}
     if any(n not in done for n in range(1, n_max + 1)):
         t0 = time.perf_counter()
-        merged = _scan_all(scan, allowed, sigmas, jobs, n_max)
+        merged = _scan_all(scan, allowed, sigmas, comm, jobs, n_max)
         seconds = time.perf_counter() - t0
         for n, (computed, d, dw, t, tw) in merged.items():
             closures[n] = computed
@@ -822,7 +873,7 @@ def _values(rec):
     return {key: value for key, value in rec.items() if key != "seconds"}
 
 
-def _scan_all(scan, allowed, sigmas, jobs, n_max):
+def _scan_all(scan, allowed, sigmas, comm, jobs, n_max):
     """Merged ``(closures computed, best depth, witness, best count,
     witness)`` of every length 1 .. ``n_max``, from one canonical DFS split
     into tasks by prefix: one task scans lengths 1 .. split below the empty
@@ -834,8 +885,8 @@ def _scan_all(scan, allowed, sigmas, jobs, n_max):
     Every :data:`TASK_REPORT_SECONDS` at most, the tasks done so far are
     reported on stderr."""
     t0 = last = time.perf_counter()
-    split = _choose_split(allowed, sigmas, jobs, n_max) if allowed else 0
-    tasks = [(p, active, n_max) for p, active in _canonical_prefixes(allowed, sigmas, split)]
+    split = _choose_split(allowed, sigmas, comm, jobs, n_max) if allowed else 0
+    tasks = [(p, active, n_max) for p, active in _canonical_prefixes(allowed, sigmas, split, comm)]
     if split:
         tasks.insert(0, ((), sigmas, split))
     by_length = {n: [] for n in range(1, n_max + 1)}
@@ -858,11 +909,11 @@ def _scan_all(scan, allowed, sigmas, jobs, n_max):
     return {n: _merge_round(found) for n, found in by_length.items()}
 
 
-def _choose_split(allowed, sigmas, jobs, n):
+def _choose_split(allowed, sigmas, comm, jobs, n):
     target = 8 * jobs
     cap = min(4, n - 1)
     for length in range(1, cap + 1):
-        if len(_canonical_prefixes(allowed, sigmas, length)) >= target:
+        if len(_canonical_prefixes(allowed, sigmas, length, comm)) >= target:
             return length
     return cap
 

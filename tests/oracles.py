@@ -259,3 +259,71 @@ def reversal_classes(allowed, sigmas, iota, length):
                     members.append(v)
                     todo.append(v)
         yield members
+
+
+@st.composite
+def commuting_machines(draw):
+    """Small invertible machines of the Hanoi shape in which some states
+    commute.  State s permutes the letters of its support, which is
+    disjoint from some others' or overlaps them, and drops to the
+    do-nothing state ``e`` there; on any other letter it passes the letter
+    on and moves to itself or to an involution.  A state that is no
+    involution, such as a 3-cycle, comes with a separate state that acts
+    as its inverse, so iota is not the identity.  The states come in a
+    drawn order."""
+    m = draw(st.integers(4, 5))
+    perms = []
+    for _ in range(draw(st.integers(2, 4))):
+        support = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=3, unique=True))
+        perms.append(dict(zip(support, draw(st.permutations(support)))))
+    drawn = len(perms)
+    involutions = [i + 1 for i, p in enumerate(perms) if all(p[p[x]] == x for x in p)]
+    # State s stands for perms[s - 1], and a separate inverse comes after the drawn states.
+    inverse = {}
+    for s in range(1, drawn + 1):
+        if s not in involutions:
+            inverse[s] = len(perms) + 1
+            perms.append({y: x for x, y in perms[s - 1].items()})
+    states = len(perms) + 1
+    stay = [0] * states
+    for s in range(1, drawn + 1):
+        stay[s] = draw(st.sampled_from([s] + involutions))
+    for s, t in inverse.items():
+        stay[t] = t if stay[s] == s else stay[s]
+    nxt = [[0] * m] + [[0 if x in perms[s - 1] else stay[s] for x in range(m)] for s in range(1, states)]
+    out = [list(range(m))] + [[perms[s - 1].get(x, x) for x in range(m)] for s in range(1, states)]
+    names = ["e"] + [f"s{s}" for s in range(1, states)]
+    order = draw(st.permutations(range(states)))  # order[s]: the new index of state s
+    at = sorted(range(states), key=order.__getitem__)  # at[i]: the state placed at i
+    return Automaton(
+        m,
+        [names[s] for s in at],
+        [[order[t] for t in nxt[s]] for s in at],
+        [[y + 1 for y in out[s]] for s in at],
+    )
+
+
+def trace_classes(allowed, sigmas, pairs, iota, length):
+    """The words of ``length`` over ``allowed`` split into the classes that
+    the symmetries, swaps of adjacent states forming one of ``pairs`` and,
+    unless ``iota`` is None, w -> iota(reversed(w)) generate, by search
+    from each word not yet placed."""
+    seen = set()
+    for word in itertools.product(allowed, repeat=length):
+        if word in seen:
+            continue
+        seen.add(word)
+        members, todo = [word], [word]
+        while todo:
+            w = todo.pop()
+            moves = [tuple(sg[s] for s in w) for sg in sigmas]
+            moves += [w[:i] + (w[i + 1], w[i]) + w[i + 2:] for i in range(length - 1)
+                      if (w[i], w[i + 1]) in pairs]
+            if iota is not None:
+                moves.append(tuple(iota[s] for s in reversed(w)))
+            for v in moves:
+                if v not in seen:
+                    seen.add(v)
+                    members.append(v)
+                    todo.append(v)
+        yield members

@@ -40,6 +40,7 @@ from mealygroup.analysis import (
     _depth_count,
     _scan_lengths,
     automaton_symmetries,
+    commuting_states,
     inverse_states,
     orbit_count,
 )
@@ -468,24 +469,31 @@ OLD_CHECKPOINT = """\
 
 
 def test_an_older_checkpoint_resumes_unchanged(tmp_path, ha4):
-    ck = tmp_path / "scan.ckpt"
-    ck.write_text(OLD_CHECKPOINT)
-    resumed = survey(ha4, 6, checkpoint=ck)
-    lines = ck.read_text().splitlines(keepends=True)
-    assert "".join(lines[:5]) == OLD_CHECKPOINT
-    assert [json.loads(ln)["n"] for ln in lines[5:]] == [5, 6]
-    assert render_growth_csv(resumed, ha4) == render_growth_csv(survey(ha4, 6), ha4)
-    # The recorded rows keep their seconds; the scan that checked them
-    # counted their closures.
-    assert [row.seconds for row in resumed.rows[:4]] == [0.0007063010000365466] * 4
-    assert [row.closures for row in resumed.rows] == [1, 3, 12, 60, 336, 1030]
+    # The commutation rule is not in the fingerprint: it changes no row.
+    for commutation, closures in [(False, [1, 3, 12, 60, 336, 1030]),
+                                  (True, [1, 3, 11, 52, 273, 734])]:
+        ck = tmp_path / f"scan-{commutation}.ckpt"
+        ck.write_text(OLD_CHECKPOINT)
+        resumed = survey(ha4, 6, checkpoint=ck, commutation=commutation)
+        lines = ck.read_text().splitlines(keepends=True)
+        assert "".join(lines[:5]) == OLD_CHECKPOINT
+        assert [json.loads(ln)["n"] for ln in lines[5:]] == [5, 6]
+        assert render_growth_csv(resumed, ha4) == render_growth_csv(survey(ha4, 6), ha4)
+        # The recorded rows keep their seconds; the scan that checked them
+        # counted their closures.
+        assert [row.seconds for row in resumed.rows[:4]] == [0.0007063010000365466] * 4
+        assert [row.closures for row in resumed.rows] == closures
 
 
 def test_closures_at_the_last_length_take_one_word_per_reversed_pair(ha4):
     for jobs in (1, 2):
-        rows = survey(ha4, 8, jobs=jobs).rows
+        rows = survey(ha4, 8, jobs=jobs, commutation=False).rows
         assert [row.words_examined for row in rows] == [1, 3, 12, 60, 336, 1968, 11712, 70080]
         assert [row.closures for row in rows] == [1, 3, 12, 60, 336, 1968, 11712, 35312]
+        # The commutation rule prunes at every length, not only the last.
+        rows = survey(ha4, 8, jobs=jobs).rows
+        assert [row.words_examined for row in rows] == [1, 3, 12, 60, 336, 1968, 11712, 70080]
+        assert [row.closures for row in rows] == [1, 3, 11, 52, 273, 1475, 8023, 20798]
 
 
 @settings(max_examples=60, deadline=None)
@@ -538,15 +546,16 @@ def test_reversal_keeps_every_value_on_inverse_closed_machines(auto, symmetry):
     )
 
 
-def visited_words(auto, n):
+def visited_words(auto, n, comm=None):
     """The words of length ``n`` that the reference scan to ``n`` computes
-    a closure for, with the reversal test."""
+    a closure for, with the reversal test and the commutation masks
+    ``comm``."""
     k = len(auto.states)
     allowed = tuple(s for s in range(k) if s not in auto._trivials)
     group = tuple(sg for sg in automaton_symmetries(auto) if sg != tuple(range(k)))
     visited = set()
     stats = lambda word: visited.add(tuple(word)) or (0, 0)
-    _scan_lengths(allowed, stats, group, inverse_states(auto), (), group, n, True)
+    _scan_lengths(allowed, stats, group, inverse_states(auto), (), group, n, True, comm=comm)
     return allowed, {word for word in visited if len(word) == n}
 
 
@@ -570,6 +579,77 @@ def test_every_reversal_class_has_a_visited_word_on_inverse_closed_machines(auto
         allowed, visited = visited_words(auto, n)
         for members in oracles.reversal_classes(allowed, sigmas, inverse_states(auto), n):
             assert visited & set(members), members[0]
+
+
+# --- the commutation rule ---------------------------------------------------
+
+
+def commuting_pairs(auto):
+    """The pairs of states that :func:`commuting_states` derives, over the
+    states that are not do-nothing."""
+    allowed = [s for s in range(len(auto.states)) if s not in auto._trivials]
+    comm = commuting_states(auto, allowed) or [0] * len(auto.states)
+    return {(p, q) for p in allowed for q in allowed if comm[p] >> q & 1}
+
+
+def test_commuting_states_are_the_disjoint_peg_pairs():
+    assert commuting_pairs(parse_automaton(BASILICA.read_text())) == set()
+    for pegs in (3, 4):
+        auto = hanoi_automaton(pegs)
+        # a(i,j) moves a disk between pegs i and j.
+        pegs_of = {s: set(auto.states[s][2:-1].split(",")) for s in range(1, len(auto.states))}
+        disjoint = {(p, q) for p in pegs_of for q in pegs_of if not pegs_of[p] & pegs_of[q]}
+        assert commuting_pairs(auto) == disjoint
+        assert len(disjoint) == {3: 0, 4: 6}[pegs]  # three unordered pairs on 4 pegs
+
+
+def test_commuting_states_on_a_small_machine():
+    # p swaps letters 1, 2 and fixes 3, dying on all three; r cycles them
+    # and dies on them too, and q swaps 4, 5.  On letter 6 p and q move to
+    # p and r stays.  p and q commute, their sections at 6 being equal; p
+    # and r do not, and so neither do q and r, whose sections at 6 are p
+    # and r.
+    nxt = [[0] * 6, [0, 0, 0, 1, 1, 1], [2, 2, 2, 0, 0, 1], [0, 0, 0, 3, 3, 3]]
+    out = [[1, 2, 3, 4, 5, 6], [2, 1, 3, 4, 5, 6], [1, 2, 3, 5, 4, 6], [2, 3, 1, 4, 5, 6]]
+    auto = Automaton(6, ["e", "p", "q", "r"], nxt, out)
+    assert commuting_pairs(auto) == {(1, 2), (2, 1)}
+    assert values_to(auto, 5) == values_to(auto, 5, commutation=False)
+
+
+def test_commuting_states_stop_past_64_states():
+    # s0 swaps the letters, every other state acts trivially but moves on,
+    # so all of them commute; past 64 states no masks are made.
+    for k in (64, 65):
+        names = [f"s{i}" for i in range(k)]
+        big = Automaton(2, names, [[(i + 1) % k] * 2 for i in range(k)], [[2, 1]] + [[1, 2]] * (k - 1))
+        comm = commuting_states(big, range(k))
+        assert comm is None if k == 65 else comm[0] == 2**64 - 2
+
+
+@pytest.mark.parametrize("pegs", [3, 4, 5])
+def test_commutation_keeps_every_value_on_hanoi(pegs):
+    auto = hanoi_automaton(pegs)
+    assert values_to(auto, 6) == values_to(auto, 6, commutation=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(auto=oracles.commuting_machines())
+def test_commutation_keeps_every_value_on_commuting_machines(auto):
+    assert values_to(auto, 6) == values_to(auto, 6, commutation=False)
+
+
+def test_every_trace_class_has_a_visited_word(ha4):
+    allowed = tuple(range(1, 7))
+    comm = commuting_states(ha4, allowed)
+    sigmas, pairs = automaton_symmetries(ha4), commuting_pairs(ha4)
+    for n in range(1, 7):
+        _, visited = visited_words(ha4, n, comm)
+        for members in oracles.trace_classes(allowed, sigmas, pairs, inverse_states(ha4), n):
+            assert visited & set(members), members[0]
+        if n == 6:
+            # The rule leaves fewer words than the symmetries and the
+            # reversal test alone.
+            assert len(visited) < len(visited_words(ha4, n)[1])
 
 
 def test_growth_csv_shape(ha4):

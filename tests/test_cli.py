@@ -164,7 +164,7 @@ def over_budget():
 )
 def test_fault_in_a_threaded_round_stops_it_with_one_line(monkeypatch, fault, code, line):
     # The first task of the scan (lengths 1-4 below the empty word, before
-    # 60 tasks below the prefixes of length 4) faults at --jobs 2, and the
+    # 52 tasks below the prefixes of length 4) faults at --jobs 2, and the
     # other tasks are slowed down.  The interrupt lands when the main thread
     # wakes, as the faulting task ends.  Waiting tasks are dropped: besides
     # the faulting task, only the one already running on the other thread

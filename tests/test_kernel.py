@@ -39,11 +39,13 @@ from mealygroup.analysis import (
     _scan_lengths,
     _walk_record,
     automaton_symmetries,
+    commuting_states,
     inverse_states,
 )
 from mealygroup.cli import main
 from oracles import (
     brute_depth_and_count,
+    commuting_machines,
     dies_or_stays_machines,
     inverse_closed_machines,
     invertible_machines,
@@ -57,8 +59,9 @@ requires_cc = pytest.mark.skipif(
 )
 
 
-def twins(auto, n_max, exclude_trivial=True, symmetry=True):
-    """(allowed, symmetries, compiled scan, reference scan) as survey() sets them up."""
+def twins(auto, n_max, exclude_trivial=True, symmetry=True, commutation=True, walk=None):
+    """(allowed, symmetries, compiled scan, reference scan) as survey() sets
+    them up.  ``walk`` is a cached closure walk of ``auto`` to share."""
     k = len(auto.states)
     identity = tuple(range(k))
     trivials = auto._trivials if exclude_trivial else ()
@@ -66,12 +69,14 @@ def twins(auto, n_max, exclude_trivial=True, symmetry=True):
     sigmas = automaton_symmetries(auto) if symmetry else (identity,)
     sigmas = tuple(sg for sg in sigmas if sg != identity)
     iota = inverse_states(auto)
-    compiled = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max)
+    comm = commuting_states(auto, allowed) if commutation else None
+    compiled = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max, comm)
     assert compiled is not None, "the kernel failed to build or load"
     # Every prefix length re-scans the same words: the walk runs once per word.
-    walk = functools.lru_cache(maxsize=None)(functools.partial(_depth_count, auto))
+    walk = walk or functools.lru_cache(maxsize=None)(functools.partial(_depth_count, auto))
     stats = lambda word: walk(tuple(word))
-    return allowed, sigmas, compiled, functools.partial(_scan_lengths, allowed, stats, sigmas, iota)
+    reference = functools.partial(_scan_lengths, allowed, stats, sigmas, iota, comm=comm)
+    return allowed, sigmas, compiled, reference
 
 
 def assert_parity(auto, n_max, max_prefix, **options):
@@ -79,23 +84,33 @@ def assert_parity(auto, n_max, max_prefix, **options):
     the empty word (the survey's first task) and every canonical prefix of
     up to ``max_prefix`` letters, to every bound from one past the prefix
     (n = 1 below the empty word) up to ``n_max``, without the reversal test
-    and, when the machine has an inverse_states map, with it."""
-    allowed, sigmas, compiled, reference = twins(auto, n_max, **options)
+    and, when the machine has an inverse_states map, with it; without the
+    commutation rule and, when some states commute, with it.  The prefixes
+    are those of the symmetries alone, so the rule's forbidden set is
+    rebuilt along prefixes that it would prune as well."""
+    walk = functools.lru_cache(maxsize=None)(functools.partial(_depth_count, auto))
     mirrored = inverse_states(auto) is not None
-    for p in range(min(n_max - 1, max_prefix) + 1):
-        for prefix, active in _canonical_prefixes(allowed, sigmas, p):
-            # Without the reversal test the reference scans each length on
-            # its own, so its results to a shorter bound are the first ones
-            # of these.
-            whole = reference(prefix, active, n_max)
-            assert len(whole) == n_max - p
-            for n in range(p + 1, n_max + 1):
-                assert compiled(prefix, active, n) == whole[: n - p], (n, prefix)
-                # The reversal test reads the last length of a call, so each
-                # bound is compared with the reference run to that bound.
-                if mirrored:
-                    expected = reference(prefix, active, n, True)
-                    assert compiled(prefix, active, n, True) == expected, (n, prefix)
+    for commutation in (False, True):
+        allowed, sigmas, compiled, reference = twins(
+            auto, n_max, commutation=commutation, walk=walk, **options
+        )
+        if commutation and commuting_states(auto, allowed) is None:
+            break  # no two states commute: the scans are those above
+        for p in range(min(n_max - 1, max_prefix) + 1):
+            for prefix, active in _canonical_prefixes(allowed, sigmas, p):
+                # Without the reversal test the reference scans each length
+                # on its own, so its results to a shorter bound are the
+                # first ones of these.
+                whole = reference(prefix, active, n_max)
+                assert len(whole) == n_max - p
+                for n in range(p + 1, n_max + 1):
+                    assert compiled(prefix, active, n) == whole[: n - p], (n, prefix, commutation)
+                    # The reversal test reads the last length of a call, so
+                    # each bound is compared with the reference run to that
+                    # bound.
+                    if mirrored:
+                        expected = reference(prefix, active, n, True)
+                        assert compiled(prefix, active, n, True) == expected, (n, prefix, commutation)
 
 
 @requires_cc
@@ -136,6 +151,14 @@ def test_kernel_matches_reference_on_inverse_closed_machines(auto, symmetry):
 
 
 @requires_cc
+@settings(max_examples=20, deadline=None)
+@given(auto=commuting_machines(), exclude_trivial=st.booleans())
+def test_kernel_matches_reference_on_commuting_machines(auto, exclude_trivial):
+    # With the do-nothing state allowed, it commutes with every state.
+    assert_parity(auto, 5, 2, exclude_trivial=exclude_trivial)
+
+
+@requires_cc
 def test_compiled_scan_takes_only_lengths_past_its_prefix(ha4):
     allowed, sigmas, compiled, _ = twins(ha4, 3)
     for prefix, n in [((1,), 1), ((), 0), ((), 4)]:
@@ -151,7 +174,8 @@ def csv_of(auto, n_max, **options):
 def test_missing_compiler_falls_back_to_the_same_rows(monkeypatch, ha4):
     compiled_rows = csv_of(ha4, 5)
     monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
-    assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), (), None, 5) is None
+    comm = commuting_states(ha4, range(1, 7))
+    assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), (), None, 5, comm) is None
     assert csv_of(ha4, 5) == compiled_rows
 
     # The Python scan holds the GIL: at jobs=2 it runs serially, on no pool.
@@ -197,10 +221,12 @@ def test_many_state_machine_scans_in_the_kernel_with_the_reference_rows(monkeypa
     nxt = [[1, 2], [0, 2]] + [[2 + i] * 2 for i in range(pad)]
     out = [[1, 2], [2, 1]] + [[1, 2]] * pad
     auto = Automaton(2, names, nxt, out)
-    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), (), None, 7) is not None
+    comm = commuting_states(auto, (0, 1))
+    assert comm is None  # past 64 states no masks are passed
+    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), (), None, 7, comm) is not None
     compiled = survey(auto, 7, symmetry=False).rows
     monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
-    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), (), None, 7) is None
+    assert _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), (), None, 7, comm) is None
     reference = survey(auto, 7, symmetry=False).rows
     strip = lambda rows: [(r.depth, r.depth_witness, r.theta, r.theta_witness, r.words_examined)
                           for r in rows]
@@ -215,7 +241,8 @@ def test_unusable_cache_directory_gives_no_kernel(tmp_path, monkeypatch, ha4):
     (open_dir / "mealygroup").chmod(0o777)
     for cache in (blocker, open_dir):
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-        assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), (), None, 4) is None
+        comm = commuting_states(ha4, range(1, 7))
+        assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), (), None, 4, comm) is None
     assert not list((open_dir / "mealygroup").iterdir())
 
 
