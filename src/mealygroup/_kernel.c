@@ -29,7 +29,12 @@
  * sigma in the group or the identity, makes t(reversed(word)) lex-smaller.
  * Words either rule leaves out have the depth and count of one it keeps
  * (the arguments are in survey's docstring), and both rules are the
- * Python scan's too.
+ * Python scan's too.  The survey splits its DFS into tasks, one per
+ * prefix, and hands the whole list to mg_scan: each worker thread makes
+ * one call, which takes tasks from a shared atomic counter, reuses one
+ * workspace for all of them, and writes each task's results to the task's
+ * own slot.  A failed task or the caller sets a shared stop flag, after
+ * which no task starts.
  *
  * mg_closure is the closure record of one word that the queries read (the
  * Python walk in _walk_record is its twin).  mg_threshold is
@@ -279,61 +284,99 @@ static int rec(Scan *sc, int depth, const int32_t *active, int nact, uint64_t f)
     return 0;
 }
 
-/* Scan every canonical word of each length L = np+1 .. n (n <= MAXN)
- * extending prefix[0..np).  group holds ng symmetries, k entries each, and
- * active the indices of the ns of them still tying on the prefix.  With
- * comm (k <= 64 masks) not NULL, words pass the commutation rule too, its
- * forbidden set rebuilt along the prefix; with iota (k entries) not NULL,
- * words of length n pass the reversal test.
- * Length L has index i = L - np - 1 in the outputs: closures computed in
- * examined[i], best depth in best[2i], best count in best[2i+1], and their
- * witnesses in witness[2ni .. 2ni+L) and witness[2ni+n .. 2ni+n+L).  The
- * prefix's own length and shorter ones are not counted.  Returns 0, -1
- * when memory runs out or the lengths are out of range, or -2 when a
- * closure passes `budget` sections (outputs are then meaningless). */
-int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const int32_t *allowed,
-            int n, int np, const int32_t *prefix, int ng, const int32_t *group, int ns,
-            const int32_t *active, const int32_t *iota, const uint64_t *comm, int64_t budget,
-            uint64_t *examined, int64_t *best, int32_t *witness)
+/* One task of mg_scan, from its row (see there), into slot i of the
+ * outputs: the closure automata of the prefix are rebuilt into lv[], and
+ * the DFS goes on below it. */
+static int scan_task(Scan *sc, int nmax, const int32_t *row, int32_t *mirror, size_t i,
+                     uint64_t *examined, int64_t *best, int32_t *witness)
 {
-    Scan sc = {
-        .k = k, .m = m, .n = n, .na = na, .ng = ng,
-        .budget = budget < INT32_MAX ? budget : INT32_MAX, /* node indices are int32 */
-        .nxt = nxt, .emit = emit, .allowed = allowed, .group = group, .comm = comm,
-        .first = np + 1, .examined = examined, .best = best, .witness = witness,
-    };
+    const int np = row[0], n = row[1], ns = row[3], ng = sc->ng;
+    const int32_t *prefix = row + 4, *active = row + 4 + nmax;
     int64_t d, t;
     uint64_t f = 0;
-    int rc = -1;
+    int rc;
 
-    if (np < 0 || np >= n || n > MAXN || ns > ng || (comm && k > 64))
+    if (np < 0 || np >= n || n > nmax || ns < 0 || ns > ng)
         return -1;
-    for (int i = 0; i < n - np; i++) {
-        examined[i] = 0;
-        best[2 * i] = best[2 * i + 1] = -1;
+    sc->n = n;
+    sc->first = np + 1;
+    sc->twin = row[2] ? mirror : NULL;
+    sc->examined = examined + i * nmax;
+    sc->best = best + 2 * i * nmax;
+    sc->witness = witness + 2 * i * nmax * nmax;
+    for (int j = 0; j < n - np; j++) {
+        sc->examined[j] = 0;
+        sc->best[2 * j] = sc->best[2 * j + 1] = -1;
     }
-    sc.active = malloc((size_t)(n + 1) * (ng ? ng : 1) * sizeof *sc.active);
+    memcpy(sc->active + (size_t)np * ng, active, ns * sizeof *active);
+    memcpy(sc->word, prefix, np * sizeof *prefix);
+    for (int j = 0; j < np; j++) {
+        if ((rc = extend(sc, &sc->lv[j], prefix[j], &sc->lv[j + 1], &d, &t)))
+            return rc;
+        f = forbid(sc, f, prefix[j]);
+    }
+    return rec(sc, np, sc->active + (size_t)np * ng, ns, f);
+}
+
+/* The survey scan of a task list, run by each of the caller's worker
+ * threads once: it takes the next task from the counter shared[0] until
+ * none is left or the stop flag shared[2] is set, adds one to shared[1]
+ * for each task it finishes, and keeps one workspace (closure automata,
+ * walk buffers, reversal tables) for all its tasks.
+ * Task i is the row tasks[i*w .. i*w + w), w = 4 + nmax + ng: np, n, a
+ * reversal flag, ns, then prefix[0..np) in nmax entries and, in ng, the
+ * indices into group (ng symmetries, k entries each) of the ns of them
+ * still tying on the prefix.  It scans every canonical word of each
+ * length L = np+1 .. n (n <= nmax <= MAXN) extending the prefix.  With
+ * comm (k <= 64 masks) not NULL, words pass the commutation rule too, its
+ * forbidden set rebuilt along the prefix; with iota (k entries) not NULL
+ * and the flag set, words of length n pass the reversal test.
+ * Task i writes slot i only, its return code into status[i]: length L has
+ * index j = i*nmax + L - np - 1, closures computed in examined[j], best
+ * depth in best[2j], best count in best[2j+1], and their witnesses at
+ * witness[2*nmax*nmax*i + 2n(L - np - 1)], the count's n entries on.  The
+ * prefix's own length and shorter ones are not counted.  A task returns
+ * 0, -1 when memory runs out or its lengths are out of range, or -2 when
+ * a closure passes `budget` sections (its outputs are then meaningless);
+ * either error sets the stop flag, and so does a worker that cannot set
+ * up its workspace.  Returns 0 or the error that stopped this worker. */
+int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const int32_t *allowed,
+            int ng, const int32_t *group, const int32_t *iota, const uint64_t *comm, int64_t budget,
+            int nmax, int64_t ntasks, const int32_t *tasks, int32_t *status, uint64_t *examined,
+            int64_t *best, int32_t *witness, int64_t *shared)
+{
+    Scan sc = {
+        .k = k, .m = m, .na = na, .ng = ng,
+        .budget = budget < INT32_MAX ? budget : INT32_MAX, /* node indices are int32 */
+        .nxt = nxt, .emit = emit, .allowed = allowed, .group = group, .comm = comm,
+    };
+    const size_t width = 4 + (size_t)nmax + ng;
+
+    sc.active = malloc((size_t)(nmax + 1) * (ng ? ng : 1) * sizeof *sc.active);
     /* The empty word is its own only section. */
     sc.lv[0] = (Level){.ch = calloc(m, sizeof(int32_t)), .size = 1, .cap = 1};
-    if (!sc.active || !sc.lv[0].ch || (iota && twins(&sc, iota)))
-        goto done;
-    memcpy(sc.active + (size_t)np * ng, active, ns * sizeof *active);
-    memcpy(sc.word, prefix, np * sizeof *prefix);
-    for (int i = 0; i < np; i++) {
-        if ((rc = extend(&sc, &sc.lv[i], prefix[i], &sc.lv[i + 1], &d, &t)))
-            goto done;
-        f = forbid(&sc, f, prefix[i]);
+    int rc = nmax < 1 || nmax > MAXN || (comm && k > 64) || !sc.active || !sc.lv[0].ch
+             || (iota && twins(&sc, iota)) ? -1 : 0;
+    int32_t *const mirror = sc.twin;
+    while (!rc && !__atomic_load_n(&shared[2], __ATOMIC_RELAXED)) {
+        const int64_t i = __atomic_fetch_add(&shared[0], 1, __ATOMIC_RELAXED);
+        if (i >= ntasks)
+            break;
+        rc = status[i] = scan_task(&sc, nmax, tasks + i * width, mirror, i, examined, best,
+                                   witness);
+        if (!rc)
+            __atomic_fetch_add(&shared[1], 1, __ATOMIC_RELAXED);
     }
-    rc = rec(&sc, np, sc.active + (size_t)np * ng, ns, f);
-done:
-    for (int i = 0; i < n; i++)
+    if (rc)
+        __atomic_store_n(&shared[2], 1, __ATOMIC_RELAXED);
+    for (int i = 0; i < MAXN; i++)
         free(sc.lv[i].ch);
     free(sc.active);
     free(sc.qa);
     free(sc.qt);
     free(sc.stamp);
     free(sc.index);
-    free(sc.twin);
+    free(mirror);
     free(sc.lo);
     free(sc.tie);
     free(sc.tie_at);

@@ -26,6 +26,7 @@ import itertools
 import os
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 from .analysis import BudgetError
@@ -74,9 +75,9 @@ class _ClosureOut(ctypes.Structure):
 
 
 _SIGNATURES = {
-    "mg_scan": (ctypes.c_int, [_I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32, _I32P,
-                               _I32, _I32P, _I32, _I32P, _I32P, _U64P, _I64, _U64P,
-                               ctypes.POINTER(_I64), _I32P]),
+    "mg_scan": (ctypes.c_int, [_I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32P, _I32P,
+                               _U64P, _I64, _I32, _I64, _I32P, _I32P, _U64P,
+                               ctypes.POINTER(_I64), _I32P, ctypes.POINTER(_I64)]),
     "mg_closure": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
                                   ctypes.c_char_p, _I64, ctypes.POINTER(_ClosureOut)]),
     "mg_closure_free": (None, [ctypes.POINTER(_ClosureOut)]),
@@ -131,55 +132,68 @@ def _tables(nxt, emit0):
 
 
 def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None):
-    """A twin of ``analysis._scan_lengths`` with the closure statistics of
-    ``analysis._depth_count`` bound in: ``scan(prefix, active, n,
-    reversal=False)`` for ``len(prefix) < n <= n_max`` returns one
-    ``(closures computed, best depth, its witness, best section count, its
-    witness)`` per length ``len(prefix) + 1 .. n``, from one canonical DFS
-    that builds the closure of each word from its prefix's closure
-    automaton (see ``_kernel.c``).  ``group`` is the symmetry group without
-    the identity and ``active`` the members of it still tying on the
-    prefix.  With ``reversal`` and an ``iota`` (see
-    ``analysis.inverse_states``), words of length ``n`` pass the reversal
-    test of ``analysis._scan_exact``.  With the masks ``comm`` of
-    ``analysis.commuting_states``, words of every length pass the
-    commutation rule of ``analysis._canonical_words``.  A section count
-    includes the word itself.  None when the kernel cannot be loaded or
-    ``n_max`` is past the kernel's longest word (64)."""
+    """The twin of ``analysis._scan_lengths`` (see ``_kernel.c``), with
+    ``analysis._depth_count`` bound in: ``scan(tasks, jobs=1,
+    progress=None, every=None)`` takes the same tasks, up to length
+    ``n_max``.  Each of ``jobs`` worker threads makes one ``mg_scan``
+    call, which releases the GIL and takes tasks from a shared counter.
+    This thread only waits, passing ``progress`` the tasks finished every
+    ``every`` seconds and at the end.  Once the wait raises (Ctrl-C) or a
+    task fails, no task starts, and the error comes when the running ones
+    end.  None when the kernel cannot be loaded or ``n_max`` is past 64."""
     if n_max > _MAXN:
         return None
     lib = _library()
     if lib is None:
         return None
-    fn = lib.mg_scan
     k, m = len(nxt), len(nxt[0])
-    tables = _tables(nxt, emit0)
-    states = (_I32 * len(allowed))(*allowed)
-    sigmas = (_I32 * (len(group) * k))(*itertools.chain.from_iterable(group))
     position = {sg: i for i, sg in enumerate(group)}
-    mirror = None if iota is None else (_I32 * k)(*iota)
-    masks = None if comm is None else (ctypes.c_uint64 * k)(*comm)
+    machine = (k, m, *_tables(nxt, emit0), len(allowed), (_I32 * len(allowed))(*allowed),
+               len(group), (_I32 * (len(group) * k))(*itertools.chain.from_iterable(group)),
+               None if iota is None else (_I32 * k)(*iota),
+               None if comm is None else (ctypes.c_uint64 * k)(*comm))
 
-    def scan(prefix, active, n, reversal=False):
-        np = len(prefix)
-        if not np < n <= n_max:
-            raise ValueError(f"cannot scan lengths {np + 1}..{n} (at most {n_max})")
-        lengths = n - np
-        tying = (_I32 * len(active))(*map(position.__getitem__, active))
-        examined, best = (ctypes.c_uint64 * lengths)(), (_I64 * (2 * lengths))()
-        witness = (_I32 * (2 * n * lengths))()
-        _check(fn(k, m, *tables, len(allowed), states, n, np, (_I32 * np)(*prefix),
-                  len(group), sigmas, len(active), tying, mirror if reversal else None, masks,
-                  SECTION_BUDGET, examined, best, witness))
+    def scan(tasks, jobs=1, progress=None, every=None):
+        rows = []  # one row per task, as mg_scan reads it
+        for prefix, active, n, reversal in tasks:
+            if not len(prefix) < n <= n_max:
+                raise ValueError(f"cannot scan lengths {len(prefix) + 1}..{n} (at most {n_max})")
+            rows += [len(prefix), n, reversal, len(active), *prefix, *[0] * (n_max - len(prefix)),
+                     *map(position.__getitem__, active), *[0] * (len(group) - len(active))]
+        count = len(tasks)
+        status, shared = (_I32 * count)(), (_I64 * 3)()  # shared: next task, finished, stop
+        examined, best = (ctypes.c_uint64 * (count * n_max))(), (_I64 * (2 * count * n_max))()
+        witness = (_I32 * (2 * count * n_max * n_max))()
+        args = (*machine, SECTION_BUDGET, n_max, count, (_I32 * len(rows))(*rows), status,
+                examined, best, witness, shared)
+        workers = [threading.Thread(target=lib.mg_scan, args=args) for _ in range(jobs)]
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(every)
+                while w.is_alive():
+                    progress(shared[1])
+                    w.join(every)
+        finally:
+            shared[2] = 1  # the stop flag: running tasks end, and no other starts
+            for w in workers:
+                if w.is_alive():
+                    w.join()
+        if shared[1] < count:
+            _check(min(status) or -1)  # a failed task, or a worker without memory
         results = []
-        for i, length in enumerate(range(np + 1, n + 1)):
-            if not examined[i]:
-                results.append((0, -1, None, -1, None))
-                continue
-            w = 2 * n * i
-            results.append((examined[i], best[2 * i], tuple(witness[w : w + length]),
-                            best[2 * i + 1], tuple(witness[w + n : w + n + length])))
-        return tuple(results)
+        for i, (prefix, _, n, _) in enumerate(tasks):
+            found = []
+            for j, length in enumerate(range(len(prefix) + 1, n + 1)):
+                slot, w = i * n_max + j, 2 * (i * n_max * n_max + n * j)
+                found.append((examined[slot], best[2 * slot], tuple(witness[w : w + length]),
+                              best[2 * slot + 1], tuple(witness[w + n : w + n + length]))
+                             if examined[slot] else (0, -1, None, -1, None))
+            results.append(tuple(found))
+        if progress:
+            progress(shared[1])
+        return results
 
     return scan
 

@@ -58,7 +58,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -624,19 +623,27 @@ def _scan_exact(allowed, stats, prefix, active, n, twins=(), comm=None):
     return examined, best_d, best_dw, best_t, best_tw
 
 
-def _scan_lengths(allowed, stats, group, iota, prefix, active, n, reversal=False, *, comm=None):
-    """:func:`_scan_exact` at each length ``len(prefix) + 1 .. n``: the
-    reference twin of ``_kernel.compiled_scan``.  With ``reversal`` and an
-    ``iota``, the words of length ``n`` pass the reversal test with the
-    maps sigma o iota for sigma in ``group`` (the symmetries without the
-    identity) and the identity.  ``comm`` as in :func:`_canonical_words`."""
-    twins = ()
-    if reversal and iota is not None:
-        twins = (iota, *(tuple(sg[s] for s in iota) for sg in group))
-    return tuple(
-        _scan_exact(allowed, stats, prefix, active, length, twins if length == n else (), comm)
-        for length in range(len(prefix) + 1, n + 1)
-    )
+def _scan_lengths(allowed, stats, group, iota, tasks, jobs=1, progress=None, every=None, *,
+                  comm=None):
+    """The reference twin of ``_kernel.compiled_scan``: per task ``(prefix,
+    active, n, reversal)``, in turn, one :func:`_scan_exact` result per
+    length ``len(prefix) + 1 .. n``, ``active`` being the members of
+    ``group`` (the symmetries without the identity) still tying on the
+    prefix.  With ``reversal`` and an ``iota``, words of length ``n`` pass
+    the reversal test with the maps sigma o iota, sigma in ``group`` or
+    the identity; ``comm`` as in :func:`_canonical_words`.  ``progress``
+    gets the tasks done after each; ``jobs`` and ``every`` are unused."""
+    mirrored = () if iota is None else (iota, *(tuple(sg[s] for s in iota) for sg in group))
+    results = []
+    for prefix, active, n, reversal in tasks:
+        twins = mirrored if reversal else ()
+        results.append(tuple(
+            _scan_exact(allowed, stats, prefix, active, length, twins if length == n else (), comm)
+            for length in range(len(prefix) + 1, n + 1)
+        ))
+        if progress:
+            progress(len(results))
+    return results
 
 
 def _canonical_prefixes(allowed, sigmas, length, comm=None):
@@ -752,10 +759,11 @@ def survey(
     are lex-least), and the whole class has u's depth and count, so the
     values and witnesses stay as above.
 
-    ``jobs`` > 1 splits the scan by canonical prefix across threads that
-    run the compiled scan; the Python scan runs serially.  Results are
-    identical for any ``jobs``.  A scan that runs for long reports its
-    finished tasks on stderr (``# scan tasks=k/N seconds=S``).
+    The scan is split into tasks by canonical prefix, which ``jobs``
+    worker threads of the compiled scan share; the Python scan runs them
+    in turn on this thread.  Results are identical for any ``jobs``.  A
+    scan that runs for long reports its finished tasks on stderr (``# scan
+    tasks=k/N seconds=S``).
 
     ``checkpoint`` names a file that records each row once the scan ends.
     A later run keeps the rows it holds; when it must scan for longer
@@ -801,15 +809,12 @@ def survey(
 
     from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
 
-    # The compiled twin of _scan_lengths (see _kernel.c) when it loads and
-    # n_max <= 64.  It releases the GIL in each kernel call and keeps no
-    # state between calls, so threads scan prefixes in parallel.  The
+    # The compiled twin of _scan_lengths when it loads and n_max <= 64; the
     # Python scan, its reference, holds the GIL and runs serially.
     scan = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max, comm)
     if scan is None:
         stats = functools.partial(_depth_count, auto)
         scan = functools.partial(_scan_lengths, allowed, stats, sigmas, iota, comm=comm)
-        jobs = 1
 
     scanned, closures = {}, {}
     if any(n not in done for n in range(1, n_max + 1)):
@@ -879,43 +884,33 @@ def _scan_all(scan, allowed, sigmas, comm, jobs, n_max):
     into tasks by prefix: one task scans lengths 1 .. split below the empty
     word, and one per canonical prefix of length split scans the longer
     lengths below it.  Only the tasks to ``n_max`` apply the reversal test,
-    so the closures computed do not depend on the split.  ``jobs`` > 1
-    runs the tasks on that many threads.  A serial scan is split too: a
-    Ctrl-C then waits for one task's kernel call, not for the whole scan.
-    Every :data:`TASK_REPORT_SECONDS` at most, the tasks done so far are
-    reported on stderr."""
+    so the closures computed do not depend on the split.  A scan on one
+    thread is split too: a Ctrl-C then waits for the running task, not for
+    the whole scan.  Every :data:`TASK_REPORT_SECONDS` at most, the tasks
+    finished so far are reported on stderr."""
     t0 = last = time.perf_counter()
-    split = _choose_split(allowed, sigmas, comm, jobs, n_max) if allowed else 0
-    tasks = [(p, active, n_max) for p, active in _canonical_prefixes(allowed, sigmas, split, comm)]
+    # The shortest split with 8 tasks a thread, but at most 4 letters.
+    for split in range(min(4, n_max - 1) + 1 if allowed else 1):
+        prefixes = _canonical_prefixes(allowed, sigmas, split, comm)
+        if len(prefixes) >= 8 * jobs:
+            break
+    tasks = [(p, active, n_max, True) for p, active in prefixes]
     if split:
-        tasks.insert(0, ((), sigmas, split))
+        tasks.insert(0, ((), sigmas, split, False))
+
+    def progress(done):
+        nonlocal last
+        now = time.perf_counter()
+        if now - last >= TASK_REPORT_SECONDS:
+            print(f"# scan tasks={done}/{len(tasks)} seconds={now - t0:.3f}",
+                  file=sys.stderr, flush=True)
+            last = now
+
     by_length = {n: [] for n in range(1, n_max + 1)}
-    pool = ThreadPoolExecutor(jobs) if jobs > 1 else None
-    try:
-        results = (pool.map if pool else map)(lambda task: scan(*task, task[2] == n_max), tasks)
-        for done, ((prefix, _, _), result) in enumerate(zip(tasks, results), 1):
-            for n, res in enumerate(result, len(prefix) + 1):
-                by_length[n].append(res)
-            now = time.perf_counter()
-            if now - last >= TASK_REPORT_SECONDS:
-                print(f"# scan tasks={done}/{len(tasks)} seconds={now - t0:.3f}",
-                      file=sys.stderr, flush=True)
-                last = now
-    finally:
-        if pool is not None:
-            # Tasks not yet started are dropped; running ones end with their
-            # prefix, which bounds the wait after Ctrl-C or an error.
-            pool.shutdown(cancel_futures=True)
+    for (prefix, *_), result in zip(tasks, scan(tasks, jobs, progress, TASK_REPORT_SECONDS)):
+        for n, res in enumerate(result, len(prefix) + 1):
+            by_length[n].append(res)
     return {n: _merge_round(found) for n, found in by_length.items()}
-
-
-def _choose_split(allowed, sigmas, comm, jobs, n):
-    target = 8 * jobs
-    cap = min(4, n - 1)
-    for length in range(1, cap + 1):
-        if len(_canonical_prefixes(allowed, sigmas, length, comm)) >= target:
-            return length
-    return cap
 
 
 def render_growth_csv(report: GrowthReport, auto: Automaton) -> str:

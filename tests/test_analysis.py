@@ -555,7 +555,7 @@ def visited_words(auto, n, comm=None):
     group = tuple(sg for sg in automaton_symmetries(auto) if sg != tuple(range(k)))
     visited = set()
     stats = lambda word: visited.add(tuple(word)) or (0, 0)
-    _scan_lengths(allowed, stats, group, inverse_states(auto), (), group, n, True, comm=comm)
+    _scan_lengths(allowed, stats, group, inverse_states(auto), [((), group, n, True)], comm=comm)
     return allowed, {word for word in visited if len(word) == n}
 
 

@@ -1,12 +1,11 @@
-import _thread
 import contextlib
 import io
 import json
 import os
 import shutil
+import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
@@ -132,74 +131,64 @@ requires_cc = pytest.mark.skipif(
 
 
 @requires_cc
-def test_table_caps_workers_at_the_cpu_count(monkeypatch):
-    requested = []
-
-    class RecordingExecutor(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-            super().__init__(max_workers)
-
+def test_table_caps_workers_at_the_cpu_count(monkeypatch, scan_calls):
     argv = ("table", "--pegs", "4", "--max-n", "5", "--csv")
     serial = run_cli(*argv)[1]
-    monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingExecutor)
+    scan_calls.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, out, _ = run_cli(*argv, "--jobs", "100000")
     assert (code, out) == (0, serial)
-    assert requested == [2]
+    # Two worker threads, one kernel call each, and none on the main thread.
+    threads = {thread for thread, _ in scan_calls}
+    assert len(scan_calls) == len(threads) == 2
+    assert threading.main_thread() not in threads
 
 
-def over_budget():
-    raise _kernel.budget_error()
+def interrupt_main(monkeypatch, scan_calls, jobs):
+    """Ctrl-C: a SIGINT to the main thread once every worker has made its
+    kernel call."""
+    both = threading.Barrier(jobs)
+
+    def interrupt():
+        if both.wait(timeout=60) == 0:
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+    scan_calls.before = interrupt
+
+
+def over_budget(monkeypatch, scan_calls, jobs):
+    """A section budget of 20, which the 4-peg scan passes at n = 6."""
+    monkeypatch.setattr(_kernel, "SECTION_BUDGET", 20)
 
 
 @requires_cc
 @pytest.mark.parametrize(
     "fault, code, line",
     [
-        (_thread.interrupt_main, 130, "interrupted"),
-        (over_budget, 2,
-         f"error: a section closure has more than {_kernel.SECTION_BUDGET} sections"),
+        (interrupt_main, 130, "interrupted"),
+        (over_budget, 2, "error: a section closure has more than 20 sections"),
     ],
 )
-def test_fault_in_a_threaded_round_stops_it_with_one_line(monkeypatch, fault, code, line):
-    # The first task of the scan (lengths 1-4 below the empty word, before
-    # 52 tasks below the prefixes of length 4) faults at --jobs 2, and the
-    # other tasks are slowed down.  The interrupt lands when the main thread
-    # wakes, as the faulting task ends.  Waiting tasks are dropped: besides
-    # the faulting task, only the one already running on the other thread
-    # and the one the faulting thread takes next may start, and none starts
-    # once the command has ended.
+def test_fault_in_a_threaded_round_stops_it_with_one_line(monkeypatch, scan_calls, fault, code,
+                                                          line):
+    # The 4-peg scan to n = 10 at --jobs 2 (53 tasks) meets the fault, at
+    # once for the budget: every task below a prefix of length 4 reaches
+    # n = 6.  The stop flag is set: the running tasks end and no other
+    # starts, and the command ends only then, with one line.  No scan work
+    # runs on the main thread.
     jobs = 2
-    started = []  # (prefix, bound, on the main thread) per task
-    lock = threading.Lock()
-    real = _kernel.compiled_scan
-
-    def slowed(*args):
-        scan = real(*args)
-
-        def slow_scan(prefix, active, n, reversal):
-            with lock:
-                first = not started
-                started.append((prefix, n, threading.current_thread() is threading.main_thread()))
-            if first:
-                fault()
-            else:
-                time.sleep(0.05)
-            return scan(prefix, active, n, reversal)
-
-        return slow_scan
-
-    monkeypatch.setattr(_kernel, "compiled_scan", slowed)
+    fault(monkeypatch, scan_calls, jobs)
     monkeypatch.setattr(os, "cpu_count", lambda: jobs)
-    result, out, err = run_cli("table", "--pegs", "4", "--max-n", "6", "--jobs", str(jobs))
+    result, out, err = run_cli("table", "--pegs", "4", "--max-n", "10", "--jobs", str(jobs))
     assert (result, out) == (code, "")
     assert [ln for ln in err.splitlines() if not ln.startswith("# ")] == [line]
-    assert started[0][:2] == ((), 4)
-    ended = len(started)
+    threads = [thread for thread, _ in scan_calls]
+    assert 1 <= len(threads) <= jobs and threading.main_thread() not in threads
+    assert not any(thread.is_alive() for thread in threads)
+    taken, _, tasks = scan_calls.counters()
+    assert taken < tasks
     time.sleep(0.2)
-    assert 1 <= ended == len(started) <= jobs + 1
-    assert not any(main for _, _, main in started)
+    assert scan_calls.counters()[0] == taken
 
 
 def table_lines(err):
@@ -215,11 +204,15 @@ def test_table_reports_scan_tasks_as_they_finish(monkeypatch):
     code, out, err = run_cli(*argv)
     assert (code, out) == (0, quiet_out)
     lines = err.splitlines()
-    # One line per task: the one below the empty word, then one per prefix.
+    # The waiting thread reads the kernel's counter of finished tasks (the
+    # Python scan reports after each task): the counts never fall, and the
+    # last line, once the scan ends, counts every task.
     tasks = [ln for ln in lines if ln.startswith("# scan tasks=")]
-    total = len(tasks)
-    assert total > 1
-    assert [ln.split()[2] for ln in tasks] == [f"tasks={k}/{total}" for k in range(1, total + 1)]
+    counts = [tuple(map(int, ln.split()[2].removeprefix("tasks=").split("/"))) for ln in tasks]
+    total = counts[-1][1]
+    assert total > 1 and counts[-1] == (total, total)
+    assert {n for _, n in counts} == {total}
+    assert [k for k, _ in counts] == sorted(k for k, _ in counts)
     assert all(float(ln.split("seconds=")[1]) >= 0 for ln in tasks)
     # The rows come once the scan ends, and the other lines are left alone.
     assert lines == tasks + table_lines(err)
@@ -399,7 +392,21 @@ def test_kernel_out_of_memory_exits_2_with_one_line(monkeypatch):
     assert (code, out) == (2, "")
     assert err == "error: the compiled kernel ran out of memory\n"
 
-    def starved_scan(prefix, active, n, reversal):
+    # A scan worker that cannot set up its workspace sets the stop flag
+    # and returns -1, as mg_scan does; the waiting thread raises for it.
+    class NoWorkspace:
+        @staticmethod
+        def mg_scan(*args):
+            args[-1][2] = 1
+            return -1
+
+    monkeypatch.setattr(_kernel, "_library", lambda: NoWorkspace)
+    code, out, err = run_cli("table", "--pegs", "4", "--max-n", "3")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: the compiled kernel ran out of memory"
+    assert len([ln for ln in err.splitlines() if not ln.startswith("# ")]) == 1
+
+    def starved_scan(tasks, jobs, progress, every):
         raise MemoryError  # as Python raises it: no message
 
     monkeypatch.setattr(_kernel, "compiled_scan", lambda *args: starved_scan)
@@ -438,6 +445,44 @@ def test_closures_past_the_section_budget_exit_2_with_one_line(tmp_path, monkeyp
     # Within the budget the same machine answers.
     code, out, _ = run_cli("wp", "--automaton", str(machine), "--word", "a.b.a.b.a.b.a.b")
     assert (code, out) == (1, "non-identity sections=256 depth=8\n")
+
+
+@requires_cc
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_task_past_the_section_budget_stops_the_others(monkeypatch, scan_calls, jobs):
+    # The lamplighter scan to n = 12 has 9 tasks at jobs=1 and 17 at
+    # jobs=2.  The first, below the empty word, stays within 1,000
+    # sections; each of the others, below a prefix of 3 or 4 letters, meets
+    # a word of 1,024 and returns -2.  The first -2 sets the stop flag:
+    # each worker ends with its running task, and no task starts after
+    # survey raises.
+    monkeypatch.setattr(_kernel, "SECTION_BUDGET", 1000)
+    monkeypatch.setattr(os, "cpu_count", lambda: jobs)
+    before = set(threading.enumerate())
+    with pytest.raises(analysis.BudgetError):
+        analysis.survey(parse_automaton(LAMPLIGHTER), 12, jobs=jobs)
+    assert set(threading.enumerate()) == before
+    taken, finished, tasks = scan_calls.counters()
+    failed = list(scan_calls[0][1][14]).count(-2)
+    assert (finished, tasks) == (1, 1 + 8 * jobs)
+    assert 1 <= failed <= jobs and taken == finished + failed
+    time.sleep(0.2)
+    assert scan_calls.counters() == (taken, finished, tasks)
+
+
+@requires_cc
+def test_a_failed_task_stops_the_other_worker(monkeypatch, scan_calls):
+    # Task 0 fails at once: its prefix (ab)^5 has 1,024 sections.  The 200
+    # tasks after it stay within the budget, a millisecond or so each, so
+    # the other worker ends with the task it runs and takes no other.
+    monkeypatch.setattr(_kernel, "SECTION_BUDGET", 1000)
+    auto = parse_automaton(LAMPLIGHTER)
+    scan = _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), (), None, 11)
+    with pytest.raises(analysis.BudgetError):
+        scan([((0, 1) * 5, (), 11, False)] + [((), (), 9, False)] * 200, 2)
+    taken, finished, tasks = scan_calls.counters()
+    assert list(scan_calls[0][1][14]).count(-2) == 1
+    assert taken == finished + 1 < tasks
 
 
 def test_gen_rejects_huge_peg_counts_at_once():

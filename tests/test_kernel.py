@@ -80,14 +80,17 @@ def twins(auto, n_max, exclude_trivial=True, symmetry=True, commutation=True, wa
 
 
 def assert_parity(auto, n_max, max_prefix, **options):
-    """The compiled scan against the reference, length by length, below
-    the empty word (the survey's first task) and every canonical prefix of
-    up to ``max_prefix`` letters, to every bound from one past the prefix
+    """The compiled scan against the reference, task by task: below the
+    empty word (the survey's first task) and every canonical prefix of up
+    to ``max_prefix`` letters, to every bound from one past the prefix
     (n = 1 below the empty word) up to ``n_max``, without the reversal test
     and, when the machine has an inverse_states map, with it; without the
     commutation rule and, when some states commute, with it.  The prefixes
     are those of the symmetries alone, so the rule's forbidden set is
-    rebuilt along prefixes that it would prune as well."""
+    rebuilt along prefixes that it would prune as well.  Each task is
+    scanned alone, and then the whole list in one call on one and on two
+    worker threads, which must finish every task and give the same
+    results."""
     walk = functools.lru_cache(maxsize=None)(functools.partial(_depth_count, auto))
     mirrored = inverse_states(auto) is not None
     for commutation in (False, True):
@@ -96,21 +99,29 @@ def assert_parity(auto, n_max, max_prefix, **options):
         )
         if commutation and commuting_states(auto, allowed) is None:
             break  # no two states commute: the scans are those above
+        tasks, expected = [], []
         for p in range(min(n_max - 1, max_prefix) + 1):
             for prefix, active in _canonical_prefixes(allowed, sigmas, p):
                 # Without the reversal test the reference scans each length
                 # on its own, so its results to a shorter bound are the
                 # first ones of these.
-                whole = reference(prefix, active, n_max)
+                [whole] = reference([(prefix, active, n_max, False)])
                 assert len(whole) == n_max - p
                 for n in range(p + 1, n_max + 1):
-                    assert compiled(prefix, active, n) == whole[: n - p], (n, prefix, commutation)
-                    # The reversal test reads the last length of a call, so
+                    tasks.append((prefix, active, n, False))
+                    expected.append(whole[: n - p])
+                    # The reversal test reads the last length of a task, so
                     # each bound is compared with the reference run to that
                     # bound.
                     if mirrored:
-                        expected = reference(prefix, active, n, True)
-                        assert compiled(prefix, active, n, True) == expected, (n, prefix, commutation)
+                        tasks.append((prefix, active, n, True))
+                        expected += reference(tasks[-1:])
+        for task, result in zip(tasks, expected):
+            assert compiled([task]) == [result], (task, commutation)
+        for jobs in (1, 2):
+            finished = []
+            assert compiled(tasks, jobs, finished.append, 60) == expected, (jobs, commutation)
+            assert finished == [len(tasks)]
 
 
 @requires_cc
@@ -163,7 +174,7 @@ def test_compiled_scan_takes_only_lengths_past_its_prefix(ha4):
     allowed, sigmas, compiled, _ = twins(ha4, 3)
     for prefix, n in [((1,), 1), ((), 0), ((), 4)]:
         with pytest.raises(ValueError):
-            compiled(prefix, sigmas, n)
+            compiled([((), sigmas, 2, False), (prefix, sigmas, n, False)])
 
 
 def csv_of(auto, n_max, **options):
@@ -178,26 +189,27 @@ def test_missing_compiler_falls_back_to_the_same_rows(monkeypatch, ha4):
     assert _kernel.compiled_scan(ha4._next, ha4._emit0, (1, 2), (), None, 5, comm) is None
     assert csv_of(ha4, 5) == compiled_rows
 
-    # The Python scan holds the GIL: at jobs=2 it runs serially, on no pool.
-    def no_pool(*args, **kwargs):
-        pytest.fail("the Python scan started a thread pool")
+    # The Python scan holds the GIL: at jobs=2 it runs serially, on no
+    # worker thread.
+    def no_thread(*args, **kwargs):
+        pytest.fail("the Python scan started a worker thread")
 
-    monkeypatch.setattr(analysis, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert csv_of(ha4, 5, jobs=2) == compiled_rows
 
 
 @requires_cc
 def test_compiled_scans_on_two_threads_match_their_serial_results():
-    # Two machines' scans run side by side on threads, as survey() runs
-    # prefixes; state shared between calls in _kernel.c would mix them up.
+    # Two machines' scans run side by side, each on two worker threads of
+    # its own; state shared between calls in _kernel.c would mix them up.
     # Each job runs the survey's tasks at split 2, and the scan to n = 1.
     def job(auto, n_max):
         allowed, sigmas, compiled, _ = twins(auto, n_max)
-        return lambda: [compiled((), sigmas, 1), compiled((), sigmas, 2)] + [
-            compiled(prefix, active, n_max, True)
-            for prefix, active in _canonical_prefixes(allowed, sigmas, 2)
-        ]
+        prefixes = _canonical_prefixes(allowed, sigmas, 2)
+        tasks = [((), sigmas, 1, False), ((), sigmas, 2, False)]
+        tasks += [(prefix, active, n_max, True) for prefix, active in prefixes]
+        return lambda: compiled(tasks, 2)
 
     jobs = [job(hanoi_automaton(4), 8), job(parse_automaton(BASILICA.read_text()), 13)]
     serial = [run() for run in jobs]
