@@ -2,39 +2,51 @@
  * shape.  Built on first use and loaded with ctypes by _kernel.py; the
  * Python code stays the reference they are tested against.
  *
- * mg_scan is the survey scan: _scan_exact with the closure statistics of
- * _depth_count, at every length up to the longest in one DFS.  A section of
- * a product is a product of sections: with s the state that reads a letter
- * first, (w s)|x = w|s(x) s|x.  So the closure of w s is the part of
- * closure(w) x states reachable from (w, s), and the pair (a, t) has at
- * letter x the child (ch[a][emit[t][x]], nxt[t][x]).  Distinct pairs are
- * distinct section words, so a breadth-first walk over pairs has the
+ * mg_scan is the survey scan, the twin of _scan_lengths: one canonical DFS
+ * that records the depth and count of every word up to the longest length.
+ * A section of a product is a product of sections: with s the state that
+ * reads a letter first, (w s)|x = w|s(x) s|x.  So the closure of w s is the
+ * part of closure(w) x states reachable from (w, s), and the pair (a, t)
+ * has at letter x the child (ch[a][emit[t][x]], nxt[t][x]).  Distinct pairs
+ * are distinct section words, so a breadth-first walk over pairs has the
  * levels, depth and section count (the word itself included) of the walk
- * over section words.  Depth and count need no images of letters, so the
- * canonical DFS keeps only the child table of the prefix's closure at each
- * depth, and a leaf walks its pairs without storing one.  Every node of the
- * DFS is a canonical word, and the walk that builds its closure yields its
- * depth and count too, so each node counts toward its own length: one DFS
- * to length n gives the results of every shorter length as well.  The DFS
- * visits the allowed states in the caller's order, so the words of each
- * length come in the order the Python scan of that length visits them, and
- * a witness is replaced only on a strictly better value: closures computed
- * and witnesses equal those of the Python scan, length by length.  Given
+ * over section words, and numbers the nodes as _walk_record does.  Depth
+ * and count need no images of letters, so the DFS keeps only the child
+ * table (the closure automaton) of each node's closure, and a leaf walks
+ * its pairs without storing one.  Every node of the DFS is a canonical
+ * word, and the walk that builds its closure yields its depth and count
+ * too, so each node counts toward its own length: one DFS to length n
+ * gives the results of every shorter length as well.  The DFS visits the
+ * allowed states in the caller's order, so the words of each length come
+ * in lex order, and a witness is replaced only on a strictly better value:
+ * closures computed and witnesses equal those of the Python scan.  Given
  * one mask per state of the states that commute with it, the DFS carries
  * the set f of states that may not come next: after appending c it is
  * comm[c] & (f | {a : a < c}).  The words that f lets through are the
  * lex-least of their classes under swaps of adjacent commuting states, and
- * the rule is closed under prefixes, so it prunes whole subtrees.  Given iota, the scan also
- * passes over a word of its last length when some map t = sigma o iota,
- * sigma in the group or the identity, makes t(reversed(word)) lex-smaller.
- * Words either rule leaves out have the depth and count of one it keeps
- * (the arguments are in survey's docstring), and both rules are the
- * Python scan's too.  The survey splits its DFS into tasks, one per
- * prefix, and hands the whole list to mg_scan: each worker thread makes
- * one call, which takes tasks from a shared atomic counter, reuses one
- * workspace for all of them, and writes each task's results to the task's
- * own slot.  A failed task or the caller sets a shared stop flag, after
- * which no task starts.
+ * the rule is closed under prefixes, so it prunes whole subtrees.  Given
+ * iota, the scan also passes over a word of its last length when some map
+ * t = sigma o iota, sigma in the group or the identity, makes
+ * t(reversed(word)) lex-smaller.
+ *
+ * The DFS goes children first: at each node it builds every canonical
+ * child's automaton into a buffer of its own and records the children
+ * before it descends into any.  A child whose automaton, tying symmetries
+ * and forbidden set are its parent's is a mirror, and the words below it
+ * are those below the parent with one letter inserted, of the same depth
+ * and count.  It is recorded but not descended into.  Only a node with a
+ * mirror child keeps the words below it apart, in a scope of per-length
+ * bests of its own, and folds the mirrors' subtrees into it once its other
+ * children are done (fold); a node without one records straight into the
+ * enclosing scope.  Words these rules leave out have the depth and count
+ * of a word kept or folded (the arguments are in survey's docstring).  The
+ * survey splits its DFS into tasks, one per prefix, and hands the whole
+ * list to mg_scan: each worker thread makes one call, which takes tasks
+ * from a shared atomic counter, reuses one workspace for all of them, and
+ * writes each task's results to the task's own slot.  A task whose prefix
+ * passes through a mirror scans nothing, and the caller folds its subtree
+ * (analysis._fold_tasks).  A failed task or the caller sets a shared stop
+ * flag, after which no task starts.
  *
  * mg_closure is the closure record of one word that the queries read (the
  * Python walk in _walk_record is its twin).  mg_threshold is
@@ -79,8 +91,18 @@ typedef struct {
      * per state l, lo[l] is the least t(l) over those maps t, and
      * tie[tie_at[l] .. tie_at[l+1]) lists the maps that give it. */
     int32_t *twin, *lo, *tie, *tie_at;
+    int mirror;        /* whether mirror children are folded (see rec) */
     int32_t word[MAXN];
-    Level lv[MAXN];    /* lv[d]: the closure automaton of word[0..d) */
+    Level lv[MAXN];    /* lv[d]: the closure automaton of word[0..d), along a task's prefix */
+    /* Per DFS depth d and allowed state a, the child word[0..d) allowed[a]:
+     * its closure automaton, its depth and count, and what rec does with it. */
+    Level *kid;
+    int64_t *kv;
+    uint8_t *kind;
+    /* Per DFS depth, a scope's bests and witnesses, laid out as the caller's. */
+    int64_t *scope_best;
+    int32_t *scope_witness;
+    int nmax;
     int32_t *qa, *qt;  /* the walk's queue of pairs (prefix node, state) */
     int64_t qcap;      /* entries qa and qt have room for */
     uint32_t *stamp;   /* per pair code a*k + t: seen in this walk iff == gen */
@@ -240,82 +262,217 @@ static int reversal_smaller(const Scan *sc)
 
 /* The forbidden set after appending s to a word whose set is f: the
  * states a that commute with s and are smaller than s or already
- * forbidden (the commutation rule of analysis._canonical_words). */
+ * forbidden (the commutation rule of analysis._canonical_prefixes). */
 static uint64_t forbid(const Scan *sc, uint64_t f, int s)
 {
     return sc->comm ? sc->comm[s] & (f | ((1ULL << s) - 1)) : 0;
 }
 
-/* Canonical DFS below word[0..depth), whose closure automaton is
- * lv[depth] and whose forbidden set is f, down to length n.  A state in f
- * is pruned, and so, by the _extend_active rule, is a state that a
- * symmetry maps lower; one mapping it to itself keeps tying.  Every word
- * it reaches is recorded, except a word of length n that the reversal
- * test passes over; a leaf keeps no automaton. */
-static int rec(Scan *sc, int depth, const int32_t *active, int nact, uint64_t f)
+/* The symmetries among active[0..nact) that still tie once s is appended,
+ * into sub, and their number; -1 when one maps s lower (the
+ * _extend_active rule: the extension is not canonical). */
+static int tying(const Scan *sc, const int32_t *active, int nact, int s, int32_t *sub)
 {
-    int32_t *sub = sc->active + (size_t)(depth + 1) * sc->ng;
-    for (int a = 0; a < sc->na; a++) {
-        int s = sc->allowed[a], keep = 0, canonical = 1, rc;
-        int64_t d, t;
-        if (sc->comm && f >> s & 1)
-            continue;
-        for (int j = 0; j < nact; j++) {
-            int c = sc->group[(size_t)active[j] * sc->k + s];
-            if (c < s) {
-                canonical = 0;
-                break;
-            }
-            if (c == s)
-                sub[keep++] = active[j];
-        }
-        if (!canonical)
-            continue;
-        Level *out = depth + 1 < sc->n ? &sc->lv[depth + 1] : NULL;
-        sc->word[depth] = s;
-        if (!out && sc->twin && reversal_smaller(sc))
-            continue;
-        if ((rc = extend(sc, &sc->lv[depth], s, out, &d, &t)))
-            return rc;
-        record(sc, depth + 1, d, t);
-        if (out && (rc = rec(sc, depth + 1, sub, keep, forbid(sc, f, s))))
-            return rc;
+    int keep = 0;
+    for (int j = 0; j < nact; j++) {
+        const int c = sc->group[(size_t)active[j] * sc->k + s];
+        if (c < s)
+            return -1;
+        if (c == s)
+            sub[keep++] = active[j];
+    }
+    return keep;
+}
+
+static int same_automaton(const Level *a, const Level *b, int m)
+{
+    return a->size == b->size && !memcmp(a->ch, b->ch, (size_t)a->size * m * sizeof *a->ch);
+}
+
+/* Whether word[0..at) x word[at..len-1) is lex-smaller than u[0..len). */
+static int inserted_less(const int32_t *word, int at, int x, const int32_t *u, int len)
+{
+    for (int i = 0; i < len; i++) {
+        const int c = i < at ? word[i] : i == at ? x : word[i - 1];
+        if (c != u[i])
+            return c < u[i];
     }
     return 0;
 }
 
+enum { SKIP, DESCEND, MIRROR };
+
+/* Fold the subtrees of the mirror children of word[0..depth), whose
+ * words below it are all in the open scope: below a mirror c = v x the
+ * words are c u for the words v u below v = word[0..depth), with v u's
+ * depth and count, so the best of length L below c is the best of length
+ * L-1 below v with x inserted at position depth.  Lengths go up, so the
+ * words below v of length L-1 include those folded at L-1; a tie goes to
+ * the lex-smaller word.  The best of length L-1 below v always exists:
+ * x may always follow x, so v x, v x x, ... are below v, folded or not. */
+static void fold(Scan *sc, int depth, const uint8_t *kind)
+{
+    const int n = sc->n;
+    for (int len = depth + 2; len <= n; len++) {
+        const size_t from = 2 * (size_t)(len - 1 - sc->first), to = 2 * (size_t)(len - sc->first);
+        for (int v = 0; v < 2; v++) {
+            const int64_t value = sc->best[from + v];
+            const int32_t *base = sc->witness + (from + v) * n;
+            int32_t *w = sc->witness + (to + v) * n;
+            for (int a = 0; a < sc->na; a++) {
+                const int x = sc->allowed[a];
+                if (kind[a] != MIRROR || value < sc->best[to + v]
+                    || (value == sc->best[to + v] && !inserted_less(base, depth, x, w, len)))
+                    continue;
+                sc->best[to + v] = value;
+                memcpy(w, base, depth * sizeof *w);
+                w[depth] = x;
+                memcpy(w + depth + 1, base + depth, (len - 1 - depth) * sizeof *w);
+            }
+        }
+    }
+}
+
+/* Canonical DFS below v = word[0..depth), whose closure automaton is p
+ * and whose forbidden set is f, down to length n.  A state in f is pruned,
+ * and so is one that breaks a tie (see tying).  Every word it reaches is
+ * recorded, except a word of length n that the reversal test passes over;
+ * a leaf keeps no automaton.  Children come first: each one's automaton
+ * is built and the children recorded before any is descended into.  A
+ * child c = v s shorter than n is a mirror when its automaton, its tying
+ * symmetries (every one that ties on v fixes s) and its forbidden set are
+ * v's: extend reads nothing else, so the words below c are v s u for the
+ * words v u below v, with their depths and counts (survey has the
+ * argument).  A mirror is recorded but not descended into.  A node with
+ * mirror children records the words below it in a scope of its own, folds
+ * the mirrors' subtrees there (fold), and then merges the scope into the
+ * enclosing one, where a word of the scope replaces the best only when
+ * strictly better: it comes later in lex order. */
+static int rec(Scan *sc, int depth, const Level *p, const int32_t *active, int nact, uint64_t f)
+{
+    int32_t *sub = sc->active + (size_t)(depth + 1) * sc->ng;
+    const int na = sc->na;
+    int64_t d, t;
+    int rc, keep, mirrors = 0;
+    if (depth + 1 == sc->n) {
+        for (int a = 0; a < na; a++) {
+            const int s = sc->allowed[a];
+            if ((sc->comm && f >> s & 1) || tying(sc, active, nact, s, sub) < 0)
+                continue;
+            sc->word[depth] = s;
+            if (sc->twin && reversal_smaller(sc))
+                continue;
+            if ((rc = extend(sc, p, s, NULL, &d, &t)))
+                return rc;
+            record(sc, depth + 1, d, t);
+        }
+        return 0;
+    }
+    Level *kid = sc->kid + (size_t)depth * na;
+    int64_t *kv = sc->kv + 2 * (size_t)depth * na;
+    uint8_t *kind = sc->kind + (size_t)depth * na;
+    for (int a = 0; a < na; a++) {
+        const int s = sc->allowed[a];
+        kind[a] = SKIP;
+        if ((sc->comm && f >> s & 1) || (keep = tying(sc, active, nact, s, sub)) < 0)
+            continue;
+        if ((rc = extend(sc, p, s, &kid[a], &kv[2 * a], &kv[2 * a + 1])))
+            return rc;
+        kind[a] = sc->mirror && keep == nact && forbid(sc, f, s) == f
+                  && same_automaton(&kid[a], p, sc->m) ? MIRROR : DESCEND;
+        mirrors += kind[a] == MIRROR;
+    }
+    int64_t *const best = sc->best;
+    int32_t *const witness = sc->witness;
+    if (mirrors) {
+        sc->best = sc->scope_best + 2 * (size_t)depth * sc->nmax;
+        sc->witness = sc->scope_witness + 2 * (size_t)depth * sc->nmax * sc->nmax;
+        for (int i = depth + 1 - sc->first; i <= sc->n - sc->first; i++)
+            sc->best[2 * i] = sc->best[2 * i + 1] = -1;
+    }
+    for (int a = 0; a < na; a++)
+        if (kind[a] != SKIP) {
+            sc->word[depth] = sc->allowed[a];
+            record(sc, depth + 1, kv[2 * a], kv[2 * a + 1]);
+        }
+    for (int a = 0; a < na; a++) {
+        const int s = sc->allowed[a];
+        if (kind[a] != DESCEND)
+            continue;
+        sc->word[depth] = s;
+        keep = tying(sc, active, nact, s, sub);
+        if ((rc = rec(sc, depth + 1, &kid[a], sub, keep, forbid(sc, f, s))))
+            return rc;
+    }
+    if (!mirrors)
+        return 0;
+    fold(sc, depth, kind);
+    for (int len = depth + 1; len <= sc->n; len++)
+        for (size_t j = 2 * (size_t)(len - sc->first), v = 0; v < 2; v++, j++)
+            if (sc->best[j] > best[j]) {
+                best[j] = sc->best[j];
+                memcpy(witness + j * sc->n, sc->witness + j * sc->n, len * sizeof *witness);
+            }
+    sc->best = best;
+    sc->witness = witness;
+    return 0;
+}
+
 /* One task of mg_scan, from its row (see there), into slot i of the
- * outputs: the closure automata of the prefix are rebuilt into lv[], and
- * the DFS goes on below it. */
-static int scan_task(Scan *sc, int nmax, const int32_t *row, int32_t *mirror, size_t i,
-                     uint64_t *examined, int64_t *best, int32_t *witness)
+ * outputs: the closure automata of the prefix are rebuilt into lv[], with
+ * the symmetries tying on each of its prefixes in the rows of active.
+ * value gets the prefix's depth and count, and the length of the first
+ * of its prefixes that is a mirror of the one before (see rec), or 0.
+ * When there is one, the DFS below the prefix is left to the caller's
+ * fold; otherwise it goes on below the prefix. */
+static int scan_task(Scan *sc, int nmax, const int32_t *row, int32_t *twin, size_t i,
+                     uint64_t *examined, int64_t *best, int32_t *witness, int64_t *value)
 {
     const int np = row[0], n = row[1], ns = row[3], ng = sc->ng;
     const int32_t *prefix = row + 4, *active = row + 4 + nmax;
-    int64_t d, t;
+    int64_t d = 0, t = 1; /* the empty word's */
     uint64_t f = 0;
-    int rc;
+    int rc, nt = ng;
 
     if (np < 0 || np >= n || n > nmax || ns < 0 || ns > ng)
         return -1;
     sc->n = n;
     sc->first = np + 1;
-    sc->twin = row[2] ? mirror : NULL;
+    sc->twin = row[2] ? twin : NULL;
     sc->examined = examined + i * nmax;
     sc->best = best + 2 * i * nmax;
     sc->witness = witness + 2 * i * nmax * nmax;
+    value += 3 * i;
+    value[2] = 0;
     for (int j = 0; j < n - np; j++) {
         sc->examined[j] = 0;
         sc->best[2 * j] = sc->best[2 * j + 1] = -1;
     }
-    memcpy(sc->active + (size_t)np * ng, active, ns * sizeof *active);
+    for (int j = 0; j < ng; j++)
+        sc->active[j] = j;
     memcpy(sc->word, prefix, np * sizeof *prefix);
     for (int j = 0; j < np; j++) {
+        const int32_t *tie = sc->active + (size_t)j * ng;
+        int32_t *next = sc->active + (size_t)(j + 1) * ng;
+        const uint64_t g = forbid(sc, f, prefix[j]);
+        int keep = 0;
+        for (int r = 0; r < nt; r++)
+            if (sc->group[(size_t)tie[r] * sc->k + prefix[j]] == prefix[j])
+                next[keep++] = tie[r];
         if ((rc = extend(sc, &sc->lv[j], prefix[j], &sc->lv[j + 1], &d, &t)))
             return rc;
-        f = forbid(sc, f, prefix[j]);
+        if (sc->mirror && !value[2] && keep == nt && g == f
+            && same_automaton(&sc->lv[j + 1], &sc->lv[j], sc->m))
+            value[2] = j + 1;
+        nt = keep;
+        f = g;
     }
-    return rec(sc, np, sc->active + (size_t)np * ng, ns, f);
+    value[0] = d;
+    value[1] = t;
+    if (value[2])
+        return 0;
+    memcpy(sc->active + (size_t)np * ng, active, ns * sizeof *active);
+    return rec(sc, np, &sc->lv[np], sc->active + (size_t)np * ng, ns, f);
 }
 
 /* The survey scan of a task list, run by each of the caller's worker
@@ -331,39 +488,52 @@ static int scan_task(Scan *sc, int nmax, const int32_t *row, int32_t *mirror, si
  * comm (k <= 64 masks) not NULL, words pass the commutation rule too, its
  * forbidden set rebuilt along the prefix; with iota (k entries) not NULL
  * and the flag set, words of length n pass the reversal test.
+ * With mirror set, mirror children are folded (see rec).
  * Task i writes slot i only, its return code into status[i]: length L has
  * index j = i*nmax + L - np - 1, closures computed in examined[j], best
- * depth in best[2j], best count in best[2j+1], and their witnesses at
- * witness[2*nmax*nmax*i + 2n(L - np - 1)], the count's n entries on.  The
- * prefix's own length and shorter ones are not counted.  A task returns
+ * depth in best[2j] (-1 when no word of length L was reached), best count
+ * in best[2j+1], and their witnesses at witness[2*nmax*nmax*i + 2n(L - np
+ * - 1)], the count's n entries on.  The prefix's own length and shorter
+ * ones are not counted.  value[3i .. 3i+3) gets the prefix's depth and
+ * count and the length of the first mirror along it, or 0 (see
+ * scan_task); with a mirror the task scans nothing.  A task returns
  * 0, -1 when memory runs out or its lengths are out of range, or -2 when
  * a closure passes `budget` sections (its outputs are then meaningless);
  * either error sets the stop flag, and so does a worker that cannot set
  * up its workspace.  Returns 0 or the error that stopped this worker. */
 int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const int32_t *allowed,
-            int ng, const int32_t *group, const int32_t *iota, const uint64_t *comm, int64_t budget,
-            int nmax, int64_t ntasks, const int32_t *tasks, int32_t *status, uint64_t *examined,
-            int64_t *best, int32_t *witness, int64_t *shared)
+            int ng, const int32_t *group, const int32_t *iota, const uint64_t *comm, int mirror,
+            int64_t budget, int nmax, int64_t ntasks, const int32_t *tasks, int32_t *status,
+            uint64_t *examined, int64_t *best, int32_t *witness, int64_t *value, int64_t *shared)
 {
     Scan sc = {
-        .k = k, .m = m, .na = na, .ng = ng,
+        .k = k, .m = m, .na = na, .ng = ng, .mirror = mirror,
         .budget = budget < INT32_MAX ? budget : INT32_MAX, /* node indices are int32 */
         .nxt = nxt, .emit = emit, .allowed = allowed, .group = group, .comm = comm,
     };
     const size_t width = 4 + (size_t)nmax + ng;
+    const size_t depths = nmax >= 1 && nmax <= MAXN ? (size_t)nmax : 1;
+    const size_t kids = depths * (na ? na : 1);
 
-    sc.active = malloc((size_t)(nmax + 1) * (ng ? ng : 1) * sizeof *sc.active);
+    sc.nmax = (int)depths;
+    sc.active = malloc((depths + 1) * (ng ? ng : 1) * sizeof *sc.active);
+    sc.kid = calloc(kids, sizeof *sc.kid);
+    sc.kv = malloc(2 * kids * sizeof *sc.kv);
+    sc.kind = malloc(kids);
+    sc.scope_best = malloc(2 * depths * depths * sizeof *sc.scope_best);
+    sc.scope_witness = malloc(2 * depths * depths * depths * sizeof *sc.scope_witness);
     /* The empty word is its own only section. */
     sc.lv[0] = (Level){.ch = calloc(m, sizeof(int32_t)), .size = 1, .cap = 1};
-    int rc = nmax < 1 || nmax > MAXN || (comm && k > 64) || !sc.active || !sc.lv[0].ch
+    int rc = nmax < 1 || nmax > MAXN || (comm && k > 64) || !sc.active || !sc.kid || !sc.kv
+             || !sc.kind || !sc.scope_best || !sc.scope_witness || !sc.lv[0].ch
              || (iota && twins(&sc, iota)) ? -1 : 0;
-    int32_t *const mirror = sc.twin;
+    int32_t *const twin = sc.twin;
     while (!rc && !__atomic_load_n(&shared[2], __ATOMIC_RELAXED)) {
         const int64_t i = __atomic_fetch_add(&shared[0], 1, __ATOMIC_RELAXED);
         if (i >= ntasks)
             break;
-        rc = status[i] = scan_task(&sc, nmax, tasks + i * width, mirror, i, examined, best,
-                                   witness);
+        rc = status[i] = scan_task(&sc, nmax, tasks + i * width, twin, i, examined, best,
+                                   witness, value);
         if (!rc)
             __atomic_fetch_add(&shared[1], 1, __ATOMIC_RELAXED);
     }
@@ -371,12 +541,19 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const
         __atomic_store_n(&shared[2], 1, __ATOMIC_RELAXED);
     for (int i = 0; i < MAXN; i++)
         free(sc.lv[i].ch);
+    for (size_t i = 0; sc.kid && i < kids; i++)
+        free(sc.kid[i].ch);
+    free(sc.kid);
+    free(sc.kv);
+    free(sc.kind);
+    free(sc.scope_best);
+    free(sc.scope_witness);
     free(sc.active);
     free(sc.qa);
     free(sc.qt);
     free(sc.stamp);
     free(sc.index);
-    free(mirror);
+    free(twin);
     free(sc.lo);
     free(sc.tie);
     free(sc.tie_at);

@@ -76,8 +76,9 @@ class _ClosureOut(ctypes.Structure):
 
 _SIGNATURES = {
     "mg_scan": (ctypes.c_int, [_I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32P, _I32P,
-                               _U64P, _I64, _I32, _I64, _I32P, _I32P, _U64P,
-                               ctypes.POINTER(_I64), _I32P, ctypes.POINTER(_I64)]),
+                               _U64P, _I32, _I64, _I32, _I64, _I32P, _I32P, _U64P,
+                               ctypes.POINTER(_I64), _I32P, ctypes.POINTER(_I64),
+                               ctypes.POINTER(_I64)]),
     "mg_closure": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
                                   ctypes.c_char_p, _I64, ctypes.POINTER(_ClosureOut)]),
     "mg_closure_free": (None, [ctypes.POINTER(_ClosureOut)]),
@@ -131,9 +132,9 @@ def _tables(nxt, emit0):
     return [(_I32 * (len(t) * len(t[0])))(*itertools.chain.from_iterable(t)) for t in (nxt, emit0)]
 
 
-def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None):
+def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None, mirror=True):
     """The twin of ``analysis._scan_lengths`` (see ``_kernel.c``), with
-    ``analysis._depth_count`` bound in: ``scan(tasks, jobs=1,
+    the closure walk bound in: ``scan(tasks, jobs=1,
     progress=None, every=None)`` takes the same tasks, up to length
     ``n_max``.  Each of ``jobs`` worker threads makes one ``mg_scan``
     call, which releases the GIL and takes tasks from a shared counter.
@@ -151,7 +152,7 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None):
     machine = (k, m, *_tables(nxt, emit0), len(allowed), (_I32 * len(allowed))(*allowed),
                len(group), (_I32 * (len(group) * k))(*itertools.chain.from_iterable(group)),
                None if iota is None else (_I32 * k)(*iota),
-               None if comm is None else (ctypes.c_uint64 * k)(*comm))
+               None if comm is None else (ctypes.c_uint64 * k)(*comm), int(mirror))
 
     def scan(tasks, jobs=1, progress=None, every=None):
         rows = []  # one row per task, as mg_scan reads it
@@ -164,8 +165,9 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None):
         status, shared = (_I32 * count)(), (_I64 * 3)()  # shared: next task, finished, stop
         examined, best = (ctypes.c_uint64 * (count * n_max))(), (_I64 * (2 * count * n_max))()
         witness = (_I32 * (2 * count * n_max * n_max))()
+        value = (_I64 * (3 * count))()  # per task: prefix depth and count, mirror length
         args = (*machine, SECTION_BUDGET, n_max, count, (_I32 * len(rows))(*rows), status,
-                examined, best, witness, shared)
+                examined, best, witness, value, shared)
         workers = [threading.Thread(target=lib.mg_scan, args=args) for _ in range(jobs)]
         try:
             for w in workers:
@@ -184,13 +186,13 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None):
             _check(min(status) or -1)  # a failed task, or a worker without memory
         results = []
         for i, (prefix, _, n, _) in enumerate(tasks):
-            found = []
-            for j, length in enumerate(range(len(prefix) + 1, n + 1)):
+            found, at = [], value[3 * i + 2]
+            for j, length in enumerate(range(len(prefix) + 1, n + 1) if not at else ()):
                 slot, w = i * n_max + j, 2 * (i * n_max * n_max + n * j)
                 found.append((examined[slot], best[2 * slot], tuple(witness[w : w + length]),
                               best[2 * slot + 1], tuple(witness[w + n : w + n + length]))
-                             if examined[slot] else (0, -1, None, -1, None))
-            results.append(tuple(found))
+                             if best[2 * slot] >= 0 else (0, -1, None, -1, None))
+            results.append(((value[3 * i], value[3 * i + 1]), at, tuple(found)))
         if progress:
             progress(shared[1])
         return results

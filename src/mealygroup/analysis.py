@@ -9,14 +9,16 @@ trivially -- which is the decision procedure behind :func:`is_identity`.
 
 The survey enumerates all words up to a length bound and reports, per
 length, the maximum depth and the maximum number of sections together
-with witnesses.  Four value-preserving reductions keep this tractable:
+with witnesses.  Five value-preserving reductions keep this tractable:
 words containing do-nothing states are skipped (inserting such a state
 changes neither depth nor section count), only the lexicographically
 least representative of each orbit under the machine's letter-relabeling
 automorphisms is examined, only the lex-least order of adjacent
 commuting states is (:func:`commuting_states`), and at the longest
 length a word is passed over when a relabeled mirror image of it that
-acts as its inverse is lex-smaller (:func:`inverse_states`).  One
+acts as its inverse is lex-smaller (:func:`inverse_states`); and a
+subtree of the DFS whose root has its parent's closure automaton and
+pruning state is folded from the parent's results, not scanned.  One
 canonical DFS to the longest length gives every length's maxima, since
 each word it reaches counts toward its own length.  Worker threads split
 that DFS by canonical prefix; results merge per length by a max-value /
@@ -209,13 +211,6 @@ def section_closure(auto: Automaton, word: Sequence[int]) -> SectionClosure:
         all_sections=frozenset().union(*levels),  # reuses the hashes the levels hold
         depth=len(starts) - 2,
     )
-
-
-def _depth_count(auto, word):
-    """(depth, section count) of ``word`` from the Python walk: the
-    closure statistics of the reference survey scan."""
-    rec = _walk_record(auto, word)
-    return rec.depth, len(rec.nodes)
 
 
 def word_depth(auto: Automaton, word: Sequence[int]) -> int:
@@ -580,78 +575,135 @@ def _forbid(comm, forbid, s):
     return comm[s] & (forbid | ((1 << s) - 1)) if comm else 0
 
 
-def _canonical_words(allowed, prefix, active, n, comm=None):
-    """Every canonical word of length ``n`` that extends ``prefix``, in
-    ``allowed`` order, with the symmetries still tying on it; with the
-    masks ``comm`` of :func:`commuting_states`, only words that are the
-    lex-least order of their commuting letters.  The word is one list that
-    the walk goes on changing; copy it to keep it."""
-    word = list(prefix)
-
-    def rec(active, forbid):
-        if len(word) == n:
-            yield word, active
-            return
-        for s in allowed:
-            sub = None if forbid >> s & 1 else _extend_active(active, s)
-            if sub is not None:
-                word.append(s)
-                yield from rec(sub, _forbid(comm, forbid, s))
-                word.pop()
-
-    return rec(list(active), functools.reduce(functools.partial(_forbid, comm), prefix, 0))
+def _canonical_prefixes(allowed, sigmas, length, comm=None):
+    """Every canonical word of ``length`` in lex order (``allowed`` order),
+    with the symmetries still tying on it; with the masks ``comm`` of
+    :func:`commuting_states`, only words that are the lex-least order of
+    their commuting letters."""
+    words = [((), tuple(sigmas), 0)]  # (word, tying symmetries, forbidden set)
+    for _ in range(length):
+        words = [
+            (word + (s,), tuple(sub), _forbid(comm, forbid, s))
+            for word, active, forbid in words
+            for s in allowed
+            if not forbid >> s & 1 and (sub := _extend_active(active, s)) is not None
+        ]
+    return [(word, active) for word, active, _ in words]
 
 
-def _scan_exact(allowed, stats, prefix, active, n, twins=(), comm=None):
-    """Visit every canonical word of length exactly ``n`` extending
-    ``prefix``, except a word w for which some map t in ``twins`` makes
-    t(reversed(w)) lex-smaller than w (the reversal test, see
-    :func:`survey`); return (closures computed, best depth + witness, best
-    count + witness)."""
-    examined = 0
-    best_d = best_t = -1
-    best_dw = best_tw = None
-    for word, _ in _canonical_words(allowed, prefix, active, n, comm):
-        if any(t[word[-1]] <= word[0] and [t[s] for s in reversed(word)] < word for t in twins):
-            continue
-        d, t = stats(word)
-        examined += 1
-        if d > best_d:
-            best_d, best_dw = d, tuple(word)
-        if t > best_t:
-            best_t, best_tw = t, tuple(word)
-    return examined, best_d, best_dw, best_t, best_tw
-
-
-def _scan_lengths(allowed, stats, group, iota, tasks, jobs=1, progress=None, every=None, *,
-                  comm=None):
+def _scan_lengths(allowed, walk, group, iota, tasks, jobs=1, progress=None, every=None, *,
+                  comm=None, mirror=True):
     """The reference twin of ``_kernel.compiled_scan``: per task ``(prefix,
-    active, n, reversal)``, in turn, one :func:`_scan_exact` result per
-    length ``len(prefix) + 1 .. n``, ``active`` being the members of
-    ``group`` (the symmetries without the identity) still tying on the
-    prefix.  With ``reversal`` and an ``iota``, words of length ``n`` pass
-    the reversal test with the maps sigma o iota, sigma in ``group`` or
-    the identity; ``comm`` as in :func:`_canonical_words`.  ``progress``
-    gets the tasks done after each; ``jobs`` and ``every`` are unused."""
-    mirrored = () if iota is None else (iota, *(tuple(sg[s] for s in iota) for sg in group))
+    active, n, reversal)``, in turn, ``(value, at, found)``.  ``value`` is
+    the prefix's (depth, count) and ``at`` the length of the first of its
+    prefixes that is a mirror of the one before (see ``mg_scan``'s ``rec``)
+    or 0.  ``found`` holds one ``(closures computed, best depth, witness,
+    best count, witness)`` per length ``len(prefix) + 1 .. n`` below the
+    prefix, or nothing when ``at`` is set: those words are the caller's to
+    fold.  ``active`` is the members of ``group`` (the symmetries without
+    the identity) still tying on the prefix; ``walk`` gives the closure
+    record of a word (``_walk_record``), whose child table is the closure
+    automaton that ``mg_scan`` builds.  With ``reversal`` and an ``iota``,
+    words of length ``n`` pass the reversal test with the maps sigma o
+    iota, sigma in ``group`` or the identity; ``comm`` as in
+    :func:`_canonical_prefixes`; ``mirror`` folds mirror children.
+    ``progress`` gets the tasks done after each; ``jobs`` and ``every`` are
+    unused."""
+    maps = () if iota is None else (iota, *(tuple(sg[s] for s in iota) for sg in group))
     results = []
     for prefix, active, n, reversal in tasks:
-        twins = mirrored if reversal else ()
-        results.append(tuple(
-            _scan_exact(allowed, stats, prefix, active, length, twins if length == n else (), comm)
-            for length in range(len(prefix) + 1, n + 1)
-        ))
+        results.append(_scan_task(allowed, walk, group, comm, mirror, maps if reversal else (),
+                                  prefix, active, n))
         if progress:
             progress(len(results))
     return results
 
 
-def _canonical_prefixes(allowed, sigmas, length, comm=None):
-    """Canonical words of ``length`` with the symmetries still tying on them."""
-    return [
-        (tuple(word), tuple(active))
-        for word, active in _canonical_words(allowed, (), sigmas, length, comm)
-    ]
+def _scan_task(allowed, walk, group, comm, mirror, twins, prefix, active, n):
+    """One task of :func:`_scan_lengths`, as ``mg_scan``'s ``scan_task``
+    and ``rec`` run it: children first, each node with mirror children
+    keeping the words below it in a scope of its own, one list ``[depth,
+    witness, count, witness]`` per length, where the mirrors are folded
+    (:func:`_fold_scope`)."""
+    table, tying, forbid, at, value = walk(()).children, group, 0, 0, (0, 1)
+    for j, s in enumerate(prefix):
+        rec = walk(prefix[: j + 1])
+        sub, after = [sg for sg in tying if sg[s] == s], _forbid(comm, forbid, s)
+        if (mirror and not at and len(sub) == len(tying) and after == forbid
+                and rec.children == table):
+            at = j + 1
+        table, tying, forbid, value = rec.children, sub, after, (rec.depth, len(rec.nodes))
+    if at:
+        return value, at, ()
+    first = len(prefix) + 1
+    examined = [0] * (n - len(prefix))
+    word = list(prefix)
+
+    def record(scope, d, t):
+        i = len(word) - first
+        examined[i] += 1
+        best = scope[i]
+        if d > best[0]:
+            best[0:2] = d, tuple(word)
+        if t > best[2]:
+            best[2:4] = t, tuple(word)
+
+    def dfs(table, active, forbid, scope):
+        depth, kids = len(word), []
+        for s in allowed:
+            sub = None if forbid >> s & 1 else _extend_active(active, s)
+            if sub is None:
+                continue
+            word.append(s)
+            if depth + 1 < n:
+                rec, after = walk(tuple(word)), _forbid(comm, forbid, s)
+                kids.append((s, rec, sub, after, mirror and len(sub) == len(active)
+                             and after == forbid and rec.children == table))
+            elif not any(t[s] <= word[0] and [t[c] for c in reversed(word)] < word for t in twins):
+                rec = walk(tuple(word))  # a leaf: recorded at once, and kids stays empty
+                record(scope, rec.depth, len(rec.nodes))
+            word.pop()
+        mirrors = [s for s, *_, same in kids if same]
+        outer = scope
+        if mirrors:
+            scope = [[-1, None, -1, None] for _ in outer]
+        for s, rec, *_ in kids:
+            word.append(s)
+            record(scope, rec.depth, len(rec.nodes))
+            word.pop()
+        for s, rec, sub, after, same in kids:
+            if not same:
+                word.append(s)
+                dfs(rec.children, sub, after, scope)
+                word.pop()
+        if mirrors:
+            _fold_scope(scope[depth + 1 - first :], mirrors, depth)
+            for best, found in zip(outer[depth + 1 - first :], scope[depth + 1 - first :]):
+                for j in (0, 2):
+                    if found[j] > best[j]:
+                        best[j : j + 2] = found[j : j + 2]
+
+    scope = [[-1, None, -1, None] for _ in examined]
+    dfs(table, active, forbid, scope)
+    return value, 0, tuple(
+        (ex, d, dw, t, tw) if d >= 0 else (0, -1, None, -1, None)
+        for ex, (d, dw, t, tw) in zip(examined, scope)
+    )
+
+
+def _fold_scope(scope, mirrors, at):
+    """Fold the subtrees of the ``mirrors`` children of a node v of length
+    ``at``, as ``mg_scan``'s ``fold`` does: ``scope[i]`` holds the best
+    ``[depth, witness, count, witness]`` of the words below v of length
+    ``at + 1 + i``.  The best below a mirror c = v x at length L is the
+    best below v at length L - 1 with x inserted at ``at``; a tie goes to
+    the lex-smaller word."""
+    for base, best in zip(scope, scope[1:]):
+        for j in (0, 2):
+            for x in mirrors:
+                w = base[j + 1][:at] + (x,) + base[j + 1][at:]
+                if base[j] > best[j] or (base[j] == best[j] and w < best[j + 1]):
+                    best[j : j + 2] = base[j], w
 
 
 def _merge_round(results):
@@ -717,6 +769,7 @@ def survey(
     symmetry: bool = True,
     reversal: bool = True,
     commutation: bool = True,
+    mirror: bool = True,
     jobs: int = 1,
     long_run: bool = False,
     checkpoint=None,
@@ -758,6 +811,30 @@ def survey(
     iota o reversed passes all three tests (prefixes of a lex-least word
     are lex-least), and the whole class has u's depth and count, so the
     values and witnesses stay as above.
+
+    ``mirror`` folds whole subtrees of the DFS instead of scanning them.
+    The scan builds the closure of v s from the closure automaton of v
+    (its child table) and nothing else, and which states the DFS appends
+    to a word depends only on the symmetries still tying on it and its
+    forbidden set.  Call a child c = v x of a DFS node v, shorter than
+    ``n_max``, a mirror when its closure automaton, its tying symmetries
+    (every symmetry tying on v fixes x) and its forbidden set are v's.
+    Leaving the reversal test aside, by induction on u the words below c
+    are then exactly c u for the words v u below v, and c u has v u's
+    closure automaton, so its depth and count.  So the scan records c but
+    does not descend into it.  Once v's subtree is done, the best word of
+    each length L below c is the best of length L - 1 below v with x
+    inserted after v, for L = |v| + 2 .. ``n_max`` in turn (the words
+    below v of length L - 1 include those folded there), a tie going to
+    the lex-smaller word.  Words v u shorter than ``n_max`` never meet the
+    reversal test, so the fold takes in all the words c u, also some of
+    length ``n_max`` that the test would pass over.  Each of those has
+    the depth and count of a lex-smaller word that the scan keeps, so the
+    values and witnesses stay as above, and only ``closures`` drops.  A
+    prefix task whose prefix passes through a mirror scans nothing, and
+    the survey folds those subtrees from the tasks' results, so the
+    closures computed do not depend on ``jobs`` either.  ``mirror=False``
+    is the unreduced twin the tests compare with.
 
     The scan is split into tasks by canonical prefix, which ``jobs``
     worker threads of the compiled scan share; the Python scan runs them
@@ -811,10 +888,12 @@ def survey(
 
     # The compiled twin of _scan_lengths when it loads and n_max <= 64; the
     # Python scan, its reference, holds the GIL and runs serially.
-    scan = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max, comm)
+    scan = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max, comm,
+                                 mirror)
     if scan is None:
-        stats = functools.partial(_depth_count, auto)
-        scan = functools.partial(_scan_lengths, allowed, stats, sigmas, iota, comm=comm)
+        walk = functools.partial(_walk_record, auto)
+        scan = functools.partial(_scan_lengths, allowed, walk, sigmas, iota, comm=comm,
+                                 mirror=mirror)
 
     scanned, closures = {}, {}
     if any(n not in done for n in range(1, n_max + 1)):
@@ -883,8 +962,9 @@ def _scan_all(scan, allowed, sigmas, comm, jobs, n_max):
     witness)`` of every length 1 .. ``n_max``, from one canonical DFS split
     into tasks by prefix: one task scans lengths 1 .. split below the empty
     word, and one per canonical prefix of length split scans the longer
-    lengths below it.  Only the tasks to ``n_max`` apply the reversal test,
-    so the closures computed do not depend on the split.  A scan on one
+    lengths below it, or leaves them to :func:`_fold_tasks` when a mirror
+    lies on its prefix.  Only the tasks to ``n_max`` apply the reversal
+    test, so the closures computed do not depend on the split.  A scan on one
     thread is split too: a Ctrl-C then waits for the running task, not for
     the whole scan.  Every :data:`TASK_REPORT_SECONDS` at most, the tasks
     finished so far are reported on stderr."""
@@ -906,11 +986,41 @@ def _scan_all(scan, allowed, sigmas, comm, jobs, n_max):
                   file=sys.stderr, flush=True)
             last = now
 
-    by_length = {n: [] for n in range(1, n_max + 1)}
-    for (prefix, *_), result in zip(tasks, scan(tasks, jobs, progress, TASK_REPORT_SECONDS)):
-        for n, res in enumerate(result, len(prefix) + 1):
-            by_length[n].append(res)
+    results = scan(tasks, jobs, progress, TASK_REPORT_SECONDS)
+    first = int(split > 0)  # the task below the empty word, when there is one
+    by_length = {n: [res] for n, res in enumerate(results[0][2] if first else (), 1)}
+    by_length.update(_fold_tasks(tasks[first:], results[first:], split, n_max))
     return {n: _merge_round(found) for n, found in by_length.items()}
+
+
+def _fold_tasks(tasks, results, split, n_max):
+    """The results of every length ``split + 1 .. n_max`` below the
+    prefixes of ``split`` letters, from one scan result per prefix task.
+    A task whose prefix has a mirror c = v x on it (its ``at``) scanned
+    nothing: the words below c are folded from those below v, as
+    ``mg_scan``'s ``fold`` does within a task.  Below v they are the
+    prefixes of ``split`` letters themselves (each task gives its prefix's
+    depth and count) and the words the tasks below v scanned or folded.
+    The mirrors go deepest first, so that the words below v include those
+    folded below deeper mirrors, and at each v lengths go up, so that they
+    include those folded below v's own mirrors at the length before."""
+    below = {}  # a subtree's root -> its results at lengths split .. n_max
+    mirrors = {}  # a mirror -> the prefixes below it
+    for (prefix, *_), ((d, t), at, found) in zip(tasks, results):
+        below[prefix] = [(0, d, prefix, t, prefix), *found]
+        if at:
+            mirrors.setdefault(prefix[:at], []).append(prefix)
+    for v in sorted({c[:-1] for c in mirrors}, key=len, reverse=True):
+        children = [c for c in mirrors if c[:-1] == v]
+        for c in children:
+            below[c] = [_merge_round([below.pop(p)[0] for p in mirrors[c]])]
+        under = [res for root, res in below.items() if root[: len(v)] == v]
+        for n in range(split + 1, n_max + 1):
+            _, d, dw, t, tw = _merge_round([res[n - 1 - split] for res in under])
+            for c in children:
+                x, i = c[-1], len(v)
+                below[c].append((0, d, dw[:i] + (x,) + dw[i:], t, tw[:i] + (x,) + tw[i:]))
+    return {n: [res[n - split] for res in below.values()] for n in range(split + 1, n_max + 1)}
 
 
 def render_growth_csv(report: GrowthReport, auto: Automaton) -> str:

@@ -235,6 +235,8 @@ def _cmd_table(args) -> int:
     _require_invertible(auto)
     if args.max_n < 1:
         raise AutomatonError("--max-n must be at least 1")
+    if args.jobs < 1:
+        raise AutomatonError(f"--jobs must be at least 1, got {args.jobs}")
     checkpoint = None
     if args.long_run and args.out:
         checkpoint = args.out + ".ckpt"

@@ -35,7 +35,7 @@ class ScanCalls(list):
         A worker takes no task once the stop flag is set, and one past the
         last when none is left."""
         args = self[0][1]
-        shared, count = args[-1], args[12]  # mg_scan's shared counters and ntasks
+        shared, count = args[-1], args[13]  # mg_scan's shared counters and ntasks
         return min(shared[0], count), shared[1], count
 
 

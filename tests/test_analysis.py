@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import os
 import random
 from pathlib import Path
 
@@ -34,11 +35,11 @@ from mealygroup import (
     threshold_survey,
     word_depth,
 )
-from mealygroup import analysis
+from mealygroup import _kernel, analysis
 from mealygroup.analysis import (
     _canonical_prefixes,
-    _depth_count,
     _scan_lengths,
+    _walk_record,
     automaton_symmetries,
     commuting_states,
     inverse_states,
@@ -48,6 +49,13 @@ from mealygroup.analysis import (
 
 def w(auto, *names):
     return auto.word_from_names(names)
+
+
+def depth_count(auto, word):
+    """(depth, section count) of ``word`` from the Python walk, which the
+    reference survey scan reads."""
+    rec = _walk_record(auto, word)
+    return rec.depth, len(rec.nodes)
 
 
 def odometer():
@@ -122,7 +130,7 @@ def test_closure_matches_brute_enumeration(pegs, max_len):
 def test_closure_generic_machine_matches_brute():
     auto = odometer()
     for word in all_words(auto, 4):
-        d, c = _depth_count(auto, word)
+        d, c = depth_count(auto, word)
         bd, bc = oracles.brute_depth_and_count(auto, word)
         assert (d, c) == (bd, bc)
 
@@ -134,7 +142,7 @@ def test_closure_matches_brute_on_random_machines(case):
     sc = section_closure(auto, word)
     assume(auto.alphabet_size ** (sc.depth + 1) <= BRUTE_INPUTS)
     assert [set(lvl) for lvl in sc.levels] == oracles.first_seen_levels(auto, word)
-    assert _depth_count(auto, word) == (sc.depth, sc.count)
+    assert depth_count(auto, word) == (sc.depth, sc.count)
     assert is_identity(auto, word) == oracles.brute_identity(auto, word, sc.depth + 1)
 
 
@@ -142,7 +150,7 @@ def test_count_bounded_by_geometric_sum(ha5):
     rng = random.Random(9)
     for _ in range(100):
         word = tuple(rng.randrange(len(ha5.states)) for _ in range(rng.randrange(8)))
-        d, c = _depth_count(ha5, word)
+        d, c = depth_count(ha5, word)
         assert c <= sum(5**i for i in range(d + 1))
 
 
@@ -328,17 +336,17 @@ def test_canonical_enumeration_hits_every_orbit_once(ha4):
 def test_relabeling_preserves_depth_and_count(ha4):
     sigmas = automaton_symmetries(ha4)
     for word in all_words(ha4, 4, skip_trivial=True):
-        base = _depth_count(ha4, word)
+        base = depth_count(ha4, word)
         for sg in sigmas:
-            assert _depth_count(ha4, tuple(sg[s] for s in word)) == base
+            assert depth_count(ha4, tuple(sg[s] for s in word)) == base
 
 
 def test_inserting_trivial_state_changes_nothing(ha4):
     for word in all_words(ha4, 3, skip_trivial=True):
-        base = _depth_count(ha4, word)
+        base = depth_count(ha4, word)
         for pos in range(len(word) + 1):
             padded = word[:pos] + (0,) + word[pos:]
-            assert _depth_count(ha4, padded) == base
+            assert depth_count(ha4, padded) == base
 
 
 # --- survey -----------------------------------------------------------------
@@ -474,7 +482,7 @@ def test_an_older_checkpoint_resumes_unchanged(tmp_path, ha4):
                                   (True, [1, 3, 11, 52, 273, 734])]:
         ck = tmp_path / f"scan-{commutation}.ckpt"
         ck.write_text(OLD_CHECKPOINT)
-        resumed = survey(ha4, 6, checkpoint=ck, commutation=commutation)
+        resumed = survey(ha4, 6, checkpoint=ck, commutation=commutation, mirror=False)
         lines = ck.read_text().splitlines(keepends=True)
         assert "".join(lines[:5]) == OLD_CHECKPOINT
         assert [json.loads(ln)["n"] for ln in lines[5:]] == [5, 6]
@@ -487,11 +495,11 @@ def test_an_older_checkpoint_resumes_unchanged(tmp_path, ha4):
 
 def test_closures_at_the_last_length_take_one_word_per_reversed_pair(ha4):
     for jobs in (1, 2):
-        rows = survey(ha4, 8, jobs=jobs, commutation=False).rows
+        rows = survey(ha4, 8, jobs=jobs, commutation=False, mirror=False).rows
         assert [row.words_examined for row in rows] == [1, 3, 12, 60, 336, 1968, 11712, 70080]
         assert [row.closures for row in rows] == [1, 3, 12, 60, 336, 1968, 11712, 35312]
         # The commutation rule prunes at every length, not only the last.
-        rows = survey(ha4, 8, jobs=jobs).rows
+        rows = survey(ha4, 8, jobs=jobs, mirror=False).rows
         assert [row.words_examined for row in rows] == [1, 3, 12, 60, 336, 1968, 11712, 70080]
         assert [row.closures for row in rows] == [1, 3, 11, 52, 273, 1475, 8023, 20798]
 
@@ -549,13 +557,15 @@ def test_reversal_keeps_every_value_on_inverse_closed_machines(auto, symmetry):
 def visited_words(auto, n, comm=None):
     """The words of length ``n`` that the reference scan to ``n`` computes
     a closure for, with the reversal test and the commutation masks
-    ``comm``."""
+    ``comm``, and without the mirror rule, which leaves out whole classes
+    and folds their values in."""
     k = len(auto.states)
     allowed = tuple(s for s in range(k) if s not in auto._trivials)
     group = tuple(sg for sg in automaton_symmetries(auto) if sg != tuple(range(k)))
-    visited = set()
-    stats = lambda word: visited.add(tuple(word)) or (0, 0)
-    _scan_lengths(allowed, stats, group, inverse_states(auto), [((), group, n, True)], comm=comm)
+    visited, empty = set(), _walk_record(auto, ())
+    walk = lambda word: visited.add(tuple(word)) or empty
+    _scan_lengths(allowed, walk, group, inverse_states(auto), [((), group, n, True)], comm=comm,
+                  mirror=False)
     return allowed, {word for word in visited if len(word) == n}
 
 
@@ -650,6 +660,147 @@ def test_every_trace_class_has_a_visited_word(ha4):
             # The rule leaves fewer words than the symmetries and the
             # reversal test alone.
             assert len(visited) < len(visited_words(ha4, n)[1])
+
+
+# --- the mirror rule --------------------------------------------------------
+
+
+def mirror_pairs(auto, allowed, max_len):
+    """Every word v over ``allowed`` of at most ``max_len`` states, with a
+    state x in ``allowed``, that meets the survey scan's mirror condition:
+    v x has v's closure automaton (the child table of its walk record),
+    every symmetry that fixes v fixes x, and x leaves the forbidden set of
+    the commutation rule as it is."""
+    group = automaton_symmetries(auto)
+    comm = commuting_states(auto, allowed)
+    for length in range(max_len + 1):
+        for v in itertools.product(allowed, repeat=length):
+            table = _walk_record(auto, v).children
+            tying = [sg for sg in group if all(sg[s] == s for s in v)]
+            forbid = 0
+            for s in v:
+                forbid = analysis._forbid(comm, forbid, s)
+            for x in allowed:
+                if (all(sg[x] == x for sg in tying) and analysis._forbid(comm, forbid, x) == forbid
+                        and _walk_record(auto, v + (x,)).children == table):
+                    yield v, x
+
+
+def assert_mirrors_keep_depth_and_count(auto, exclude_trivial, max_len, seed):
+    """For every pair (v, x) of :func:`mirror_pairs` and two seeded
+    suffixes u of up to two states, v x u and v u have the same depth and
+    count by brute force (pairs whose brute force would read more than
+    BRUTE_INPUTS inputs are left out).  Returns the pairs checked."""
+    allowed = [s for s in range(len(auto.states)) if not (exclude_trivial and s in auto._trivials)]
+    rng = random.Random(seed)
+    checked = 0
+    for v, x in mirror_pairs(auto, allowed, max_len):
+        for u in [tuple(rng.choices(allowed, k=rng.randrange(3))) for _ in range(2)]:
+            if auto.alphabet_size ** (depth_count(auto, v + (x,) + u)[0] + 1) > BRUTE_INPUTS:
+                continue
+            assert oracles.brute_depth_and_count(auto, v + (x,) + u) == \
+                oracles.brute_depth_and_count(auto, v + u), (v, x, u)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("pegs, max_len", [(3, 3), (4, 2), (5, 2)])
+@pytest.mark.parametrize("exclude_trivial", [True, False])
+def test_a_mirror_keeps_depth_and_count_below_it_on_hanoi(pegs, max_len, exclude_trivial):
+    # On Hanoi machines a(i,j) after a(i,j) is a mirror, and so is the
+    # do-nothing state when it is allowed.
+    assert assert_mirrors_keep_depth_and_count(hanoi_automaton(pegs), exclude_trivial, max_len,
+                                               pegs) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    auto=st.one_of(both_shapes, oracles.inverse_closed_machines(), oracles.commuting_machines()),
+    exclude_trivial=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_mirror_keeps_depth_and_count_below_it_on_random_machines(auto, exclude_trivial, seed):
+    assert_mirrors_keep_depth_and_count(auto, exclude_trivial, 2, seed)
+
+
+def scan_outputs(auto, n_max, tmp_path, **options):
+    """(rows without closures and seconds, checkpoint records without
+    seconds, closures per length) of a survey that writes a checkpoint."""
+    ck = tmp_path / f"scan-{len(list(tmp_path.iterdir()))}.ckpt"
+    report = survey(auto, n_max, checkpoint=ck, **options)
+    records = [analysis._values(json.loads(line)) for line in ck.read_text().splitlines()]
+    rows = [dataclasses.replace(row, closures=None, seconds=None) for row in report.rows]
+    return rows, records, [row.closures for row in report.rows]
+
+
+def mirror_closures(auto, n_max, tmp_path, **options):
+    """The closures per length of the survey with the mirror rule and of
+    the survey without it, after
+    checking that its rows, witnesses and checkpoint records are those of
+    the survey without it, and its closures no more, at jobs 1, 2 and 4
+    (whose splits differ), and that its closures do not depend on jobs."""
+    rows, records, plain = scan_outputs(auto, n_max, tmp_path, mirror=False, **options)
+    counts = set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "cpu_count", lambda: 4)  # survey caps jobs at the CPU count
+        for jobs in (1, 2, 4):
+            *same, closures = scan_outputs(auto, n_max, tmp_path, jobs=jobs, **options)
+            assert same == [rows, records], jobs
+            assert all(a <= b for a, b in zip(closures, plain)), (closures, plain)
+            counts.add(tuple(closures))
+    assert len(counts) == 1, counts
+    return list(counts.pop()), plain
+
+
+@pytest.mark.parametrize("pegs, n_max", [(3, 11), (4, 8), (5, 6)])
+def test_the_mirror_rule_changes_only_closures_on_hanoi(pegs, n_max, tmp_path):
+    closures, plain = mirror_closures(hanoi_automaton(pegs), n_max, tmp_path)
+    assert closures != plain  # the rule fires
+
+
+def test_the_mirror_rule_changes_only_closures_on_basilica(tmp_path):
+    auto = parse_automaton(BASILICA.read_text())
+    closures, plain = mirror_closures(auto, 13, tmp_path)
+    assert closures == plain == [2**n for n in range(1, 14)]  # no mirror
+
+
+@pytest.mark.parametrize("options", [{"symmetry": False}, {"exclude_trivial": False},
+                                     {"symmetry": False, "exclude_trivial": False}])
+@pytest.mark.parametrize("pegs, n_max", [(3, 8), (4, 6)])
+def test_the_mirror_rule_changes_only_closures_without_the_other_reductions(
+        pegs, n_max, options, tmp_path):
+    mirror_closures(hanoi_automaton(pegs), n_max, tmp_path, **options)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    auto=st.one_of(both_shapes, oracles.inverse_closed_machines(), oracles.commuting_machines()),
+    exclude_trivial=st.booleans(),
+    symmetry=st.booleans(),
+)
+def test_the_mirror_rule_changes_only_closures_on_random_machines(auto, exclude_trivial, symmetry,
+                                                                  tmp_path_factory):
+    mirror_closures(auto, 5, tmp_path_factory.mktemp("scan"), exclude_trivial=exclude_trivial,
+                    symmetry=symmetry)
+
+
+def test_the_python_scan_folds_mirrors_as_the_kernel_does(tmp_path, monkeypatch):
+    # The same checks on the Python scan (no compiler), whose closures must
+    # be the kernel's.
+    cases = [(hanoi_automaton(3), 9), (hanoi_automaton(4), 6)]
+    compiled = [mirror_closures(auto, n_max, tmp_path) for auto, n_max in cases]
+    monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
+    assert [mirror_closures(auto, n_max, tmp_path) for auto, n_max in cases] == compiled
+
+
+def test_closures_with_the_mirror_rule_on_hanoi(ha3, ha4):
+    for jobs in (1, 2):
+        rows = survey(ha4, 8, jobs=jobs).rows
+        assert [row.closures for row in rows] == [1, 3, 8, 39, 213, 1155, 6294, 13340]
+        rows = survey(ha3, 12, jobs=jobs).rows
+        assert [row.closures for row in rows] == [
+            1, 2, 3, 9, 27, 78, 234, 693, 2073, 6189, 18522, 17847
+        ]
 
 
 def test_growth_csv_shape(ha4):

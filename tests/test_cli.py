@@ -313,6 +313,13 @@ def test_table_rejects_bad_max_n():
     assert code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_table_rejects_fewer_than_one_worker_with_one_line(jobs, scan_calls):
+    code, out, err = run_cli("table", "--pegs", "4", "--max-n", "3", "--jobs", jobs)
+    assert (code, out, err) == (2, "", f"error: --jobs must be at least 1, got {jobs}\n")
+    assert not scan_calls  # rejected before any scan
+
+
 def test_claim_passes_on_hanoi():
     code, out, _ = run_cli("claim", "--pegs", "4", "--lengths", "4,8", "--samples", "10")
     assert code == 0
@@ -463,7 +470,7 @@ def test_a_task_past_the_section_budget_stops_the_others(monkeypatch, scan_calls
         analysis.survey(parse_automaton(LAMPLIGHTER), 12, jobs=jobs)
     assert set(threading.enumerate()) == before
     taken, finished, tasks = scan_calls.counters()
-    failed = list(scan_calls[0][1][14]).count(-2)
+    failed = list(scan_calls[0][1][15]).count(-2)
     assert (finished, tasks) == (1, 1 + 8 * jobs)
     assert 1 <= failed <= jobs and taken == finished + failed
     time.sleep(0.2)
@@ -481,7 +488,7 @@ def test_a_failed_task_stops_the_other_worker(monkeypatch, scan_calls):
     with pytest.raises(analysis.BudgetError):
         scan([((0, 1) * 5, (), 11, False)] + [((), (), 9, False)] * 200, 2)
     taken, finished, tasks = scan_calls.counters()
-    assert list(scan_calls[0][1][14]).count(-2) == 1
+    assert list(scan_calls[0][1][15]).count(-2) == 1
     assert taken == finished + 1 < tasks
 
 

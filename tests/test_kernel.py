@@ -34,7 +34,6 @@ from mealygroup.analysis import (
     BudgetError,
     _canonical_prefixes,
     _Closure,
-    _depth_count,
     _period_threshold,
     _scan_lengths,
     _walk_record,
@@ -73,9 +72,9 @@ def twins(auto, n_max, exclude_trivial=True, symmetry=True, commutation=True, wa
     compiled = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max, comm)
     assert compiled is not None, "the kernel failed to build or load"
     # Every prefix length re-scans the same words: the walk runs once per word.
-    walk = walk or functools.lru_cache(maxsize=None)(functools.partial(_depth_count, auto))
-    stats = lambda word: walk(tuple(word))
-    reference = functools.partial(_scan_lengths, allowed, stats, sigmas, iota, comm=comm)
+    walk = walk or functools.lru_cache(maxsize=None)(functools.partial(_walk_record, auto))
+    reference = functools.partial(_scan_lengths, allowed, lambda word: walk(tuple(word)), sigmas,
+                                  iota, comm=comm)
     return allowed, sigmas, compiled, reference
 
 
@@ -87,11 +86,13 @@ def assert_parity(auto, n_max, max_prefix, **options):
     and, when the machine has an inverse_states map, with it; without the
     commutation rule and, when some states commute, with it.  The prefixes
     are those of the symmetries alone, so the rule's forbidden set is
-    rebuilt along prefixes that it would prune as well.  Each task is
-    scanned alone, and then the whole list in one call on one and on two
-    worker threads, which must finish every task and give the same
+    rebuilt along prefixes that it would prune as well.  A task's result
+    holds its prefix's depth and count and the length of the first mirror
+    on the prefix, and the words below it only when there is none.  Each
+    task is scanned alone, and then the whole list in one call on one and
+    on two worker threads, which must finish every task and give the same
     results."""
-    walk = functools.lru_cache(maxsize=None)(functools.partial(_depth_count, auto))
+    walk = functools.lru_cache(maxsize=None)(functools.partial(_walk_record, auto))
     mirrored = inverse_states(auto) is not None
     for commutation in (False, True):
         allowed, sigmas, compiled, reference = twins(
@@ -102,14 +103,15 @@ def assert_parity(auto, n_max, max_prefix, **options):
         tasks, expected = [], []
         for p in range(min(n_max - 1, max_prefix) + 1):
             for prefix, active in _canonical_prefixes(allowed, sigmas, p):
-                # Without the reversal test the reference scans each length
-                # on its own, so its results to a shorter bound are the
-                # first ones of these.
-                [whole] = reference([(prefix, active, n_max, False)])
-                assert len(whole) == n_max - p
+                # Without the reversal test, the results to a shorter bound
+                # are the first ones of these: a mirror that only the longer
+                # scan folds is at least as long as the shorter bound, so
+                # the words it folds are longer.
+                [(value, at, whole)] = reference([(prefix, active, n_max, False)])
+                assert len(whole) == (0 if at else n_max - p)
                 for n in range(p + 1, n_max + 1):
                     tasks.append((prefix, active, n, False))
-                    expected.append(whole[: n - p])
+                    expected.append((value, at, whole[: n - p]))
                     # The reversal test reads the last length of a task, so
                     # each bound is compared with the reference run to that
                     # bound.
