@@ -49,12 +49,16 @@
  * flag, after which no task starts.
  *
  * mg_closure is the closure record of one word that the queries read (the
- * Python walk in _walk_record is its twin).  mg_threshold is
- * fixing_threshold in one call: it builds the record with mg_closure, runs
- * the eventual-period loop (the twin of _period_threshold) over its child
- * table and fixed letters, frees it, and hands back only the threshold.
- * Section words there take one byte per position (k <= 256), so words of
- * any length fit.
+ * Python walk in _walk_record is its twin).  A do-nothing state passes
+ * every letter on and stays put, so each node lists the positions whose
+ * state is not one and steps only those.  With the stop flag set it
+ * answers is_identity: once a node's images are set and one of them moves
+ * a letter, the word is not the identity, and it frees the record and
+ * returns 1.  mg_threshold is fixing_threshold in one call: it builds the
+ * record with mg_closure, runs the eventual-period loop (the twin of
+ * _period_threshold) over its child table and fixed letters, frees it, and
+ * hands back only the threshold.  Section words there take one byte per
+ * position (k <= 256), so words of any length fit.
  *
  * Both walks stop with -2 once a closure passes `budget` sections, and
  * return -1 when memory runs out.
@@ -683,21 +687,22 @@ void mg_closure_free(Closure *c)
 }
 
 /* Breadth-first closure of word[0..n) over a machine of k <= 256 states
- * and m <= 64 letters, into *c.  Returns 0, -1 when memory runs out or -2
- * when the closure passes `budget` nodes (c is then freed). */
+ * and m <= 64 letters, into *c.  Returns 0, 1 when stop is set and a node
+ * moves a letter, -1 when memory runs out or -2 when the closure passes
+ * `budget` nodes (c is freed unless it returns 0). */
 int mg_closure(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
-               const uint8_t *word, int64_t budget, Closure *c)
+               const uint8_t *word, int64_t budget, int stop, Closure *c)
 {
     Walk b = {.n = n, .m = m, .budget = budget, .c = c, .cap = 64, .scap = 16};
     uint64_t *fix = malloc(k * sizeof *fix);
-    int32_t *letter = malloc(m * sizeof *letter);
+    int32_t *letter = malloc(m * sizeof *letter), *moving = malloc((size_t)n * sizeof *moving + 1);
     uint8_t *kid = malloc((size_t)m * n + 1), *idle = malloc(k);
     int rc = -1;
 
     memset(c, 0, sizeof *c);
     b.fix = fix;
     b.all = m == 64 ? ~0ULL : (1ULL << m) - 1;
-    if (!fix || !letter || !kid || !idle || grow(&c->words, b.cap * n)
+    if (!fix || !letter || !moving || !kid || !idle || grow(&c->words, b.cap * n)
         || grow(&c->children, b.cap * m * sizeof *c->children)
         || grow(&c->images, b.cap * m * sizeof *c->images)
         || grow(&c->fixed, b.cap * sizeof *c->fixed) || grow(&b.hash, b.cap * sizeof *b.hash)
@@ -730,11 +735,16 @@ int mg_closure(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
                 letter[x] = x;
                 memcpy(kid + (size_t)x * n, p, n);
             }
-            /* A do-nothing state passes every letter on and stays put, so
-             * only the other positions are stepped. */
+            /* Only the positions whose state is not a do-nothing state
+             * are stepped, right to left; the list is built without a
+             * branch. */
+            int nm = 0;
             for (int i = n - 1; i >= 0; i--) {
-                if (idle[p[i]])
-                    continue;
+                moving[nm] = i;
+                nm += !idle[p[i]];
+            }
+            for (int j = 0; j < nm; j++) {
+                const int i = moving[j];
                 const int32_t *nrow = nxt + p[i] * m, *erow = emit + p[i] * m;
                 for (int x = 0; x < m; x++) {
                     int l = letter[x];
@@ -750,7 +760,11 @@ int mg_closure(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
                 }
                 c->children[q * m + x] = (int32_t)child;
                 c->images[q * m + x] = letter[x];
+                if (stop && letter[x] != x)
+                    rc = 1;
             }
+            if (rc == 1)
+                goto done;
         }
         if (c->levels + 2 > b.scap) {
             b.scap *= 2;
@@ -765,6 +779,7 @@ done:
         mg_closure_free(c);
     free(fix);
     free(letter);
+    free(moving);
     free(kid);
     free(idle);
     free(b.hash);
@@ -859,7 +874,7 @@ int mg_threshold(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
                  const uint8_t *word, int64_t budget, int64_t *threshold)
 {
     Closure c;
-    int rc = mg_closure(k, m, nxt, emit, n, word, budget, &c);
+    int rc = mg_closure(k, m, nxt, emit, n, word, budget, 0, &c);
     if (rc)
         return rc;
     rc = period(c.count, m, c.children, c.fixed, threshold);

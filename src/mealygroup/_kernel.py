@@ -1,6 +1,7 @@
 """Loader for the compiled kernels in ``_kernel.c``: the survey scan
 (``mg_scan``) and the closure queries.  ``mg_closure`` builds the closure
-record of one word, and each query copies out only what it answers with;
+record of one word, and each query copies out only what it answers with
+(``is_identity`` stops at the first section that moves a letter);
 ``mg_threshold`` builds the record and runs the eventual-period loop of
 ``fixing_threshold`` over it in the same call, so a threshold is one
 ctypes call.
@@ -80,7 +81,8 @@ _SIGNATURES = {
                                ctypes.POINTER(_I64), _I32P, ctypes.POINTER(_I64),
                                ctypes.POINTER(_I64)]),
     "mg_closure": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
-                                  ctypes.c_char_p, _I64, ctypes.POINTER(_ClosureOut)]),
+                                  ctypes.c_char_p, _I64, ctypes.c_int,
+                                  ctypes.POINTER(_ClosureOut)]),
     "mg_closure_free": (None, [ctypes.POINTER(_ClosureOut)]),
     "mg_threshold": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
                                     ctypes.c_char_p, _I64, ctypes.POINTER(_I64)]),
@@ -89,7 +91,7 @@ _SIGNATURES = {
 
 def _library():
     """The kernel library, or None.  Memoised per compiler and cache
-    setting: the closure queries call this once each."""
+    setting."""
     return _load(_CC, os.environ.get("XDG_CACHE_HOME"))
 
 
@@ -224,24 +226,36 @@ class ClosureKernel:
     def __init__(self, lib, nxt, emit0):
         self._lib = lib
         self._k, self._m = len(nxt), len(nxt[0])
-        self._tables = _tables(nxt, emit0)
+        self._machine = (self._k, self._m, *_tables(nxt, emit0))
         self._letters = array.array("i", range(self._m)).tobytes()
 
     def _word(self, word):
         """``word`` as one byte per state, checked against the tables."""
-        if word and max(word) >= self._k:
-            raise ValueError(f"state index {max(word)} out of range 0..{self._k - 1}")
+        if word and not 0 <= min(word) <= max(word) < self._k:
+            bad = next(s for s in word if not 0 <= s < self._k)
+            raise ValueError(f"state index {bad} out of range 0..{self._k - 1}")
         return bytes(word)
 
-    def _read(self, word, read):
-        """``read(out)`` of the record ``mg_closure`` fills in for ``word``."""
+    def _read(self, word, read, stop=0):
+        """``read(out)`` of the record ``mg_closure`` fills in for ``word``;
+        with ``stop``, False once a section moves a letter (the kernel has
+        then freed the record)."""
         w = self._word(word)
         out = _ClosureOut()
-        _check(self._lib.mg_closure(self._k, self._m, *self._tables, len(w), w, SECTION_BUDGET, out))
+        rc = self._lib.mg_closure(*self._machine, len(w), w, SECTION_BUDGET, stop, out)
+        if rc == 1:
+            return False
+        _check(rc)
         try:
             return read(out)
         finally:
             self._lib.mg_closure_free(out)
+
+    def is_identity(self, word):
+        """Whether every section of ``word`` fixes every letter.  The walk
+        stops at the first section that moves one, so only an identity word
+        walks its whole closure and can pass :data:`SECTION_BUDGET`."""
+        return self._read(word, lambda out: True, stop=1)
 
     def closure(self, word):
         """The whole closure record of ``word``, ``(nodes, starts,
@@ -285,24 +299,23 @@ class ClosureKernel:
         closure and the loop over it run in one ``mg_threshold`` call."""
         w = self._word(word)
         t = _I64()
-        _check(self._lib.mg_threshold(self._k, self._m, *self._tables, len(w), w, SECTION_BUDGET, t))
+        _check(self._lib.mg_threshold(*self._machine, len(w), w, SECTION_BUDGET, t))
         return None if t.value == -1 else t.value
-
-
-@functools.lru_cache(maxsize=16)
-def _closure_kernel(lib, auto):
-    return ClosureKernel(lib, auto._next, auto._emit0)
 
 
 def compiled_closure(auto):
     """The :class:`ClosureKernel` of the machine ``auto``, or None when the
     kernel cannot be loaded or the machine has more than 256 states (a
     section word takes one byte per position) or more than 64 letters
-    (fixed letters form a 64-bit mask).  Kernels are kept per machine, and
-    a machine keeps its hash, so a lookup hashes no table."""
+    (fixed letters form a 64-bit mask)."""
+    return _closure_kernel(auto, _CC, os.environ.get("XDG_CACHE_HOME"))
+
+
+@functools.lru_cache(maxsize=16)
+def _closure_kernel(auto, cc, xdg_cache):
+    """One lookup per query: kept per machine, compiler and cache setting,
+    and a machine keeps its hash, so a lookup hashes no table."""
     if len(auto.states) > 256 or auto.alphabet_size > 64:
         return None
-    lib = _library()
-    if lib is None:
-        return None
-    return _closure_kernel(lib, auto)
+    lib = _load(cc, xdg_cache)
+    return None if lib is None else ClosureKernel(lib, auto._next, auto._emit0)

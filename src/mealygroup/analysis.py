@@ -121,18 +121,20 @@ class _Closure(NamedTuple):
         return len(self.starts) - 2
 
 
-def _walk_record(auto: Automaton, word: Sequence[int]) -> _Closure:
+def _walk_record(auto: Automaton, word: Sequence[int], stop: bool = False) -> Optional[_Closure]:
     """The closure record from the Python walk: the reference twin of the
     compiled ``mg_closure``, and the fallback when it cannot be used.
 
     One breadth-first loop expands each node once and numbers each section
     as it is first reached; a level ends where the sections that the level
     before it reached end.  Adding section ``_kernel.SECTION_BUDGET`` + 1
-    raises :class:`BudgetError`."""
+    raises :class:`BudgetError`.  With ``stop``, None once an expanded node
+    moves a letter, as ``mg_closure`` stops with its stop flag."""
     from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
 
     root = check_state_word(auto, word)
     letters = range(auto.alphabet_size)
+    identity = list(letters)
     nxt, emit0 = auto._next, auto._emit0
     n = len(root)
     positions = range(n - 1, -1, -1)
@@ -160,6 +162,8 @@ def _walk_record(auto: Automaton, word: Sequence[int]) -> _Closure:
                 fixed.append(_fixed_mask(auto, child))
             children.append(j)
             images.append(c)
+        if stop and images[-len(identity) :] != identity:
+            return None
     return _Closure(nodes, starts, children, images, fixed)
 
 
@@ -171,13 +175,13 @@ def _closure_kernel(auto: Automaton):
     return _kernel.compiled_closure(auto)
 
 
-def _closure_query(auto: Automaton, word: Sequence[int], query: str, walked: Callable):
+def _closure_query(auto: Automaton, word: Sequence[int], query: str, walked: Callable, stop=False):
     """A closure query on ``word``: the compiled kernel's method ``query``
     on the checked word when the kernel loads for ``auto``, else ``walked``
-    of the Python walk's record.  Every query picks its twin here."""
+    of the Python walk's record, run with ``stop``.  Every query picks its twin here."""
     kernel = _closure_kernel(auto)
     if kernel is None:
-        return walked(_walk_record(auto, word))
+        return walked(_walk_record(auto, word, stop))
     return getattr(kernel, query)(check_state_word(auto, word))
 
 
@@ -225,22 +229,21 @@ def section_count(auto: Automaton, word: Sequence[int]) -> int:
 
 def is_identity(auto: Automaton, word: Sequence[int]) -> bool:
     """Decide whether the word acts as the identity on all inputs: true iff
-    every section permutes single letters trivially."""
-    return word_problem(auto, word)[0]
+    every section permutes single letters trivially.  The walk stops at the
+    first section that moves one, even where the whole closure would pass
+    the section budget; only an identity word can raise BudgetError."""
+    if not auto.is_invertible:
+        raise AutomatonError("the word problem is decided only for invertible automata")
+    return _closure_query(auto, word, "is_identity", lambda rec: rec is not None, stop=True)
 
 
 def word_problem(auto: Automaton, word: Sequence[int]) -> tuple:
     """``(is_identity, section count, depth)`` of ``word``, all three read
-    off one closure record."""
+    off one whole closure record."""
     if not auto.is_invertible:
         raise AutomatonError("the word problem is decided only for invertible automata")
-    identity = list(range(auto.alphabet_size))
-    return _closure_query(
-        auto,
-        word,
-        "word_problem",
-        lambda rec: (rec.images == identity * len(rec.nodes), len(rec.nodes), rec.depth),
-    )
+    return _closure_query(auto, word, "word_problem", lambda rec: (
+        rec.images == list(range(auto.alphabet_size)) * len(rec.nodes), len(rec.nodes), rec.depth))
 
 
 # ---------------------------------------------------------------------------

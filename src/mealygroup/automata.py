@@ -215,13 +215,11 @@ def validate(auto: Automaton) -> ValidationReport:
 
 def check_letter_word(auto: Automaton, letters: Iterable[int]) -> tuple:
     m = auto.alphabet_size
-    out = []
-    for pos, x in enumerate(letters, 1):
-        x = int(x)
-        if not 1 <= x <= m:
-            raise AutomatonError(f"letter {x} at position {pos} out of range 1..{m}")
-        out.append(x)
-    return tuple(out)
+    out = tuple(map(int, letters))
+    if out and (min(out) < 1 or max(out) > m):
+        pos, x = next((pos, x) for pos, x in enumerate(out, 1) if not 1 <= x <= m)
+        raise AutomatonError(f"letter {x} at position {pos} out of range 1..{m}")
+    return out
 
 
 def check_state_word(auto: Automaton, word: Iterable[int]) -> tuple:
@@ -233,15 +231,17 @@ def check_state_word(auto: Automaton, word: Iterable[int]) -> tuple:
     return out
 
 
-def _run_state(auto: Automaton, st: int, v: list) -> None:
+def _run_state(auto: Automaton, st: int, v: list) -> int:
     """Run state ``st`` over the 0-based letters ``v``, rewriting them in
-    place; it stops at a do-nothing state, which leaves the rest as it is."""
+    place, and return the state it ends in; it stops at a do-nothing state,
+    which leaves the rest as it is and stays put."""
     nxt, emit0, idle = auto._next, auto._emit0, auto._trivials
     for j, c in enumerate(v):
         if st in idle:
-            return
+            return st
         v[j] = emit0[st][c]
         st = nxt[st][c]
+    return st
 
 
 def apply(auto: Automaton, word: Sequence[int], letters: Sequence[int]) -> tuple:
@@ -264,18 +264,11 @@ def section_state(auto: Automaton, state: int, letters: Sequence[int]) -> int:
 
 def section_word(auto: Automaton, word: Sequence[int], letters: Sequence[int]) -> tuple:
     """Section of a state word: position ``i`` is sectioned at the image of
-    the input under the states to its right."""
+    the input under the states to its right.  It runs :func:`apply`'s
+    stepping loop, so a position stops reading at a do-nothing state."""
     w = check_state_word(auto, word)
     v = [x - 1 for x in check_letter_word(auto, letters)]
-    nxt, emit0 = auto._next, auto._emit0
-    res = [0] * len(w)
-    for i in range(len(w) - 1, -1, -1):
-        st = w[i]
-        for j, c in enumerate(v):
-            v[j] = emit0[st][c]
-            st = nxt[st][c]
-        res[i] = st
-    return tuple(res)
+    return tuple([_run_state(auto, s, v) for s in reversed(w)][::-1])
 
 
 def cascade_simulate(
@@ -349,7 +342,9 @@ def parse_letter_word(text: str, alphabet_size: int) -> tuple:
 
 
 def format_state_word(auto: Automaton, word: Sequence[int]) -> str:
-    return ".".join(map(auto.states.__getitem__, check_state_word(auto, word)))
+    if word and not 0 <= min(word) <= max(word) < len(auto.states):
+        check_state_word(auto, word)  # raises the error naming the position
+    return ".".join(map(auto.states.__getitem__, word))
 
 
 def parse_state_word(auto: Automaton, text: str) -> tuple:

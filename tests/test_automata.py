@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +130,37 @@ def test_cascade_simulate_matches_action_and_section(ha4):
     word = w(ha4, "a(2,4)", "a(1,3)")
     assert cascade_simulate(ha4, word, ()) == ((), word)
     assert cascade_simulate(ha4, w(ha4, "e"), (4,)) == ((4,), w(ha4, "e"))
+
+
+@st.composite
+def machines_with_do_nothing_states(draw):
+    """Small machines, invertible or not, with zero, one or two do-nothing
+    states among the others (a drawn state may happen to be one too)."""
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    total = k + draw(st.integers(0, 2))
+    nxt = [[draw(st.integers(0, total - 1)) for _ in range(m)] for _ in range(k)]
+    out = [[draw(st.integers(1, m)) for _ in range(m)] for _ in range(k)]
+    nxt += [[s] * m for s in range(k, total)]
+    out += [list(range(1, m + 1))] * (total - k)
+    order = draw(st.permutations(range(total)))  # order[s]: the new index of state s
+    at = sorted(range(total), key=order.__getitem__)  # at[i]: the state placed at i
+    return Automaton(m, [f"s{i}" for i in range(total)],
+                     [[order[t] for t in nxt[s]] for s in at], [out[s] for s in at])
+
+
+@settings(max_examples=150, deadline=None)
+@given(auto=machines_with_do_nothing_states(), data=st.data())
+def test_section_word_is_the_final_configuration_of_the_cascade(auto, data):
+    # section_word stops each state at a do-nothing state; the cascade
+    # steps every copy through every letter.
+    k, m = len(auto.states), auto.alphabet_size
+    word = data.draw(st.lists(st.integers(0, k - 1), max_size=8).map(tuple))
+    v = data.draw(_letters(m))
+    for u in (word, word + tuple(sorted(auto._trivials)) + word):
+        out, config = cascade_simulate(auto, u, v)
+        assert section_word(auto, u, v) == config
+        assert apply(auto, u, v) == out
 
 
 # --- algebraic properties ---------------------------------------------------
@@ -269,6 +301,10 @@ def test_state_word_grammar(ha4):
     assert format_state_word(ha4, ()) == ""
     with pytest.raises(ParseError, match="position 2"):
         parse_state_word(ha4, "e.b(1,2)")
+    for word, message in [((1, -1), "state index -1 at position 2 out of range 0..6"),
+                          ((7, 1), "state index 7 at position 1 out of range 0..6")]:
+        with pytest.raises(AutomatonError, match=re.escape(message)):
+            format_state_word(ha4, word)
 
 
 # --- machine surgery --------------------------------------------------------

@@ -40,6 +40,7 @@ from mealygroup.analysis import (
     automaton_symmetries,
     commuting_states,
     inverse_states,
+    word_problem,
 )
 from mealygroup.cli import main
 from oracles import (
@@ -298,6 +299,9 @@ def assert_closure_parity(auto, word):
     reference = _walk_record(auto, word)
     assert [list(field) for field in compiled] == [list(field) for field in reference], word
     assert kernel.threshold(word) == _period_threshold(reference, auto.alphabet_size), word
+    # The early stops of both twins give the answer the whole record gives.
+    identity = reference.images == list(range(auto.alphabet_size)) * len(reference.nodes)
+    assert kernel.is_identity(word) == (_walk_record(auto, word, stop=True) is not None) == identity
     answers = closure_answers(auto, word)
     with no_compiler():
         assert analysis._closure_kernel(auto) is None
@@ -319,11 +323,14 @@ def test_closure_kernel_matches_reference_on_named_machines():
     for seed, auto in enumerate(machines):
         for word in random_words(auto, 40, 40, seed):
             assert_closure_parity(auto, word)
-        # Hanoi words without the do-nothing state, as claim samples them.
-        allowed = range(1, len(auto.states))
+        # Words without a do-nothing state, as claim samples them, and words
+        # of do-nothing states alone: each node steps every position or none.
+        allowed = [s for s in range(len(auto.states)) if s not in auto._trivials]
         rng = random.Random(seed)
         for _ in range(10):
             assert_closure_parity(auto, tuple(rng.choices(allowed, k=32)))
+            if auto._trivials:
+                assert_closure_parity(auto, tuple(rng.choices(sorted(auto._trivials), k=32)))
 
 
 def closure_within(auto, word, limit):
@@ -348,7 +355,14 @@ def closure_within(auto, word, limit):
 def test_closure_kernel_matches_reference_on_random_machines(auto, seed):
     # Closures of random machines can grow exponentially with the word, so
     # words whose closure passes 2,000 sections are left out.
-    for word in random_words(auto, 3, 30, seed):
+    rng = random.Random(seed)
+    words = random_words(auto, 3, 30, seed)
+    # A word without do-nothing states and one of do-nothing states alone.
+    for states in ([s for s in range(len(auto.states)) if s not in auto._trivials],
+                   sorted(auto._trivials)):
+        if states:
+            words.append(tuple(rng.choices(states, k=rng.randrange(31))))
+    for word in words:
         if closure_within(auto, word, 2000):
             assert_closure_parity(auto, word)
 
@@ -381,8 +395,10 @@ def test_a_closure_of_exactly_the_budget_fits_and_one_section_more_raises(ha4, m
             query()
 
 
-@requires_cc
-def test_a_compiled_threshold_is_one_kernel_call(ha4, monkeypatch):
+@pytest.fixture
+def kernel_calls(ha4, monkeypatch):
+    """The names of the kernel functions that Hanoi-4's closure queries
+    call from here on, in order."""
     kernel = analysis._closure_kernel(ha4)
     lib, calls = kernel._lib, []
 
@@ -392,40 +408,87 @@ def test_a_compiled_threshold_is_one_kernel_call(ha4, monkeypatch):
             return lambda *args: calls.append(name) or fn(*args)
 
     monkeypatch.setattr(kernel, "_lib", Counting())
+    return calls
+
+
+@requires_cc
+def test_a_compiled_threshold_is_one_kernel_call(ha4, kernel_calls):
     word = tuple(random.Random(1).choices(range(1, 7), k=32))
     assert fixing_threshold(ha4, word) == _period_threshold(_walk_record(ha4, word), 4)
-    assert calls == ["mg_threshold"]
+    assert kernel_calls == ["mg_threshold"]
 
 
 @requires_cc
-def test_wp_is_one_kernel_call(ha4, monkeypatch):
-    kernel = analysis._closure_kernel(ha4)
-    lib, calls = kernel._lib, []
-
-    class Counting:
-        def __getattr__(self, name):
-            fn = getattr(lib, name)
-            return lambda *args: calls.append(name) or fn(*args)
-
+def test_wp_is_one_kernel_call(ha4, kernel_calls):
     names = "a(1,2).a(3,4).a(1,3).a(1,2).a(3,4).a(1,3)"
     closure = section_closure(ha4, ha4.word_from_names(names.split(".")))
-    monkeypatch.setattr(kernel, "_lib", Counting())
+    kernel_calls.clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["wp", "--pegs", "4", "--word", names]) == 1
     assert out.getvalue() == f"non-identity sections={closure.count} depth={closure.depth}\n"
-    assert calls == ["mg_closure", "mg_closure_free"]
+    assert kernel_calls == ["mg_closure", "mg_closure_free"]
+
+
+@requires_cc
+def test_is_identity_frees_a_record_only_when_it_walked_the_whole_closure(ha4, kernel_calls):
+    # A word that is not the identity stops inside mg_closure, which frees
+    # its record itself; an identity word walks its closure, then frees it.
+    word = tuple(random.Random(2).choices(range(1, 7), k=32))
+    assert not is_identity(ha4, word)
+    assert kernel_calls == ["mg_closure"]
+    kernel_calls.clear()
+    assert is_identity(ha4, word + word[::-1])
+    assert kernel_calls == ["mg_closure", "mg_closure_free"]
 
 
 @requires_cc
 def test_closure_kernel_rejects_state_indices_outside_its_tables(ha4):
     kernel = _kernel.compiled_closure(ha4)
     k = len(ha4.states)
-    for query in (kernel.closure, kernel.threshold):
-        with pytest.raises(ValueError, match=f"state index {k} out of range 0..{k - 1}"):
-            query((1, k, 2))
-        with pytest.raises(ValueError):
-            query((1, -1))
+    for query in (kernel.closure, kernel.threshold, kernel.is_identity):
+        for word, bad in [((1, k, 2), k), ((1, -1), -1), ((k + 300,), k + 300)]:
+            with pytest.raises(ValueError, match=f"state index {bad} out of range 0..{k - 1}"):
+                query(word)
+
+
+# The lamplighter machine (a, b) with states A, B acting as a^-1, b^-1.  A
+# word of n letters over a and b has 2**n sections.
+LAMPLIGHTER = parse_automaton("""\
+alphabet 2
+states a b A B
+a 1 -> a 1
+a 2 -> b 2
+b 1 -> a 2
+b 2 -> b 1
+A 1 -> A 1
+A 2 -> B 2
+B 1 -> B 2
+B 2 -> A 1
+""")
+
+
+@pytest.mark.parametrize("twin", [pytest.param("kernel", marks=requires_cc), "walk"])
+def test_is_identity_stops_at_the_first_moving_section_and_only_identities_pass_the_budget(
+    monkeypatch, twin
+):
+    monkeypatch.setattr(_kernel, "SECTION_BUDGET", 1000)
+    if twin == "walk":
+        monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
+    assert (analysis._closure_kernel(LAMPLIGHTER) is None) == (twin == "walk")
+    a, b, a_inv, b_inv = range(4)
+    moving = (a, b) * 20  # 2**40 sections
+    with pytest.raises(BudgetError):
+        word_problem(LAMPLIGHTER, moving)
+    assert not is_identity(LAMPLIGHTER, moving)
+    half = (a, b) * 5
+    identity = half + tuple({a: a_inv, b: b_inv}[s] for s in reversed(half))  # 1,024 sections
+    for query in (is_identity, word_problem):
+        with pytest.raises(BudgetError, match="more than 1000 sections"):
+            query(LAMPLIGHTER, identity)
+    monkeypatch.setattr(_kernel, "SECTION_BUDGET", 1024)
+    assert word_problem(LAMPLIGHTER, identity) == (True, 1024, 10)
+    assert is_identity(LAMPLIGHTER, identity)
 
 
 @pytest.mark.parametrize("twin", [pytest.param("kernel", marks=requires_cc), "walk"])
