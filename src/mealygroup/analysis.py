@@ -307,62 +307,31 @@ def automaton_symmetries(auto: Automaton) -> tuple:
     automorphism conjugates the whole action.
 
     Falls back to the identity alone when the alphabet is too large or the
-    search budget is exhausted (the reduction is then simply weaker).
+    :func:`_state_maps` searches, one per letter permutation, give up (the
+    reduction is then simply weaker).
     """
     m = auto.alphabet_size
-    k = len(auto.states)
-    identity = tuple(range(k))
+    identity = tuple(range(len(auto.states)))
     if m > 8:
         return (identity,)
-    nxt = auto._next
+    by_row = _states_by_row(auto)
+    found = {identity}
+    budget = _SYMMETRY_SEARCH_BUDGET
+    for pi in itertools.permutations(range(m)):
+        cands = _symmetry_candidates(auto._emit0, by_row, pi)
+        if cands is not None:
+            budget = _state_maps(auto, cands, auto._next, pi, budget, found)
+            if budget is None:
+                return (identity,)
+    return tuple(sorted(found))
+
+
+def _states_by_row(auto):
+    """The states of ``auto`` per output row, each list ascending."""
     by_row = {}
     for t, row in enumerate(auto._emit0):
         by_row.setdefault(row, []).append(t)
-    found = {identity}
-    nodes = 0
-    for pi in itertools.permutations(range(m)):
-        cands = _symmetry_candidates(auto._emit0, by_row, pi)
-        if cands is None:
-            continue
-        order = sorted(range(k), key=lambda s: len(cands[s]))
-        sigma = [None] * k
-        used = [False] * k
-
-        def bt(idx):
-            nonlocal nodes
-            nodes += 1
-            if nodes > _SYMMETRY_SEARCH_BUDGET:
-                raise _SearchBudget
-            if idx == k:
-                if all(
-                    sigma[nxt[s][c]] == nxt[sigma[s]][pi[c]]
-                    for s in range(k)
-                    for c in range(m)
-                ):
-                    found.add(tuple(sigma))
-                return
-            s = order[idx]
-            for t in cands[s]:
-                if used[t]:
-                    continue
-                ok = True
-                for c in range(m):
-                    u = sigma[nxt[s][c]]
-                    if u is not None and u != nxt[t][pi[c]]:
-                        ok = False
-                        break
-                if ok:
-                    sigma[s] = t
-                    used[t] = True
-                    bt(idx + 1)
-                    sigma[s] = None
-                    used[t] = False
-
-        try:
-            bt(0)
-        except _SearchBudget:
-            return (identity,)
-    return tuple(sorted(found))
+    return by_row
 
 
 def _symmetry_candidates(emit0, by_row, pi):
@@ -381,99 +350,89 @@ def _symmetry_candidates(emit0, by_row, pi):
     return cands
 
 
-class _SearchBudget(Exception):
-    pass
+def _state_maps(auto, cands, nxt_from, pi, budget, found, first=False) -> Optional[int]:
+    """Add to ``found`` the isomorphisms onto ``auto`` that relabel letters
+    by ``pi``, from a machine on the same states with next-state table
+    ``nxt_from`` and the output rows that gave ``cands``
+    (:func:`_symmetry_candidates`): the state permutations sigma with
+    sigma(s) in cands[s] and sigma(nxt_from[s][c]) = next(sigma(s), pi[c])
+    for every state s and letter c.  With ``first``, stop at the first.
+
+    A backtracking search picks sigma(s) for the states with the fewest
+    candidates first.  It tries an unused candidate only when it agrees
+    with the picks already made for s's successors, and checks each
+    complete map whole.  Returns what is left of ``budget`` after the
+    nodes it entered, or None when it gives up: past ``budget`` nodes, or
+    past Python's recursion limit, as it recurses once per state."""
+    k, m, nxt = len(cands), auto.alphabet_size, auto._next
+    order = sorted(range(k), key=lambda s: len(cands[s]))
+    sigma, used, nodes = [None] * k, [False] * k, 0
+
+    def bt(idx):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            return True  # stop: the search gives up below
+        if idx == k:
+            if all(sigma[nxt_from[s][c]] == nxt[sigma[s]][pi[c]]
+                   for s in range(k) for c in range(m)):
+                found.add(tuple(sigma))
+                return first
+            return False
+        s = order[idx]
+        for t in cands[s]:
+            if used[t]:
+                continue
+            for c in range(m):
+                u = sigma[nxt_from[s][c]]
+                if u is not None and u != nxt[t][pi[c]]:
+                    break
+            else:
+                sigma[s] = t
+                used[t] = True
+                if bt(idx + 1):
+                    return True
+                sigma[s] = None
+                used[t] = False
+        return False
+
+    try:
+        bt(0)
+    except RecursionError:
+        return None
+    return None if nodes > budget else budget - nodes
 
 
 def inverse_states(auto: Automaton) -> Optional[tuple]:
     """A permutation iota of the states of an invertible machine with
-    iota(s) acting as s^-1, or None when the search below finds none.
+    iota(s) acting as s^-1, or None when none is found.
 
     iota(s) emits the inverse of s's output row and, on reading s(x),
     moves to iota(next(s, x)).  By induction on the input, iota(s) then
     undoes s, and the state word iota(reversed(w)) acts as w^-1 (see
     :func:`survey`).  On Hanoi machines iota is the identity.
 
-    The candidates for iota(s) are the states with the inverse output row,
-    do-nothing ones exactly for do-nothing s, so that iota keeps words
-    free of do-nothing states.  A backtracking search picks one per state;
-    each pick sets the values it forces, iota(next(s, x)) = next(t, s(x)),
-    and gives up on a value that is no candidate, clashes with one set
-    before or is taken.  Do-nothing states force only themselves, so those
-    left over are paired with the unused ones afterwards.  Both properties
-    are checked on the result.  Past ``_SYMMETRY_SEARCH_BUDGET`` picks the
-    answer is None."""
-    k, m = len(auto.states), auto.alphabet_size
-    nxt, emit0, trivials = auto._next, auto._emit0, auto._trivials
-    by_row = {}
-    for t, row in enumerate(emit0):
-        by_row.setdefault((row, t in trivials), set()).add(t)
-    cands = [
-        by_row.get((tuple(sorted(range(m), key=row.__getitem__)), s in trivials), set())
-        for s, row in enumerate(emit0)
-    ]
-    iota, owner = [None] * k, [None] * k
-    moving = sorted((s for s in range(k) if s not in trivials), key=lambda s: len(cands[s]))
-    picks = 0
-
-    def search(i):
-        nonlocal picks
-        while i < len(moving) and iota[moving[i]] is not None:
-            i += 1
-        if i == len(moving):
-            return True
-        for t in sorted(cands[moving[i]]):
-            picks += 1
-            if picks > _SYMMETRY_SEARCH_BUDGET:
-                raise _SearchBudget
-            made = _force(auto, cands, iota, owner, moving[i], t)
-            if made is not None:
-                if search(i + 1):
-                    return True
-                _unset(iota, owner, made)
-        return False
-
-    try:
-        if not search(0):
-            return None
-    except (_SearchBudget, RecursionError):
+    Those two equations say that iota is an isomorphism onto the machine,
+    letters held fixed, from its inverse machine, in which state s reads
+    s(x), emits x and moves to next(s, x).  So iota is the first map that
+    :func:`_state_maps` finds on the inverse machine's tables with pi the
+    identity.  An isomorphism maps do-nothing states, which loop on every
+    letter and emit it, to do-nothing states, so iota keeps words free of
+    them.  The answer is None also when the search gives up, past
+    ``_SYMMETRY_SEARCH_BUDGET`` nodes or Python's recursion limit."""
+    if not auto.is_invertible:
         return None
-    free = iter(sorted(t for t in trivials if owner[t] is None))
-    for s in sorted(trivials):
-        if iota[s] is None:
-            iota[s] = next(free)
-    if len(set(iota)) == k and all(
-        emit0[iota[s]][emit0[s][x]] == x and nxt[iota[s]][emit0[s][x]] == iota[nxt[s][x]]
-        for s in range(k)
-        for x in range(m)
-    ):
-        return tuple(iota)
-    return None
-
-
-def _force(auto, cands, iota, owner, s, t):
-    """Set iota[s] = t and every value it forces, where ``owner`` is
-    iota's inverse so far.  The states set, or None (and nothing set) when
-    a value is no candidate, clashes with one set before or is taken."""
-    nxt, emit0 = auto._next, auto._emit0
-    pending, made = [(s, t)], []
-    while pending:
-        s, t = pending.pop()
-        if iota[s] == t:
-            continue
-        if iota[s] is not None or owner[t] is not None or t not in cands[s]:
-            _unset(iota, owner, made)
-            return None
-        iota[s], owner[t] = t, s
-        made.append(s)
-        pending.extend((nxt[s][x], nxt[t][y]) for x, y in enumerate(emit0[s]))
-    return made
-
-
-def _unset(iota, owner, states):
-    for s in states:
-        owner[iota[s]] = None
-        iota[s] = None
+    letters = tuple(range(auto.alphabet_size))
+    inverse = [sorted(letters, key=row.__getitem__) for row in auto._emit0]
+    cands = _symmetry_candidates(inverse, _states_by_row(auto), letters)
+    if cands is None:
+        return None
+    nxt_inverse = [[row[x] for x in inv] for row, inv in zip(auto._next, inverse)]
+    found = set()
+    if _state_maps(auto, cands, nxt_inverse, letters, _SYMMETRY_SEARCH_BUDGET, found,
+                   first=True) is None:
+        return None
+    return found.pop() if found else None
 
 
 def commuting_states(auto: Automaton, allowed: Sequence[int]) -> Optional[tuple]:
@@ -733,24 +692,56 @@ def _load_checkpoint(path, fingerprint):
     """Rounds recorded in ``path``.  Every record ends with a newline, so a
     final line without one was torn by a crash mid-append: it is dropped and
     the file truncated back to the last complete record, and that row is
-    scanned again.  A damaged line elsewhere is an error."""
+    scanned again.  A damaged line elsewhere is an error: a header that is
+    not an object with a string ``fingerprint``, or a record that
+    :func:`_is_record` refuses."""
     rows = {}
     path = Path(path)
     if not path.exists():
         return rows
     data = path.read_bytes()
     end = data.rfind(b"\n") + 1
-    lines = [ln for ln in data[:end].splitlines() if ln.strip()]
-    if lines and json.loads(lines[0]).get("fingerprint") != fingerprint:
-        raise AutomatonError(
-            f"checkpoint {path} belongs to a different automaton or option set"
-        )
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        rows[rec["n"]] = rec
+    lines = [(i, ln) for i, ln in enumerate(data[:end].splitlines(), 1) if ln.strip()]
+    for i, ln in lines:
+        try:
+            rec = json.loads(ln)
+        except ValueError:
+            rec = None
+        if i == lines[0][0]:
+            if type(rec) is not dict or type(rec.get("fingerprint")) is not str:
+                raise AutomatonError(f"checkpoint {path}, line {i}: not a checkpoint header")
+            if rec["fingerprint"] != fingerprint:
+                raise AutomatonError(
+                    f"checkpoint {path} belongs to a different automaton or option set"
+                )
+        elif _is_record(rec):
+            rows[rec["n"]] = rec
+        else:
+            raise AutomatonError(f"checkpoint {path}, line {i}: not a record of a survey row")
     if end < len(data):
         os.truncate(path, end)
     return rows
+
+
+_RECORD_KEYS = {"n", "depth", "depth_witness", "theta", "theta_witness", "examined", "orbits",
+                "seconds"}
+
+
+def _is_record(rec) -> bool:
+    """Whether ``rec`` has the keys and value types of a record that
+    :func:`survey` writes: integers ``n``, ``examined`` and ``orbits``, a
+    number ``seconds``, and each maximum an integer with a list of integers
+    as its witness, or both None for a length without words."""
+    if type(rec) is not dict or rec.keys() != _RECORD_KEYS:
+        return False
+    is_int = lambda value: type(value) is int
+    return (
+        all(is_int(rec[key]) for key in ("n", "examined", "orbits"))
+        and type(rec["seconds"]) in (int, float)
+        and all((rec[v] is None and rec[w] is None)
+                or (is_int(rec[v]) and type(rec[w]) is list and all(map(is_int, rec[w])))
+                for v, w in (("depth", "depth_witness"), ("theta", "theta_witness")))
+    )
 
 
 def _append_checkpoint(path, fingerprint, rec):

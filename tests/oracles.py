@@ -176,6 +176,31 @@ def brute_symmetries(auto):
     return found
 
 
+def brute_inverse_states(auto):
+    """Every state permutation iota with iota(s) acting as s^-1 in the
+    sense of ``inverse_states``: on reading s(x), iota(s) emits x and moves
+    to iota(next(s, x)).  By trying all permutations."""
+    k, m = len(auto.states), auto.alphabet_size
+    nxt, emit0 = auto._next, auto._emit0
+    return {
+        iota
+        for iota in itertools.permutations(range(k))
+        if all(
+            emit0[iota[s]][emit0[s][x]] == x and nxt[iota[s]][emit0[s][x]] == iota[nxt[s][x]]
+            for s in range(k)
+            for x in range(m)
+        )
+    }
+
+
+def cycle_machine(k):
+    """A 2-letter machine of ``k`` states in one cycle: every state moves to
+    the next one, and only state 0 swaps the letters."""
+    nxt = [[(s + 1) % k] * 2 for s in range(k)]
+    out = [[2, 1]] + [[1, 2]] * (k - 1)
+    return Automaton(2, [f"s{s}" for s in range(k)], nxt, out)
+
+
 # ---------------------------------------------------------------------------
 # Random machines for property tests.
 

@@ -519,9 +519,38 @@ def test_words_examined_is_the_orbit_count(auto, reversal, symmetry):
 
 
 def test_inverse_states_is_the_identity_on_hanoi_and_none_on_basilica():
-    for pegs in range(3, 7):
+    # 23 pegs: 254 states, so the search recurses 255 levels deep.
+    for pegs in (3, 4, 5, 6, 23):
         assert inverse_states(hanoi_automaton(pegs)) == tuple(range(pegs * (pegs - 1) // 2 + 1))
     assert inverse_states(parse_automaton(BASILICA.read_text())) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(auto=st.one_of(both_shapes, oracles.inverse_closed_machines(), oracles.commuting_machines()))
+def test_inverse_states_finds_iota_whenever_one_exists(auto):
+    assume(len(auto.states) <= 6)
+    maps = oracles.brute_inverse_states(auto)
+    iota = inverse_states(auto)
+    if maps:
+        assert iota in maps
+    else:
+        assert iota is None
+
+
+def test_both_state_map_searches_give_up_past_their_budget(monkeypatch, ha4):
+    # inverse_states enters 8 nodes on Hanoi-4, one per state and the leaf.
+    monkeypatch.setattr(analysis, "_SYMMETRY_SEARCH_BUDGET", 8)
+    assert inverse_states(ha4) == tuple(range(7))
+    monkeypatch.setattr(analysis, "_SYMMETRY_SEARCH_BUDGET", 7)
+    assert inverse_states(ha4) is None
+    assert automaton_symmetries(ha4) == (tuple(range(7)),)
+
+
+def test_both_state_map_searches_give_up_past_the_recursion_limit():
+    # The searches recurse once per state: 1,200 states pass Python's limit.
+    auto = oracles.cycle_machine(1200)
+    assert automaton_symmetries(auto) == (tuple(range(1200)),)
+    assert inverse_states(auto) is None
 
 
 def values_to(auto, n_max, **options):

@@ -10,7 +10,9 @@ import time
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from mealygroup import analysis, format_state_word, frame_stewart, hanoi_automaton, parse_automaton
+import oracles
+from mealygroup import analysis, format_automaton, format_state_word, frame_stewart, hanoi_automaton
+from mealygroup import parse_automaton
 from mealygroup import _kernel, cli
 from mealygroup.cli import main
 from mealygroup.hanoi import MAX_PEGS
@@ -238,6 +240,42 @@ def test_resume_rejects_a_checkpoint_that_disagrees_with_the_scan(tmp_path):
     # Nothing is written: the checkpoint and the table stay as they were.
     assert ckpt.read_text() == "".join(lines)
     assert out.read_bytes() == table
+
+
+@pytest.mark.parametrize(
+    "at, damage",
+    [
+        (2, lambda rec: {"depth": 1}),
+        (0, lambda rec: [1]),
+        (-1, lambda rec: {**rec, "depth": "x"}),
+        (-1, lambda rec: {**rec, "theta_witness": 5}),
+    ],
+    ids=["record-without-keys", "header-not-an-object", "depth-not-an-integer",
+         "witness-not-a-list"],
+)
+def test_resume_rejects_a_damaged_checkpoint_line(tmp_path, at, damage):
+    out = tmp_path / "t.csv"
+    ckpt = tmp_path / "t.csv.ckpt"
+    argv = ("table", "--pegs", "3", "--max-n", "3", "--long-run", "--out", str(out))
+    assert run_cli(*argv)[0] == 0
+    lines = ckpt.read_text().splitlines(keepends=True)
+    lines[at] = json.dumps(damage(json.loads(lines[at]))) + "\n"
+    ckpt.write_text("".join(lines))
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith(f"error: checkpoint {ckpt}, line {at % len(lines) + 1}: not a ")
+
+
+def test_table_runs_on_a_machine_past_the_recursion_limit(tmp_path):
+    # The symmetry and inverse searches give up on 1,200 states, so the
+    # scan runs as with --no-symmetry.
+    path = tmp_path / "cycle.txt"
+    path.write_text(format_automaton(oracles.cycle_machine(1200)))
+    argv = ("table", "--automaton", str(path), "--max-n", "1")
+    code, out, err = run_cli(*argv)
+    assert code == 0 and len(err.splitlines()) == 1
+    assert (code, out) == run_cli(*argv, "--no-symmetry")[:2]
 
 
 def test_resume_scans_once_and_keeps_the_recorded_rows(tmp_path):
