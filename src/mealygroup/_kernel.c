@@ -39,14 +39,15 @@
  * bests of its own, and folds the mirrors' subtrees into it once its other
  * children are done (fold); a node without one records straight into the
  * enclosing scope.  Words these rules leave out have the depth and count
- * of a word kept or folded (the arguments are in survey's docstring).  The
- * survey splits its DFS into tasks, one per prefix, and hands the whole
- * list to mg_scan: each worker thread makes one call, which takes tasks
- * from a shared atomic counter, reuses one workspace for all of them, and
- * writes each task's results to the task's own slot.  A task whose prefix
- * passes through a mirror scans nothing, and the caller folds its subtree
- * (analysis._fold_tasks).  A failed task or the caller sets a shared stop
- * flag, after which no task starts.
+ * of a word kept or folded (the arguments are in survey's docstring).
+ * Each of the caller's worker threads makes one mg_scan call, which runs
+ * the whole DFS with one workspace, into results of its own.  At the split
+ * depth a worker descends into a node only when it has claimed the node's
+ * ordinal from a shared atomic counter, so each subtree there is scanned
+ * by one worker, and every worker walks and records the words above it
+ * and folds every mirror on its own results; the caller merges them per
+ * length.  A failed worker or the caller sets a shared stop flag, after
+ * which no worker claims a subtree.
  *
  * mg_closure is the closure record of one word that the queries read (the
  * Python walk in _walk_record is its twin).  A do-nothing state passes
@@ -78,7 +79,7 @@ static int grow(void *p, size_t size)
     return 0;
 }
 
-/* The closure automaton of one prefix: node 0 is the prefix itself. */
+/* The closure automaton of one word: node 0 is the word itself. */
 typedef struct {
     int32_t *ch; /* size * m: node a's section at letter x at [a*m + x] */
     int64_t size, cap;
@@ -96,8 +97,12 @@ typedef struct {
      * tie[tie_at[l] .. tie_at[l+1]) lists the maps that give it. */
     int32_t *twin, *lo, *tie, *tie_at;
     int mirror;        /* whether mirror children are folded (see rec) */
+    int split;         /* the depth at which subtrees are claimed (see descend) */
+    int counts;        /* whether words of length <= split count toward examined */
+    int64_t ordinal;   /* the next node of depth split, numbered in DFS order */
+    int64_t claim;     /* the ordinal this worker holds, or -1 */
+    int64_t *shared;   /* the caller's: next ordinal to claim, prefixes done, stop flag */
     int32_t word[MAXN];
-    Level lv[MAXN];    /* lv[d]: the closure automaton of word[0..d), along a task's prefix */
     /* Per DFS depth d and allowed state a, the child word[0..d) allowed[a]:
      * its closure automaton, its depth and count, and what rec does with it. */
     Level *kid;
@@ -106,14 +111,12 @@ typedef struct {
     /* Per DFS depth, a scope's bests and witnesses, laid out as the caller's. */
     int64_t *scope_best;
     int32_t *scope_witness;
-    int nmax;
     int32_t *qa, *qt;  /* the walk's queue of pairs (prefix node, state) */
     int64_t qcap;      /* entries qa and qt have room for */
     uint32_t *stamp;   /* per pair code a*k + t: seen in this walk iff == gen */
     int32_t *index;    /* per pair code: its node index, when out is kept */
     size_t vcap;
     uint32_t gen;
-    int first;         /* the shortest length counted: outputs start there */
     uint64_t *examined; /* the caller's, per length */
     int64_t *best;     /* the caller's: best depth, then best count, per length */
     int32_t *witness;  /* the caller's: depth witness, then count witness, n each per length */
@@ -196,12 +199,13 @@ static int extend(Scan *sc, const Level *p, int s, Level *out, int64_t *depth, i
 }
 
 /* Count word[0..len), of closure depth d and count t, toward its length,
- * and keep d and t as that length's best when strictly better. */
+ * and keep d and t as that length's best when strictly better.  Every
+ * worker records the words of length <= split, but only one counts them. */
 static void record(Scan *sc, int len, int64_t d, int64_t t)
 {
-    const size_t i = (size_t)(len - sc->first);
+    const size_t i = (size_t)len - 1;
     int32_t *w = sc->witness + i * 2 * sc->n;
-    sc->examined[i]++;
+    sc->examined[i] += sc->counts || len > sc->split;
     if (d > sc->best[2 * i]) {
         sc->best[2 * i] = d;
         memcpy(w, sc->word, len * sizeof *sc->word);
@@ -312,20 +316,20 @@ enum { SKIP, DESCEND, MIRROR };
  * depth and count, so the best of length L below c is the best of length
  * L-1 below v with x inserted at position depth.  Lengths go up, so the
  * words below v of length L-1 include those folded at L-1; a tie goes to
- * the lex-smaller word.  The best of length L-1 below v always exists:
- * x may always follow x, so v x, v x x, ... are below v, folded or not. */
+ * the lex-smaller word.  A worker may have no word of length L-1 below v,
+ * when the subtrees that hold them are other workers'. */
 static void fold(Scan *sc, int depth, const uint8_t *kind)
 {
     const int n = sc->n;
     for (int len = depth + 2; len <= n; len++) {
-        const size_t from = 2 * (size_t)(len - 1 - sc->first), to = 2 * (size_t)(len - sc->first);
+        const size_t from = 2 * (size_t)(len - 2), to = 2 * (size_t)(len - 1);
         for (int v = 0; v < 2; v++) {
             const int64_t value = sc->best[from + v];
             const int32_t *base = sc->witness + (from + v) * n;
             int32_t *w = sc->witness + (to + v) * n;
             for (int a = 0; a < sc->na; a++) {
                 const int x = sc->allowed[a];
-                if (kind[a] != MIRROR || value < sc->best[to + v]
+                if (kind[a] != MIRROR || value < 0 || value < sc->best[to + v]
                     || (value == sc->best[to + v] && !inserted_less(base, depth, x, w, len)))
                     continue;
                 sc->best[to + v] = value;
@@ -335,6 +339,53 @@ static void fold(Scan *sc, int depth, const uint8_t *kind)
             }
         }
     }
+}
+
+/* The canonical words of `left` letters more than word[0..depth), whose
+ * tying symmetries are active[0..nact) and whose forbidden set is f; the
+ * rows of sc->active past depth hold the symmetries on the way. */
+static int64_t canonical_words(const Scan *sc, int depth, const int32_t *active, int nact,
+                               uint64_t f, int left)
+{
+    int32_t *sub = sc->active + (size_t)(depth + 1) * sc->ng;
+    int64_t total = 0;
+    int keep;
+    if (!left)
+        return 1;
+    for (int a = 0; a < sc->na; a++) {
+        const int s = sc->allowed[a];
+        if (!(sc->comm && f >> s & 1) && (keep = tying(sc, active, nact, s, sub)) >= 0)
+            total += canonical_words(sc, depth + 1, sub, keep, forbid(sc, f, s), left - 1);
+    }
+    return total;
+}
+
+static int rec(Scan *sc, int depth, const Level *p, const int32_t *active, int nact, uint64_t f);
+
+/* rec below v = word[0..depth), except at the split depth, where only the
+ * worker that claims v's ordinal from the shared counter goes on.  Every
+ * worker numbers the nodes of that depth alike, in DFS order, and holds
+ * one claim at a time: once past it, it reads the stop flag and claims the
+ * next ordinal not yet taken.  The counter only grows, so each node is
+ * claimed once, by a worker that has not yet passed it.  Returns 1 once
+ * the stop flag is set. */
+static int descend(Scan *sc, int depth, const Level *p, const int32_t *active, int nact,
+                   uint64_t f)
+{
+    if (depth != sc->split)
+        return rec(sc, depth, p, active, nact, f);
+    const int64_t i = sc->ordinal++;
+    if (sc->claim < i) {
+        if (__atomic_load_n(&sc->shared[2], __ATOMIC_RELAXED))
+            return 1;
+        sc->claim = __atomic_fetch_add(&sc->shared[0], 1, __ATOMIC_RELAXED);
+    }
+    if (sc->claim != i)
+        return 0;
+    const int rc = rec(sc, depth, p, active, nact, f);
+    if (!rc)
+        __atomic_fetch_add(&sc->shared[1], 1, __ATOMIC_RELAXED);
+    return rc;
 }
 
 /* Canonical DFS below v = word[0..depth), whose closure automaton is p
@@ -347,11 +398,13 @@ static void fold(Scan *sc, int depth, const uint8_t *kind)
  * symmetries (every one that ties on v fixes s) and its forbidden set are
  * v's: extend reads nothing else, so the words below c are v s u for the
  * words v u below v, with their depths and counts (survey has the
- * argument).  A mirror is recorded but not descended into.  A node with
- * mirror children records the words below it in a scope of its own, folds
- * the mirrors' subtrees there (fold), and then merges the scope into the
- * enclosing one, where a word of the scope replaces the best only when
- * strictly better: it comes later in lex order. */
+ * argument).  A mirror is recorded but not descended into; the counting
+ * worker adds the canonical words of the split length below it to the
+ * prefixes done.  A node with mirror children records the words below it
+ * in a scope of its own, folds the mirrors' subtrees there (fold), and
+ * then merges the scope into the enclosing one, where a word of the scope
+ * replaces the best only when strictly better: it comes later in lex
+ * order. */
 static int rec(Scan *sc, int depth, const Level *p, const int32_t *active, int nact, uint64_t f)
 {
     int32_t *sub = sc->active + (size_t)(depth + 1) * sc->ng;
@@ -389,15 +442,20 @@ static int rec(Scan *sc, int depth, const Level *p, const int32_t *active, int n
     int64_t *const best = sc->best;
     int32_t *const witness = sc->witness;
     if (mirrors) {
-        sc->best = sc->scope_best + 2 * (size_t)depth * sc->nmax;
-        sc->witness = sc->scope_witness + 2 * (size_t)depth * sc->nmax * sc->nmax;
-        for (int i = depth + 1 - sc->first; i <= sc->n - sc->first; i++)
+        sc->best = sc->scope_best + 2 * (size_t)depth * sc->n;
+        sc->witness = sc->scope_witness + 2 * (size_t)depth * sc->n * sc->n;
+        for (int i = depth; i < sc->n; i++)
             sc->best[2 * i] = sc->best[2 * i + 1] = -1;
     }
     for (int a = 0; a < na; a++)
         if (kind[a] != SKIP) {
             sc->word[depth] = sc->allowed[a];
             record(sc, depth + 1, kv[2 * a], kv[2 * a + 1]);
+            if (kind[a] == MIRROR && sc->counts && depth < sc->split)
+                __atomic_fetch_add(&sc->shared[1],
+                                   canonical_words(sc, depth + 1, active, nact, f,
+                                                   sc->split - depth - 1),
+                                   __ATOMIC_RELAXED);
         }
     for (int a = 0; a < na; a++) {
         const int s = sc->allowed[a];
@@ -405,121 +463,56 @@ static int rec(Scan *sc, int depth, const Level *p, const int32_t *active, int n
             continue;
         sc->word[depth] = s;
         keep = tying(sc, active, nact, s, sub);
-        if ((rc = rec(sc, depth + 1, &kid[a], sub, keep, forbid(sc, f, s))))
+        if ((rc = descend(sc, depth + 1, &kid[a], sub, keep, forbid(sc, f, s))))
             return rc;
     }
     if (!mirrors)
         return 0;
     fold(sc, depth, kind);
-    for (int len = depth + 1; len <= sc->n; len++)
-        for (size_t j = 2 * (size_t)(len - sc->first), v = 0; v < 2; v++, j++)
-            if (sc->best[j] > best[j]) {
-                best[j] = sc->best[j];
-                memcpy(witness + j * sc->n, sc->witness + j * sc->n, len * sizeof *witness);
-            }
+    for (size_t j = 2 * (size_t)depth; j < 2 * (size_t)sc->n; j++)
+        if (sc->best[j] > best[j]) {
+            best[j] = sc->best[j];
+            memcpy(witness + j * sc->n, sc->witness + j * sc->n, (j / 2 + 1) * sizeof *witness);
+        }
     sc->best = best;
     sc->witness = witness;
     return 0;
 }
 
-/* One task of mg_scan, from its row (see there), into slot i of the
- * outputs: the closure automata of the prefix are rebuilt into lv[], with
- * the symmetries tying on each of its prefixes in the rows of active.
- * value gets the prefix's depth and count, and the length of the first
- * of its prefixes that is a mirror of the one before (see rec), or 0.
- * When there is one, the DFS below the prefix is left to the caller's
- * fold; otherwise it goes on below the prefix. */
-static int scan_task(Scan *sc, int nmax, const int32_t *row, int32_t *twin, size_t i,
-                     uint64_t *examined, int64_t *best, int32_t *witness, int64_t *value)
-{
-    const int np = row[0], n = row[1], ns = row[3], ng = sc->ng;
-    const int32_t *prefix = row + 4, *active = row + 4 + nmax;
-    int64_t d = 0, t = 1; /* the empty word's */
-    uint64_t f = 0;
-    int rc, nt = ng;
-
-    if (np < 0 || np >= n || n > nmax || ns < 0 || ns > ng)
-        return -1;
-    sc->n = n;
-    sc->first = np + 1;
-    sc->twin = row[2] ? twin : NULL;
-    sc->examined = examined + i * nmax;
-    sc->best = best + 2 * i * nmax;
-    sc->witness = witness + 2 * i * nmax * nmax;
-    value += 3 * i;
-    value[2] = 0;
-    for (int j = 0; j < n - np; j++) {
-        sc->examined[j] = 0;
-        sc->best[2 * j] = sc->best[2 * j + 1] = -1;
-    }
-    for (int j = 0; j < ng; j++)
-        sc->active[j] = j;
-    memcpy(sc->word, prefix, np * sizeof *prefix);
-    for (int j = 0; j < np; j++) {
-        const int32_t *tie = sc->active + (size_t)j * ng;
-        int32_t *next = sc->active + (size_t)(j + 1) * ng;
-        const uint64_t g = forbid(sc, f, prefix[j]);
-        int keep = 0;
-        for (int r = 0; r < nt; r++)
-            if (sc->group[(size_t)tie[r] * sc->k + prefix[j]] == prefix[j])
-                next[keep++] = tie[r];
-        if ((rc = extend(sc, &sc->lv[j], prefix[j], &sc->lv[j + 1], &d, &t)))
-            return rc;
-        if (sc->mirror && !value[2] && keep == nt && g == f
-            && same_automaton(&sc->lv[j + 1], &sc->lv[j], sc->m))
-            value[2] = j + 1;
-        nt = keep;
-        f = g;
-    }
-    value[0] = d;
-    value[1] = t;
-    if (value[2])
-        return 0;
-    memcpy(sc->active + (size_t)np * ng, active, ns * sizeof *active);
-    return rec(sc, np, &sc->lv[np], sc->active + (size_t)np * ng, ns, f);
-}
-
-/* The survey scan of a task list, run by each of the caller's worker
- * threads once: it takes the next task from the counter shared[0] until
- * none is left or the stop flag shared[2] is set, adds one to shared[1]
- * for each task it finishes, and keeps one workspace (closure automata,
- * walk buffers, reversal tables) for all its tasks.
- * Task i is the row tasks[i*w .. i*w + w), w = 4 + nmax + ng: np, n, a
- * reversal flag, ns, then prefix[0..np) in nmax entries and, in ng, the
- * indices into group (ng symmetries, k entries each) of the ns of them
- * still tying on the prefix.  It scans every canonical word of each
- * length L = np+1 .. n (n <= nmax <= MAXN) extending the prefix.  With
- * comm (k <= 64 masks) not NULL, words pass the commutation rule too, its
- * forbidden set rebuilt along the prefix; with iota (k entries) not NULL
- * and the flag set, words of length n pass the reversal test.
- * With mirror set, mirror children are folded (see rec).
- * Task i writes slot i only, its return code into status[i]: length L has
- * index j = i*nmax + L - np - 1, closures computed in examined[j], best
- * depth in best[2j] (-1 when no word of length L was reached), best count
- * in best[2j+1], and their witnesses at witness[2*nmax*nmax*i + 2n(L - np
- * - 1)], the count's n entries on.  The prefix's own length and shorter
- * ones are not counted.  value[3i .. 3i+3) gets the prefix's depth and
- * count and the length of the first mirror along it, or 0 (see
- * scan_task); with a mirror the task scans nothing.  A task returns
- * 0, -1 when memory runs out or its lengths are out of range, or -2 when
- * a closure passes `budget` sections (its outputs are then meaningless);
- * either error sets the stop flag, and so does a worker that cannot set
- * up its workspace.  Returns 0 or the error that stopped this worker. */
+/* The survey scan to length n (n <= MAXN), run once by each of the
+ * caller's worker threads: the whole canonical DFS from the empty word,
+ * the subtrees at depth split (0 <= split < n) shared out by claims on the
+ * counter shared[0] (see descend).  shared[1] counts the canonical words of
+ * length split done: those whose subtree a worker scanned, and, when
+ * counts is set, those below a mirror this worker passed; once every
+ * worker is done, it is their number.  Only the worker with counts set
+ * counts the words of length <= split toward examined, so the workers'
+ * examined add up to the closures the DFS computed.  With comm (k <= 64
+ * masks) not NULL, words pass the commutation rule too; with iota (k
+ * entries) not NULL, words of length n pass the reversal test; with
+ * mirror set, mirror children are folded (see rec).  The worker's results
+ * for length L go to index j = L - 1: closures computed in examined[j],
+ * best depth in best[2j] (-1 when it reached no word of length L), best
+ * count in best[2j+1], and their witnesses at witness[2nj], the count's n
+ * entries on.  Returns 0; 1 when it stopped on the stop flag shared[2];
+ * -1 when memory runs out or n or split is out of range; or -2 when a
+ * closure passes `budget` sections.  With anything but 0 the results are
+ * meaningless, and either error sets the stop flag. */
 int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const int32_t *allowed,
             int ng, const int32_t *group, const int32_t *iota, const uint64_t *comm, int mirror,
-            int64_t budget, int nmax, int64_t ntasks, const int32_t *tasks, int32_t *status,
-            uint64_t *examined, int64_t *best, int32_t *witness, int64_t *value, int64_t *shared)
+            int64_t budget, int n, int split, int counts, uint64_t *examined, int64_t *best,
+            int32_t *witness, int64_t *shared)
 {
     Scan sc = {
-        .k = k, .m = m, .na = na, .ng = ng, .mirror = mirror,
+        .k = k, .m = m, .na = na, .ng = ng, .mirror = mirror, .split = split, .counts = counts,
         .budget = budget < INT32_MAX ? budget : INT32_MAX, /* node indices are int32 */
         .nxt = nxt, .emit = emit, .allowed = allowed, .group = group, .comm = comm,
+        .claim = -1, .shared = shared, .examined = examined, .best = best, .witness = witness,
     };
-    const size_t width = 4 + (size_t)nmax + ng;
-    const size_t depths = nmax >= 1 && nmax <= MAXN ? (size_t)nmax : 1;
+    const size_t depths = n >= 1 && n <= MAXN ? (size_t)n : 1;
     const size_t kids = depths * (na ? na : 1);
 
-    sc.nmax = (int)depths;
+    sc.n = (int)depths;
     sc.active = malloc((depths + 1) * (ng ? ng : 1) * sizeof *sc.active);
     sc.kid = calloc(kids, sizeof *sc.kid);
     sc.kv = malloc(2 * kids * sizeof *sc.kv);
@@ -527,24 +520,22 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const
     sc.scope_best = malloc(2 * depths * depths * sizeof *sc.scope_best);
     sc.scope_witness = malloc(2 * depths * depths * depths * sizeof *sc.scope_witness);
     /* The empty word is its own only section. */
-    sc.lv[0] = (Level){.ch = calloc(m, sizeof(int32_t)), .size = 1, .cap = 1};
-    int rc = nmax < 1 || nmax > MAXN || (comm && k > 64) || !sc.active || !sc.kid || !sc.kv
-             || !sc.kind || !sc.scope_best || !sc.scope_witness || !sc.lv[0].ch
+    Level root = {.ch = calloc(m, sizeof(int32_t)), .size = 1, .cap = 1};
+    int rc = n < 1 || n > MAXN || split < 0 || split >= n || (comm && k > 64) || !sc.active
+             || !sc.kid || !sc.kv || !sc.kind || !sc.scope_best || !sc.scope_witness || !root.ch
              || (iota && twins(&sc, iota)) ? -1 : 0;
-    int32_t *const twin = sc.twin;
-    while (!rc && !__atomic_load_n(&shared[2], __ATOMIC_RELAXED)) {
-        const int64_t i = __atomic_fetch_add(&shared[0], 1, __ATOMIC_RELAXED);
-        if (i >= ntasks)
-            break;
-        rc = status[i] = scan_task(&sc, nmax, tasks + i * width, twin, i, examined, best,
-                                   witness, value);
-        if (!rc)
-            __atomic_fetch_add(&shared[1], 1, __ATOMIC_RELAXED);
+    if (!rc) {
+        for (int i = 0; i < n; i++) {
+            examined[i] = 0;
+            best[2 * i] = best[2 * i + 1] = -1;
+        }
+        for (int j = 0; j < ng; j++)
+            sc.active[j] = j;
+        rc = descend(&sc, 0, &root, sc.active, ng, 0);
     }
-    if (rc)
+    if (rc < 0)
         __atomic_store_n(&shared[2], 1, __ATOMIC_RELAXED);
-    for (int i = 0; i < MAXN; i++)
-        free(sc.lv[i].ch);
+    free(root.ch);
     for (size_t i = 0; sc.kid && i < kids; i++)
         free(sc.kid[i].ch);
     free(sc.kid);
@@ -557,7 +548,7 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const
     free(sc.qt);
     free(sc.stamp);
     free(sc.index);
-    free(twin);
+    free(sc.twin);
     free(sc.lo);
     free(sc.tie);
     free(sc.tie_at);

@@ -30,7 +30,7 @@ import tempfile
 import threading
 from pathlib import Path
 
-from .analysis import BudgetError
+from .analysis import BudgetError, _merge_round
 
 _CC = "cc"
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -77,9 +77,8 @@ class _ClosureOut(ctypes.Structure):
 
 _SIGNATURES = {
     "mg_scan": (ctypes.c_int, [_I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32P, _I32P,
-                               _U64P, _I32, _I64, _I32, _I64, _I32P, _I32P, _U64P,
-                               ctypes.POINTER(_I64), _I32P, ctypes.POINTER(_I64),
-                               ctypes.POINTER(_I64)]),
+                               _U64P, _I32, _I64, _I32, _I32, _I32, _U64P,
+                               ctypes.POINTER(_I64), _I32P, ctypes.POINTER(_I64)]),
     "mg_closure": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
                                   ctypes.c_char_p, _I64, ctypes.c_int,
                                   ctypes.POINTER(_ClosureOut)]),
@@ -136,41 +135,41 @@ def _tables(nxt, emit0):
 
 def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None, mirror=True):
     """The twin of ``analysis._scan_lengths`` (see ``_kernel.c``), with
-    the closure walk bound in: ``scan(tasks, jobs=1,
-    progress=None, every=None)`` takes the same tasks, up to length
-    ``n_max``.  Each of ``jobs`` worker threads makes one ``mg_scan``
-    call, which releases the GIL and takes tasks from a shared counter.
-    This thread only waits, passing ``progress`` the tasks finished every
-    ``every`` seconds and at the end.  Once the wait raises (Ctrl-C) or a
-    task fails, no task starts, and the error comes when the running ones
-    end.  None when the kernel cannot be loaded or ``n_max`` is past 64."""
+    the closure walk bound in: ``scan(split, jobs=1, progress=None,
+    every=None)`` gives the same per-length results up to ``n_max``.  Each
+    of ``jobs`` worker threads makes one ``mg_scan`` call, which releases
+    the GIL, runs the whole DFS and claims the subtrees below the canonical
+    prefixes of ``split`` letters from a shared counter; their results are
+    merged per length here.  This thread only waits, passing ``progress``
+    the prefixes done every ``every`` seconds and at the end.  Once the
+    wait raises (Ctrl-C) or a worker fails, no subtree is claimed, and the
+    error comes when the running ones end.  None when the kernel cannot be
+    loaded or ``n_max`` is past 64."""
     if n_max > _MAXN:
         return None
     lib = _library()
     if lib is None:
         return None
     k, m = len(nxt), len(nxt[0])
-    position = {sg: i for i, sg in enumerate(group)}
     machine = (k, m, *_tables(nxt, emit0), len(allowed), (_I32 * len(allowed))(*allowed),
                len(group), (_I32 * (len(group) * k))(*itertools.chain.from_iterable(group)),
                None if iota is None else (_I32 * k)(*iota),
                None if comm is None else (ctypes.c_uint64 * k)(*comm), int(mirror))
 
-    def scan(tasks, jobs=1, progress=None, every=None):
-        rows = []  # one row per task, as mg_scan reads it
-        for prefix, active, n, reversal in tasks:
-            if not len(prefix) < n <= n_max:
-                raise ValueError(f"cannot scan lengths {len(prefix) + 1}..{n} (at most {n_max})")
-            rows += [len(prefix), n, reversal, len(active), *prefix, *[0] * (n_max - len(prefix)),
-                     *map(position.__getitem__, active), *[0] * (len(group) - len(active))]
-        count = len(tasks)
-        status, shared = (_I32 * count)(), (_I64 * 3)()  # shared: next task, finished, stop
-        examined, best = (ctypes.c_uint64 * (count * n_max))(), (_I64 * (2 * count * n_max))()
-        witness = (_I32 * (2 * count * n_max * n_max))()
-        value = (_I64 * (3 * count))()  # per task: prefix depth and count, mirror length
-        args = (*machine, SECTION_BUDGET, n_max, count, (_I32 * len(rows))(*rows), status,
-                examined, best, witness, value, shared)
-        workers = [threading.Thread(target=lib.mg_scan, args=args) for _ in range(jobs)]
+    def scan(split, jobs=1, progress=None, every=None):
+        if not 0 <= split < n_max:
+            raise ValueError(f"cannot split a scan to length {n_max} at {split}")
+        shared = (_I64 * 3)()  # the next ordinal to claim, prefixes done, the stop flag
+        # Per worker: closures computed, best depth and count, and witnesses.
+        outs = [((ctypes.c_uint64 * n_max)(), (_I64 * (2 * n_max))(),
+                 (_I32 * (2 * n_max * n_max))()) for _ in range(jobs)]
+        codes = [0] * jobs
+
+        def work(j):
+            codes[j] = lib.mg_scan(*machine, SECTION_BUDGET, n_max, split, int(j == 0), *outs[j],
+                                   shared)
+
+        workers = [threading.Thread(target=work, args=(j,)) for j in range(jobs)]
         try:
             for w in workers:
                 w.start()
@@ -180,24 +179,22 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None, mirror=Tru
                     progress(shared[1])
                     w.join(every)
         finally:
-            shared[2] = 1  # the stop flag: running tasks end, and no other starts
+            shared[2] = 1  # the stop flag: running subtrees end, and no other is claimed
             for w in workers:
                 if w.is_alive():
                     w.join()
-        if shared[1] < count:
-            _check(min(status) or -1)  # a failed task, or a worker without memory
-        results = []
-        for i, (prefix, _, n, _) in enumerate(tasks):
-            found, at = [], value[3 * i + 2]
-            for j, length in enumerate(range(len(prefix) + 1, n + 1) if not at else ()):
-                slot, w = i * n_max + j, 2 * (i * n_max * n_max + n * j)
-                found.append((examined[slot], best[2 * slot], tuple(witness[w : w + length]),
-                              best[2 * slot + 1], tuple(witness[w + n : w + n + length]))
-                             if best[2 * slot] >= 0 else (0, -1, None, -1, None))
-            results.append(((value[3 * i], value[3 * i + 1]), at, tuple(found)))
+        _check(min(codes))  # a failed worker, or one without memory
+        rows = []
+        for length in range(1, n_max + 1):
+            j, w = length - 1, 2 * n_max * (length - 1)
+            rows.append(_merge_round(
+                (examined[j], best[2 * j], tuple(witness[w : w + length]),
+                 best[2 * j + 1], tuple(witness[w + n_max : w + n_max + length]))
+                if best[2 * j] >= 0 else (0, -1, None, -1, None)
+                for examined, best, witness in outs))
         if progress:
             progress(shared[1])
-        return results
+        return tuple(rows)
 
     return scan
 

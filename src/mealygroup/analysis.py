@@ -167,19 +167,13 @@ def _walk_record(auto: Automaton, word: Sequence[int], stop: bool = False) -> Op
     return _Closure(nodes, starts, children, images, fixed)
 
 
-def _closure_kernel(auto: Automaton):
-    """The compiled closure kernel bound to ``auto``, or None (see
-    ``_kernel.compiled_closure``)."""
-    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
-
-    return _kernel.compiled_closure(auto)
-
-
 def _closure_query(auto: Automaton, word: Sequence[int], query: str, walked: Callable, stop=False):
     """A closure query on ``word``: the compiled kernel's method ``query``
     on the checked word when the kernel loads for ``auto``, else ``walked``
     of the Python walk's record, run with ``stop``.  Every query picks its twin here."""
-    kernel = _closure_kernel(auto)
+    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
+
+    kernel = _kernel.compiled_closure(auto)
     if kernel is None:
         return walked(_walk_record(auto, word, stop))
     return getattr(kernel, query)(check_state_word(auto, word))
@@ -476,7 +470,7 @@ def orbit_count(allowed: Sequence[int], sigmas: Sequence[tuple], length: int) ->
 
 WORD_BUDGET = 200_000_000
 
-# The shortest interval between two reports of a survey scan's tasks.
+# The shortest interval between two reports of a survey scan's progress.
 TASK_REPORT_SECONDS = 10
 
 
@@ -537,12 +531,13 @@ def _forbid(comm, forbid, s):
     return comm[s] & (forbid | ((1 << s) - 1)) if comm else 0
 
 
-def _canonical_prefixes(allowed, sigmas, length, comm=None):
+def _canonical_prefixes(allowed, sigmas, length, comm=None, forbid=0):
     """Every canonical word of ``length`` in lex order (``allowed`` order),
     with the symmetries still tying on it; with the masks ``comm`` of
     :func:`commuting_states`, only words that are the lex-least order of
-    their commuting letters."""
-    words = [((), tuple(sigmas), 0)]  # (word, tying symmetries, forbidden set)
+    their commuting letters.  ``sigmas`` and ``forbid`` may be those of a
+    word the canonical words go on from."""
+    words = [((), tuple(sigmas), forbid)]  # (word, tying symmetries, forbidden set)
     for _ in range(length):
         words = [
             (word + (s,), tuple(sub), _forbid(comm, forbid, s))
@@ -553,62 +548,42 @@ def _canonical_prefixes(allowed, sigmas, length, comm=None):
     return [(word, active) for word, active, _ in words]
 
 
-def _scan_lengths(allowed, walk, group, iota, tasks, jobs=1, progress=None, every=None, *,
-                  comm=None, mirror=True):
-    """The reference twin of ``_kernel.compiled_scan``: per task ``(prefix,
-    active, n, reversal)``, in turn, ``(value, at, found)``.  ``value`` is
-    the prefix's (depth, count) and ``at`` the length of the first of its
-    prefixes that is a mirror of the one before (see ``mg_scan``'s ``rec``)
-    or 0.  ``found`` holds one ``(closures computed, best depth, witness,
-    best count, witness)`` per length ``len(prefix) + 1 .. n`` below the
-    prefix, or nothing when ``at`` is set: those words are the caller's to
-    fold.  ``active`` is the members of ``group`` (the symmetries without
-    the identity) still tying on the prefix; ``walk`` gives the closure
-    record of a word (``_walk_record``), whose child table is the closure
-    automaton that ``mg_scan`` builds.  With ``reversal`` and an ``iota``,
-    words of length ``n`` pass the reversal test with the maps sigma o
-    iota, sigma in ``group`` or the identity; ``comm`` as in
-    :func:`_canonical_prefixes`; ``mirror`` folds mirror children.
-    ``progress`` gets the tasks done after each; ``jobs`` and ``every`` are
-    unused."""
-    maps = () if iota is None else (iota, *(tuple(sg[s] for s in iota) for sg in group))
-    results = []
-    for prefix, active, n, reversal in tasks:
-        results.append(_scan_task(allowed, walk, group, comm, mirror, maps if reversal else (),
-                                  prefix, active, n))
-        if progress:
-            progress(len(results))
-    return results
-
-
-def _scan_task(allowed, walk, group, comm, mirror, twins, prefix, active, n):
-    """One task of :func:`_scan_lengths`, as ``mg_scan``'s ``scan_task``
-    and ``rec`` run it: children first, each node with mirror children
-    keeping the words below it in a scope of its own, one list ``[depth,
+def _scan_lengths(allowed, walk, group, iota, n_max, split=0, jobs=1, progress=None, every=None,
+                  *, comm=None, mirror=True):
+    """The reference twin of ``_kernel.compiled_scan``: the canonical DFS
+    of ``mg_scan``'s ``rec`` from the empty word to length ``n_max``, run on
+    this thread, as one worker that claims every subtree.  Per length 1 ..
+    ``n_max``, ``(closures computed, best depth, witness, best count,
+    witness)``.  Children come first, and each node with mirror children
+    keeps the words below it in a scope of its own, one list ``[depth,
     witness, count, witness]`` per length, where the mirrors are folded
-    (:func:`_fold_scope`)."""
-    table, tying, forbid, at, value = walk(()).children, group, 0, 0, (0, 1)
-    for j, s in enumerate(prefix):
-        rec = walk(prefix[: j + 1])
-        sub, after = [sg for sg in tying if sg[s] == s], _forbid(comm, forbid, s)
-        if (mirror and not at and len(sub) == len(tying) and after == forbid
-                and rec.children == table):
-            at = j + 1
-        table, tying, forbid, value = rec.children, sub, after, (rec.depth, len(rec.nodes))
-    if at:
-        return value, at, ()
-    first = len(prefix) + 1
-    examined = [0] * (n - len(prefix))
-    word = list(prefix)
+    (:func:`_fold_scope`).  ``group`` is the symmetries without the
+    identity; ``walk`` gives the closure record of a word
+    (``_walk_record``), whose child table is the closure automaton that
+    ``mg_scan`` builds.  With an ``iota``, words of length ``n_max`` pass
+    the reversal test with the maps sigma o iota, sigma in ``group`` or the
+    identity; ``comm`` as in :func:`_canonical_prefixes`; ``mirror`` folds
+    mirror children.  ``progress`` gets the canonical words of length
+    ``split`` done, as ``mg_scan`` counts them, each time that count grows;
+    ``jobs`` and ``every`` are unused."""
+    twins = () if iota is None else (iota, *(tuple(sg[s] for s in iota) for sg in group))
+    examined = [0] * n_max
+    word, done = [], 0
 
     def record(scope, d, t):
-        i = len(word) - first
+        i = len(word) - 1
         examined[i] += 1
         best = scope[i]
         if d > best[0]:
             best[0:2] = d, tuple(word)
         if t > best[2]:
             best[2:4] = t, tuple(word)
+
+    def passed(prefixes):
+        nonlocal done
+        done += prefixes
+        if progress:
+            progress(done)
 
     def dfs(table, active, forbid, scope):
         depth, kids = len(word), []
@@ -617,7 +592,7 @@ def _scan_task(allowed, walk, group, comm, mirror, twins, prefix, active, n):
             if sub is None:
                 continue
             word.append(s)
-            if depth + 1 < n:
+            if depth + 1 < n_max:
                 rec, after = walk(tuple(word)), _forbid(comm, forbid, s)
                 kids.append((s, rec, sub, after, mirror and len(sub) == len(active)
                              and after == forbid and rec.children == table))
@@ -629,25 +604,29 @@ def _scan_task(allowed, walk, group, comm, mirror, twins, prefix, active, n):
         outer = scope
         if mirrors:
             scope = [[-1, None, -1, None] for _ in outer]
-        for s, rec, *_ in kids:
+        for s, rec, *_, same in kids:
             word.append(s)
             record(scope, rec.depth, len(rec.nodes))
             word.pop()
+            if same and depth < split:
+                passed(len(_canonical_prefixes(allowed, active, split - depth - 1, comm, forbid)))
         for s, rec, sub, after, same in kids:
             if not same:
                 word.append(s)
                 dfs(rec.children, sub, after, scope)
                 word.pop()
         if mirrors:
-            _fold_scope(scope[depth + 1 - first :], mirrors, depth)
-            for best, found in zip(outer[depth + 1 - first :], scope[depth + 1 - first :]):
+            _fold_scope(scope[depth:], mirrors, depth)
+            for best, found in zip(outer[depth:], scope[depth:]):
                 for j in (0, 2):
                     if found[j] > best[j]:
                         best[j : j + 2] = found[j : j + 2]
+        if depth == split:
+            passed(1)
 
     scope = [[-1, None, -1, None] for _ in examined]
-    dfs(table, active, forbid, scope)
-    return value, 0, tuple(
+    dfs(walk(()).children, group, 0, scope)
+    return tuple(
         (ex, d, dw, t, tw) if d >= 0 else (0, -1, None, -1, None)
         for ex, (d, dw, t, tw) in zip(examined, scope)
     )
@@ -688,13 +667,13 @@ def _fingerprint(auto, flags) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _load_checkpoint(path, fingerprint):
-    """Rounds recorded in ``path``.  Every record ends with a newline, so a
-    final line without one was torn by a crash mid-append: it is dropped and
-    the file truncated back to the last complete record, and that row is
-    scanned again.  A damaged line elsewhere is an error: a header that is
-    not an object with a string ``fingerprint``, or a record that
-    :func:`_is_record` refuses."""
+def _load_checkpoint(path, fingerprint, allowed):
+    """Rounds recorded in ``path`` by a survey over the states ``allowed``.
+    Every record ends with a newline, so a final line without one was torn
+    by a crash mid-append: it is dropped and the file truncated back to the
+    last complete record, and that row is scanned again.  A damaged line
+    elsewhere is an error: a header that is not an object with a string
+    ``fingerprint``, or a record that :func:`_is_record` refuses."""
     rows = {}
     path = Path(path)
     if not path.exists():
@@ -714,7 +693,7 @@ def _load_checkpoint(path, fingerprint):
                 raise AutomatonError(
                     f"checkpoint {path} belongs to a different automaton or option set"
                 )
-        elif _is_record(rec):
+        elif _is_record(rec, allowed):
             rows[rec["n"]] = rec
         else:
             raise AutomatonError(f"checkpoint {path}, line {i}: not a record of a survey row")
@@ -727,11 +706,11 @@ _RECORD_KEYS = {"n", "depth", "depth_witness", "theta", "theta_witness", "examin
                 "seconds"}
 
 
-def _is_record(rec) -> bool:
+def _is_record(rec, allowed) -> bool:
     """Whether ``rec`` has the keys and value types of a record that
     :func:`survey` writes: integers ``n``, ``examined`` and ``orbits``, a
-    number ``seconds``, and each maximum an integer with a list of integers
-    as its witness, or both None for a length without words."""
+    number ``seconds``, and each maximum an integer with a witness of ``n``
+    states, each in ``allowed``, or both None for a length without words."""
     if type(rec) is not dict or rec.keys() != _RECORD_KEYS:
         return False
     is_int = lambda value: type(value) is int
@@ -739,7 +718,8 @@ def _is_record(rec) -> bool:
         all(is_int(rec[key]) for key in ("n", "examined", "orbits"))
         and type(rec["seconds"]) in (int, float)
         and all((rec[v] is None and rec[w] is None)
-                or (is_int(rec[v]) and type(rec[w]) is list and all(map(is_int, rec[w])))
+                or (is_int(rec[v]) and type(rec[w]) is list and len(rec[w]) == rec["n"]
+                    and all(is_int(s) and s in allowed for s in rec[w]))
                 for v, w in (("depth", "depth_witness"), ("theta", "theta_witness")))
     )
 
@@ -824,17 +804,25 @@ def survey(
     reversal test, so the fold takes in all the words c u, also some of
     length ``n_max`` that the test would pass over.  Each of those has
     the depth and count of a lex-smaller word that the scan keeps, so the
-    values and witnesses stay as above, and only ``closures`` drops.  A
-    prefix task whose prefix passes through a mirror scans nothing, and
-    the survey folds those subtrees from the tasks' results, so the
-    closures computed do not depend on ``jobs`` either.  ``mirror=False``
-    is the unreduced twin the tests compare with.
+    values and witnesses stay as above, and only ``closures`` drops.
+    ``mirror=False`` is the unreduced twin the tests compare with.
 
-    The scan is split into tasks by canonical prefix, which ``jobs``
-    worker threads of the compiled scan share; the Python scan runs them
-    in turn on this thread.  Results are identical for any ``jobs``.  A
-    scan that runs for long reports its finished tasks on stderr (``# scan
-    tasks=k/N seconds=S``).
+    Each of the compiled scan's ``jobs`` worker threads runs the whole
+    DFS, but descends below a canonical prefix of the split length only
+    when it claims that prefix, so each subtree there is scanned once.
+    Every worker walks and records the words above the split, and folds
+    every mirror on its own results; the survey merges the workers'
+    results per length.  That gives the fold of the merged results:
+    inserting x at a fixed position keeps the lex order of words of one
+    length, so a fold commutes with the per-length merge (the larger value
+    wins, and a tie goes to the lex-smaller word), and a word that several
+    workers record merges as itself.  Within one worker a witness stays
+    lex-least as in a serial scan, since a scope holds only words that
+    come later in DFS order.  Only one worker counts the words above the
+    split, so ``closures`` does not depend on ``jobs`` either, and results
+    are identical for any ``jobs``.  The Python scan runs the DFS whole on
+    this thread.  A scan that runs for long reports on stderr the prefixes
+    of the split length done so far (``# scan tasks=k/N seconds=S``).
 
     ``checkpoint`` names a file that records each row once the scan ends.
     A later run keeps the rows it holds; when it must scan for longer
@@ -876,7 +864,7 @@ def survey(
         "include_root_section": True,  # always; kept so existing checkpoints still resume
     }
     fingerprint = _fingerprint(auto, flags)
-    done = _load_checkpoint(checkpoint, fingerprint) if checkpoint else {}
+    done = _load_checkpoint(checkpoint, fingerprint, allowed) if checkpoint else {}
 
     from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
 
@@ -886,7 +874,7 @@ def survey(
                                  mirror)
     if scan is None:
         walk = functools.partial(_walk_record, auto)
-        scan = functools.partial(_scan_lengths, allowed, walk, sigmas, iota, comm=comm,
+        scan = functools.partial(_scan_lengths, allowed, walk, sigmas, iota, n_max, comm=comm,
                                  mirror=mirror)
 
     scanned, closures = {}, {}
@@ -953,68 +941,29 @@ def _values(rec):
 
 def _scan_all(scan, allowed, sigmas, comm, jobs, n_max):
     """Merged ``(closures computed, best depth, witness, best count,
-    witness)`` of every length 1 .. ``n_max``, from one canonical DFS split
-    into tasks by prefix: one task scans lengths 1 .. split below the empty
-    word, and one per canonical prefix of length split scans the longer
-    lengths below it, or leaves them to :func:`_fold_tasks` when a mirror
-    lies on its prefix.  Only the tasks to ``n_max`` apply the reversal
-    test, so the closures computed do not depend on the split.  A scan on one
-    thread is split too: a Ctrl-C then waits for the running task, not for
-    the whole scan.  Every :data:`TASK_REPORT_SECONDS` at most, the tasks
-    finished so far are reported on stderr."""
+    witness)`` of every length 1 .. ``n_max``, from one canonical DFS.  The
+    scan's workers claim its subtrees below the canonical prefixes of the
+    split length.  A scan on one thread is split too: a Ctrl-C then waits
+    for the running subtree, not for the whole scan.  Every
+    :data:`TASK_REPORT_SECONDS` at most, the prefixes done so far are
+    reported on stderr: those whose subtree is scanned, and those below a
+    mirror that the DFS has passed."""
     t0 = last = time.perf_counter()
-    # The shortest split with 8 tasks a thread, but at most 4 letters.
+    # The shortest split with 8 prefixes a thread, but at most 4 letters.
     for split in range(min(4, n_max - 1) + 1 if allowed else 1):
-        prefixes = _canonical_prefixes(allowed, sigmas, split, comm)
-        if len(prefixes) >= 8 * jobs:
+        prefixes = len(_canonical_prefixes(allowed, sigmas, split, comm))
+        if prefixes >= 8 * jobs:
             break
-    tasks = [(p, active, n_max, True) for p, active in prefixes]
-    if split:
-        tasks.insert(0, ((), sigmas, split, False))
 
     def progress(done):
         nonlocal last
         now = time.perf_counter()
         if now - last >= TASK_REPORT_SECONDS:
-            print(f"# scan tasks={done}/{len(tasks)} seconds={now - t0:.3f}",
+            print(f"# scan tasks={done}/{prefixes} seconds={now - t0:.3f}",
                   file=sys.stderr, flush=True)
             last = now
 
-    results = scan(tasks, jobs, progress, TASK_REPORT_SECONDS)
-    first = int(split > 0)  # the task below the empty word, when there is one
-    by_length = {n: [res] for n, res in enumerate(results[0][2] if first else (), 1)}
-    by_length.update(_fold_tasks(tasks[first:], results[first:], split, n_max))
-    return {n: _merge_round(found) for n, found in by_length.items()}
-
-
-def _fold_tasks(tasks, results, split, n_max):
-    """The results of every length ``split + 1 .. n_max`` below the
-    prefixes of ``split`` letters, from one scan result per prefix task.
-    A task whose prefix has a mirror c = v x on it (its ``at``) scanned
-    nothing: the words below c are folded from those below v, as
-    ``mg_scan``'s ``fold`` does within a task.  Below v they are the
-    prefixes of ``split`` letters themselves (each task gives its prefix's
-    depth and count) and the words the tasks below v scanned or folded.
-    The mirrors go deepest first, so that the words below v include those
-    folded below deeper mirrors, and at each v lengths go up, so that they
-    include those folded below v's own mirrors at the length before."""
-    below = {}  # a subtree's root -> its results at lengths split .. n_max
-    mirrors = {}  # a mirror -> the prefixes below it
-    for (prefix, *_), ((d, t), at, found) in zip(tasks, results):
-        below[prefix] = [(0, d, prefix, t, prefix), *found]
-        if at:
-            mirrors.setdefault(prefix[:at], []).append(prefix)
-    for v in sorted({c[:-1] for c in mirrors}, key=len, reverse=True):
-        children = [c for c in mirrors if c[:-1] == v]
-        for c in children:
-            below[c] = [_merge_round([below.pop(p)[0] for p in mirrors[c]])]
-        under = [res for root, res in below.items() if root[: len(v)] == v]
-        for n in range(split + 1, n_max + 1):
-            _, d, dw, t, tw = _merge_round([res[n - 1 - split] for res in under])
-            for c in children:
-                x, i = c[-1], len(v)
-                below[c].append((0, d, dw[:i] + (x,) + dw[i:], t, tw[:i] + (x,) + tw[i:]))
-    return {n: [res[n - split] for res in below.values()] for n in range(split + 1, n_max + 1)}
+    return dict(enumerate(scan(split, jobs, progress, TASK_REPORT_SECONDS), 1))
 
 
 def render_growth_csv(report: GrowthReport, auto: Automaton) -> str:

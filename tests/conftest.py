@@ -25,18 +25,22 @@ def ha5():
 
 
 class ScanCalls(list):
-    """Every ``mg_scan`` call of a test, as (thread, arguments).  When
+    """Every ``mg_scan`` call of a test, as (thread, arguments), and in
+    ``codes`` what each call returned, in the order they ended.  When
     ``before`` is set, the worker thread runs it just before its call."""
 
     before = None
 
+    def __init__(self):
+        super().__init__()
+        self.codes = []
+
     def counters(self):
-        """(tasks taken, tasks finished, tasks) of the scan called first.
-        A worker takes no task once the stop flag is set, and one past the
-        last when none is left."""
-        args = self[0][1]
-        shared, count = args[-1], args[13]  # mg_scan's shared counters and ntasks
-        return min(shared[0], count), shared[1], count
+        """(subtrees claimed, prefixes done) of the scan called first: the
+        counters its workers share.  A worker claims no subtree once the
+        stop flag is set, and one past the last when none is left."""
+        shared = self[0][1][-1]  # mg_scan's shared counters
+        return shared[0], shared[1]
 
 
 @pytest.fixture
@@ -57,7 +61,9 @@ def scan_calls(monkeypatch):
             calls.append((threading.current_thread(), args))
             if calls.before:
                 calls.before()
-            return self.lib.mg_scan(*args)
+            rc = self.lib.mg_scan(*args)
+            calls.codes.append(rc)
+            return rc
 
     monkeypatch.setattr(_kernel, "_library", lambda: (lib := load()) and Recording(lib))
     return calls

@@ -593,8 +593,7 @@ def visited_words(auto, n, comm=None):
     group = tuple(sg for sg in automaton_symmetries(auto) if sg != tuple(range(k)))
     visited, empty = set(), _walk_record(auto, ())
     walk = lambda word: visited.add(tuple(word)) or empty
-    _scan_lengths(allowed, walk, group, inverse_states(auto), [((), group, n, True)], comm=comm,
-                  mirror=False)
+    _scan_lengths(allowed, walk, group, inverse_states(auto), n, comm=comm, mirror=False)
     return allowed, {word for word in visited if len(word) == n}
 
 

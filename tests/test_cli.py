@@ -173,11 +173,11 @@ def over_budget(monkeypatch, scan_calls, jobs):
 )
 def test_fault_in_a_threaded_round_stops_it_with_one_line(monkeypatch, scan_calls, fault, code,
                                                           line):
-    # The 4-peg scan to n = 10 at --jobs 2 (53 tasks) meets the fault, at
-    # once for the budget: every task below a prefix of length 4 reaches
-    # n = 6.  The stop flag is set: the running tasks end and no other
-    # starts, and the command ends only then, with one line.  No scan work
-    # runs on the main thread.
+    # The 4-peg scan to n = 10 at --jobs 2 (subtrees claimed below prefixes
+    # of 4 letters) meets the fault, at once for the budget: every claimed
+    # subtree reaches n = 6.  The stop flag is set: the running subtrees
+    # end and no other is claimed, and the command ends only then, with one
+    # line.  No scan work runs on the main thread.
     jobs = 2
     fault(monkeypatch, scan_calls, jobs)
     monkeypatch.setattr(os, "cpu_count", lambda: jobs)
@@ -187,8 +187,9 @@ def test_fault_in_a_threaded_round_stops_it_with_one_line(monkeypatch, scan_call
     threads = [thread for thread, _ in scan_calls]
     assert 1 <= len(threads) <= jobs and threading.main_thread() not in threads
     assert not any(thread.is_alive() for thread in threads)
-    taken, _, tasks = scan_calls.counters()
-    assert taken < tasks
+    # 52 canonical prefixes of 4 letters, 39 of them outside a mirror.
+    taken, _ = scan_calls.counters()
+    assert taken < 39
     time.sleep(0.2)
     assert scan_calls.counters()[0] == taken
 
@@ -206,9 +207,9 @@ def test_table_reports_scan_tasks_as_they_finish(monkeypatch):
     code, out, err = run_cli(*argv)
     assert (code, out) == (0, quiet_out)
     lines = err.splitlines()
-    # The waiting thread reads the kernel's counter of finished tasks (the
-    # Python scan reports after each task): the counts never fall, and the
-    # last line, once the scan ends, counts every task.
+    # The waiting thread reads the kernel's counter of prefixes done (the
+    # Python scan reports each time it grows): the counts never fall, and
+    # the last line, once the scan ends, counts every prefix.
     tasks = [ln for ln in lines if ln.startswith("# scan tasks=")]
     counts = [tuple(map(int, ln.split()[2].removeprefix("tasks=").split("/"))) for ln in tasks]
     total = counts[-1][1]
@@ -219,6 +220,29 @@ def test_table_reports_scan_tasks_as_they_finish(monkeypatch):
     # The rows come once the scan ends, and the other lines are left alone.
     assert lines == tasks + table_lines(err)
     assert len(table_lines(err)) == 6
+
+
+@pytest.mark.parametrize("compiler", [True, False])
+def test_scan_progress_counts_the_prefixes_below_mirrors(monkeypatch, compiler):
+    # The 3-peg scan to n = 12 at --jobs 2 splits at 4 letters: 14
+    # canonical prefixes, 5 of them below a mirror of 2 letters, which the
+    # DFS passes before it scans any subtree.
+    if compiler and shutil.which(_kernel._CC) is None:
+        pytest.skip(f"no C compiler ({_kernel._CC}) on PATH")
+    if not compiler:
+        monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(analysis, "TASK_REPORT_SECONDS", 0)
+    code, _, err = run_cli("table", "--pegs", "3", "--max-n", "12", "--jobs", "2")
+    assert code == 0
+    counts = [tuple(map(int, ln.split()[2].removeprefix("tasks=").split("/")))
+              for ln in err.splitlines() if ln.startswith("# scan tasks=")]
+    assert {total for _, total in counts} == {14}
+    counts = [done for done, _ in counts]
+    assert counts == sorted(counts) and counts[-1] == 14
+    if not compiler:
+        # The Python scan reports each time the count grows.
+        assert counts == list(range(5, 15))
 
 
 def test_resume_rejects_a_checkpoint_that_disagrees_with_the_scan(tmp_path):
@@ -249,9 +273,14 @@ def test_resume_rejects_a_checkpoint_that_disagrees_with_the_scan(tmp_path):
         (0, lambda rec: [1]),
         (-1, lambda rec: {**rec, "depth": "x"}),
         (-1, lambda rec: {**rec, "theta_witness": 5}),
+        (-1, lambda rec: {**rec, "theta_witness": [1]}),
+        (-1, lambda rec: {**rec, "theta_witness": [0, 1, 2]}),
+        (-1, lambda rec: {**rec, "theta_witness": [99, 1, 2]}),
+        (-1, lambda rec: {**rec, "depth_witness": [-1, 1, 2]}),
     ],
     ids=["record-without-keys", "header-not-an-object", "depth-not-an-integer",
-         "witness-not-a-list"],
+         "witness-not-a-list", "witness-too-short", "witness-with-the-do-nothing-state",
+         "witness-past-the-states", "witness-below-the-states"],
 )
 def test_resume_rejects_a_damaged_checkpoint_line(tmp_path, at, damage):
     out = tmp_path / "t.csv"
@@ -481,7 +510,7 @@ def test_closures_past_the_section_budget_exit_2_with_one_line(tmp_path, monkeyp
     monkeypatch.setattr(_kernel, "SECTION_BUDGET", 1000)
     machine = tmp_path / "lamplighter.txt"
     machine.write_text(LAMPLIGHTER)
-    assert (analysis._closure_kernel(parse_automaton(LAMPLIGHTER)) is None) is not compiler
+    assert (_kernel.compiled_closure(parse_automaton(LAMPLIGHTER)) is None) is not compiler
     expected = (2, "", "error: a section closure has more than 1000 sections\n")
     assert run_cli("wp", "--automaton", str(machine), "--word", ".".join("ab" * 20)) == expected
     code, out, err = run_cli("table", "--automaton", str(machine), "--max-n", "10")
@@ -495,11 +524,11 @@ def test_closures_past_the_section_budget_exit_2_with_one_line(tmp_path, monkeyp
 @requires_cc
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_task_past_the_section_budget_stops_the_others(monkeypatch, scan_calls, jobs):
-    # The lamplighter scan to n = 12 has 9 tasks at jobs=1 and 17 at
-    # jobs=2.  The first, below the empty word, stays within 1,000
-    # sections; each of the others, below a prefix of 3 or 4 letters, meets
-    # a word of 1,024 and returns -2.  The first -2 sets the stop flag:
-    # each worker ends with its running task, and no task starts after
+    # The lamplighter scan to n = 12 claims subtrees below prefixes of 3
+    # letters at jobs=1 and of 4 at jobs=2.  The words up to the split stay
+    # within 1,000 sections; each claimed subtree meets a word of 1,024 and
+    # returns -2.  The first -2 sets the stop flag: each worker ends with
+    # its running subtree or at its next claim, and none claims after
     # survey raises.
     monkeypatch.setattr(_kernel, "SECTION_BUDGET", 1000)
     monkeypatch.setattr(os, "cpu_count", lambda: jobs)
@@ -507,27 +536,37 @@ def test_a_task_past_the_section_budget_stops_the_others(monkeypatch, scan_calls
     with pytest.raises(analysis.BudgetError):
         analysis.survey(parse_automaton(LAMPLIGHTER), 12, jobs=jobs)
     assert set(threading.enumerate()) == before
-    taken, finished, tasks = scan_calls.counters()
-    failed = list(scan_calls[0][1][15]).count(-2)
-    assert (finished, tasks) == (1, 1 + 8 * jobs)
-    assert 1 <= failed <= jobs and taken == finished + failed
+    taken, done = scan_calls.counters()
+    failed = scan_calls.codes.count(-2)
+    assert done == 0 and 1 <= failed == taken <= jobs
+    assert len(scan_calls.codes) == jobs and set(scan_calls.codes) <= {-2, 1}
     time.sleep(0.2)
-    assert scan_calls.counters() == (taken, finished, tasks)
+    assert scan_calls.counters() == (taken, done)
 
 
 @requires_cc
 def test_a_failed_task_stops_the_other_worker(monkeypatch, scan_calls):
-    # Task 0 fails at once: its prefix (ab)^5 has 1,024 sections.  The 200
-    # tasks after it stay within the budget, a millisecond or so each, so
-    # the other worker ends with the task it runs and takes no other.
+    # Two workers scan the lamplighter to n = 11 below prefixes of 4
+    # letters.  Every word of 10 letters has 1,024 sections, so the first
+    # worker's first subtree fails and sets the stop flag.  The second
+    # worker starts only then: it walks the words above the split, reads
+    # the flag at its first claim, and claims nothing.
     monkeypatch.setattr(_kernel, "SECTION_BUDGET", 1000)
+    first = threading.Lock()
+
+    def second_waits_for_the_flag():
+        if not first.acquire(blocking=False):
+            shared, deadline = scan_calls[0][1][-1], time.monotonic() + 60
+            while not shared[2] and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+    scan_calls.before = second_waits_for_the_flag
     auto = parse_automaton(LAMPLIGHTER)
     scan = _kernel.compiled_scan(auto._next, auto._emit0, (0, 1), (), None, 11)
     with pytest.raises(analysis.BudgetError):
-        scan([((0, 1) * 5, (), 11, False)] + [((), (), 9, False)] * 200, 2)
-    taken, finished, tasks = scan_calls.counters()
-    assert list(scan_calls[0][1][15]).count(-2) == 1
-    assert taken == finished + 1 < tasks
+        scan(4, 2)
+    assert sorted(scan_calls.codes) == [-2, 1]
+    assert scan_calls.counters() == (1, 0)
 
 
 def test_gen_rejects_huge_peg_counts_at_once():

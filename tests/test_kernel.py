@@ -5,6 +5,7 @@ read; and the fallback to the references when no kernel can be used."""
 import contextlib
 import functools
 import io
+import itertools
 import os
 import random
 import shutil
@@ -59,7 +60,8 @@ requires_cc = pytest.mark.skipif(
 )
 
 
-def twins(auto, n_max, exclude_trivial=True, symmetry=True, commutation=True, walk=None):
+def twins(auto, n_max, exclude_trivial=True, symmetry=True, reversal=True, commutation=True,
+          mirror=True, walk=None):
     """(allowed, symmetries, compiled scan, reference scan) as survey() sets
     them up.  ``walk`` is a cached closure walk of ``auto`` to share."""
     k = len(auto.states)
@@ -68,81 +70,64 @@ def twins(auto, n_max, exclude_trivial=True, symmetry=True, commutation=True, wa
     allowed = tuple(s for s in range(k) if s not in trivials)
     sigmas = automaton_symmetries(auto) if symmetry else (identity,)
     sigmas = tuple(sg for sg in sigmas if sg != identity)
-    iota = inverse_states(auto)
+    iota = inverse_states(auto) if reversal else None
     comm = commuting_states(auto, allowed) if commutation else None
-    compiled = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max, comm)
+    compiled = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max, comm,
+                                     mirror)
     assert compiled is not None, "the kernel failed to build or load"
-    # Every prefix length re-scans the same words: the walk runs once per word.
+    # Every bound re-scans the same words: the walk runs once per word.
     walk = walk or functools.lru_cache(maxsize=None)(functools.partial(_walk_record, auto))
-    reference = functools.partial(_scan_lengths, allowed, lambda word: walk(tuple(word)), sigmas,
-                                  iota, comm=comm)
+    reference = functools.partial(_scan_lengths, allowed, walk, sigmas, iota, n_max, comm=comm,
+                                  mirror=mirror)
     return allowed, sigmas, compiled, reference
 
 
-def assert_parity(auto, n_max, max_prefix, **options):
-    """The compiled scan against the reference, task by task: below the
-    empty word (the survey's first task) and every canonical prefix of up
-    to ``max_prefix`` letters, to every bound from one past the prefix
-    (n = 1 below the empty word) up to ``n_max``, without the reversal test
-    and, when the machine has an inverse_states map, with it; without the
-    commutation rule and, when some states commute, with it.  The prefixes
-    are those of the symmetries alone, so the rule's forbidden set is
-    rebuilt along prefixes that it would prune as well.  A task's result
-    holds its prefix's depth and count and the length of the first mirror
-    on the prefix, and the words below it only when there is none.  Each
-    task is scanned alone, and then the whole list in one call on one and
-    on two worker threads, which must finish every task and give the same
-    results."""
+def assert_parity(auto, n_max, **options):
+    """The compiled scan against the Python DFS, length by length (closures
+    computed, values and both witnesses), to every bound from 1 to
+    ``n_max``: at every split below the bound, on one worker thread and on
+    two; with the reversal test off and, when the machine has an
+    inverse_states map, on; with the commutation rule off and, when some
+    states commute, on; and with the mirror rule off and on.  Each
+    compiled scan must also report every prefix of its split length done."""
     walk = functools.lru_cache(maxsize=None)(functools.partial(_walk_record, auto))
-    mirrored = inverse_states(auto) is not None
-    for commutation in (False, True):
-        allowed, sigmas, compiled, reference = twins(
-            auto, n_max, commutation=commutation, walk=walk, **options
-        )
-        if commutation and commuting_states(auto, allowed) is None:
-            break  # no two states commute: the scans are those above
-        tasks, expected = [], []
-        for p in range(min(n_max - 1, max_prefix) + 1):
-            for prefix, active in _canonical_prefixes(allowed, sigmas, p):
-                # Without the reversal test, the results to a shorter bound
-                # are the first ones of these: a mirror that only the longer
-                # scan folds is at least as long as the shorter bound, so
-                # the words it folds are longer.
-                [(value, at, whole)] = reference([(prefix, active, n_max, False)])
-                assert len(whole) == (0 if at else n_max - p)
-                for n in range(p + 1, n_max + 1):
-                    tasks.append((prefix, active, n, False))
-                    expected.append((value, at, whole[: n - p]))
-                    # The reversal test reads the last length of a task, so
-                    # each bound is compared with the reference run to that
-                    # bound.
-                    if mirrored:
-                        tasks.append((prefix, active, n, True))
-                        expected += reference(tasks[-1:])
-        for task, result in zip(tasks, expected):
-            assert compiled([task]) == [result], (task, commutation)
-        for jobs in (1, 2):
-            finished = []
-            assert compiled(tasks, jobs, finished.append, 60) == expected, (jobs, commutation)
-            assert finished == [len(tasks)]
+    for reversal, commutation, mirror in itertools.product((False, True), repeat=3):
+        for n in range(1, n_max + 1):
+            allowed, sigmas, compiled, reference = twins(
+                auto, n, reversal=reversal, commutation=commutation, mirror=mirror, walk=walk,
+                **options
+            )
+            if reversal and inverse_states(auto) is None:
+                break  # no reversal test: the scans are those above
+            comm = commuting_states(auto, allowed) if commutation else None
+            if commutation and comm is None:
+                break  # no two states commute: the scans are those above
+            expected = reference()
+            for split in range(n):
+                prefixes = len(_canonical_prefixes(allowed, sigmas, split, comm))
+                for jobs in (1, 2):
+                    done = []
+                    assert compiled(split, jobs, done.append, 60) == expected, (
+                        n, split, jobs, reversal, commutation, mirror)
+                    assert done == [prefixes]
 
 
 @requires_cc
-@pytest.mark.parametrize("pegs, max_prefix", [(3, 6), (4, 6), (5, 3)])
-def test_kernel_matches_reference_on_hanoi(pegs, max_prefix):
-    assert_parity(hanoi_automaton(pegs), 6, max_prefix)
+@pytest.mark.parametrize("pegs, n_max", [(3, 6), (4, 6), (5, 6)])
+def test_kernel_matches_reference_on_hanoi(pegs, n_max):
+    assert_parity(hanoi_automaton(pegs), n_max)
 
 
 @requires_cc
 def test_kernel_matches_reference_on_basilica():
-    assert_parity(parse_automaton(BASILICA.read_text()), 14, 2)
+    assert_parity(parse_automaton(BASILICA.read_text()), 13)
 
 
 @requires_cc
 def test_kernel_matches_reference_with_the_do_nothing_state():
     # The do-nothing state, whose pairs mirror the prefix closure, may sit
     # at any position.
-    assert_parity(parse_automaton(BASILICA.read_text()), 9, 2, exclude_trivial=False)
+    assert_parity(parse_automaton(BASILICA.read_text()), 9, exclude_trivial=False)
 
 
 @requires_cc
@@ -153,7 +138,7 @@ def test_kernel_matches_reference_with_the_do_nothing_state():
     symmetry=st.booleans(),
 )
 def test_kernel_matches_reference_on_random_machines(auto, exclude_trivial, symmetry):
-    assert_parity(auto, 5, 1, exclude_trivial=exclude_trivial, symmetry=symmetry)
+    assert_parity(auto, 5, exclude_trivial=exclude_trivial, symmetry=symmetry)
 
 
 @requires_cc
@@ -161,7 +146,7 @@ def test_kernel_matches_reference_on_random_machines(auto, exclude_trivial, symm
 @given(auto=inverse_closed_machines(), symmetry=st.booleans())
 def test_kernel_matches_reference_on_inverse_closed_machines(auto, symmetry):
     # Machines whose inverse_states map is not the identity.
-    assert_parity(auto, 4, 1, symmetry=symmetry)
+    assert_parity(auto, 4, symmetry=symmetry)
 
 
 @requires_cc
@@ -169,15 +154,17 @@ def test_kernel_matches_reference_on_inverse_closed_machines(auto, symmetry):
 @given(auto=commuting_machines(), exclude_trivial=st.booleans())
 def test_kernel_matches_reference_on_commuting_machines(auto, exclude_trivial):
     # With the do-nothing state allowed, it commutes with every state.
-    assert_parity(auto, 5, 2, exclude_trivial=exclude_trivial)
+    assert_parity(auto, 5, exclude_trivial=exclude_trivial)
 
 
 @requires_cc
 def test_compiled_scan_takes_only_lengths_past_its_prefix(ha4):
-    allowed, sigmas, compiled, _ = twins(ha4, 3)
-    for prefix, n in [((1,), 1), ((), 0), ((), 4)]:
+    # The prefixes whose subtrees the workers claim are shorter than the
+    # scan's longest words.
+    _, _, compiled, _ = twins(ha4, 3)
+    for split in (-1, 3, 4):
         with pytest.raises(ValueError):
-            compiled([((), sigmas, 2, False), (prefix, sigmas, n, False)])
+            compiled(split)
 
 
 def csv_of(auto, n_max, **options):
@@ -204,18 +191,17 @@ def test_missing_compiler_falls_back_to_the_same_rows(monkeypatch, ha4):
 
 @requires_cc
 def test_compiled_scans_on_two_threads_match_their_serial_results():
-    # Two machines' scans run side by side, each on two worker threads of
-    # its own; state shared between calls in _kernel.c would mix them up.
-    # Each job runs the survey's tasks at split 2, and the scan to n = 1.
+    # Two machines' scans run side by side, each on three worker threads
+    # of its own, more than there are cores here; state shared between
+    # calls in _kernel.c would mix them up, and a claim lost or taken twice
+    # would change the closures computed.  Each job runs the survey's scan
+    # at split 2, and must give what one worker gives alone.
     def job(auto, n_max):
-        allowed, sigmas, compiled, _ = twins(auto, n_max)
-        prefixes = _canonical_prefixes(allowed, sigmas, 2)
-        tasks = [((), sigmas, 1, False), ((), sigmas, 2, False)]
-        tasks += [(prefix, active, n_max, True) for prefix, active in prefixes]
-        return lambda: compiled(tasks, 2)
+        _, _, compiled, _ = twins(auto, n_max)
+        return lambda jobs=3: compiled(2, jobs)
 
     jobs = [job(hanoi_automaton(4), 8), job(parse_automaton(BASILICA.read_text()), 13)]
-    serial = [run() for run in jobs]
+    serial = [run(1) for run in jobs]
     start = threading.Barrier(len(jobs))
 
     def together(run):
@@ -304,7 +290,7 @@ def assert_closure_parity(auto, word):
     assert kernel.is_identity(word) == (_walk_record(auto, word, stop=True) is not None) == identity
     answers = closure_answers(auto, word)
     with no_compiler():
-        assert analysis._closure_kernel(auto) is None
+        assert _kernel.compiled_closure(auto) is None
         assert closure_answers(auto, word) == answers, word
 
 
@@ -385,7 +371,7 @@ def test_a_closure_of_exactly_the_budget_fits_and_one_section_more_raises(ha4, m
         monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
         walk = lambda: _walk_record(ha4, word)
     # fixing_threshold runs on the twin under test.
-    assert (analysis._closure_kernel(ha4) is None) == (twin == "walk")
+    assert (_kernel.compiled_closure(ha4) is None) == (twin == "walk")
     monkeypatch.setattr(_kernel, "SECTION_BUDGET", count)
     assert len(walk().nodes) == count
     assert fixing_threshold(ha4, word) == threshold
@@ -399,7 +385,7 @@ def test_a_closure_of_exactly_the_budget_fits_and_one_section_more_raises(ha4, m
 def kernel_calls(ha4, monkeypatch):
     """The names of the kernel functions that Hanoi-4's closure queries
     call from here on, in order."""
-    kernel = analysis._closure_kernel(ha4)
+    kernel = _kernel.compiled_closure(ha4)
     lib, calls = kernel._lib, []
 
     class Counting:
@@ -475,7 +461,7 @@ def test_is_identity_stops_at_the_first_moving_section_and_only_identities_pass_
     monkeypatch.setattr(_kernel, "SECTION_BUDGET", 1000)
     if twin == "walk":
         monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
-    assert (analysis._closure_kernel(LAMPLIGHTER) is None) == (twin == "walk")
+    assert (_kernel.compiled_closure(LAMPLIGHTER) is None) == (twin == "walk")
     a, b, a_inv, b_inv = range(4)
     moving = (a, b) * 20  # 2**40 sections
     with pytest.raises(BudgetError):
@@ -506,7 +492,7 @@ def test_a_word_times_its_reverse_is_the_identity_and_one_state_off_is_not(pegs,
         # for the 300-state pair (243,000 sections); up to 32 it takes 1 s.
         lengths = range(1, 33)
     with contextlib.nullcontext() if twin == "kernel" else no_compiler():
-        assert (analysis._closure_kernel(auto) is None) == (twin == "walk")
+        assert (_kernel.compiled_closure(auto) is None) == (twin == "walk")
         for n in lengths:
             half = tuple(rng.choices(range(1, k), k=n))
             word = half + half[::-1]
@@ -534,7 +520,6 @@ def test_machines_the_closure_kernel_cannot_hold_use_the_walk():
     big = Automaton(2, names, [[0, 0]] + [[i, i] for i in range(1, 257)],
                     [[2, 1]] + [[1, 2]] * 256)
     assert _kernel.compiled_closure(big) is None
-    assert analysis._closure_kernel(big) is None
     for word in [(0, 0, 1), (0, 256, 0), (5, 7)]:
         assert (word_depth(big, word), section_count(big, word)) == brute_depth_and_count(big, word)
     assert not is_identity(big, (0, 1))
