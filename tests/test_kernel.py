@@ -92,24 +92,33 @@ def assert_parity(auto, n_max, **options):
     compiled scan must also report every prefix of its split length done."""
     walk = functools.lru_cache(maxsize=None)(functools.partial(_walk_record, auto))
     for reversal, commutation, mirror in itertools.product((False, True), repeat=3):
+        if reversal and inverse_states(auto) is None:
+            continue  # no reversal test: the scans are those without it
         for n in range(1, n_max + 1):
-            allowed, sigmas, compiled, reference = twins(
-                auto, n, reversal=reversal, commutation=commutation, mirror=mirror, walk=walk,
-                **options
-            )
-            if reversal and inverse_states(auto) is None:
-                break  # no reversal test: the scans are those above
-            comm = commuting_states(auto, allowed) if commutation else None
-            if commutation and comm is None:
-                break  # no two states commute: the scans are those above
-            expected = reference()
-            for split in range(n):
-                prefixes = len(_canonical_prefixes(allowed, sigmas, split, comm))
-                for jobs in (1, 2):
-                    done = []
-                    assert compiled(split, jobs, done.append, 60) == expected, (
-                        n, split, jobs, reversal, commutation, mirror)
-                    assert done == [prefixes]
+            if not assert_bound(auto, n, walk, reversal=reversal, commutation=commutation,
+                                mirror=mirror, **options):
+                break  # no two states commute: the scans are those without the rule
+
+
+def assert_bound(auto, n, walk, commutation=True, **options):
+    """The compiled scan to bound ``n`` against the Python DFS, at every
+    split below ``n`` on one worker thread and on two, as in assert_parity.
+    False, with nothing compared, when the commutation rule is asked for
+    and no two states commute."""
+    allowed, sigmas, compiled, reference = twins(auto, n, commutation=commutation, walk=walk,
+                                                 **options)
+    comm = commuting_states(auto, allowed) if commutation else None
+    if commutation and comm is None:
+        return False
+    expected = reference()
+    for split in range(n):
+        prefixes = len(_canonical_prefixes(allowed, sigmas, split, comm))
+        for jobs in (1, 2):
+            done = []
+            assert compiled(split, jobs, done.append, 60) == expected, (
+                n, split, jobs, commutation, options)
+            assert done == [prefixes]
+    return True
 
 
 @requires_cc
@@ -120,7 +129,12 @@ def test_kernel_matches_reference_on_hanoi(pegs, n_max):
 
 @requires_cc
 def test_kernel_matches_reference_on_basilica():
-    assert_parity(parse_automaton(BASILICA.read_text()), 13)
+    basilica = parse_automaton(BASILICA.read_text())
+    assert_parity(basilica, 13)
+    # One bound more with the survey's own settings (no two of Basilica's
+    # states commute): claims at every split of the longest scan.
+    walk = functools.lru_cache(maxsize=None)(functools.partial(_walk_record, basilica))
+    assert assert_bound(basilica, 14, walk, commutation=False)
 
 
 @requires_cc
