@@ -1,10 +1,11 @@
 """Loader for the compiled kernels in ``_kernel.c``: the survey scan
 (``mg_scan``) and the closure queries.  ``mg_closure`` builds the closure
-record of one word, and each query copies out only what it answers with
-(``is_identity`` stops at the first section that moves a letter);
-``mg_threshold`` builds the record and runs the eventual-period loop of
-``fixing_threshold`` over it in the same call, so a threshold is one
-ctypes call.
+record of one word, and :meth:`ClosureKernel.record` returns it as
+``analysis._Closure``, copying out only the fields that the query reads
+(with ``stop``, as ``is_identity`` asks, the walk ends at the first
+section that moves a letter); ``mg_threshold`` builds the record and runs
+the eventual-period loop of ``fixing_threshold`` over it in the same
+call, so a threshold is one ctypes call.
 
 On first use the C source is compiled with the system C compiler into
 ``${XDG_CACHE_HOME:-~/.cache}/mealygroup/``, under a name keyed by the
@@ -30,7 +31,7 @@ import tempfile
 import threading
 from pathlib import Path
 
-from .analysis import BudgetError, _merge_round
+from .analysis import BudgetError, _Closure, _merge_round
 
 _CC = "cc"
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -176,7 +177,8 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None, mirror=Tru
             for w in workers:
                 w.join(every)
                 while w.is_alive():
-                    progress(shared[1])
+                    if progress:
+                        progress(shared[1])
                     w.join(every)
         finally:
             shared[2] = 1  # the stop flag: running subtrees end, and no other is claimed
@@ -215,16 +217,25 @@ def _section_words(out, n):
     return list(zip(*[words] * n))  # consecutive groups of n bytes
 
 
+# How each ``_Closure`` field is copied out of a record that ``mg_closure``
+# filled in for a word of n states over m letters.
+_READERS = {
+    "nodes": lambda out, n, m: _section_words(out, n),
+    "starts": lambda out, n, m: _ints("q", out.starts, out.levels + 1),
+    "children": lambda out, n, m: _ints("i", out.children, out.count * m),
+    "images": lambda out, n, m: _ints("i", out.images, out.count * m),
+    "fixed": lambda out, n, m: _ints("Q", out.fixed, out.count),
+}
+
+
 class ClosureKernel:
-    """``mg_closure`` and ``mg_threshold`` bound to one machine's tables.
-    Each query takes a tuple of state indices and copies out of C only
-    what it answers with."""
+    """``mg_closure`` and ``mg_threshold`` bound to one machine's tables;
+    they take a tuple of state indices."""
 
     def __init__(self, lib, nxt, emit0):
         self._lib = lib
         self._k, self._m = len(nxt), len(nxt[0])
         self._machine = (self._k, self._m, *_tables(nxt, emit0))
-        self._letters = array.array("i", range(self._m)).tobytes()
 
     def _word(self, word):
         """``word`` as one byte per state, checked against the tables."""
@@ -233,63 +244,24 @@ class ClosureKernel:
             raise ValueError(f"state index {bad} out of range 0..{self._k - 1}")
         return bytes(word)
 
-    def _read(self, word, read, stop=0):
-        """``read(out)`` of the record ``mg_closure`` fills in for ``word``;
-        with ``stop``, False once a section moves a letter (the kernel has
-        then freed the record)."""
+    def record(self, word, fields=_Closure._fields, stop=False):
+        """The closure record of ``word``, the twin of
+        ``analysis._walk_record``, with only the ``_Closure`` fields named
+        in ``fields`` copied out of C and the others None.  With ``stop``,
+        None once a section moves a letter: the walk stops there, and the
+        kernel has freed the record."""
         w = self._word(word)
         out = _ClosureOut()
         rc = self._lib.mg_closure(*self._machine, len(w), w, SECTION_BUDGET, stop, out)
         if rc == 1:
-            return False
+            return None
         _check(rc)
         try:
-            return read(out)
+            n, m = len(w), self._m
+            return _Closure._make(_READERS[f](out, n, m) if f in fields else None
+                                  for f in _Closure._fields)
         finally:
             self._lib.mg_closure_free(out)
-
-    def is_identity(self, word):
-        """Whether every section of ``word`` fixes every letter.  The walk
-        stops at the first section that moves one, so only an identity word
-        walks its whole closure and can pass :data:`SECTION_BUDGET`."""
-        return self._read(word, lambda out: True, stop=1)
-
-    def closure(self, word):
-        """The whole closure record of ``word``, ``(nodes, starts,
-        children, images, fixed)`` as in ``analysis._Closure``: the twin
-        of ``analysis._walk_record`` that the tests compare."""
-        n, m = len(word), self._m
-
-        def record(out):
-            count = out.count
-            return (
-                _section_words(out, n),
-                _ints("q", out.starts, out.levels + 1),
-                _ints("i", out.children, count * m),
-                _ints("i", out.images, count * m),
-                _ints("Q", out.fixed, count),
-            )
-
-        return self._read(word, record)
-
-    def sections(self, word):
-        """``(nodes, starts)`` of the closure record of ``word``."""
-        return self._read(
-            word, lambda out: (_section_words(out, len(word)), _ints("q", out.starts, out.levels + 1))
-        )
-
-    def word_problem(self, word):
-        """``(is_identity, section count, depth)`` of ``word``: it is the
-        identity when every section fixes every letter, that is, when its
-        image table, compared as raw bytes, is the identity row once per
-        node."""
-        row = self._letters
-
-        def answer(out):
-            images = ctypes.string_at(out.images, out.count * len(row))
-            return images == row * out.count, out.count, out.levels - 1
-
-        return self._read(word, answer)
 
     def threshold(self, word):
         """The fixing threshold of ``word``, None when there is none: the
@@ -304,15 +276,16 @@ def compiled_closure(auto):
     """The :class:`ClosureKernel` of the machine ``auto``, or None when the
     kernel cannot be loaded or the machine has more than 256 states (a
     section word takes one byte per position) or more than 64 letters
-    (fixed letters form a 64-bit mask)."""
-    return _closure_kernel(auto, _CC, os.environ.get("XDG_CACHE_HOME"))
+    (fixed letters form a 64-bit mask).  The cache directory is read once
+    per machine and compiler, when the kernel is first looked up."""
+    return _closure_kernel(auto, _CC)
 
 
 @functools.lru_cache(maxsize=16)
-def _closure_kernel(auto, cc, xdg_cache):
-    """One lookup per query: kept per machine, compiler and cache setting,
-    and a machine keeps its hash, so a lookup hashes no table."""
+def _closure_kernel(auto, cc):
+    """One lookup per query: kept per machine and compiler, and a machine
+    keeps its hash, so a lookup hashes no table."""
     if len(auto.states) > 256 or auto.alphabet_size > 64:
         return None
-    lib = _load(cc, xdg_cache)
+    lib = _library()
     return None if lib is None else ClosureKernel(lib, auto._next, auto._emit0)

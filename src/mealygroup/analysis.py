@@ -34,9 +34,10 @@ one byte per state, so words of any length fit.  The Python walk
 (``_walk_record``), one breadth-first loop that fills the same record, is
 its reference twin: it builds the record when no kernel can be built or
 the machine has more than 256 states or 64 letters, and the reference
-survey scan reads depth and count off it.  Each query copies out of the
-kernel only what it reads, and :func:`fixing_threshold` runs the record and
-its eventual-period loop in one kernel call (``mg_threshold``).
+survey scan reads depth and count off it.  Each query reads one record
+(``_record``) and names the fields it reads, and only those are copied
+out of the kernel; :func:`fixing_threshold` runs the record and its
+eventual-period loop in one kernel call (``mg_threshold``).
 
 The survey's scan runs in the same compiled library (``mg_scan``).  A
 section of a product is a product of sections, so it builds the closure
@@ -167,21 +168,17 @@ def _walk_record(auto: Automaton, word: Sequence[int], stop: bool = False) -> Op
     return _Closure(nodes, starts, children, images, fixed)
 
 
-def _closure_query(auto: Automaton, word: Sequence[int], query: str, walked: Callable, stop=False):
-    """A closure query on ``word``: the compiled kernel's method ``query``
-    on the checked word when the kernel loads for ``auto``, else ``walked``
-    of the Python walk's record, run with ``stop``.  Every query picks its twin here."""
+def _record(auto: Automaton, word: Sequence[int], fields: Sequence[str], stop: bool = False):
+    """The closure record of ``word`` that a query reading ``fields`` takes:
+    the compiled kernel's, which copies only those fields out of C, when it
+    loads for ``auto``; else the Python walk's, which fills every field.
+    Both run with ``stop``.  Every closure query picks its twin here."""
     from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
 
     kernel = _kernel.compiled_closure(auto)
     if kernel is None:
-        return walked(_walk_record(auto, word, stop))
-    return getattr(kernel, query)(check_state_word(auto, word))
-
-
-def _sections(auto: Automaton, word: Sequence[int]):
-    """``(nodes, starts)`` of the closure record of ``word``."""
-    return _closure_query(auto, word, "sections", lambda rec: (rec.nodes, rec.starts))
+        return _walk_record(auto, word, stop)
+    return kernel.record(check_state_word(auto, word), fields, stop)
 
 
 @dataclass(frozen=True)
@@ -201,24 +198,24 @@ class SectionClosure:
 
 def section_closure(auto: Automaton, word: Sequence[int]) -> SectionClosure:
     """Breadth-first closure of ``word`` under sectioning at single letters."""
-    nodes, starts = _sections(auto, word)
-    levels = tuple(frozenset(nodes[a:b]) for a, b in zip(starts, starts[1:]))
+    rec = _record(auto, word, ("nodes", "starts"))
+    levels = tuple(frozenset(rec.nodes[a:b]) for a, b in zip(rec.starts, rec.starts[1:]))
     return SectionClosure(
-        word=nodes[0],
+        word=rec.nodes[0],
         levels=levels,
         all_sections=frozenset().union(*levels),  # reuses the hashes the levels hold
-        depth=len(starts) - 2,
+        depth=rec.depth,
     )
 
 
 def word_depth(auto: Automaton, word: Sequence[int]) -> int:
     """Largest input length at which ``word`` still has a new section."""
-    return len(_sections(auto, word)[1]) - 2
+    return _record(auto, word, ("starts",)).depth
 
 
 def section_count(auto: Automaton, word: Sequence[int]) -> int:
     """Number of distinct sections of ``word``, the word itself included."""
-    return len(_sections(auto, word)[0])
+    return _record(auto, word, ("starts",)).starts[-1]
 
 
 def is_identity(auto: Automaton, word: Sequence[int]) -> bool:
@@ -228,7 +225,7 @@ def is_identity(auto: Automaton, word: Sequence[int]) -> bool:
     the section budget; only an identity word can raise BudgetError."""
     if not auto.is_invertible:
         raise AutomatonError("the word problem is decided only for invertible automata")
-    return _closure_query(auto, word, "is_identity", lambda rec: rec is not None, stop=True)
+    return _record(auto, word, (), stop=True) is not None
 
 
 def word_problem(auto: Automaton, word: Sequence[int]) -> tuple:
@@ -236,8 +233,9 @@ def word_problem(auto: Automaton, word: Sequence[int]) -> tuple:
     off one whole closure record."""
     if not auto.is_invertible:
         raise AutomatonError("the word problem is decided only for invertible automata")
-    return _closure_query(auto, word, "word_problem", lambda rec: (
-        rec.images == list(range(auto.alphabet_size)) * len(rec.nodes), len(rec.nodes), rec.depth))
+    rec = _record(auto, word, ("starts", "images"))
+    count = rec.starts[-1]
+    return rec.images == list(range(auto.alphabet_size)) * count, count, rec.depth
 
 
 # ---------------------------------------------------------------------------
@@ -1024,9 +1022,12 @@ def fixing_threshold(auto: Automaton, word: Sequence[int]) -> Optional[int]:
     out of the last length whose set contains a bad section.  With the
     compiled kernel the closure and that loop run in one call.
     """
-    return _closure_query(
-        auto, word, "threshold", lambda rec: _period_threshold(rec, auto.alphabet_size)
-    )
+    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
+
+    kernel = _kernel.compiled_closure(auto)
+    if kernel is None:
+        return _period_threshold(_walk_record(auto, word), auto.alphabet_size)
+    return kernel.threshold(check_state_word(auto, word))
 
 
 def _period_threshold(rec: _Closure, m: int) -> Optional[int]:

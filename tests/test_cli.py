@@ -456,7 +456,7 @@ def test_kernel_out_of_memory_exits_2_with_one_line(monkeypatch):
         """A closure kernel whose every query runs out of memory."""
 
         def __getattr__(self, query):
-            def starved(word):
+            def starved(*args):
                 raise MemoryError(_kernel._OUT_OF_MEMORY)
 
             return starved

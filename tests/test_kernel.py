@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from mealygroup import _kernel, analysis
 from mealygroup.analysis import (
     BudgetError,
     _canonical_prefixes,
-    _Closure,
     _period_threshold,
     _scan_lengths,
     _walk_record,
@@ -228,6 +228,43 @@ def test_compiled_scans_on_two_threads_match_their_serial_results():
 
 
 @requires_cc
+def test_a_compiled_scan_waits_with_every_and_no_progress(ha4):
+    # The waiting thread wakes every 1e-4 s and has no progress to call.
+    _, _, compiled, _ = twins(ha4, 8)
+    t0 = time.perf_counter()
+    rows = compiled(2)
+    assert time.perf_counter() - t0 > 1e-4
+    assert compiled(2, 1, None, 1e-4) == rows
+
+
+# The binary adding machine: a adds 1 to a binary number read least
+# significant digit first, and e is the do-nothing state.  Its one allowed
+# state makes a^k the only word of length k.
+ADDING = Automaton(2, ["e", "a"], [[0, 0], [0, 1]], [[1, 2], [2, 1]])
+
+
+def test_a_survey_past_64_letters_runs_the_python_scan():
+    assert _kernel.compiled_scan(ADDING._next, ADDING._emit0, (1,), (), None, 65) is None
+    rows = survey(ADDING, 65).rows
+    # Row k holds the maxima over a^1 .. a^k, each witnessed by the
+    # shortest word that reaches it.
+    best, expected = {}, []
+    for k in range(1, 66):
+        word = (1,) * k
+        for query in (word_depth, section_count):
+            if query(ADDING, word) > best.get(query, (-1,))[0]:
+                best[query] = (query(ADDING, word), word)
+        expected.append((k, *best[word_depth], *best[section_count]))
+    assert [(r.n, r.depth, r.depth_witness, r.theta, r.theta_witness) for r in rows] == expected
+    assert (rows[-1].depth, rows[-1].theta) == (7, 130)
+    # The first 64 rows are those of a scan to 64, which runs in the kernel
+    # when it loads.
+    values = lambda rows: [(r.n, r.depth, r.depth_witness, r.theta, r.theta_witness,
+                            r.words_examined, r.orbits) for r in rows]
+    assert values(rows[:64]) == values(survey(ADDING, 64).rows)
+
+
+@requires_cc
 def test_many_state_machine_scans_in_the_kernel_with_the_reference_rows(monkeypatch):
     # 514 states, 512 of them do-nothing: the survey kernel takes machines
     # of any number of states, at lengths up to 64.
@@ -286,22 +323,24 @@ def closure_answers(auto, word):
         is_identity(auto, word),
         word_depth(auto, word),
         section_count(auto, word),
+        word_problem(auto, word),
         fixing_threshold(auto, word),
     )
 
 
 def assert_closure_parity(auto, word):
-    """The compiled record, threshold and all five consumers against the
+    """The compiled record, threshold and all six consumers against the
     Python walk, on one word."""
     kernel = _kernel.compiled_closure(auto)
     assert kernel is not None, "the kernel failed to build or load"
-    compiled = _Closure(*kernel.closure(word))
+    compiled = kernel.record(word)
     reference = _walk_record(auto, word)
     assert [list(field) for field in compiled] == [list(field) for field in reference], word
     assert kernel.threshold(word) == _period_threshold(reference, auto.alphabet_size), word
     # The early stops of both twins give the answer the whole record gives.
     identity = reference.images == list(range(auto.alphabet_size)) * len(reference.nodes)
-    assert kernel.is_identity(word) == (_walk_record(auto, word, stop=True) is not None) == identity
+    stopped = kernel.record(word, (), True)
+    assert (stopped is not None) == (_walk_record(auto, word, stop=True) is not None) == identity
     answers = closure_answers(auto, word)
     with no_compiler():
         assert _kernel.compiled_closure(auto) is None
@@ -380,7 +419,7 @@ def test_a_closure_of_exactly_the_budget_fits_and_one_section_more_raises(ha4, m
     if twin == "kernel":
         kernel = _kernel.compiled_closure(ha4)
         assert kernel is not None, "the kernel failed to build or load"
-        walk = lambda: _Closure(*kernel.closure(word))
+        walk = lambda: kernel.record(word)
     else:
         monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
         walk = lambda: _walk_record(ha4, word)
@@ -446,7 +485,7 @@ def test_is_identity_frees_a_record_only_when_it_walked_the_whole_closure(ha4, k
 def test_closure_kernel_rejects_state_indices_outside_its_tables(ha4):
     kernel = _kernel.compiled_closure(ha4)
     k = len(ha4.states)
-    for query in (kernel.closure, kernel.threshold, kernel.is_identity):
+    for query in (kernel.record, kernel.threshold, lambda word: kernel.record(word, (), True)):
         for word, bad in [((1, k, 2), k), ((1, -1), -1), ((k + 300,), k + 300)]:
             with pytest.raises(ValueError, match=f"state index {bad} out of range 0..{k - 1}"):
                 query(word)
