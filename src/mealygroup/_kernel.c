@@ -2,67 +2,47 @@
  * shape.  Built on first use and loaded with ctypes by _kernel.py; the
  * Python code stays the reference they are tested against.
  *
+ * One walk builds every closure (walk).  The last state of u v reads a
+ * letter first, so (u v)|x = u|v(x) v|x, and the closure of u v is the
+ * part of closure(u) x closure(v) reachable from the pair of roots.  With
+ * y = im_v[b][x], the pair (a, b) has at letter x the child
+ * (ch_u[a][y], ch_v[b][x]) and the image im_u[a][y]; it fixes the letters
+ * both a and b fix, and its section word is a's followed by b's.  Distinct
+ * pairs are distinct section words, so a breadth-first walk over pairs has
+ * the levels, depth and section count (the word included) of the walk
+ * over section words, and numbers the nodes as _walk_record does.  One
+ * state's closure is the machine, rooted at that state.
+ *
  * mg_scan is the survey scan, the twin of _scan_lengths: one canonical DFS
- * that records the depth and count of every word up to the longest length.
- * A section of a product is a product of sections: with s the state that
- * reads a letter first, (w s)|x = w|s(x) s|x.  So the closure of w s is the
- * part of closure(w) x states reachable from (w, s), and the pair (a, t)
- * has at letter x the child (ch[a][emit[t][x]], nxt[t][x]).  Distinct pairs
- * are distinct section words, so a breadth-first walk over pairs has the
- * levels, depth and section count (the word itself included) of the walk
- * over section words, and numbers the nodes as _walk_record does.  Depth
- * and count need no images of letters, so the DFS keeps only the child
- * table (the closure automaton) of each node's closure, and a leaf walks
- * its pairs without storing one.  Every node of the DFS is a canonical
- * word, and the walk that builds its closure yields its depth and count
- * too, so each node counts toward its own length: one DFS to length n
- * gives the results of every shorter length as well.  The DFS visits the
- * allowed states in the caller's order, so the words of each length come
- * in lex order, and a witness is replaced only on a strictly better value:
- * closures computed and witnesses equal those of the Python scan.  Given
- * one mask per state of the states that commute with it, the DFS carries
- * the set f of states that may not come next: after appending c it is
- * comm[c] & (f | {a : a < c}).  The words that f lets through are the
- * lex-least of their classes under swaps of adjacent commuting states, and
- * the rule is closed under prefixes, so it prunes whole subtrees.  Given
- * iota, the scan also passes over a word of its last length when some map
- * t = sigma o iota, sigma in the group or the identity, makes
- * t(reversed(word)) lex-smaller.
+ * that records the depth and count of every word up to the longest length,
+ * walking each node's closure from its parent's and the machine rooted at
+ * its last state.  Depth and count need no images of letters, so the DFS
+ * keeps only the child table (the closure automaton) of each node's
+ * closure, and a leaf keeps none.  Each node counts toward its own length,
+ * so one DFS to length n gives every shorter length's results too.  The
+ * DFS visits the allowed states in the caller's order and replaces a
+ * witness only on a strictly better value, so closures computed and
+ * witnesses equal those of the Python scan.  The symmetries (tying), the
+ * commutation rule (forbid) and, at the last length, the reversal test
+ * (reversal_smaller) prune words; mirror children are folded, not scanned
+ * (rec); worker threads claim the subtrees at the split depth (descend).
  *
- * The DFS goes children first: at each node it builds every canonical
- * child's automaton into a buffer of its own and records the children
- * before it descends into any.  A child whose automaton, tying symmetries
- * and forbidden set are its parent's is a mirror, and the words below it
- * are those below the parent with one letter inserted, of the same depth
- * and count.  It is recorded but not descended into.  Only a node with a
- * mirror child keeps the words below it apart, in a scope of per-length
- * bests of its own, and folds the mirrors' subtrees into it once its other
- * children are done (fold); a node without one records straight into the
- * enclosing scope.  Words these rules leave out have the depth and count
- * of a word kept or folded (the arguments are in survey's docstring).
- * Each of the caller's worker threads makes one mg_scan call, which runs
- * the whole DFS with one workspace, into results of its own.  At the split
- * depth a worker descends into a node only when it has claimed the node's
- * ordinal from a shared atomic counter, so each subtree there is scanned
- * by one worker, and every worker walks and records the words above it
- * and folds every mirror on its own results; the caller merges them per
- * length.  A failed worker or the caller sets a shared stop flag, after
- * which no worker claims a subtree.
+ * mg_closure is the closure record that the queries read (_walk_record is
+ * its twin).  It halves the word, builds the records of the halves the
+ * same way and walks their pairs: log2 n levels of walks, none of which
+ * steps a section word.  It writes section words only when asked to.
+ * With the stop flag it answers is_identity, and returns 1 once a section
+ * moves a letter, trying those at inputs of at most two letters before
+ * any walk.  mg_threshold is fixing_threshold in one call: mg_closure,
+ * then the eventual-period loop (period, the twin of _period_threshold).
  *
- * mg_closure is the closure record of one word that the queries read (the
- * Python walk in _walk_record is its twin).  A do-nothing state passes
- * every letter on and stays put, so each node lists the positions whose
- * state is not one and steps only those.  With the stop flag set it
- * answers is_identity: once a node's images are set and one of them moves
- * a letter, the word is not the identity, and it frees the record and
- * returns 1.  mg_threshold is fixing_threshold in one call: it builds the
- * record with mg_closure, runs the eventual-period loop (the twin of
- * _period_threshold) over its child table and fixed letters, frees it, and
- * hands back only the threshold.  Section words there take one byte per
- * position (k <= 256), so words of any length fit.
- *
- * Both walks stop with -2 once a closure passes `budget` sections, and
- * return -1 when memory runs out.
+ * A walk stops with -2 once a closure passes `budget` sections, and returns
+ * -1 when memory runs out.  On an invertible machine a word has at least
+ * as many sections as each half: v permutes the inputs of each length, so
+ * both projections of the pairs reached are onto.  Where that does not
+ * settle the answer (with the stop flag, or on a machine that is not
+ * invertible), a half past the budget makes mg_closure return 2, and the
+ * caller walks the word itself.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -79,16 +59,226 @@ static int grow(void *p, size_t size)
     return 0;
 }
 
-/* The closure automaton of one word: node 0 is the word itself. */
+static uint64_t mix(uint64_t x)
+{
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    return x;
+}
+
+/* A hash of n bytes; the tail is read zero-padded, which is unambiguous
+ * because every key of one table has the same length. */
+static uint64_t hash_bytes(const uint8_t *p, size_t n)
+{
+    uint64_t h = 0x9e3779b97f4a7c15ULL, v;
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        memcpy(&v, p + i, 8);
+        h = mix(h ^ v) * 0xc4ceb9fe1a85ec53ULL;
+    }
+    v = 0;
+    memcpy(&v, p + i, n - i);
+    return mix(h ^ v);
+}
+
+static int table_grow(int32_t **slot, size_t *tcap, const uint64_t *hash, int64_t used)
+{
+    size_t cap = *tcap ? 2 * *tcap : 64;
+    int32_t *t = calloc(cap, sizeof *t);
+    if (!t)
+        return -1;
+    for (int64_t i = 0; i < used; i++) {
+        size_t j = hash[i] & (cap - 1);
+        while (t[j])
+            j = (j + 1) & (cap - 1);
+        t[j] = (int32_t)(i + 1);
+    }
+    free(*slot);
+    *slot = t;
+    *tcap = cap;
+    return 0;
+}
+
+/* The closure of one word: node i's section at letter x is children[i*m+x].
+ * The scan's hold only children; mg_closure's fill every field (words only
+ * when asked for), numbering the nodes as _walk_record does. */
 typedef struct {
-    int32_t *ch; /* size * m: node a's section at letter x at [a*m + x] */
-    int64_t size, cap;
-} Level;
+    int64_t count;     /* nodes */
+    int64_t levels;    /* level L holds nodes starts[L] .. starts[L+1] - 1 */
+    uint8_t *words;    /* count * n: the states of node i at [i*n, i*n + n) */
+    int64_t n;         /* states per section word */
+    int64_t *starts;   /* levels + 1 */
+    int32_t *children; /* count * m */
+    int32_t *images;   /* count * m: the 0-based image of letter x under node i */
+    uint64_t *fixed;   /* count: the letters every state of node i fixes */
+    int64_t cap;       /* nodes the arrays have room for */
+} Closure;
+
+/* What walk keeps from one walk to the next. */
+typedef struct {
+    int m, nodes;      /* letters; whether mg_closure's walks write section words */
+    int64_t budget;
+    int32_t *queue;    /* node i is the pair (queue[2i], queue[2i+1]) */
+    int64_t qcap;      /* nodes queue has room for */
+    uint32_t *stamp;   /* per pair code a*|V| + b: seen in this walk iff == gen */
+    int32_t *index;    /* per pair code: its node index */
+    size_t vcap;
+    uint32_t gen;
+    uint64_t *hash;    /* per node, when codes are hashed: mix(code) */
+    int32_t *slot;     /* open addressing: node index + 1, 0 when empty */
+    size_t tcap;
+} Pairs;
+
+static void pairs_free(Pairs *pw)
+{
+    free(pw->queue);
+    free(pw->stamp);
+    free(pw->index);
+    free(pw->hash);
+    free(pw->slot);
+}
+
+/* Room for `want` nodes in the queue and, when out is not NULL, in out's
+ * children, and in its other arrays when full (words when asked for). */
+static int room(Pairs *pw, Closure *out, int64_t want, int full)
+{
+    if (want > pw->qcap) {
+        if (grow(&pw->queue, 2 * want * sizeof *pw->queue)
+            || (full && grow(&pw->hash, want * sizeof *pw->hash)))
+            return -1;
+        pw->qcap = want;
+    }
+    if (out && want > out->cap) {
+        if (grow(&out->children, want * pw->m * sizeof *out->children)
+            || (full && (grow(&out->images, want * pw->m * sizeof *out->images)
+                         || grow(&out->fixed, want * sizeof *out->fixed)
+                         || grow(&out->starts, (want + 1) * sizeof *out->starts))))
+            return -1;
+        out->cap = want;
+    }
+    return full && pw->nodes ? grow(&out->words, (size_t)out->cap * out->n) : 0;
+}
+
+/* The node of the pair (a, b), code a * v->count + b, in the walk of u v,
+ * added as node *len when new; -1 when memory runs out, -2 past the
+ * budget.  Codes are looked up densely, or hashed in a table at most half full. */
+static inline __attribute__((always_inline)) int64_t
+node(Pairs *pw, const Closure *u, int32_t a, const Closure *v, int32_t b, const int full,
+     const int dense, uint32_t gen, Closure *out, int64_t *len)
+{
+    const size_t code = (size_t)a * v->count + b;
+    const uint64_t h = dense ? 0 : mix(code);
+    while (!dense && 2 * (size_t)(*len + 1) > pw->tcap)
+        if (table_grow(&pw->slot, &pw->tcap, pw->hash, *len))
+            return -1;
+    size_t j = h & (pw->tcap - 1);
+    if (dense && pw->stamp[code] == gen)
+        return out ? pw->index[code] : 0;
+    for (; !dense && pw->slot[j]; j = (j + 1) & (pw->tcap - 1))
+        if (pw->queue[2 * (pw->slot[j] - 1)] == a && pw->queue[2 * (pw->slot[j] - 1) + 1] == b)
+            return pw->slot[j] - 1;
+    const int64_t i = *len;
+    if (i == pw->budget)
+        return -2;
+    if (full && i == out->cap && room(pw, out, 2 * i, full))
+        return -1;
+    if (dense) {
+        pw->stamp[code] = gen;
+        if (out)
+            pw->index[code] = (int32_t)i;
+    } else {
+        pw->slot[j] = (int32_t)(i + 1);
+        pw->hash[i] = h;
+    }
+    pw->queue[2 * i] = a;
+    pw->queue[2 * i + 1] = b;
+    if (full)
+        out->fixed[i] = u->fixed[a] & v->fixed[b];
+    if (full && pw->nodes) {
+        memcpy(out->words + (size_t)i * out->n, u->words + (size_t)a * u->n, u->n);
+        memcpy(out->words + (size_t)i * out->n + u->n, v->words + (size_t)b * v->n, v->n);
+    }
+    return (*len)++;
+}
+
+/* Walk the closure of u v from the pair of roots (ru, rv): its depth and
+ * section count, and, when out is not NULL, the closure into *out, only the
+ * children unless full.  With stop, returns 1 once a node moves a letter.
+ * Returns 0, -1 when memory runs out, or -2 once the closure passes the
+ * budget.  Inlined with full constant: the scan's copy has only the dense
+ * stamp table, sizes its arrays once and stores no images, fixed letters
+ * or words; mg_closure's hashes codes past 2^16 and grows its arrays. */
+static inline __attribute__((always_inline)) int
+walk(Pairs *pw, const Closure *u, int32_t ru, const Closure *v, int32_t rv, const int full,
+     int stop, Closure *out, int64_t *depth, int64_t *count)
+{
+    const int m = pw->m;
+    const size_t codes = (size_t)u->count * v->count;
+    const int dense = !full || codes <= 1 << 16;
+    /* A walk has at most one node per pair code, and stops at the budget. */
+    const int64_t most = (int64_t)codes < pw->budget ? (int64_t)codes : pw->budget;
+    int64_t len = 0, start = 0, end = 1, levels = 0, i;
+
+    if (dense && codes > pw->vcap) {
+        free(pw->stamp);
+        pw->stamp = calloc(codes, sizeof *pw->stamp);
+        if (!pw->stamp || grow(&pw->index, codes * sizeof *pw->index))
+            return -1;
+        pw->vcap = codes;
+    }
+    if (full)
+        out->n = u->n + v->n;
+    if (room(pw, out, full ? 2 * (u->count + v->count) : most, full))
+        return -1;
+    if (dense && ++pw->gen == 0) {
+        memset(pw->stamp, 0, pw->vcap * sizeof *pw->stamp);
+        pw->gen = 1;
+    }
+    if (!dense)
+        pw->tcap = 0; /* node makes a new hash table */
+    const uint32_t gen = pw->gen;
+    if ((i = node(pw, u, ru, v, rv, full, dense, gen, out, &len)) < 0)
+        return i == -1 ? -1 : -2;
+    for (;; levels++, start = end, end = len) {
+        if (full)
+            out->starts[levels + 1] = end;
+        for (int64_t q = start; q < end; q++) {
+            const size_t ra = (size_t)pw->queue[2 * q] * m, rb = (size_t)pw->queue[2 * q + 1] * m;
+            const int32_t *cu = u->children + ra, *iu = full ? u->images + ra : NULL;
+            const int32_t *cv = v->children + rb, *iv = v->images + rb;
+            int moved = 0;
+            for (int x = 0; x < m; x++) {
+                const int y = iv[x];
+                if ((i = node(pw, u, cu[y], v, cv[x], full, dense, gen, out, &len)) < 0)
+                    return i == -1 ? -1 : -2;
+                if (out)
+                    out->children[q * m + x] = (int32_t)i;
+                if (full) {
+                    out->images[q * m + x] = iu[y];
+                    moved |= iu[y] != x;
+                }
+            }
+            if (full && stop && moved)
+                return 1;
+        }
+        if (len == end)
+            break;
+    }
+    if (out)
+        out->count = len;
+    if (full) {
+        out->starts[0] = 0;
+        out->levels = levels + 1;
+    }
+    *depth = levels;
+    *count = len;
+    return 0;
+}
 
 typedef struct {
     int k, m, n, na, ng;
-    int64_t budget;
-    const int32_t *nxt, *emit, *allowed, *group;
+    const int32_t *allowed, *group;
     const uint64_t *comm; /* per state, the states that commute with it, or NULL */
     int32_t *active;   /* per DFS level, indices into group of the symmetries still tying */
     /* The reversal test, when twin is not NULL: twin holds the maps
@@ -105,98 +295,18 @@ typedef struct {
     int32_t word[MAXN];
     /* Per DFS depth d and allowed state a, the child word[0..d) allowed[a]:
      * its closure automaton, its depth and count, and what rec does with it. */
-    Level *kid;
+    Closure *kid;
     int64_t *kv;
     uint8_t *kind;
     /* Per DFS depth, a scope's bests and witnesses, laid out as the caller's. */
     int64_t *scope_best;
     int32_t *scope_witness;
-    int32_t *qa, *qt;  /* the walk's queue of pairs (prefix node, state) */
-    int64_t qcap;      /* entries qa and qt have room for */
-    uint32_t *stamp;   /* per pair code a*k + t: seen in this walk iff == gen */
-    int32_t *index;    /* per pair code: its node index, when out is kept */
-    size_t vcap;
-    uint32_t gen;
+    Pairs pairs;
+    Closure machine;   /* the machine's tables as the record of one state */
     uint64_t *examined; /* the caller's, per length */
     int64_t *best;     /* the caller's: best depth, then best count, per length */
     int32_t *witness;  /* the caller's: depth witness, then count witness, n each per length */
 } Scan;
-
-/* Walk the closure of (word of p) s, whose nodes are pairs (node of p,
- * state); root 0 = (0, s).  Writes depth and section count as _depth_count
- * does, and, when out is not NULL, the closure automaton into *out. */
-static int extend(Scan *sc, const Level *p, int s, Level *out, int64_t *depth, int64_t *count)
-{
-    const int k = sc->k, m = sc->m;
-    const int32_t *nxt = sc->nxt, *emit = sc->emit;
-    const size_t codes = (size_t)p->size * k, root = (size_t)s;
-    const int64_t budget = sc->budget;
-    /* A walk has at most one node per pair code, and stops at the budget. */
-    const int64_t most = (int64_t)codes < budget ? (int64_t)codes : budget;
-    int64_t len = 1, start = 0, end = 1, levels = 0;
-
-    if (codes > sc->vcap) {
-        free(sc->stamp);
-        sc->stamp = calloc(codes, sizeof *sc->stamp);
-        if (!sc->stamp || grow(&sc->index, codes * sizeof *sc->index))
-            return -1;
-        sc->vcap = codes;
-        sc->gen = 0;
-    }
-    if (most > sc->qcap) {
-        if (grow(&sc->qa, most * sizeof *sc->qa) || grow(&sc->qt, most * sizeof *sc->qt))
-            return -1;
-        sc->qcap = most;
-    }
-    if (out && most > out->cap) {
-        if (grow(&out->ch, most * m * sizeof *out->ch))
-            return -1;
-        out->cap = most;
-    }
-    if (++sc->gen == 0) {
-        memset(sc->stamp, 0, sc->vcap * sizeof *sc->stamp);
-        sc->gen = 1;
-    }
-    const uint32_t gen = sc->gen;
-    uint32_t *stamp = sc->stamp;
-    int32_t *index = sc->index, *qa = sc->qa, *qt = sc->qt;
-    stamp[root] = gen;
-    index[root] = 0;
-    qa[0] = 0;
-    qt[0] = s;
-    while (start < end) {
-        for (int64_t q = start; q < end; q++) {
-            const int32_t *ch = p->ch + (size_t)qa[q] * m;
-            const int32_t *nrow = nxt + (size_t)qt[q] * m, *erow = emit + (size_t)qt[q] * m;
-            for (int x = 0; x < m; x++) {
-                const int y = erow[x];
-                const size_t code = (size_t)ch[y] * k + nrow[x];
-                if (stamp[code] != gen) {
-                    if (len == budget)
-                        return -2;
-                    stamp[code] = gen;
-                    qa[len] = ch[y];
-                    qt[len] = nrow[x];
-                    if (out)
-                        index[code] = (int32_t)len;
-                    len++;
-                }
-                if (out)
-                    out->ch[q * m + x] = index[code];
-            }
-        }
-        if (len == end)
-            break;
-        levels++;
-        start = end;
-        end = len;
-    }
-    if (out)
-        out->size = len;
-    *depth = levels;
-    *count = len;
-    return 0;
-}
 
 /* Count word[0..len), of closure depth d and count t, toward its length,
  * and keep d and t as that length's best when strictly better.  Every
@@ -292,9 +402,10 @@ static int tying(const Scan *sc, const int32_t *active, int nact, int s, int32_t
     return keep;
 }
 
-static int same_automaton(const Level *a, const Level *b, int m)
+static int same_automaton(const Closure *a, const Closure *b, int m)
 {
-    return a->size == b->size && !memcmp(a->ch, b->ch, (size_t)a->size * m * sizeof *a->ch);
+    return a->count == b->count
+           && !memcmp(a->children, b->children, (size_t)a->count * m * sizeof *a->children);
 }
 
 /* Whether word[0..at) x word[at..len-1) is lex-smaller than u[0..len). */
@@ -360,7 +471,8 @@ static int64_t canonical_words(const Scan *sc, int depth, const int32_t *active,
     return total;
 }
 
-static int rec(Scan *sc, int depth, const Level *p, const int32_t *active, int nact, uint64_t f);
+static int rec(Scan *sc, int depth, const Closure *p, const int32_t *active, int nact,
+               uint64_t f);
 
 /* rec below v = word[0..depth), except at the split depth, where only the
  * worker that claims v's ordinal from the shared counter goes on.  Every
@@ -369,7 +481,7 @@ static int rec(Scan *sc, int depth, const Level *p, const int32_t *active, int n
  * next ordinal not yet taken.  The counter only grows, so each node is
  * claimed once, by a worker that has not yet passed it.  Returns 1 once
  * the stop flag is set. */
-static int descend(Scan *sc, int depth, const Level *p, const int32_t *active, int nact,
+static int descend(Scan *sc, int depth, const Closure *p, const int32_t *active, int nact,
                    uint64_t f)
 {
     if (depth != sc->split)
@@ -391,21 +503,19 @@ static int descend(Scan *sc, int depth, const Level *p, const int32_t *active, i
 /* Canonical DFS below v = word[0..depth), whose closure automaton is p
  * and whose forbidden set is f, down to length n.  A state in f is pruned,
  * and so is one that breaks a tie (see tying).  Every word it reaches is
- * recorded, except a word of length n that the reversal test passes over;
- * a leaf keeps no automaton.  Children come first: each one's automaton
- * is built and the children recorded before any is descended into.  A
- * child c = v s shorter than n is a mirror when its automaton, its tying
- * symmetries (every one that ties on v fixes s) and its forbidden set are
- * v's: extend reads nothing else, so the words below c are v s u for the
- * words v u below v, with their depths and counts (survey has the
- * argument).  A mirror is recorded but not descended into; the counting
- * worker adds the canonical words of the split length below it to the
- * prefixes done.  A node with mirror children records the words below it
- * in a scope of its own, folds the mirrors' subtrees there (fold), and
- * then merges the scope into the enclosing one, where a word of the scope
- * replaces the best only when strictly better: it comes later in lex
- * order. */
-static int rec(Scan *sc, int depth, const Level *p, const int32_t *active, int nact, uint64_t f)
+ * recorded, except a word of length n that the reversal test passes over.
+ * Children come first: each one's automaton is built and the children
+ * recorded before any is descended into.  A child c = v s shorter than n
+ * is a mirror when its automaton, its tying symmetries (every one that
+ * ties on v fixes s) and its forbidden set are v's: the walk reads nothing
+ * else, so the words below c are v s u for the words v u below v, with
+ * their depths and counts.  It is recorded but not descended into; the
+ * counting worker adds the canonical words of the split length below it
+ * to the prefixes done.  A node with mirror children records the words
+ * below it in a scope of its own, folds the mirrors' subtrees there
+ * (fold), and merges the scope into the enclosing one on strictly better
+ * values only: its words come later in lex order. */
+static int rec(Scan *sc, int depth, const Closure *p, const int32_t *active, int nact, uint64_t f)
 {
     int32_t *sub = sc->active + (size_t)(depth + 1) * sc->ng;
     const int na = sc->na;
@@ -419,13 +529,13 @@ static int rec(Scan *sc, int depth, const Level *p, const int32_t *active, int n
             sc->word[depth] = s;
             if (sc->twin && reversal_smaller(sc))
                 continue;
-            if ((rc = extend(sc, p, s, NULL, &d, &t)))
+            if ((rc = walk(&sc->pairs, p, 0, &sc->machine, s, 0, 0, NULL, &d, &t)))
                 return rc;
             record(sc, depth + 1, d, t);
         }
         return 0;
     }
-    Level *kid = sc->kid + (size_t)depth * na;
+    Closure *kid = sc->kid + (size_t)depth * na;
     int64_t *kv = sc->kv + 2 * (size_t)depth * na;
     uint8_t *kind = sc->kind + (size_t)depth * na;
     for (int a = 0; a < na; a++) {
@@ -433,7 +543,8 @@ static int rec(Scan *sc, int depth, const Level *p, const int32_t *active, int n
         kind[a] = SKIP;
         if ((sc->comm && f >> s & 1) || (keep = tying(sc, active, nact, s, sub)) < 0)
             continue;
-        if ((rc = extend(sc, p, s, &kid[a], &kv[2 * a], &kv[2 * a + 1])))
+        if ((rc = walk(&sc->pairs, p, 0, &sc->machine, s, 0, 0, &kid[a], &kv[2 * a],
+                       &kv[2 * a + 1])))
             return rc;
         kind[a] = sc->mirror && keep == nact && forbid(sc, f, s) == f
                   && same_automaton(&kid[a], p, sc->m) ? MIRROR : DESCEND;
@@ -484,17 +595,16 @@ static int rec(Scan *sc, int depth, const Level *p, const int32_t *active, int n
  * the subtrees at depth split (0 <= split < n) shared out by claims on the
  * counter shared[0] (see descend).  shared[1] counts the canonical words of
  * length split done: those whose subtree a worker scanned, and, when
- * counts is set, those below a mirror this worker passed; once every
- * worker is done, it is their number.  Only the worker with counts set
- * counts the words of length <= split toward examined, so the workers'
- * examined add up to the closures the DFS computed.  With comm (k <= 64
- * masks) not NULL, words pass the commutation rule too; with iota (k
- * entries) not NULL, words of length n pass the reversal test; with
- * mirror set, mirror children are folded (see rec).  The worker's results
- * for length L go to index j = L - 1: closures computed in examined[j],
- * best depth in best[2j] (-1 when it reached no word of length L), best
- * count in best[2j+1], and their witnesses at witness[2nj], the count's n
- * entries on.  Returns 0; 1 when it stopped on the stop flag shared[2];
+ * counts is set, those below a mirror this worker passed.  Only the worker
+ * with counts set counts the words of length <= split toward examined, so
+ * the workers' examined add up to the closures the DFS computed.  With comm
+ * (k <= 64 masks) not NULL, words pass the commutation rule too; with iota
+ * (k entries) not NULL, words of length n pass the reversal test; with
+ * mirror set, mirror children are folded (see rec).  Results for length L
+ * go to index j = L - 1: closures computed in examined[j], best depth in
+ * best[2j] (-1 when the worker reached no word of length L), best count in
+ * best[2j+1], and their witnesses at witness[2nj], the count's n entries
+ * on.  Returns 0; 1 when it stopped on the stop flag shared[2];
  * -1 when memory runs out or n or split is out of range; or -2 when a
  * closure passes `budget` sections.  With anything but 0 the results are
  * meaningless, and either error sets the stop flag. */
@@ -505,8 +615,9 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const
 {
     Scan sc = {
         .k = k, .m = m, .na = na, .ng = ng, .mirror = mirror, .split = split, .counts = counts,
-        .budget = budget < INT32_MAX ? budget : INT32_MAX, /* node indices are int32 */
-        .nxt = nxt, .emit = emit, .allowed = allowed, .group = group, .comm = comm,
+        .pairs = {.m = m, .budget = budget < INT32_MAX ? budget : INT32_MAX}, /* int32 indices */
+        .machine = {.count = k, .children = (int32_t *)nxt, .images = (int32_t *)emit},
+        .allowed = allowed, .group = group, .comm = comm,
         .claim = -1, .shared = shared, .examined = examined, .best = best, .witness = witness,
     };
     const size_t depths = n >= 1 && n <= MAXN ? (size_t)n : 1;
@@ -520,10 +631,10 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const
     sc.scope_best = malloc(2 * depths * depths * sizeof *sc.scope_best);
     sc.scope_witness = malloc(2 * depths * depths * depths * sizeof *sc.scope_witness);
     /* The empty word is its own only section. */
-    Level root = {.ch = calloc(m, sizeof(int32_t)), .size = 1, .cap = 1};
+    Closure root = {.children = calloc(m, sizeof(int32_t)), .count = 1, .cap = 1};
     int rc = n < 1 || n > MAXN || split < 0 || split >= n || (comm && k > 64) || !sc.active
-             || !sc.kid || !sc.kv || !sc.kind || !sc.scope_best || !sc.scope_witness || !root.ch
-             || (iota && twins(&sc, iota)) ? -1 : 0;
+             || !sc.kid || !sc.kv || !sc.kind || !sc.scope_best || !sc.scope_witness
+             || !root.children || (iota && twins(&sc, iota)) ? -1 : 0;
     if (!rc) {
         for (int i = 0; i < n; i++) {
             examined[i] = 0;
@@ -535,19 +646,16 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const
     }
     if (rc < 0)
         __atomic_store_n(&shared[2], 1, __ATOMIC_RELAXED);
-    free(root.ch);
+    free(root.children);
     for (size_t i = 0; sc.kid && i < kids; i++)
-        free(sc.kid[i].ch);
+        free(sc.kid[i].children);
     free(sc.kid);
     free(sc.kv);
     free(sc.kind);
     free(sc.scope_best);
     free(sc.scope_witness);
     free(sc.active);
-    free(sc.qa);
-    free(sc.qt);
-    free(sc.stamp);
-    free(sc.index);
+    pairs_free(&sc.pairs);
     free(sc.twin);
     free(sc.lo);
     free(sc.tie);
@@ -557,115 +665,6 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const
 
 /* ---------------------------------------------------------------------------
  * The closure record of one word. */
-
-/* Filled in by mg_closure and freed by mg_closure_free.  Node 0 is the word;
- * nodes come in the order the breadth-first walk first reaches them. */
-typedef struct {
-    int64_t count;     /* nodes */
-    int64_t levels;    /* level L holds nodes starts[L] .. starts[L+1] - 1 */
-    uint8_t *words;    /* count * n: the states of node i at [i*n, i*n + n) */
-    int64_t *starts;   /* levels + 1 */
-    int32_t *children; /* count * m: node i's section at letter x at [i*m + x] */
-    int32_t *images;   /* count * m: the 0-based image of letter x under node i */
-    uint64_t *fixed;   /* count: the letters every state of node i fixes */
-} Closure;
-
-typedef struct {
-    int n, m;
-    int64_t budget;
-    Closure *c;
-    int64_t cap;       /* nodes the arrays of c have room for */
-    int64_t scap;      /* entries starts has room for */
-    const uint64_t *fix;
-    uint64_t all;      /* every letter */
-    uint64_t *hash;    /* per node */
-    int32_t *slot;     /* open addressing: node index + 1, 0 when empty */
-    size_t tcap;
-} Walk;
-
-static uint64_t mix(uint64_t x)
-{
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return x;
-}
-
-/* A hash of n bytes; the tail is read zero-padded, which is unambiguous
- * because every key of one table has the same length. */
-static uint64_t hash_bytes(const uint8_t *p, size_t n)
-{
-    uint64_t h = 0x9e3779b97f4a7c15ULL, v;
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        memcpy(&v, p + i, 8);
-        h = mix(h ^ v) * 0xc4ceb9fe1a85ec53ULL;
-    }
-    v = 0;
-    memcpy(&v, p + i, n - i);
-    return mix(h ^ v);
-}
-
-static int table_grow(int32_t **slot, size_t *tcap, const uint64_t *hash, int64_t used)
-{
-    size_t cap = *tcap ? 2 * *tcap : 64;
-    int32_t *t = calloc(cap, sizeof *t);
-    if (!t)
-        return -1;
-    for (int64_t i = 0; i < used; i++) {
-        size_t j = hash[i] & (cap - 1);
-        while (t[j])
-            j = (j + 1) & (cap - 1);
-        t[j] = (int32_t)(i + 1);
-    }
-    free(*slot);
-    *slot = t;
-    *tcap = cap;
-    return 0;
-}
-
-/* Index of the node with states w, added when new; -1 when out of memory,
- * -2 past the budget. */
-static int64_t intern(Walk *b, const uint8_t *w)
-{
-    Closure *c = b->c;
-    const size_t n = (size_t)b->n;
-    uint64_t h = hash_bytes(w, n);
-    size_t j = h & (b->tcap - 1);
-    for (; b->slot[j]; j = (j + 1) & (b->tcap - 1)) {
-        int64_t i = b->slot[j] - 1;
-        if (b->hash[i] == h && memcmp(c->words + i * n, w, n) == 0)
-            return i;
-    }
-    int64_t i = c->count;
-    if (i == b->budget)
-        return -2;
-    if (i == INT32_MAX - 1)
-        return -1;
-    if (i == b->cap) {
-        int64_t cap = 2 * b->cap;
-        if (grow(&c->words, cap * n) || grow(&c->children, cap * b->m * sizeof *c->children)
-            || grow(&c->images, cap * b->m * sizeof *c->images)
-            || grow(&c->fixed, cap * sizeof *c->fixed) || grow(&b->hash, cap * sizeof *b->hash))
-            return -1;
-        b->cap = cap;
-    }
-    if (2 * (size_t)(i + 1) > b->tcap) {
-        if (table_grow(&b->slot, &b->tcap, b->hash, i))
-            return -1;
-        for (j = h & (b->tcap - 1); b->slot[j]; j = (j + 1) & (b->tcap - 1))
-            ;
-    }
-    uint64_t fx = b->all;
-    for (size_t p = 0; p < n; p++)
-        fx &= b->fix[w[p]];
-    memcpy(c->words + i * n, w, n);
-    c->fixed[i] = fx;
-    b->hash[i] = h;
-    b->slot[j] = (int32_t)(i + 1);
-    c->count = i + 1;
-    return i;
-}
 
 void mg_closure_free(Closure *c)
 {
@@ -677,104 +676,104 @@ void mg_closure_free(Closure *c)
     memset(c, 0, sizeof *c);
 }
 
-/* Breadth-first closure of word[0..n) over a machine of k <= 256 states
- * and m <= 64 letters, into *c.  Returns 0, 1 when stop is set and a node
- * moves a letter, -1 when memory runs out or -2 when the closure passes
- * `budget` nodes (c is freed unless it returns 0). */
-int mg_closure(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
-               const uint8_t *word, int64_t budget, int stop, Closure *c)
+typedef struct {
+    Pairs pairs;
+    Closure machine;   /* the record of a word of one state, rooted at the state */
+    Closure empty;     /* the record of the empty word */
+    Closure half[64];  /* per level of the halving, the records of both halves */
+    int settled;       /* whether a half past the budget puts the word past it */
+} Query;
+
+/* The record of word[0..n) into *out: the walk, with stop, over the pairs
+ * of the records of word[0..n/2) and word[n/2..n), built the same way a
+ * level down.  A half past the budget gives -2 if that settles it, else 2. */
+static int compose(Query *qc, const uint8_t *word, int n, int level, int stop, Closure *out)
 {
-    Walk b = {.n = n, .m = m, .budget = budget, .c = c, .cap = 64, .scap = 16};
-    uint64_t *fix = malloc(k * sizeof *fix);
-    int32_t *letter = malloc(m * sizeof *letter), *moving = malloc((size_t)n * sizeof *moving + 1);
-    uint8_t *kid = malloc((size_t)m * n + 1), *idle = malloc(k);
-    int rc = -1;
+    const Closure *h[2];
+    int32_t root[2];
+    int64_t depth, count;
+    for (int i = 0, at = 0, len = n / 2; i < 2; i++, at = len, len = n - len) {
+        Closure *c = &qc->half[2 * level + i];
+        const int rc = len > 1 ? compose(qc, word + at, len, level + 1, 0, c) : 0;
+        if (rc)
+            return rc == -2 && !qc->settled ? 2 : rc;
+        h[i] = len == 0 ? &qc->empty : len == 1 ? &qc->machine : c;
+        root[i] = len == 1 ? word[at] : 0;
+    }
+    return walk(&qc->pairs, h[0], root[0], h[1], root[1], 1, stop, out, &depth, &count);
+}
+
+/* Whether a section of word[0..n) at an input of at most `depth` letters
+ * moves a letter; buf has room for (depth + 1) * n states. */
+static int moves(const int32_t *nxt, const int32_t *emit, int m, const uint8_t *word, int n,
+                 int depth, uint8_t *buf)
+{
+    for (int x = 0; x < m; x++) {
+        int y = x;
+        for (int i = n - 1; i >= 0; i--) {
+            buf[i] = (uint8_t)nxt[word[i] * m + y];
+            y = emit[word[i] * m + y];
+        }
+        if (y != x || (depth && moves(nxt, emit, m, buf, n, depth - 1, buf + n)))
+            return 1;
+    }
+    return 0;
+}
+
+/* The closure record of word[0..n) over a machine of k <= 256 states and
+ * m <= 64 letters, into *c, with the section words when nodes is set.
+ * Returns 0; 1 when stop is set and a node moves a letter; 2 when a half
+ * passes `budget` nodes and that does not settle the answer (see the top);
+ * -1 when memory runs out; or -2 past `budget`.  c is freed unless 0. */
+int mg_closure(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
+               const uint8_t *word, int64_t budget, int stop, int nodes, Closure *c)
+{
+    const uint64_t all = m == 64 ? ~0ULL : (1ULL << m) - 1;
+    uint64_t fixed[257];  /* per state, then the empty word's */
+    int32_t ids[128] = {0}; /* the empty word's children, then its images */
+    uint8_t states[256];
 
     memset(c, 0, sizeof *c);
-    b.fix = fix;
-    b.all = m == 64 ? ~0ULL : (1ULL << m) - 1;
-    if (!fix || !letter || !moving || !kid || !idle || grow(&c->words, b.cap * n)
-        || grow(&c->children, b.cap * m * sizeof *c->children)
-        || grow(&c->images, b.cap * m * sizeof *c->images)
-        || grow(&c->fixed, b.cap * sizeof *c->fixed) || grow(&b.hash, b.cap * sizeof *b.hash)
-        || grow(&c->starts, b.scap * sizeof *c->starts)
-        || table_grow(&b.slot, &b.tcap, b.hash, 0))
-        goto done;
+    if (k > 256 || m > 64)
+        return -1;
+    /* With stop, the sections at inputs of up to two letters first: most
+     * words that are not the identity move a letter there. */
+    if (stop) {
+        uint8_t *buf = malloc(3 * (size_t)n + 1);
+        int rc = buf ? 0 : -1;
+        for (int depth = 0; !rc && depth <= 2; depth++)
+            rc = moves(nxt, emit, m, word, n, depth, buf);
+        free(buf);
+        if (rc)
+            return rc;
+    }
+    Query qc = {
+        .pairs = {.m = m, .nodes = nodes, .budget = budget < INT32_MAX ? budget : INT32_MAX},
+        .machine = {.count = k, .children = (int32_t *)nxt, .images = (int32_t *)emit,
+                    .fixed = fixed, .words = states, .n = 1},
+        .empty = {.count = 1, .children = ids, .images = ids + m, .fixed = fixed + k,
+                  .words = states},
+        .settled = !stop,
+    };
+    fixed[k] = all;
+    for (int x = 0; x < m; x++)
+        ids[m + x] = x;
     for (int s = 0; s < k; s++) {
-        fix[s] = 0;
-        idle[s] = 1;
+        uint64_t seen = 0;
+        states[s] = (uint8_t)s;
+        fixed[s] = 0;
         for (int x = 0; x < m; x++) {
-            if (emit[s * m + x] == x)
-                fix[s] |= 1ULL << x;
-            if (nxt[s * m + x] != s || emit[s * m + x] != x)
-                idle[s] = 0;
+            seen |= 1ULL << emit[s * m + x];
+            fixed[s] |= (uint64_t)(emit[s * m + x] == x) << x;
         }
+        qc.settled &= seen == all; /* an invertible machine */
     }
-    int64_t root = intern(&b, word);
-    if (root < 0) {
-        rc = (int)root;
-        goto done;
-    }
-    c->starts[0] = 0;
-    for (int64_t start = 0, end = 1; start < end; start = end, end = c->count) {
-        for (int64_t q = start; q < end; q++) {
-            /* Read node q whole before interning: that may move c->words.
-             * All m letters step through the positions together, so that
-             * their chains of dependent table loads overlap. */
-            const uint8_t *p = c->words + q * n;
-            for (int x = 0; x < m; x++) {
-                letter[x] = x;
-                memcpy(kid + (size_t)x * n, p, n);
-            }
-            /* Only the positions whose state is not a do-nothing state
-             * are stepped, right to left; the list is built without a
-             * branch. */
-            int nm = 0;
-            for (int i = n - 1; i >= 0; i--) {
-                moving[nm] = i;
-                nm += !idle[p[i]];
-            }
-            for (int j = 0; j < nm; j++) {
-                const int i = moving[j];
-                const int32_t *nrow = nxt + p[i] * m, *erow = emit + p[i] * m;
-                for (int x = 0; x < m; x++) {
-                    int l = letter[x];
-                    kid[x * n + i] = (uint8_t)nrow[l];
-                    letter[x] = erow[l];
-                }
-            }
-            for (int x = 0; x < m; x++) {
-                int64_t child = intern(&b, kid + (size_t)x * n);
-                if (child < 0) {
-                    rc = (int)child;
-                    goto done;
-                }
-                c->children[q * m + x] = (int32_t)child;
-                c->images[q * m + x] = letter[x];
-                if (stop && letter[x] != x)
-                    rc = 1;
-            }
-            if (rc == 1)
-                goto done;
-        }
-        if (c->levels + 2 > b.scap) {
-            b.scap *= 2;
-            if (grow(&c->starts, b.scap * sizeof *c->starts))
-                goto done;
-        }
-        c->starts[++c->levels] = end;
-    }
-    rc = 0;
-done:
+    const int rc = compose(&qc, word, n, 0, stop, c);
     if (rc)
         mg_closure_free(c);
-    free(fix);
-    free(letter);
-    free(moving);
-    free(kid);
-    free(idle);
-    free(b.hash);
-    free(b.slot);
+    for (int i = 0; i < 2 * (32 - __builtin_clz(n | 1)); i++) /* the levels compose used */
+        mg_closure_free(&qc.half[i]);
+    pairs_free(&qc.pairs);
     return rc;
 }
 
@@ -865,7 +864,7 @@ int mg_threshold(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
                  const uint8_t *word, int64_t budget, int64_t *threshold)
 {
     Closure c;
-    int rc = mg_closure(k, m, nxt, emit, n, word, budget, 0, &c);
+    int rc = mg_closure(k, m, nxt, emit, n, word, budget, 0, 0, &c);
     if (rc)
         return rc;
     rc = period(c.count, m, c.children, c.fixed, threshold);

@@ -1,9 +1,11 @@
 """Loader for the compiled kernels in ``_kernel.c``: the survey scan
 (``mg_scan``) and the closure queries.  ``mg_closure`` builds the closure
-record of one word, and :meth:`ClosureKernel.record` returns it as
-``analysis._Closure``, copying out only the fields that the query reads
-(with ``stop``, as ``is_identity`` asks, the walk ends at the first
-section that moves a letter); ``mg_threshold`` builds the record and runs
+record of one word from the records of its halves, and
+:meth:`ClosureKernel.record` returns it as ``analysis._Closure``, copying
+out only the fields that the query reads (with ``stop``, as
+``is_identity`` asks, the walk ends at the first section that moves a
+letter).  Section words are written only when the query reads them, as
+``section_closure`` does.  ``mg_threshold`` builds the record and runs
 the eventual-period loop of ``fixing_threshold`` over it in the same
 call, so a threshold is one ctypes call.
 
@@ -31,12 +33,15 @@ import tempfile
 import threading
 from pathlib import Path
 
-from .analysis import BudgetError, _Closure, _merge_round
+from .analysis import BudgetError, _Closure, _merge_round, _period_threshold, _walk_record
 
 _CC = "cc"
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _OUT_OF_MEMORY = "the compiled kernel ran out of memory"
 _MAXN = 64  # MAXN in _kernel.c: the longest word the survey scan takes
+# mg_closure's code for a word whose half passes the budget when that does
+# not settle the answer (see _kernel.c): the Python walk answers instead.
+_UNSETTLED = 2
 
 # The most sections one closure may have.  Closures can grow exponentially
 # with the word (a lamplighter word of length n has 2**n sections), and past
@@ -69,10 +74,12 @@ class _ClosureOut(ctypes.Structure):
         ("count", _I64),
         ("levels", _I64),
         ("words", ctypes.c_void_p),
+        ("n", _I64),
         ("starts", ctypes.c_void_p),
         ("children", ctypes.c_void_p),
         ("images", ctypes.c_void_p),
         ("fixed", ctypes.c_void_p),
+        ("cap", _I64),
     ]
 
 
@@ -81,7 +88,7 @@ _SIGNATURES = {
                                _U64P, _I32, _I64, _I32, _I32, _I32, _U64P,
                                ctypes.POINTER(_I64), _I32P, ctypes.POINTER(_I64)]),
     "mg_closure": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
-                                  ctypes.c_char_p, _I64, ctypes.c_int,
+                                  ctypes.c_char_p, _I64, ctypes.c_int, ctypes.c_int,
                                   ctypes.POINTER(_ClosureOut)]),
     "mg_closure_free": (None, [ctypes.POINTER(_ClosureOut)]),
     "mg_threshold": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
@@ -209,8 +216,8 @@ def _ints(typecode, pointer, count):
 
 
 def _section_words(out, n):
-    """The section words of a record that ``mg_closure`` filled in, kept
-    there one byte per state, as tuples of state indices."""
+    """The section words of a record that ``mg_closure`` filled in with
+    them, one byte per state, as tuples of state indices."""
     if not n:
         return [()] * out.count
     words = iter(ctypes.string_at(out.words, out.count * n))
@@ -230,12 +237,15 @@ _READERS = {
 
 class ClosureKernel:
     """``mg_closure`` and ``mg_threshold`` bound to one machine's tables;
-    they take a tuple of state indices."""
+    they take a tuple of state indices.  Where a half of the word passes
+    :data:`SECTION_BUDGET` and that does not settle the answer (with
+    ``stop``, or on a machine that is not invertible), the Python walk
+    answers instead."""
 
-    def __init__(self, lib, nxt, emit0):
-        self._lib = lib
-        self._k, self._m = len(nxt), len(nxt[0])
-        self._machine = (self._k, self._m, *_tables(nxt, emit0))
+    def __init__(self, lib, auto):
+        self._lib, self._auto = lib, auto
+        self._k, self._m = len(auto.states), auto.alphabet_size
+        self._machine = (self._k, self._m, *_tables(auto._next, auto._emit0))
 
     def _word(self, word):
         """``word`` as one byte per state, checked against the tables."""
@@ -247,14 +257,18 @@ class ClosureKernel:
     def record(self, word, fields=_Closure._fields, stop=False):
         """The closure record of ``word``, the twin of
         ``analysis._walk_record``, with only the ``_Closure`` fields named
-        in ``fields`` copied out of C and the others None.  With ``stop``,
+        in ``fields`` copied out of C and the others None; section words
+        are written only when ``fields`` names ``nodes``.  With ``stop``,
         None once a section moves a letter: the walk stops there, and the
         kernel has freed the record."""
         w = self._word(word)
         out = _ClosureOut()
-        rc = self._lib.mg_closure(*self._machine, len(w), w, SECTION_BUDGET, stop, out)
+        rc = self._lib.mg_closure(*self._machine, len(w), w, SECTION_BUDGET, stop,
+                                  "nodes" in fields, out)
         if rc == 1:
             return None
+        if rc == _UNSETTLED:
+            return _walk_record(self._auto, word, stop)
         _check(rc)
         try:
             n, m = len(w), self._m
@@ -268,7 +282,10 @@ class ClosureKernel:
         closure and the loop over it run in one ``mg_threshold`` call."""
         w = self._word(word)
         t = _I64()
-        _check(self._lib.mg_threshold(*self._machine, len(w), w, SECTION_BUDGET, t))
+        rc = self._lib.mg_threshold(*self._machine, len(w), w, SECTION_BUDGET, t)
+        if rc == _UNSETTLED:
+            return _period_threshold(_walk_record(self._auto, word), self._m)
+        _check(rc)
         return None if t.value == -1 else t.value
 
 
@@ -288,4 +305,4 @@ def _closure_kernel(auto, cc):
     if len(auto.states) > 256 or auto.alphabet_size > 64:
         return None
     lib = _library()
-    return None if lib is None else ClosureKernel(lib, auto._next, auto._emit0)
+    return None if lib is None else ClosureKernel(lib, auto)

@@ -29,15 +29,18 @@ thresholds -- reads one closure record of the word: its sections in
 breadth-first order with level boundaries, the child table, the images
 of single letters and each section's fixed letters (``_Closure``).  The
 record comes from a compiled kernel (``mg_closure`` in ``_kernel.c``,
-built with the system C compiler on first use) that stores section words
-one byte per state, so words of any length fit.  The Python walk
+built with the system C compiler on first use), which builds it from the
+records of the word's halves without stepping a section word and stores
+section words only for :func:`section_closure`.  The Python walk
 (``_walk_record``), one breadth-first loop that fills the same record, is
-its reference twin: it builds the record when no kernel can be built or
-the machine has more than 256 states or 64 letters, and the reference
-survey scan reads depth and count off it.  Each query reads one record
-(``_record``) and names the fields it reads, and only those are copied
-out of the kernel; :func:`fixing_threshold` runs the record and its
-eventual-period loop in one kernel call (``mg_threshold``).
+its reference twin: it builds the record when no kernel can be built, the
+machine has more than 256 states or 64 letters, or a half of the word
+passes the section budget where that leaves the answer open (see
+``_kernel.ClosureKernel``), and the reference survey scan reads depth and
+count off it.  Each query reads one record (``_record``) and names the
+fields it reads, and only those are copied out of the kernel;
+:func:`fixing_threshold` runs the record and its eventual-period loop in
+one kernel call (``mg_threshold``).
 
 The survey's scan runs in the same compiled library (``mg_scan``).  A
 section of a product is a product of sections, so it builds the closure
@@ -124,7 +127,8 @@ class _Closure(NamedTuple):
 
 def _walk_record(auto: Automaton, word: Sequence[int], stop: bool = False) -> Optional[_Closure]:
     """The closure record from the Python walk: the reference twin of the
-    compiled ``mg_closure``, and the fallback when it cannot be used.
+    compiled ``mg_closure``, and the fallback when it cannot be used or
+    leaves the word to it.
 
     One breadth-first loop expands each node once and numbers each section
     as it is first reached; a level ends where the sections that the level

@@ -88,7 +88,7 @@ def test_criterion_01_extended_table_long_run(tmp_path):
         print(
             "criterion 1 (extended table n<=12): SKIPPED; "
             "set MEALYGROUP_ACCEPT_LONG=1 to run the enumeration "
-            "(44-50 s at --jobs 2 on a 2-vCPU machine with the compiled kernel)"
+            "(about 8 s at --jobs 2 on a 2-vCPU machine with the compiled kernel)"
         )
         pytest.skip("long run disabled by default")
     path = tmp_path / "full.csv"

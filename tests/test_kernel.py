@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from mealygroup import (
     Automaton,
     fixing_threshold,
+    frame_stewart,
     hanoi_automaton,
     is_identity,
     parse_automaton,
@@ -566,6 +567,88 @@ def test_closure_kernel_handles_the_empty_word_and_long_words(ha4):
     assert_closure_parity(ha4, word)
     assert is_identity(ha4, word)
 
+
+
+@pytest.mark.parametrize("twin, disks, letters, depth, count", [
+    pytest.param("kernel", 20, 289, 24, 12_113, marks=requires_cc),
+    ("walk", 20, 289, 24, 12_113),
+    # The walk takes minutes on 1,025 letters; only the kernel runs it.
+    pytest.param("kernel", 30, 1_025, 36, 97_713, marks=requires_cc),
+])
+def test_four_peg_solver_words_have_the_pinned_depth_and_count(ha4, twin, disks, letters, depth,
+                                                               count):
+    word = ha4.word_from_names(frame_stewart(4, disks))
+    assert len(word) == letters
+    with contextlib.nullcontext() if twin == "kernel" else no_compiler():
+        assert (_kernel.compiled_closure(ha4) is None) == (twin == "walk")
+        assert word_problem(ha4, word) == (False, count, depth)
+
+
+@requires_cc
+def test_wp_on_a_long_solver_word_fits_in_a_gibibyte():
+    # The 2,817-letter solver word has 829,327 sections.  Its record is
+    # built from its halves' without stepping a 2,817-state section word
+    # per node, so the whole run fits a 1 GiB address space.
+    import resource
+
+    names = ".".join(frame_stewart(4, 40))
+    assert _kernel.compiled_closure(hanoi_automaton(4)) is not None  # built, so the child loads it
+    env = dict(os.environ, PYTHONPATH=str(Path(_kernel.__file__).parent.parent))
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    out = subprocess.run([sys.executable, "-m", "mealygroup.cli", "wp", "--pegs", "4", "--word",
+                          names], capture_output=True, text=True, env=env, preexec_fn=limit,
+                         timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        1, "non-identity sections=829327 depth=45\n", "")
+
+
+# A machine that is not invertible: z writes 1 whatever it reads and stays
+# z, so (a b)^4 z^8 has 9 sections, and its half (a b)^4 has 256.
+RESET = parse_automaton("""\
+alphabet 2
+states a b z
+a 1 -> a 1
+a 2 -> b 2
+b 1 -> a 2
+b 2 -> b 1
+z 1 -> z 1
+z 2 -> z 1
+""")
+
+
+def unsettled(auto, word, budget, stop):
+    """Whether mg_closure leaves ``word`` to the Python walk."""
+    kernel = _kernel.compiled_closure(auto)
+    out = _kernel._ClosureOut()
+    rc = kernel._lib.mg_closure(*kernel._machine, len(word), bytes(word), budget, stop, 0, out)
+    return rc == _kernel._UNSETTLED
+
+
+@requires_cc
+def test_a_half_past_the_budget_that_does_not_settle_the_answer_goes_to_the_walk(monkeypatch):
+    # On a machine that is not invertible a half can have more sections
+    # than the word.
+    a, b, z = range(3)
+    word = (a, b) * 4 + (z,) * 8
+    reference = _walk_record(RESET, word)
+    assert not RESET.is_invertible
+    assert (len(reference.nodes), len(_walk_record(RESET, word[:8]).nodes)) == (9, 256)
+    monkeypatch.setattr(_kernel, "SECTION_BUDGET", 9)
+    kernel = _kernel.compiled_closure(RESET)
+    assert unsettled(RESET, word, 9, False)
+    assert [list(field) for field in kernel.record(word)] == [list(field) for field in reference]
+    assert kernel.threshold(word) == _period_threshold(reference, 2)
+    assert (section_count(RESET, word), word_depth(RESET, word)) == (9, reference.depth)
+    # With stop, a word may move a letter before its closure passes the
+    # budget.  This one's sections at inputs of up to two letters fix both
+    # letters; node 7, at level 3, moves one; its closure has 256 sections
+    # and a half 32.
+    word = (0, 1, 0, 0, 2, 1, 1, 0, 1, 0)
+    monkeypatch.setattr(_kernel, "SECTION_BUDGET", 20)
+    assert unsettled(LAMPLIGHTER, word, 20, True) and not unsettled(LAMPLIGHTER, word, 20, False)
+    assert not is_identity(LAMPLIGHTER, word)
+    with pytest.raises(BudgetError):
+        word_problem(LAMPLIGHTER, word)
 
 def test_machines_the_closure_kernel_cannot_hold_use_the_walk():
     # 257 states do not fit one byte per position.
