@@ -33,8 +33,17 @@
  * steps a section word.  It writes section words only when asked to.
  * With the stop flag it answers is_identity, and returns 1 once a section
  * moves a letter, trying those at inputs of at most two letters before
- * any walk.  mg_threshold is fixing_threshold in one call: mg_closure,
+ * any walk.  mg_threshold is fixing_threshold in one call: the record,
  * then the eventual-period loop (period, the twin of _period_threshold).
+ * Both run on a machine's handle (Query, from mg_query_new), built once
+ * per machine: a copy of the tables, the fixed letters of each state,
+ * the empty word's record, whether the machine is invertible, and a
+ * workspace (the walk's Pairs, the halves' records, the word's record,
+ * period's buffers and the stop probe's) that each call reuses.  A call
+ * that leaves the workspace past KEEP bytes frees it, so one long word
+ * does not keep its memory; the word's record then goes to the caller.
+ * A handle serves one call at a time: the caller holds a lock around
+ * each call and its copy of the record.
  *
  * A walk stops with -2 once a closure passes `budget` sections, and returns
  * -1 when memory runs out.  On an invertible machine a word has at least
@@ -663,8 +672,13 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const
     return rc;
 }
 
+
 /* ---------------------------------------------------------------------------
- * The closure record of one word. */
+ * The closure queries of one machine, through its handle (Query). */
+
+/* A workspace past this many bytes after a call is freed, so that one long
+ * word does not keep its memory for the life of the handle. */
+#define KEEP (1 << 18)
 
 void mg_closure_free(Closure *c)
 {
@@ -676,12 +690,43 @@ void mg_closure_free(Closure *c)
     memset(c, 0, sizeof *c);
 }
 
+/* What mg_closure hands back. */
 typedef struct {
-    Pairs pairs;
+    Closure c;        /* the record: the handle's, which the next call reuses, unless owned */
+    int32_t identity; /* whether no section moves a letter */
+    int32_t owned;    /* whether c is the caller's, to free with mg_closure_free */
+} Record;
+
+/* The buffers of the eventual-period loop (see period). */
+typedef struct {
+    uint64_t *bad, *next; /* bitsets over node indices */
+    uint64_t *sets;       /* the sets seen, in order */
+    uint64_t *hash;       /* per set seen, its hash */
+    uint8_t *bads;        /* per set seen, whether it holds a node fixing no letter */
+    int32_t *slot;        /* open addressing over the sets seen: index + 1, 0 when empty */
+    size_t bitcap, setcap; /* bytes of bad and of next; bytes of sets */
+    size_t cap, tcap;      /* entries of hash and bads; of slot */
+} Period;
+
+/* One machine's closure queries: a copy of its tables, what is known of
+ * them, and the workspace that every call reuses. */
+typedef struct {
+    int k, m;
+    int invertible;
+    int settled;       /* in this call: whether a half past the budget puts the word past it */
+    int32_t *tables;   /* the machine's next, then emit, table: k * m entries each */
+    uint64_t fixed[257]; /* per state, then the empty word's */
+    int32_t ids[128];  /* the empty word's children, then its images */
+    uint8_t states[256];
     Closure machine;   /* the record of a word of one state, rooted at the state */
     Closure empty;     /* the record of the empty word */
+    Pairs pairs;
     Closure half[64];  /* per level of the halving, the records of both halves */
-    int settled;       /* whether a half past the budget puts the word past it */
+    int halves;        /* the entries of half that calls have used */
+    Closure out;       /* the record of the word */
+    Period period;
+    uint8_t *probe;    /* the stop probe's section words */
+    size_t probe_cap;
 } Query;
 
 /* The record of word[0..n) into *out: the walk, with stop, over the pairs
@@ -720,154 +765,254 @@ static int moves(const int32_t *nxt, const int32_t *emit, int m, const uint8_t *
     return 0;
 }
 
-/* The closure record of word[0..n) over a machine of k <= 256 states and
- * m <= 64 letters, into *c, with the section words when nodes is set.
- * Returns 0; 1 when stop is set and a node moves a letter; 2 when a half
- * passes `budget` nodes and that does not settle the answer (see the top);
- * -1 when memory runs out; or -2 past `budget`.  c is freed unless 0. */
-int mg_closure(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
-               const uint8_t *word, int64_t budget, int stop, int nodes, Closure *c)
+static size_t closure_bytes(const Closure *c, int m)
+{
+    return (size_t)c->cap * (2 * m * sizeof(int32_t) + sizeof(uint64_t) + sizeof(int64_t))
+           + (c->words ? (size_t)c->cap * c->n : 0);
+}
+
+/* The bytes q's workspace holds: each array at the size it last grew to
+ * (section words at the last walk's length). */
+static size_t query_bytes(const Query *q)
+{
+    const Pairs *pw = &q->pairs;
+    const Period *p = &q->period;
+    size_t bytes = pw->qcap * (2 * sizeof(int32_t) + sizeof(uint64_t))
+                   + pw->vcap * (sizeof(uint32_t) + sizeof(int32_t)) + pw->tcap * sizeof(int32_t)
+                   + 2 * p->bitcap + p->setcap + p->cap * (sizeof(uint64_t) + 1)
+                   + p->tcap * sizeof(int32_t) + q->probe_cap + closure_bytes(&q->out, q->m);
+    for (int i = 0; i < q->halves; i++)
+        bytes += closure_bytes(&q->half[i], q->m);
+    return bytes;
+}
+
+/* Free q's workspace; the tables stay. */
+static void query_trim(Query *q)
+{
+    Period *p = &q->period;
+    pairs_free(&q->pairs);
+    q->pairs = (Pairs){.m = q->m};
+    for (int i = 0; i < q->halves; i++)
+        mg_closure_free(&q->half[i]);
+    q->halves = 0;
+    mg_closure_free(&q->out);
+    free(p->bad);
+    free(p->next);
+    free(p->sets);
+    free(p->hash);
+    free(p->bads);
+    free(p->slot);
+    memset(p, 0, sizeof *p);
+    free(q->probe);
+    q->probe = NULL;
+    q->probe_cap = 0;
+}
+
+/* The handle of a machine of k <= 256 states and m <= 64 letters, whose
+ * tables it copies; NULL when out of memory or past those sizes. */
+Query *mg_query_new(int k, int m, const int32_t *nxt, const int32_t *emit)
 {
     const uint64_t all = m == 64 ? ~0ULL : (1ULL << m) - 1;
-    uint64_t fixed[257];  /* per state, then the empty word's */
-    int32_t ids[128] = {0}; /* the empty word's children, then its images */
-    uint8_t states[256];
-
-    memset(c, 0, sizeof *c);
-    if (k > 256 || m > 64)
-        return -1;
-    /* With stop, the sections at inputs of up to two letters first: most
-     * words that are not the identity move a letter there. */
-    if (stop) {
-        uint8_t *buf = malloc(3 * (size_t)n + 1);
-        int rc = buf ? 0 : -1;
-        for (int depth = 0; !rc && depth <= 2; depth++)
-            rc = moves(nxt, emit, m, word, n, depth, buf);
-        free(buf);
-        if (rc)
-            return rc;
+    const size_t cells = (size_t)k * m;
+    Query *q = k < 1 || k > 256 || m < 1 || m > 64 ? NULL : calloc(1, sizeof *q);
+    if (!q || !(q->tables = malloc(2 * cells * sizeof *q->tables))) {
+        free(q);
+        return NULL;
     }
-    Query qc = {
-        .pairs = {.m = m, .nodes = nodes, .budget = budget < INT32_MAX ? budget : INT32_MAX},
-        .machine = {.count = k, .children = (int32_t *)nxt, .images = (int32_t *)emit,
-                    .fixed = fixed, .words = states, .n = 1},
-        .empty = {.count = 1, .children = ids, .images = ids + m, .fixed = fixed + k,
-                  .words = states},
-        .settled = !stop,
-    };
-    fixed[k] = all;
+    memcpy(q->tables, nxt, cells * sizeof *q->tables);
+    memcpy(q->tables + cells, emit, cells * sizeof *q->tables);
+    q->k = k;
+    q->m = m;
+    q->invertible = 1;
+    q->machine = (Closure){.count = k, .children = q->tables, .images = q->tables + cells,
+                           .fixed = q->fixed, .words = q->states, .n = 1};
+    q->empty = (Closure){.count = 1, .children = q->ids, .images = q->ids + m,
+                         .fixed = q->fixed + k, .words = q->states};
+    q->pairs.m = m;
+    q->fixed[k] = all;
     for (int x = 0; x < m; x++)
-        ids[m + x] = x;
+        q->ids[m + x] = x;
     for (int s = 0; s < k; s++) {
         uint64_t seen = 0;
-        states[s] = (uint8_t)s;
-        fixed[s] = 0;
+        q->states[s] = (uint8_t)s;
         for (int x = 0; x < m; x++) {
             seen |= 1ULL << emit[s * m + x];
-            fixed[s] |= (uint64_t)(emit[s * m + x] == x) << x;
+            q->fixed[s] |= (uint64_t)(emit[s * m + x] == x) << x;
         }
-        qc.settled &= seen == all; /* an invertible machine */
+        q->invertible &= seen == all;
     }
-    const int rc = compose(&qc, word, n, 0, stop, c);
-    if (rc)
-        mg_closure_free(c);
-    for (int i = 0; i < 2 * (32 - __builtin_clz(n | 1)); i++) /* the levels compose used */
-        mg_closure_free(&qc.half[i]);
-    pairs_free(&qc.pairs);
+    return q;
+}
+
+void mg_query_free(Query *q)
+{
+    if (!q)
+        return;
+    query_trim(q);
+    free(q->tables);
+    free(q);
+}
+
+/* 3 when a state of word[0..n) is past q's tables, else 0. */
+static int past_tables(const Query *q, const uint8_t *word, int n)
+{
+    for (int i = 0; i < n; i++)
+        if (word[i] >= q->k)
+            return 3;
+    return 0;
+}
+
+/* The record of word[0..n) into q->out (see compose). */
+static int query_walk(Query *q, int n, const uint8_t *word, int64_t budget, int stop, int nodes)
+{
+    const int halves = 2 * (32 - __builtin_clz(n | 1)); /* at most, the entries compose uses */
+    q->pairs.nodes = nodes;
+    q->pairs.budget = budget < INT32_MAX ? budget : INT32_MAX; /* int32 indices */
+    q->settled = q->invertible && !stop;
+    q->halves = halves > q->halves ? halves : q->halves;
+    return compose(q, word, n, 0, stop, &q->out);
+}
+
+static int fixes_every_letter(const Closure *c, int m)
+{
+    for (int64_t i = 0; i < c->count; i++)
+        for (int x = 0; x < m; x++)
+            if (c->images[i * m + x] != x)
+                return 0;
+    return 1;
+}
+
+/* The closure record of word[0..n) into *r, with the section words when
+ * flags has bit 1 set; with bit 0 (stop) set it answers is_identity.
+ * Returns 0; 1 when stop is set and a node moves a letter; 2 when a half
+ * passes `budget` nodes and that does not settle the answer (see the top);
+ * 3 when a state of the word is past the machine's tables; -1 when memory
+ * runs out; or -2 past `budget`.  Only on 0 does r hold a record, and
+ * whether the word is the identity.  The record is the handle's, good until
+ * the next call, unless the call left the workspace past KEEP bytes: then
+ * it is the caller's (r->owned), to free with mg_closure_free, and the
+ * rest of the workspace is freed. */
+int mg_closure(Query *q, int n, const uint8_t *word, int64_t budget, int flags, Record *r)
+{
+    const int stop = flags & 1;
+    int rc = past_tables(q, word, n);
+    memset(r, 0, sizeof *r);
+    /* With stop, the sections at inputs of up to two letters first: most
+     * words that are not the identity move a letter there. */
+    if (!rc && stop && 3 * (size_t)n + 1 > q->probe_cap) {
+        rc = grow(&q->probe, 3 * (size_t)n + 1);
+        q->probe_cap = rc ? q->probe_cap : 3 * (size_t)n + 1;
+    }
+    for (int depth = 0; stop && !rc && depth <= 2; depth++)
+        rc = moves(q->machine.children, q->machine.images, q->m, word, n, depth, q->probe);
+    if (!rc)
+        rc = query_walk(q, n, word, budget, stop, flags >> 1 & 1);
+    const int trim = rc == -1 || query_bytes(q) > KEEP;
+    if (!rc) {
+        r->c = q->out;
+        r->identity = stop || fixes_every_letter(&q->out, q->m);
+        r->owned = trim;
+        if (trim)
+            memset(&q->out, 0, sizeof q->out);
+    }
+    if (trim)
+        query_trim(q);
     return rc;
 }
 
 /* The eventual-period loop of fixing_threshold over a closure record of
- * `count` nodes.  The sets of sections at input lengths 0, 1, ... start at
- * {node 0} and step through `children`; being subsets of a finite set, they
- * repeat from some length on.  Sets *threshold to one past the last length
- * whose set holds a node fixing no letter, or to -1 when such a set lies on
- * the repeating part (no threshold).  Returns 0, or -1 when memory runs
- * out.  Sets are bitsets over node indices. */
-static int period(int64_t count, int m, const int32_t *children, const uint64_t *fixed,
-                  int64_t *threshold)
+ * `count` nodes, in p's buffers.  The sets of sections at input lengths
+ * 0, 1, ... start at {node 0} and step through `children`; being subsets of
+ * a finite set, they repeat from some length on.  Sets *threshold to one
+ * past the last length whose set holds a node fixing no letter, or to -1
+ * when such a set lies on the repeating part (no threshold).  Returns 0, or
+ * -1 when memory runs out.  Sets are bitsets over node indices. */
+static int period(Period *p, int64_t count, int m, const int32_t *children,
+                  const uint64_t *fixed, int64_t *threshold)
 {
     const size_t words = (size_t)(count + 63) / 64, bytes = words * sizeof(uint64_t);
-    uint64_t *bad = calloc(words, sizeof *bad), *next = calloc(words, sizeof *next);
-    uint64_t *hist = NULL, *hash = NULL;
-    uint8_t *hist_bad = NULL;
-    int32_t *slot = NULL;
-    size_t tcap = 0, cap = 0, len = 0;
+    size_t len = 0;
     int64_t last_bad = -1;
-    int rc = -1;
 
-    if (!bad || !next || table_grow(&slot, &tcap, NULL, 0))
-        goto done;
+    if (bytes > p->bitcap) {
+        if (grow(&p->bad, bytes) || grow(&p->next, bytes))
+            return -1;
+        p->bitcap = bytes;
+    }
+    if (!p->tcap && table_grow(&p->slot, &p->tcap, NULL, 0))
+        return -1;
+    memset(p->slot, 0, p->tcap * sizeof *p->slot);
+    memset(p->bad, 0, bytes);
+    memset(p->next, 0, bytes);
     for (int64_t i = 0; i < count; i++)
         if (!fixed[i])
-            bad[i / 64] |= 1ULL << (i % 64);
-    next[0] = 1;
+            p->bad[i / 64] |= 1ULL << (i % 64);
+    p->next[0] = 1;
     for (;;) {
-        uint64_t h = hash_bytes((const uint8_t *)next, bytes);
-        size_t j = h & (tcap - 1);
-        for (; slot[j]; j = (j + 1) & (tcap - 1)) {
-            size_t t = (size_t)slot[j] - 1;
-            if (hash[t] == h && memcmp(hist + t * words, next, bytes) == 0) {
+        const uint64_t h = hash_bytes((const uint8_t *)p->next, bytes);
+        size_t j = h & (p->tcap - 1);
+        for (; p->slot[j]; j = (j + 1) & (p->tcap - 1)) {
+            size_t t = (size_t)p->slot[j] - 1;
+            if (p->hash[t] == h && memcmp(p->sets + t * words, p->next, bytes) == 0) {
                 *threshold = last_bad + 1;
                 for (; t < len; t++)
-                    if (hist_bad[t])
+                    if (p->bads[t])
                         *threshold = -1;
-                rc = 0;
-                goto done;
+                return 0;
             }
         }
-        if (len == cap) {
-            cap = cap ? 2 * cap : 16;
-            if (len + 1 >= INT32_MAX || grow(&hist, cap * bytes) || grow(&hash, cap * sizeof *hash)
-                || grow(&hist_bad, cap))
-                goto done;
+        if (len + 1 >= INT32_MAX)
+            return -1;
+        if (len == p->cap) {
+            const size_t cap = p->cap ? 2 * p->cap : 16;
+            if (grow(&p->hash, cap * sizeof *p->hash) || grow(&p->bads, cap))
+                return -1;
+            p->cap = cap;
         }
-        if (2 * (len + 1) > tcap) {
-            if (table_grow(&slot, &tcap, hash, (int64_t)len))
-                goto done;
-            for (j = h & (tcap - 1); slot[j]; j = (j + 1) & (tcap - 1))
+        if ((len + 1) * bytes > p->setcap) {
+            const size_t setcap = 2 * (len + 1) * bytes;
+            if (grow(&p->sets, setcap))
+                return -1;
+            p->setcap = setcap;
+        }
+        if (2 * (len + 1) > p->tcap) {
+            if (table_grow(&p->slot, &p->tcap, p->hash, (int64_t)len))
+                return -1;
+            for (j = h & (p->tcap - 1); p->slot[j]; j = (j + 1) & (p->tcap - 1))
                 ;
         }
-        uint64_t *cur = hist + len * words;
-        memcpy(cur, next, bytes);
-        hash[len] = h;
-        hist_bad[len] = 0;
+        uint64_t *cur = p->sets + len * words;
+        memcpy(cur, p->next, bytes);
+        p->hash[len] = h;
+        p->bads[len] = 0;
         for (size_t w = 0; w < words; w++)
-            if (cur[w] & bad[w])
-                hist_bad[len] = 1;
-        if (hist_bad[len])
+            if (cur[w] & p->bad[w])
+                p->bads[len] = 1;
+        if (p->bads[len])
             last_bad = (int64_t)len;
-        slot[j] = (int32_t)(++len);
-        memset(next, 0, bytes);
+        p->slot[j] = (int32_t)(++len);
+        memset(p->next, 0, bytes);
         for (size_t w = 0; w < words; w++)
             for (uint64_t bits = cur[w]; bits; bits &= bits - 1) {
                 const int32_t *row = children + (int64_t)(w * 64 + __builtin_ctzll(bits)) * m;
                 for (int x = 0; x < m; x++)
-                    next[row[x] / 64] |= 1ULL << (row[x] % 64);
+                    p->next[row[x] / 64] |= 1ULL << (row[x] % 64);
             }
     }
-done:
-    free(bad);
-    free(next);
-    free(hist);
-    free(hash);
-    free(hist_bad);
-    free(slot);
-    return rc;
 }
 
 /* The fixing threshold of word[0..n) into *threshold (-1 when there is
- * none): mg_closure and the loop above in one call, so the record never
- * leaves C.  Returns what mg_closure returns, or -1 when the loop runs out
- * of memory. */
-int mg_threshold(int k, int m, const int32_t *nxt, const int32_t *emit, int n,
-                 const uint8_t *word, int64_t budget, int64_t *threshold)
+ * none): the record and the loop above in one call, so the record never
+ * leaves C.  Returns what mg_closure returns without stop, or -1 when the
+ * loop runs out of memory. */
+int mg_threshold(Query *q, int n, const uint8_t *word, int64_t budget, int64_t *threshold)
 {
-    Closure c;
-    int rc = mg_closure(k, m, nxt, emit, n, word, budget, 0, 0, &c);
-    if (rc)
-        return rc;
-    rc = period(c.count, m, c.children, c.fixed, threshold);
-    mg_closure_free(&c);
+    int rc = past_tables(q, word, n);
+    if (!rc)
+        rc = query_walk(q, n, word, budget, 0, 0);
+    if (!rc)
+        rc = period(&q->period, q->out.count, q->m, q->out.children, q->out.fixed, threshold);
+    if (rc == -1 || query_bytes(q) > KEEP)
+        query_trim(q);
     return rc;
 }

@@ -1,23 +1,20 @@
 """Loader for the compiled kernels in ``_kernel.c``: the survey scan
-(``mg_scan``) and the closure queries.  ``mg_closure`` builds the closure
-record of one word from the records of its halves, and
-:meth:`ClosureKernel.record` returns it as ``analysis._Closure``, copying
-out only the fields that the query reads (with ``stop``, as
-``is_identity`` asks, the walk ends at the first section that moves a
-letter).  Section words are written only when the query reads them, as
-``section_closure`` does.  ``mg_threshold`` builds the record and runs
-the eventual-period loop of ``fixing_threshold`` over it in the same
-call, so a threshold is one ctypes call.
+(``mg_scan``) and the closure queries, one ctypes call each on a
+:class:`ClosureKernel`'s handle.  ``mg_closure`` builds the closure record
+of a word from the records of its halves; only the fields the query reads
+are copied out (section words only for ``section_closure``; with
+``stop``, as ``is_identity`` asks, the walk ends at the first section
+that moves a letter).  ``mg_threshold`` runs the eventual-period loop of
+``fixing_threshold`` over the record in the same call.
 
 On first use the C source is compiled with the system C compiler into
 ``${XDG_CACHE_HOME:-~/.cache}/mealygroup/``, under a name keyed by the
 sha256 of the source and the compile command, and loaded with ctypes.
-Whenever that is impossible (no compiler, a failed build, an unwritable or
+When that is impossible (no compiler, a failed build, an unwritable or
 unsafe cache directory) :func:`compiled_scan` and :func:`compiled_closure`
-return None and the callers run their Python reference code instead.  A C
-allocation failure raises :class:`MemoryError`, and a closure of more than
-:data:`SECTION_BUDGET` sections raises :class:`BudgetError` in the kernels
-and in the Python walk alike.
+return None and the callers run their Python twins.  A C allocation
+failure raises :class:`MemoryError`, and a closure of more than
+:data:`SECTION_BUDGET` sections :class:`BudgetError`, as in the walk.
 """
 
 from __future__ import annotations
@@ -31,17 +28,20 @@ import os
 import subprocess
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 
 from .analysis import BudgetError, _Closure, _merge_round, _period_threshold, _walk_record
+from .automata import check_state_word
 
 _CC = "cc"
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _OUT_OF_MEMORY = "the compiled kernel ran out of memory"
 _MAXN = 64  # MAXN in _kernel.c: the longest word the survey scan takes
-# mg_closure's code for a word whose half passes the budget when that does
-# not settle the answer (see _kernel.c): the Python walk answers instead.
-_UNSETTLED = 2
+# The query kernels' codes for a word whose half passes the budget when that
+# does not settle the answer (see _kernel.c), which the Python walk answers
+# instead, and for a word with a state past the machine's tables.
+_UNSETTLED, _PAST_TABLES = 2, 3
 
 # The most sections one closure may have.  Closures can grow exponentially
 # with the word (a lamplighter word of length n has 2**n sections), and past
@@ -54,8 +54,10 @@ def budget_error() -> BudgetError:
     return BudgetError(f"a section closure has more than {SECTION_BUDGET} sections")
 
 
-def _check(rc):
+def _check(rc, auto=None, word=()):
     """Raise the error a nonzero kernel return code stands for."""
+    if rc == _PAST_TABLES:
+        check_state_word(auto, word)  # raises, naming the state and its position
     if rc == -2:
         raise budget_error()
     if rc != 0:
@@ -65,40 +67,31 @@ _I32 = ctypes.c_int32
 _I64 = ctypes.c_int64
 _I32P = ctypes.POINTER(_I32)
 _U64P = ctypes.POINTER(ctypes.c_uint64)
+_PTR = ctypes.c_void_p  # a pointer, and a query handle
 
 
 class _ClosureOut(ctypes.Structure):
-    """The ``Closure`` struct that ``mg_closure`` fills in."""
+    """The ``Record`` that ``mg_closure`` fills in (see ``_kernel.c``)."""
 
-    _fields_ = [
-        ("count", _I64),
-        ("levels", _I64),
-        ("words", ctypes.c_void_p),
-        ("n", _I64),
-        ("starts", ctypes.c_void_p),
-        ("children", ctypes.c_void_p),
-        ("images", ctypes.c_void_p),
-        ("fixed", ctypes.c_void_p),
-        ("cap", _I64),
-    ]
+    _fields_ = [("count", _I64), ("levels", _I64), ("words", _PTR), ("n", _I64),
+                ("starts", _PTR), ("children", _PTR), ("images", _PTR), ("fixed", _PTR),
+                ("cap", _I64), ("identity", _I32), ("owned", _I32)]
 
 
 _SIGNATURES = {
     "mg_scan": (ctypes.c_int, [_I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32P, _I32P,
                                _U64P, _I32, _I64, _I32, _I32, _I32, _U64P,
                                ctypes.POINTER(_I64), _I32P, ctypes.POINTER(_I64)]),
-    "mg_closure": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
-                                  ctypes.c_char_p, _I64, ctypes.c_int, ctypes.c_int,
-                                  ctypes.POINTER(_ClosureOut)]),
+    "mg_query_new": (_PTR, [_I32, _I32, _I32P, _I32P]),
+    "mg_query_free": (None, [_PTR]),
+    "mg_closure": (_I32, [_PTR, _I32, ctypes.c_char_p, _I64, _I32, ctypes.POINTER(_ClosureOut)]),
     "mg_closure_free": (None, [ctypes.POINTER(_ClosureOut)]),
-    "mg_threshold": (ctypes.c_int, [ctypes.c_int, ctypes.c_int, _I32P, _I32P, ctypes.c_int,
-                                    ctypes.c_char_p, _I64, ctypes.POINTER(_I64)]),
+    "mg_threshold": (_I32, [_PTR, _I32, ctypes.c_char_p, _I64, ctypes.POINTER(_I64)]),
 }
 
 
 def _library():
-    """The kernel library, or None.  Memoised per compiler and cache
-    setting."""
+    """The kernel library, or None.  Memoised per compiler and cache setting."""
     return _load(_CC, os.environ.get("XDG_CACHE_HOME"))
 
 
@@ -216,85 +209,92 @@ def _ints(typecode, pointer, count):
 
 
 def _section_words(out, n):
-    """The section words of a record that ``mg_closure`` filled in with
-    them, one byte per state, as tuples of state indices."""
+    """The section words of a record, one byte per state, as tuples of states."""
     if not n:
         return [()] * out.count
     words = iter(ctypes.string_at(out.words, out.count * n))
     return list(zip(*[words] * n))  # consecutive groups of n bytes
 
 
-# How each ``_Closure`` field is copied out of a record that ``mg_closure``
-# filled in for a word of n states over m letters.
+# How each ``_Closure`` field is copied out of mg_closure's record of n states, m letters.
 _READERS = {
     "nodes": lambda out, n, m: _section_words(out, n),
     "starts": lambda out, n, m: _ints("q", out.starts, out.levels + 1),
     "children": lambda out, n, m: _ints("i", out.children, out.count * m),
     "images": lambda out, n, m: _ints("i", out.images, out.count * m),
     "fixed": lambda out, n, m: _ints("Q", out.fixed, out.count),
+    "identity": lambda out, n, m: bool(out.identity),
 }
 
 
 class ClosureKernel:
-    """``mg_closure`` and ``mg_threshold`` bound to one machine's tables;
-    they take a tuple of state indices.  Where a half of the word passes
+    """The closure queries on one machine's C handle (``mg_query_new``): its
+    tables, copied once, and a workspace that every call reuses (see
+    ``_kernel.c``), freed with the kernel.  ctypes releases the GIL, so a
+    lock covers each call and its copy-out.  Where a half of the word passes
     :data:`SECTION_BUDGET` and that does not settle the answer (with
-    ``stop``, or on a machine that is not invertible), the Python walk
-    answers instead."""
+    ``stop``, or on a machine that is not invertible), the walk answers."""
 
     def __init__(self, lib, auto):
-        self._lib, self._auto = lib, auto
-        self._k, self._m = len(auto.states), auto.alphabet_size
-        self._machine = (self._k, self._m, *_tables(auto._next, auto._emit0))
+        self._lib, self._auto, self._m = lib, auto, auto.alphabet_size
+        self._handle = lib.mg_query_new(len(auto.states), self._m,
+                                        *_tables(auto._next, auto._emit0))
+        if not self._handle:
+            raise MemoryError(_OUT_OF_MEMORY)
+        self._free = weakref.finalize(self, lib.mg_query_free, self._handle)
+        self._out, self._t, self._lock = _ClosureOut(), _I64(), threading.Lock()
 
     def _word(self, word):
-        """``word`` as one byte per state, checked against the tables."""
-        if word and not 0 <= min(word) <= max(word) < self._k:
-            bad = next(s for s in word if not 0 <= s < self._k)
-            raise ValueError(f"state index {bad} out of range 0..{self._k - 1}")
-        return bytes(word)
+        """``word`` as one byte per state; the kernel checks the states
+        against its tables, and only a word it or ``bytes`` refuses gets
+        ``check_state_word`` and its error."""
+        if isinstance(word, (tuple, list)):
+            try:
+                return bytes(word)
+            except (TypeError, ValueError):
+                pass
+        return bytes(check_state_word(self._auto, word))
 
     def record(self, word, fields=_Closure._fields, stop=False):
-        """The closure record of ``word``, the twin of
-        ``analysis._walk_record``, with only the ``_Closure`` fields named
-        in ``fields`` copied out of C and the others None; section words
-        are written only when ``fields`` names ``nodes``.  With ``stop``,
-        None once a section moves a letter: the walk stops there, and the
-        kernel has freed the record."""
-        w = self._word(word)
-        out = _ClosureOut()
-        rc = self._lib.mg_closure(*self._machine, len(w), w, SECTION_BUDGET, stop,
-                                  "nodes" in fields, out)
+        """The closure record of ``word``, the twin of ``_walk_record``, with
+        only the ``_Closure`` fields named in ``fields`` copied out of C and
+        the others None (section words are written only for ``nodes``).
+        With ``stop``, None once a section moves a letter."""
+        w, out = self._word(word), self._out
+        with self._lock:
+            rc = self._lib.mg_closure(self._handle, len(w), w, SECTION_BUDGET,
+                                      stop | ("nodes" in fields) << 1, out)
+            if rc == 0:
+                try:
+                    return _Closure._make(_READERS[f](out, len(w), self._m) if f in fields
+                                          else None for f in _Closure._fields)
+                finally:
+                    if out.owned:  # a record past the workspace's cap
+                        self._lib.mg_closure_free(out)
         if rc == 1:
             return None
         if rc == _UNSETTLED:
-            return _walk_record(self._auto, word, stop)
-        _check(rc)
-        try:
-            n, m = len(w), self._m
-            return _Closure._make(_READERS[f](out, n, m) if f in fields else None
-                                  for f in _Closure._fields)
-        finally:
-            self._lib.mg_closure_free(out)
+            return _walk_record(self._auto, w, stop)
+        _check(rc, self._auto, w)
 
     def threshold(self, word):
         """The fixing threshold of ``word``, None when there is none: the
         closure and the loop over it run in one ``mg_threshold`` call."""
         w = self._word(word)
-        t = _I64()
-        rc = self._lib.mg_threshold(*self._machine, len(w), w, SECTION_BUDGET, t)
+        with self._lock:
+            rc = self._lib.mg_threshold(self._handle, len(w), w, SECTION_BUDGET, self._t)
+            t = self._t.value
         if rc == _UNSETTLED:
-            return _period_threshold(_walk_record(self._auto, word), self._m)
-        _check(rc)
-        return None if t.value == -1 else t.value
+            return _period_threshold(_walk_record(self._auto, w), self._m)
+        _check(rc, self._auto, w)
+        return None if t == -1 else t
 
 
 def compiled_closure(auto):
     """The :class:`ClosureKernel` of the machine ``auto``, or None when the
-    kernel cannot be loaded or the machine has more than 256 states (a
-    section word takes one byte per position) or more than 64 letters
-    (fixed letters form a 64-bit mask).  The cache directory is read once
-    per machine and compiler, when the kernel is first looked up."""
+    kernel cannot be loaded or the machine has more than 256 states (one
+    byte a state) or 64 letters (64-bit masks).  The cache directory is read
+    once per machine and compiler, when the kernel is first looked up."""
     return _closure_kernel(auto, _CC)
 
 

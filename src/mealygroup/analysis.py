@@ -27,20 +27,18 @@ lex-least-witness rule, so output is identical for any worker count.
 Every closure question -- depth, section count, the word problem, fixing
 thresholds -- reads one closure record of the word: its sections in
 breadth-first order with level boundaries, the child table, the images
-of single letters and each section's fixed letters (``_Closure``).  The
-record comes from a compiled kernel (``mg_closure`` in ``_kernel.c``,
-built with the system C compiler on first use), which builds it from the
-records of the word's halves without stepping a section word and stores
-section words only for :func:`section_closure`.  The Python walk
-(``_walk_record``), one breadth-first loop that fills the same record, is
-its reference twin: it builds the record when no kernel can be built, the
-machine has more than 256 states or 64 letters, or a half of the word
-passes the section budget where that leaves the answer open (see
-``_kernel.ClosureKernel``), and the reference survey scan reads depth and
-count off it.  Each query reads one record (``_record``) and names the
-fields it reads, and only those are copied out of the kernel;
-:func:`fixing_threshold` runs the record and its eventual-period loop in
-one kernel call (``mg_threshold``).
+of single letters, each section's fixed letters and whether the word is
+the identity (``_Closure``).  The record comes from a compiled kernel
+(``mg_closure`` in ``_kernel.c``, on a handle kept per machine), which
+builds it from the records of the word's halves without stepping a
+section word.  The Python walk (``_walk_record``), one breadth-first loop
+that fills the same record, is its reference twin: it builds the record
+when no kernel can be built, the machine has more than 256 states or 64
+letters, or a half of the word passes the section budget where that
+leaves the answer open (see ``_kernel.ClosureKernel``), and the reference
+survey scan reads depth and count off it.  Each query reads one record
+(``_record``), and only the fields it names leave C; :func:`fixing_threshold`
+runs the record and its eventual-period loop in one call (``mg_threshold``).
 
 The survey's scan runs in the same compiled library (``mg_scan``).  A
 section of a product is a product of sections, so it builds the closure
@@ -119,10 +117,20 @@ class _Closure(NamedTuple):
     children: list  # children[i*m + x]: index of node i's section at letter x
     images: list  # images[i*m + x]: the 0-based image of letter x under node i
     fixed: list  # per node, the bitmask of the letters all its states fix
+    identity: bool  # whether no node moves a letter: the word acts as the identity
 
     @property
     def depth(self) -> int:
         return len(self.starts) - 2
+
+
+@functools.cache
+def _kernel_module():
+    """The module ``_kernel``, imported on first use, so that ``import
+    mealygroup`` loads no ctypes; a function import costs a query 1 µs."""
+    from . import _kernel
+
+    return _kernel
 
 
 def _walk_record(auto: Automaton, word: Sequence[int], stop: bool = False) -> Optional[_Closure]:
@@ -135,8 +143,7 @@ def _walk_record(auto: Automaton, word: Sequence[int], stop: bool = False) -> Op
     before it reached end.  Adding section ``_kernel.SECTION_BUDGET`` + 1
     raises :class:`BudgetError`.  With ``stop``, None once an expanded node
     moves a letter, as ``mg_closure`` stops with its stop flag."""
-    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
-
+    _kernel = _kernel_module()
     root = check_state_word(auto, word)
     letters = range(auto.alphabet_size)
     identity = list(letters)
@@ -169,7 +176,7 @@ def _walk_record(auto: Automaton, word: Sequence[int], stop: bool = False) -> Op
             images.append(c)
         if stop and images[-len(identity) :] != identity:
             return None
-    return _Closure(nodes, starts, children, images, fixed)
+    return _Closure(nodes, starts, children, images, fixed, images == identity * len(nodes))
 
 
 def _record(auto: Automaton, word: Sequence[int], fields: Sequence[str], stop: bool = False):
@@ -177,12 +184,10 @@ def _record(auto: Automaton, word: Sequence[int], fields: Sequence[str], stop: b
     the compiled kernel's, which copies only those fields out of C, when it
     loads for ``auto``; else the Python walk's, which fills every field.
     Both run with ``stop``.  Every closure query picks its twin here."""
-    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
-
-    kernel = _kernel.compiled_closure(auto)
+    kernel = _kernel_module().compiled_closure(auto)
     if kernel is None:
         return _walk_record(auto, word, stop)
-    return kernel.record(check_state_word(auto, word), fields, stop)
+    return kernel.record(word, fields, stop)
 
 
 @dataclass(frozen=True)
@@ -237,9 +242,8 @@ def word_problem(auto: Automaton, word: Sequence[int]) -> tuple:
     off one whole closure record."""
     if not auto.is_invertible:
         raise AutomatonError("the word problem is decided only for invertible automata")
-    rec = _record(auto, word, ("starts", "images"))
-    count = rec.starts[-1]
-    return rec.images == list(range(auto.alphabet_size)) * count, count, rec.depth
+    rec = _record(auto, word, ("starts", "identity"))
+    return rec.identity, rec.starts[-1], rec.depth
 
 
 # ---------------------------------------------------------------------------
@@ -868,12 +872,10 @@ def survey(
     fingerprint = _fingerprint(auto, flags)
     done = _load_checkpoint(checkpoint, fingerprint, allowed) if checkpoint else {}
 
-    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
-
     # The compiled twin of _scan_lengths when it loads and n_max <= 64; the
     # Python scan, its reference, holds the GIL and runs serially.
-    scan = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max, comm,
-                                 mirror)
+    scan = _kernel_module().compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max,
+                                          comm, mirror)
     if scan is None:
         walk = functools.partial(_walk_record, auto)
         scan = functools.partial(_scan_lengths, allowed, walk, sigmas, iota, n_max, comm=comm,
@@ -1026,12 +1028,10 @@ def fixing_threshold(auto: Automaton, word: Sequence[int]) -> Optional[int]:
     out of the last length whose set contains a bad section.  With the
     compiled kernel the closure and that loop run in one call.
     """
-    from . import _kernel  # imported late: ``import mealygroup`` loads no ctypes
-
-    kernel = _kernel.compiled_closure(auto)
+    kernel = _kernel_module().compiled_closure(auto)
     if kernel is None:
         return _period_threshold(_walk_record(auto, word), auto.alphabet_size)
-    return kernel.threshold(check_state_word(auto, word))
+    return kernel.threshold(word)
 
 
 def _period_threshold(rec: _Closure, m: int) -> Optional[int]:

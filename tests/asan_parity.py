@@ -4,7 +4,12 @@ Builds ``_kernel.c`` with ``-fsanitize=address,undefined``, binds it in
 place of the cached library, and checks it against the Python twins: the
 closure record, the fixing threshold and the early-stopping record on
 seeded words of lengths 0 to 40 over Hanoi 3-5 and Basilica, identity
-words on Hanoi, long solver words on Hanoi-4, and one survey scan.  A
+words on Hanoi, long solver words on Hanoi-4, and one survey scan.  Each
+machine keeps one query handle for the whole run, and the machines take
+turns on it, so a workspace left by a longer word, by another kind of
+query or by a record past the workspace's cap is reused: lengths go
+0 -> 40 -> 0, the solver words come before short ones, and the whole
+record, section words alone, the early stop and the threshold rotate.  A
 memory error or undefined behaviour aborts the run; a wrong answer fails
 an assertion.  Not a pytest module: the Python interpreter must load the
 sanitizer runtime first, so run it as
@@ -50,15 +55,21 @@ def sanitized_library(directory):
     return dll
 
 
-def check_closures(auto, words):
+def check_closures(auto, words, turn=0):
+    """Every query on each word, starting the rotation at ``turn``."""
     kernel = _kernel.compiled_closure(auto)
     m = auto.alphabet_size
     for word in words:
         reference = _walk_record(auto, word)
-        assert list(kernel.record(word)) == list(reference), word
-        assert kernel.threshold(word) == _period_threshold(reference, m), word
-        stopped = kernel.record(word, (), True)
-        assert (stopped is None) == (_walk_record(auto, word, stop=True) is None), word
+        queries = [
+            lambda: list(kernel.record(word)) == list(reference),
+            lambda: kernel.record(word, ("nodes", "starts"))[:2] == reference[:2],
+            lambda: (kernel.record(word, (), True) is None)
+            == (_walk_record(auto, word, stop=True) is None),
+            lambda: kernel.threshold(word) == _period_threshold(reference, m),
+        ]
+        for i in range(len(queries)):
+            assert queries[(turn + i) % len(queries)](), word
 
 
 def check_scan(auto, n_max):
@@ -78,18 +89,21 @@ def main():
         _kernel._closure_kernel.cache_clear()
         machines = [hanoi_automaton(3), hanoi_automaton(4), hanoi_automaton(5),
                     parse_automaton(BASILICA.read_text())]
-        for seed, auto in enumerate(machines):
-            rng = random.Random(seed)
-            k = len(auto.states)
-            words = [tuple(rng.choices(range(k), k=n)) for n in range(41)]
-            if auto is not machines[3]:
+        handles = [_kernel.compiled_closure(auto) for auto in machines]
+        rngs = [random.Random(seed) for seed in range(len(machines))]
+        for turn, n in enumerate([*range(41), *range(40, -1, -1)]):
+            for auto, rng in zip(machines, rngs):
+                word = tuple(rng.choices(range(len(auto.states)), k=n))
                 # Hanoi generators are involutions, so w w^-1 is w then w
                 # reversed: the identity, which no early stop settles.
-                words += [w + w[::-1] for w in words[1:21]]
-            check_closures(auto, words)
-        # Solver words, whose halves hash their pair codes.
+                identity = [word + word[::-1]] if auto is not machines[3] and n <= 20 else []
+                check_closures(auto, [word, *identity], turn)
+        # Solver words, whose halves hash their pair codes; the last one's
+        # record passes the workspace's cap.  Then short words again.
         ha4 = machines[1]
-        check_closures(ha4, [ha4.word_from_names(frame_stewart(4, d)) for d in (10, 16)])
+        check_closures(ha4, [ha4.word_from_names(frame_stewart(4, d)) for d in (10, 16, 20)])
+        check_closures(ha4, [tuple(rngs[1].choices(range(7), k=n)) for n in range(12)], 1)
+        assert [_kernel.compiled_closure(auto) for auto in machines] == handles
         check_scan(ha4, 6)
     print("sanitized kernels match the Python twins")
     return 0

@@ -441,6 +441,34 @@ def test_claim_table_with_unbounded_and_bounded_words(tmp_path):
     assert out.splitlines()[1].split()[:3] == ["1", "20", "inf"]
 
 
+def test_the_calls_the_traced_benchmark_wraps_go_through_their_module_attributes(monkeypatch):
+    # perfbench/run.py --trace 1 reads its per-layer metrics off wrappers
+    # that it sets on these module attributes; a caller that bypasses one
+    # leaves that metric with no data, and the traced run fails.
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(analysis, "fixing_threshold")
+    report = analysis.threshold_survey(hanoi_automaton(4), [4, 8], 3, seed=1)
+    assert calls == {"fixing_threshold": len(report.samples)} == {"fixing_threshold": 6}
+    code, _, _ = run_cli("claim", "--pegs", "4", "--lengths", "4,8,16", "--samples", "5")
+    assert (code, calls) == (0, {"fixing_threshold": 6 + 15})
+    calls.clear()
+    for module, name in [(cli, "survey"), (cli, "render_growth_csv"),
+                         (analysis, "automaton_symmetries")]:
+        count(module, name)
+    code, _, _ = run_cli("table", "--pegs", "4", "--max-n", "4", "--csv")
+    assert (code, calls) == (0, {"survey": 1, "render_growth_csv": 1, "automaton_symmetries": 1})
+
+
 def test_interrupt_exits_130_with_one_line(monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt

@@ -4,6 +4,7 @@ read; and the fallback to the references when no kernel can be used."""
 
 import contextlib
 import functools
+import gc
 import io
 import itertools
 import os
@@ -45,6 +46,7 @@ from mealygroup.analysis import (
     word_problem,
 )
 from mealygroup.cli import main
+import oracles
 from oracles import (
     brute_depth_and_count,
     commuting_machines,
@@ -336,7 +338,7 @@ def assert_closure_parity(auto, word):
     assert kernel is not None, "the kernel failed to build or load"
     compiled = kernel.record(word)
     reference = _walk_record(auto, word)
-    assert [list(field) for field in compiled] == [list(field) for field in reference], word
+    assert compiled == reference, word
     assert kernel.threshold(word) == _period_threshold(reference, auto.alphabet_size), word
     # The early stops of both twins give the answer the whole record gives.
     identity = reference.images == list(range(auto.alphabet_size)) * len(reference.nodes)
@@ -467,19 +469,110 @@ def test_wp_is_one_kernel_call(ha4, kernel_calls):
     with contextlib.redirect_stdout(out):
         assert main(["wp", "--pegs", "4", "--word", names]) == 1
     assert out.getvalue() == f"non-identity sections={closure.count} depth={closure.depth}\n"
-    assert kernel_calls == ["mg_closure", "mg_closure_free"]
+    assert kernel_calls == ["mg_closure"]
 
 
 @requires_cc
-def test_is_identity_frees_a_record_only_when_it_walked_the_whole_closure(ha4, kernel_calls):
-    # A word that is not the identity stops inside mg_closure, which frees
-    # its record itself; an identity word walks its closure, then frees it.
+def test_is_identity_is_one_kernel_call_whether_or_not_it_walks_the_whole_closure(ha4,
+                                                                                  kernel_calls):
+    # A word that is not the identity stops inside mg_closure; an identity
+    # word walks its whole closure into the handle's workspace, which the
+    # next call reuses, so nothing is freed.
     word = tuple(random.Random(2).choices(range(1, 7), k=32))
     assert not is_identity(ha4, word)
     assert kernel_calls == ["mg_closure"]
     kernel_calls.clear()
-    assert is_identity(ha4, word + word[::-1])
-    assert kernel_calls == ["mg_closure", "mg_closure_free"]
+    assert is_identity(ha4, word[:16] + word[15::-1])
+    assert kernel_calls == ["mg_closure"]
+
+
+# --- one handle per machine ---------------------------------------------------
+
+
+def mixed_queries(auto, words):
+    """(query, expected answer) pairs on ``auto``'s kernel, taking the
+    words in turn as the whole record, section words and levels only, the
+    early stop and the threshold; the answers come from the Python walk."""
+    kernel = _kernel.compiled_closure(auto)
+    assert kernel is not None, "the kernel failed to build or load"
+    out = []
+    for i, word in enumerate(words):
+        ref = _walk_record(auto, word)
+        out.append([
+            (lambda w=word: kernel.record(w), ref),
+            (lambda w=word: kernel.record(w, ("nodes", "starts"))[:2], ref[:2]),
+            (lambda w=word: kernel.record(w, (), True) is not None, ref.identity),
+            (lambda w=word: kernel.threshold(w), _period_threshold(ref, auto.alphabet_size)),
+        ][i % 4])
+    return out
+
+
+def seeded_words(auto, lengths, seed):
+    rng = random.Random(seed)
+    return [tuple(rng.choices(range(len(auto.states)), k=n)) for n in lengths]
+
+
+@requires_cc
+def test_two_threads_query_one_handle(ha4):
+    # ctypes releases the GIL inside each call: without the kernel's lock
+    # the two threads would walk in one workspace.  Identity words walk
+    # their whole closures.
+    words = seeded_words(ha4, [random.Random(i).randrange(41) for i in range(150)], 13)
+    words += [w + w[::-1] for w in seeded_words(ha4, range(25, 75), 14)]
+    queries = mixed_queries(ha4, words)
+    assert len(queries) == 200
+    start = threading.Barrier(2)
+
+    def run(order):
+        start.wait(timeout=60)
+        return [(i, queries[i][0]()) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            runs = list(pool.map(run, [range(200), range(199, -1, -1)], timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for answers in runs:
+        for i, answer in answers:
+            assert answer == queries[i][1], words[i]
+
+
+@requires_cc
+def test_a_kernel_dropped_from_the_cache_frees_its_handle_and_a_new_one_answers():
+    machines = [oracles.cycle_machine(k) for k in range(2, 22)]
+    words = {auto: seeded_words(auto, range(0, 33, 4), len(auto.states)) for auto in machines}
+    first = _kernel.compiled_closure(machines[0])
+    freed = first._free
+    del first
+    for auto in machines:
+        for query, expected in mixed_queries(auto, words[auto]):
+            assert query() == expected
+    gc.collect()
+    # 19 machines since the first one: the cache of 16 dropped its kernel.
+    assert not freed.alive
+    for query, expected in mixed_queries(machines[0], words[machines[0]]):
+        assert query() == expected
+
+
+@requires_cc
+def test_a_record_past_the_workspace_cap_is_the_callers_and_short_words_follow(ha4,
+                                                                              kernel_calls):
+    # The 1,025-letter solver word's record (97,713 sections) leaves the
+    # workspace past its cap: mg_closure hands the record over, the caller
+    # frees it, and the workspace starts afresh for the short words.  Its
+    # threshold (the Python walk's too, which takes half a minute) is 36.
+    word = ha4.word_from_names(frame_stewart(4, 30))
+    assert word_problem(ha4, word) == (False, 97_713, 36)
+    assert fixing_threshold(ha4, word) == 36
+    assert kernel_calls == ["mg_closure", "mg_closure_free", "mg_threshold"]
+    kernel_calls.clear()
+    queries = mixed_queries(ha4, seeded_words(ha4, [*range(41), *range(40, -1, -1)], 15))
+    for query, expected in queries:
+        assert query() == expected
+    assert kernel_calls == ["mg_closure", "mg_closure", "mg_closure", "mg_threshold"] * 20 + [
+        "mg_closure", "mg_closure"]
 
 
 @requires_cc
@@ -487,8 +580,9 @@ def test_closure_kernel_rejects_state_indices_outside_its_tables(ha4):
     kernel = _kernel.compiled_closure(ha4)
     k = len(ha4.states)
     for query in (kernel.record, kernel.threshold, lambda word: kernel.record(word, (), True)):
-        for word, bad in [((1, k, 2), k), ((1, -1), -1), ((k + 300,), k + 300)]:
-            with pytest.raises(ValueError, match=f"state index {bad} out of range 0..{k - 1}"):
+        for word, bad, at in [((1, k, 2), k, 2), ((1, -1), -1, 2), ((k + 300,), k + 300, 1)]:
+            with pytest.raises(ValueError,
+                               match=f"state index {bad} at position {at} out of range 0..{k - 1}"):
                 query(word)
 
 
@@ -619,8 +713,8 @@ z 2 -> z 1
 def unsettled(auto, word, budget, stop):
     """Whether mg_closure leaves ``word`` to the Python walk."""
     kernel = _kernel.compiled_closure(auto)
-    out = _kernel._ClosureOut()
-    rc = kernel._lib.mg_closure(*kernel._machine, len(word), bytes(word), budget, stop, 0, out)
+    rc = kernel._lib.mg_closure(kernel._handle, len(word), bytes(word), budget, stop,
+                                _kernel._ClosureOut())
     return rc == _kernel._UNSETTLED
 
 
@@ -636,7 +730,7 @@ def test_a_half_past_the_budget_that_does_not_settle_the_answer_goes_to_the_walk
     monkeypatch.setattr(_kernel, "SECTION_BUDGET", 9)
     kernel = _kernel.compiled_closure(RESET)
     assert unsettled(RESET, word, 9, False)
-    assert [list(field) for field in kernel.record(word)] == [list(field) for field in reference]
+    assert kernel.record(word) == reference
     assert kernel.threshold(word) == _period_threshold(reference, 2)
     assert (section_count(RESET, word), word_depth(RESET, word)) == (9, reference.depth)
     # With stop, a word may move a letter before its closure passes the
