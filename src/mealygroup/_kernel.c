@@ -35,15 +35,19 @@
  * moves a letter, trying those at inputs of at most two letters before
  * any walk.  mg_threshold is fixing_threshold in one call: the record,
  * then the eventual-period loop (period, the twin of _period_threshold).
- * Both run on a machine's handle (Query, from mg_query_new), built once
- * per machine: a copy of the tables, the fixed letters of each state,
+ * mg_run is apply and section_word (act and section) in one call: the
+ * stepping loop of _run_state, the rightmost state first, which writes
+ * the image and each position's end state.  All three run on a machine's
+ * handle (Query, from mg_query_new), built once per machine: a copy of
+ * the tables, the fixed letters of each state, which states do nothing,
  * the empty word's record, whether the machine is invertible, and a
  * workspace (the walk's Pairs, the halves' records, the word's record,
- * period's buffers and the stop probe's) that each call reuses.  A call
- * that leaves the workspace past KEEP bytes frees it, so one long word
- * does not keep its memory; the word's record then goes to the caller.
- * A handle serves one call at a time: the caller holds a lock around
- * each call and its copy of the record.
+ * period's buffers, the stop probe's and mg_run's) that each call
+ * reuses.  A call that leaves the workspace past KEEP bytes frees it, so
+ * one long word does not keep its memory; the word's record then goes to
+ * the caller (mg_run, whose buffer is read after it returns, frees it at
+ * the next call instead).  A handle serves one call at a time: the caller
+ * holds a lock around each call and its copy of the output.
  *
  * A walk stops with -2 once a closure passes `budget` sections, and returns
  * -1 when memory runs out.  On an invertible machine a word has at least
@@ -727,6 +731,9 @@ typedef struct {
     Period period;
     uint8_t *probe;    /* the stop probe's section words */
     size_t probe_cap;
+    uint8_t idle[256]; /* per state, whether it does nothing (see mg_run) */
+    uint8_t *run;      /* mg_run's image, then its section word */
+    size_t run_cap;
 } Query;
 
 /* The record of word[0..n) into *out: the walk, with stop, over the pairs
@@ -780,7 +787,8 @@ static size_t query_bytes(const Query *q)
     size_t bytes = pw->qcap * (2 * sizeof(int32_t) + sizeof(uint64_t))
                    + pw->vcap * (sizeof(uint32_t) + sizeof(int32_t)) + pw->tcap * sizeof(int32_t)
                    + 2 * p->bitcap + p->setcap + p->cap * (sizeof(uint64_t) + 1)
-                   + p->tcap * sizeof(int32_t) + q->probe_cap + closure_bytes(&q->out, q->m);
+                   + p->tcap * sizeof(int32_t) + q->probe_cap + q->run_cap
+                   + closure_bytes(&q->out, q->m);
     for (int i = 0; i < q->halves; i++)
         bytes += closure_bytes(&q->half[i], q->m);
     return bytes;
@@ -806,6 +814,9 @@ static void query_trim(Query *q)
     free(q->probe);
     q->probe = NULL;
     q->probe_cap = 0;
+    free(q->run);
+    q->run = NULL;
+    q->run_cap = 0;
 }
 
 /* The handle of a machine of k <= 256 states and m <= 64 letters, whose
@@ -835,11 +846,14 @@ Query *mg_query_new(int k, int m, const int32_t *nxt, const int32_t *emit)
     for (int s = 0; s < k; s++) {
         uint64_t seen = 0;
         q->states[s] = (uint8_t)s;
+        q->idle[s] = 1;
         for (int x = 0; x < m; x++) {
             seen |= 1ULL << emit[s * m + x];
             q->fixed[s] |= (uint64_t)(emit[s * m + x] == x) << x;
+            q->idle[s] &= nxt[s * m + x] == s;
         }
         q->invertible &= seen == all;
+        q->idle[s] &= q->fixed[s] == all;
     }
     return q;
 }
@@ -1015,4 +1029,47 @@ int mg_threshold(Query *q, int n, const uint8_t *word, int64_t budget, int64_t *
     if (rc == -1 || query_bytes(q) > KEEP)
         query_trim(q);
     return rc;
+}
+
+/* The image of letters[0..len) (1-based, one byte each) under word[0..n),
+ * the rightmost state reading first, and the state each position ends in:
+ * the twin of automata.apply and section_word.  A position stops reading
+ * at a do-nothing state, which would leave the rest as it is and stay put.
+ * Returns q's buffer, good until the next call: the image (1-based), then
+ * the n end states.  NULL when a state is past q's tables, a letter is
+ * outside 1..m, or memory runs out.  A buffer that a long input left past
+ * KEEP bytes is freed here, with the rest of the workspace, before it is
+ * reused. */
+uint8_t *mg_run(Query *q, int n, const uint8_t *word, int64_t len, const uint8_t *letters)
+{
+    const int m = q->m;
+    const int32_t *nxt = q->machine.children, *emit = q->machine.images;
+    const size_t size = (size_t)len + n;
+    if (past_tables(q, word, n))
+        return NULL;
+    for (int64_t j = 0; j < len; j++)
+        if (letters[j] < 1 || letters[j] > m)
+            return NULL;
+    if (query_bytes(q) > KEEP)
+        query_trim(q);
+    if (!q->run || size > q->run_cap) {
+        if (grow(&q->run, size))
+            return NULL;
+        q->run_cap = size;
+    }
+    uint8_t *v = q->run, *end = q->run + len;
+    for (int64_t j = 0; j < len; j++)
+        v[j] = letters[j] - 1;
+    for (int i = n - 1; i >= 0; i--) {
+        int s = word[i];
+        for (int64_t j = 0; j < len && !q->idle[s]; j++) {
+            const int c = v[j];
+            v[j] = (uint8_t)emit[s * m + c];
+            s = nxt[s * m + c];
+        }
+        end[i] = (uint8_t)s;
+    }
+    for (int64_t j = 0; j < len; j++)
+        v[j]++;
+    return q->run;
 }

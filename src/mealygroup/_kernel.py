@@ -1,11 +1,13 @@
 """Loader for the compiled kernels in ``_kernel.c``: the survey scan
-(``mg_scan``) and the closure queries, one ctypes call each on a
+(``mg_scan``) and the queries on one machine, one ctypes call each on a
 :class:`ClosureKernel`'s handle.  ``mg_closure`` builds the closure record
 of a word from the records of its halves; only the fields the query reads
 are copied out (section words only for ``section_closure``; with
 ``stop``, as ``is_identity`` asks, the walk ends at the first section
 that moves a letter).  ``mg_threshold`` runs the eventual-period loop of
-``fixing_threshold`` over the record in the same call.
+``fixing_threshold`` over the record in the same call.  ``mg_run`` is
+``automata.apply`` and ``section_word``, so ``act`` and ``section`` load
+the kernel too.
 
 On first use the C source is compiled with the system C compiler into
 ``${XDG_CACHE_HOME:-~/.cache}/mealygroup/``, under a name keyed by the
@@ -87,6 +89,7 @@ _SIGNATURES = {
     "mg_closure": (_I32, [_PTR, _I32, ctypes.c_char_p, _I64, _I32, ctypes.POINTER(_ClosureOut)]),
     "mg_closure_free": (None, [ctypes.POINTER(_ClosureOut)]),
     "mg_threshold": (_I32, [_PTR, _I32, ctypes.c_char_p, _I64, ctypes.POINTER(_I64)]),
+    "mg_run": (_PTR, [_PTR, _I32, ctypes.c_char_p, _I64, ctypes.c_char_p]),
 }
 
 
@@ -228,7 +231,7 @@ _READERS = {
 
 
 class ClosureKernel:
-    """The closure queries on one machine's C handle (``mg_query_new``): its
+    """The queries on one machine's C handle (``mg_query_new``): its
     tables, copied once, and a workspace that every call reuses (see
     ``_kernel.c``), freed with the kernel.  ctypes releases the GIL, so a
     lock covers each call and its copy-out.  Where a half of the word passes
@@ -288,6 +291,23 @@ class ClosureKernel:
             return _period_threshold(_walk_record(self._auto, w), self._m)
         _check(rc, self._auto, w)
         return None if t == -1 else t
+
+    def run(self, word, letters):
+        """``(apply, section_word)`` of the tuples or lists ``word`` and
+        ``letters`` in one ``mg_run`` call; None when ``bytes`` or the
+        kernel refuses them, and the Python path then raises its error."""
+        if not (isinstance(word, (tuple, list)) and isinstance(letters, (tuple, list))):
+            return None
+        try:
+            w, u = bytes(word), bytes(letters)
+        except (TypeError, ValueError):
+            return None
+        with self._lock:
+            out = self._lib.mg_run(self._handle, len(w), w, len(u), u)
+            if out is None:
+                return None
+            out = ctypes.string_at(out, len(u) + len(w))
+        return tuple(out[: len(u)]), tuple(out[len(u) :])
 
 
 def compiled_closure(auto):

@@ -69,6 +69,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .automata import (
     Automaton,
     AutomatonError,
+    _kernel_module,
     check_state_word,
     format_automaton,
     format_state_word,
@@ -122,15 +123,6 @@ class _Closure(NamedTuple):
     @property
     def depth(self) -> int:
         return len(self.starts) - 2
-
-
-@functools.cache
-def _kernel_module():
-    """The module ``_kernel``, imported on first use, so that ``import
-    mealygroup`` loads no ctypes; a function import costs a query 1 µs."""
-    from . import _kernel
-
-    return _kernel
 
 
 def _walk_record(auto: Automaton, word: Sequence[int], stop: bool = False) -> Optional[_Closure]:
@@ -1104,8 +1096,11 @@ def threshold_survey(
         if n < 1:
             raise ValueError("word lengths must be positive")
         bound = threshold_bound(auto.alphabet_size, n)
-        for _ in range(samples):
-            word = tuple(rng.choices(allowed, k=n))
+        # One draw of every letter of the length's words: the stream of one
+        # draw per word.
+        letters = rng.choices(allowed, k=n * samples)
+        for i in range(0, n * samples, n):
+            word = tuple(letters[i : i + n])
             t_star = fixing_threshold(auto, word)
             out.append(
                 ThresholdSample(

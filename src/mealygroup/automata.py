@@ -13,6 +13,9 @@ position ``i`` is sectioned at the image of the input under the states to
 its right -- which is equivalent to chaining one machine copy per state
 with copy ``i+1`` feeding copy ``i`` (see :func:`cascade_simulate`).
 
+:func:`apply` and :func:`section_word` run in the compiled kernel when it
+loads (``mg_run``); :func:`_run_state` is its twin, and runs without it.
+
 Conventions used throughout the package:
 
 * letters are 1-based integers; words of letters are tuples of ints,
@@ -25,6 +28,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -231,10 +235,26 @@ def check_state_word(auto: Automaton, word: Iterable[int]) -> tuple:
     return out
 
 
+@functools.cache
+def _kernel_module():
+    """The module ``_kernel``, imported on first use, so that ``import
+    mealygroup`` loads no ctypes; a function import costs a query 1 µs."""
+    from . import _kernel
+
+    return _kernel
+
+
+def _compiled_run(auto: Automaton, word, letters) -> Optional[tuple]:
+    """``(apply, section_word)`` from the machine's compiled kernel, or None
+    when it cannot be loaded or refuses the input."""
+    kernel = _kernel_module().compiled_closure(auto)
+    return kernel and kernel.run(word, letters)
+
+
 def _run_state(auto: Automaton, st: int, v: list) -> int:
     """Run state ``st`` over the 0-based letters ``v``, rewriting them in
     place, and return the state it ends in; it stops at a do-nothing state,
-    which leaves the rest as it is and stays put."""
+    which leaves the rest as it is and stays put.  The twin of ``mg_run``."""
     nxt, emit0, idle = auto._next, auto._emit0, auto._trivials
     for j, c in enumerate(v):
         if st in idle:
@@ -246,6 +266,8 @@ def _run_state(auto: Automaton, st: int, v: list) -> int:
 
 def apply(auto: Automaton, word: Sequence[int], letters: Sequence[int]) -> tuple:
     """Image of ``letters`` under the state word (rightmost state reads first)."""
+    if run := _compiled_run(auto, word, letters):
+        return run[0]
     w = check_state_word(auto, word)
     v = [x - 1 for x in check_letter_word(auto, letters)]
     for s in reversed(w):
@@ -266,6 +288,8 @@ def section_word(auto: Automaton, word: Sequence[int], letters: Sequence[int]) -
     """Section of a state word: position ``i`` is sectioned at the image of
     the input under the states to its right.  It runs :func:`apply`'s
     stepping loop, so a position stops reading at a do-nothing state."""
+    if run := _compiled_run(auto, word, letters):
+        return run[1]
     w = check_state_word(auto, word)
     v = [x - 1 for x in check_letter_word(auto, letters)]
     return tuple([_run_state(auto, s, v) for s in reversed(w)][::-1])

@@ -2,14 +2,16 @@
 
 Builds ``_kernel.c`` with ``-fsanitize=address,undefined``, binds it in
 place of the cached library, and checks it against the Python twins: the
-closure record, the fixing threshold and the early-stopping record on
-seeded words of lengths 0 to 40 over Hanoi 3-5 and Basilica, identity
-words on Hanoi, long solver words on Hanoi-4, and one survey scan.  Each
-machine keeps one query handle for the whole run, and the machines take
-turns on it, so a workspace left by a longer word, by another kind of
-query or by a record past the workspace's cap is reused: lengths go
-0 -> 40 -> 0, the solver words come before short ones, and the whole
-record, section words alone, the early stop and the threshold rotate.  A
+closure record, the fixing threshold, the early-stopping record, and
+apply and section_word (``mg_run``) on seeded words and inputs of
+lengths 0 to 40 over Hanoi 3-5 and Basilica, identity words on Hanoi,
+long solver words and an input past the workspace's cap on Hanoi-4, and
+one survey scan.  Each machine keeps one query handle for the whole run,
+and the machines take turns on it, so a workspace left by a longer word,
+by another kind of query or by a record or input past the workspace's
+cap is reused: lengths go 0 -> 40 -> 0, the solver words and the long
+input come before short ones, and the whole record, section words alone,
+the early stop and the threshold rotate.  A
 memory error or undefined behaviour aborts the run; a wrong answer fails
 an assertion.  Not a pytest module: the Python interpreter must load the
 sanitizer runtime first, so run it as
@@ -27,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 from mealygroup import _kernel, hanoi_automaton, parse_automaton
+from mealygroup.automata import _run_state
 from mealygroup.analysis import (
     _period_threshold,
     _scan_lengths,
@@ -72,6 +75,15 @@ def check_closures(auto, words, turn=0):
             assert queries[(turn + i) % len(queries)](), word
 
 
+def check_runs(auto, cases):
+    """``mg_run`` on each (word, letters) against ``_run_state``."""
+    kernel = _kernel.compiled_closure(auto)
+    for word, letters in cases:
+        v = [x - 1 for x in letters]
+        ends = [_run_state(auto, s, v) for s in reversed(word)][::-1]
+        assert kernel.run(word, letters) == (tuple(c + 1 for c in v), tuple(ends)), word
+
+
 def check_scan(auto, n_max):
     k = len(auto.states)
     allowed = tuple(s for s in range(k) if s not in auto._trivials)
@@ -98,11 +110,18 @@ def main():
                 # reversed: the identity, which no early stop settles.
                 identity = [word + word[::-1]] if auto is not machines[3] and n <= 20 else []
                 check_closures(auto, [word, *identity], turn)
+                m = auto.alphabet_size
+                check_runs(auto, [(word, tuple(rng.choices(range(1, m + 1), k=k)))
+                                  for k in (n, 40 - n, 0)])
         # Solver words, whose halves hash their pair codes; the last one's
         # record passes the workspace's cap.  Then short words again.
         ha4 = machines[1]
         check_closures(ha4, [ha4.word_from_names(frame_stewart(4, d)) for d in (10, 16, 20)])
+        # An input whose buffer passes the cap, then short inputs and words.
+        long_input = tuple(rngs[1].choices(range(1, 5), k=300_000))
+        check_runs(ha4, [((), long_input), ((1, 2, 3), long_input), ((4,), (1, 2)), ((), ())])
         check_closures(ha4, [tuple(rngs[1].choices(range(7), k=n)) for n in range(12)], 1)
+        check_runs(ha4, [(tuple(rngs[1].choices(range(7), k=n)), (2,) * n) for n in range(12)])
         assert [_kernel.compiled_closure(auto) for auto in machines] == handles
         check_scan(ha4, 6)
     print("sanitized kernels match the Python twins")

@@ -954,6 +954,26 @@ def test_threshold_maximum_with_unbounded_and_bounded_samples():
     assert ThresholdReport(tuple(samples), 0).max_by_length() == {4: None, 8: None, 16: 5}
 
 
+def test_threshold_survey_words_and_csv_equal_those_of_one_draw_per_word(ha4):
+    # Each length's letters are drawn in one call, which is the random
+    # stream of one draw per word.
+    lengths, samples = [4, 8, 16, 32], 200
+    rng = random.Random(0)
+    allowed = [s for s in range(len(ha4.states)) if s not in ha4._trivials]
+    rows = []
+    for n in lengths:
+        bound = threshold_bound(ha4.alphabet_size, n)
+        for _ in range(samples):
+            word = tuple(rng.choices(allowed, k=n))
+            t_star = fixing_threshold(ha4, word)
+            rows.append(ThresholdSample(n, word, t_star, bound,
+                                        t_star is not None and t_star <= bound))
+    expected = ThresholdReport(tuple(rows), 0)
+    report = threshold_survey(ha4, lengths, samples, seed=0)
+    assert [s.word for s in report.samples] == [s.word for s in expected.samples]
+    assert render_threshold_csv(report, ha4).encode() == render_threshold_csv(expected, ha4).encode()
+
+
 def test_threshold_csv_shape(ha4):
     report = threshold_survey(ha4, [4], 3, seed=0)
     lines = render_threshold_csv(report, ha4).splitlines()

@@ -1,6 +1,7 @@
 """The compiled kernels against their Python reference twins: the survey
-scan, and the closure record and fixing-threshold loop that the queries
-read; and the fallback to the references when no kernel can be used."""
+scan, the closure record and fixing-threshold loop that the queries read,
+and the stepping loop of apply and section_word; and the fallback to the
+references when no kernel can be used."""
 
 import contextlib
 import functools
@@ -22,6 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from mealygroup import (
     Automaton,
+    AutomatonError,
+    apply,
     fixing_threshold,
     frame_stewart,
     hanoi_automaton,
@@ -30,6 +33,7 @@ from mealygroup import (
     render_growth_csv,
     section_closure,
     section_count,
+    section_word,
     survey,
     word_depth,
 )
@@ -507,9 +511,29 @@ def mixed_queries(auto, words):
     return out
 
 
+def run_queries(auto, words, seed):
+    """(query, expected answer) pairs on ``auto``, taking ``apply`` and
+    ``section_word`` in turn on each word and a seeded input; the answers
+    come from the Python reference in ``oracles``."""
+    out = []
+    for i, (word, letters) in enumerate(seeded_runs(auto, words, seed)):
+        query, reference = [(apply, oracles.word_image), (section_word, oracles.word_section)][i % 2]
+        out.append((functools.partial(query, auto, word, letters),
+                    reference(auto, word, letters)))
+    return out
+
+
 def seeded_words(auto, lengths, seed):
     rng = random.Random(seed)
     return [tuple(rng.choices(range(len(auto.states)), k=n)) for n in lengths]
+
+
+def seeded_runs(auto, words, seed, max_len=40):
+    """Each word with a seeded input of up to ``max_len`` letters."""
+    rng = random.Random(seed)
+    m = auto.alphabet_size
+    return [(word, tuple(rng.choices(range(1, m + 1), k=rng.randrange(max_len + 1))))
+            for word in words]
 
 
 @requires_cc
@@ -519,8 +543,11 @@ def test_two_threads_query_one_handle(ha4):
     # their whole closures.
     words = seeded_words(ha4, [random.Random(i).randrange(41) for i in range(150)], 13)
     words += [w + w[::-1] for w in seeded_words(ha4, range(25, 75), 14)]
-    queries = mixed_queries(ha4, words)
-    assert len(queries) == 200
+    # Each word's closure query, then its apply or section_word, which
+    # share the handle's lock and workspace.
+    queries = [q for pair in zip(mixed_queries(ha4, words), run_queries(ha4, words, 16))
+               for q in pair]
+    assert len(queries) == 400
     start = threading.Barrier(2)
 
     def run(order):
@@ -531,12 +558,12 @@ def test_two_threads_query_one_handle(ha4):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(2) as pool:
-            runs = list(pool.map(run, [range(200), range(199, -1, -1)], timeout=120))
+            runs = list(pool.map(run, [range(400), range(399, -1, -1)], timeout=120))
     finally:
         sys.setswitchinterval(interval)
     for answers in runs:
         for i, answer in answers:
-            assert answer == queries[i][1], words[i]
+            assert answer == queries[i][1], words[i // 2]
 
 
 @requires_cc
@@ -770,3 +797,126 @@ def test_claim_without_compiler_gives_the_same_csv():
     with no_compiler():
         assert claim_csv(*argv) == compiled
     assert compiled[0] == 0 and compiled[1].count("\n") == 51
+
+
+# --- apply and section_word ---------------------------------------------------
+
+
+def run_answers(auto, cases):
+    """``apply`` and ``section_word`` of each (word, letters), or the type
+    and text of the error each raises."""
+    out = []
+    for word, letters in cases:
+        for query in (apply, section_word):
+            try:
+                out.append(query(auto, word, letters))
+            except (AutomatonError, TypeError, ValueError) as exc:
+                out.append((type(exc), str(exc)))
+    return out
+
+
+def assert_run_parity(auto, cases):
+    """``apply`` and ``section_word`` with the kernel against the Python
+    path, on each (word, letters): the same results and the same errors.
+    Returns the answers."""
+    assert _kernel.compiled_closure(auto) is not None, "the kernel failed to build or load"
+    compiled = run_answers(auto, cases)
+    with no_compiler():
+        assert _kernel.compiled_closure(auto) is None
+        assert run_answers(auto, cases) == compiled
+    return compiled
+
+
+@requires_cc
+def test_compiled_apply_and_section_word_match_python_on_named_machines():
+    # Words over every state, the do-nothing one included, and inputs of
+    # every length 0-40; RESET is not invertible.
+    machines = [hanoi_automaton(3), hanoi_automaton(4), hanoi_automaton(5),
+                parse_automaton(BASILICA.read_text()), RESET]
+    for seed, auto in enumerate(machines):
+        m = auto.alphabet_size
+        rng = random.Random(seed)
+        cases = seeded_runs(auto, random_words(auto, 60, 40, seed), seed)
+        cases += [(word, tuple(rng.choices(range(1, m + 1), k=(7 * n) % 41)))
+                  for n, word in enumerate(seeded_words(auto, range(41), seed))]
+        cases += [((), ()), ((), (1,) * 5), (tuple(sorted(auto._trivials)) * 3, (m,) * 7)]
+        answers = assert_run_parity(auto, cases)
+        kernel = _kernel.compiled_closure(auto)
+        for (word, letters), image, sec in zip(cases, answers[::2], answers[1::2]):
+            expected = (oracles.word_image(auto, word, letters),
+                        oracles.word_section(auto, word, letters))
+            assert kernel.run(word, letters) == (image, sec) == expected, (word, letters)
+            assert kernel.run(list(word), list(letters)) == expected
+
+
+@requires_cc
+@settings(max_examples=100, deadline=None)
+@given(
+    auto=st.one_of(invertible_machines(), dies_or_stays_machines()),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_apply_and_section_word_match_python_on_random_machines(auto, seed):
+    words = random_words(auto, 6, 40, seed)
+    if auto._trivials:
+        words.append(tuple(sorted(auto._trivials)) + words[0])
+    assert_run_parity(auto, seeded_runs(auto, words, seed))
+
+
+@requires_cc
+def test_act_and_section_are_one_kernel_call(ha4, kernel_calls):
+    for command, expected in (("act", "3324\n"), ("section", "e.a(1,2)\n")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, "--pegs", "4", "--word", "a(2,4).a(1,2)", "--input",
+                         "3344"]) == 0
+        assert out.getvalue() == expected
+    assert kernel_calls == ["mg_run", "mg_run"]
+
+
+@requires_cc
+def test_an_input_past_the_workspace_cap_and_short_inputs_after_it():
+    # 300,000 letters pass the handle's 256 KiB cap: the next call frees
+    # the buffer, with the rest of the workspace, before it reuses it.
+    # The lamplighter machine has no do-nothing state, so every position
+    # reads the whole input.
+    rng = random.Random(17)
+    a, b, a_inv, b_inv = range(4)
+    long_input = tuple(rng.choices((1, 2), k=300_000))
+    cases = [((a, b, a_inv), long_input), ((b,), long_input[:5])]
+    cases += seeded_runs(LAMPLIGHTER, seeded_words(LAMPLIGHTER, range(0, 41, 5), 17), 17)
+    cases += [((b_inv, a) * 3, long_input), ((), long_input), ((a,), ())]
+    assert_run_parity(LAMPLIGHTER, cases)
+    for query, expected in mixed_queries(LAMPLIGHTER, seeded_words(LAMPLIGHTER, range(12), 18)):
+        assert query() == expected
+
+
+@requires_cc
+def test_compiled_apply_and_section_word_raise_the_python_errors(ha4):
+    k, m = len(ha4.states), ha4.alphabet_size
+    state = f"out of range 0..{k - 1}"
+    letter = f"out of range 1..{m}"
+    cases = [
+        ((1, k, 2), (1, 2), f"state index {k} at position 2 {state}"),
+        ((1, -1), (1,), f"state index -1 at position 2 {state}"),
+        ((k + 300,), (1,), f"state index {k + 300} at position 1 {state}"),
+        ((1, 2), (1, 0), f"letter 0 at position 2 {letter}"),
+        ((1,), (2, m + 1), f"letter {m + 1} at position 2 {letter}"),
+        ((), (300,), f"letter 300 at position 1 {letter}"),
+        ((), (-2,), f"letter -2 at position 1 {letter}"),
+        # The state is checked first.
+        ((k,), (0,), f"state index {k} at position 1 {state}"),
+        ((1, 2.0, -1), (m + 1,), f"state index -1 at position 3 {state}"),
+        ([1, k], [0], f"state index {k} at position 2 {state}"),
+    ]
+    answers = assert_run_parity(ha4, [(word, letters) for word, letters, _ in cases])
+    for (_, _, message), image, sec in zip(cases, answers[::2], answers[1::2]):
+        assert image == sec == (AutomatonError, message)
+    # Words and inputs that bytes() refuses or that are not tuples or
+    # lists take the Python path, which accepts what int() takes.
+    others = [((1.0, 2), (1, 2.0)), ("12", (1,)), ((1, 2), "12"), (range(3), (1, 2)),
+              ((1, "x"), (1,)), ((1,), (None,)), (None, (1,)), ((1,), 5), (5, (1,))]
+    answers = assert_run_parity(ha4, others)
+    assert answers[:6] == [apply(ha4, (1, 2), (1, 2)), section_word(ha4, (1, 2), (1, 2)),
+                           apply(ha4, (1, 2), (1,)), section_word(ha4, (1, 2), (1,)),
+                           apply(ha4, (1, 2), (1, 2)), section_word(ha4, (1, 2), (1, 2))]
+    assert all(isinstance(answer[0], type) for answer in answers[8:])
