@@ -34,19 +34,20 @@
  * With the stop flag it answers is_identity, and returns 1 once a section
  * moves a letter, trying those at inputs of at most two letters before
  * any walk.  mg_threshold is fixing_threshold in one call: the record,
- * then the eventual-period loop (period, the twin of _period_threshold).
- * mg_run is apply and section_word (act and section) in one call: the
- * stepping loop of _run_state, the rightmost state first, which writes
- * the image and each position's end state.  All three run on a machine's
- * handle (Query, from mg_query_new), built once per machine: a copy of
- * the tables, the fixed letters of each state, which states do nothing,
- * the empty word's record, whether the machine is invertible, and a
- * workspace (the walk's Pairs, the halves' records, the word's record,
- * period's buffers, the stop probe's and mg_run's) that each call
- * reuses.  A call that leaves the workspace past KEEP bytes frees it, so
- * one long word does not keep its memory; the word's record then goes to
- * the caller (mg_run, whose buffer is read after it returns, frees it at
- * the next call instead).  A handle serves one call at a time: the caller
+ * then one longest-path pass over it (longest_path, the twin of
+ * _path_threshold).  mg_run is apply and section_word (act and section)
+ * in one call: the stepping loop of _run_state, the rightmost state
+ * first, which writes the image and each position's end state.  All three
+ * run on a machine's handle (Query, from mg_query_new), built once per
+ * machine: a copy of the tables, the fixed letters of each state, which
+ * states do nothing (as the caller's Automaton._trivials says), the empty
+ * word's record, whether the machine is invertible, and a workspace (the
+ * walk's Pairs, the halves' records, the word's record, longest_path's
+ * buffer, the stop probe's and mg_run's) that each call reuses.  A call
+ * that leaves the workspace past KEEP bytes frees it, so one long word
+ * does not keep its memory; the word's record then goes to the caller
+ * (mg_run, whose buffer is read after it returns, frees it at the next
+ * call instead).  A handle serves one call at a time: the caller
  * holds a lock around each call and its copy of the output.
  *
  * A walk stops with -2 once a closure passes `budget` sections, and returns
@@ -78,21 +79,6 @@ static uint64_t mix(uint64_t x)
     x *= 0xff51afd7ed558ccdULL;
     x ^= x >> 33;
     return x;
-}
-
-/* A hash of n bytes; the tail is read zero-padded, which is unambiguous
- * because every key of one table has the same length. */
-static uint64_t hash_bytes(const uint8_t *p, size_t n)
-{
-    uint64_t h = 0x9e3779b97f4a7c15ULL, v;
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        memcpy(&v, p + i, 8);
-        h = mix(h ^ v) * 0xc4ceb9fe1a85ec53ULL;
-    }
-    v = 0;
-    memcpy(&v, p + i, n - i);
-    return mix(h ^ v);
 }
 
 static int table_grow(int32_t **slot, size_t *tcap, const uint64_t *hash, int64_t used)
@@ -701,17 +687,6 @@ typedef struct {
     int32_t owned;    /* whether c is the caller's, to free with mg_closure_free */
 } Record;
 
-/* The buffers of the eventual-period loop (see period). */
-typedef struct {
-    uint64_t *bad, *next; /* bitsets over node indices */
-    uint64_t *sets;       /* the sets seen, in order */
-    uint64_t *hash;       /* per set seen, its hash */
-    uint8_t *bads;        /* per set seen, whether it holds a node fixing no letter */
-    int32_t *slot;        /* open addressing over the sets seen: index + 1, 0 when empty */
-    size_t bitcap, setcap; /* bytes of bad and of next; bytes of sets */
-    size_t cap, tcap;      /* entries of hash and bads; of slot */
-} Period;
-
 /* One machine's closure queries: a copy of its tables, what is known of
  * them, and the workspace that every call reuses. */
 typedef struct {
@@ -728,7 +703,8 @@ typedef struct {
     Closure half[64];  /* per level of the halving, the records of both halves */
     int halves;        /* the entries of half that calls have used */
     Closure out;       /* the record of the word */
-    Period period;
+    int32_t *paths;    /* longest_path's in-degrees, distances and order */
+    size_t paths_cap;  /* entries of paths */
     uint8_t *probe;    /* the stop probe's section words */
     size_t probe_cap;
     uint8_t idle[256]; /* per state, whether it does nothing (see mg_run) */
@@ -783,11 +759,9 @@ static size_t closure_bytes(const Closure *c, int m)
 static size_t query_bytes(const Query *q)
 {
     const Pairs *pw = &q->pairs;
-    const Period *p = &q->period;
     size_t bytes = pw->qcap * (2 * sizeof(int32_t) + sizeof(uint64_t))
-                   + pw->vcap * (sizeof(uint32_t) + sizeof(int32_t)) + pw->tcap * sizeof(int32_t)
-                   + 2 * p->bitcap + p->setcap + p->cap * (sizeof(uint64_t) + 1)
-                   + p->tcap * sizeof(int32_t) + q->probe_cap + q->run_cap
+                   + pw->vcap * (sizeof(uint32_t) + sizeof(int32_t))
+                   + (pw->tcap + q->paths_cap) * sizeof(int32_t) + q->probe_cap + q->run_cap
                    + closure_bytes(&q->out, q->m);
     for (int i = 0; i < q->halves; i++)
         bytes += closure_bytes(&q->half[i], q->m);
@@ -797,20 +771,15 @@ static size_t query_bytes(const Query *q)
 /* Free q's workspace; the tables stay. */
 static void query_trim(Query *q)
 {
-    Period *p = &q->period;
     pairs_free(&q->pairs);
     q->pairs = (Pairs){.m = q->m};
     for (int i = 0; i < q->halves; i++)
         mg_closure_free(&q->half[i]);
     q->halves = 0;
     mg_closure_free(&q->out);
-    free(p->bad);
-    free(p->next);
-    free(p->sets);
-    free(p->hash);
-    free(p->bads);
-    free(p->slot);
-    memset(p, 0, sizeof *p);
+    free(q->paths);
+    q->paths = NULL;
+    q->paths_cap = 0;
     free(q->probe);
     q->probe = NULL;
     q->probe_cap = 0;
@@ -820,8 +789,10 @@ static void query_trim(Query *q)
 }
 
 /* The handle of a machine of k <= 256 states and m <= 64 letters, whose
- * tables it copies; NULL when out of memory or past those sizes. */
-Query *mg_query_new(int k, int m, const int32_t *nxt, const int32_t *emit)
+ * tables it copies, and idle[s] whether state s does nothing (the
+ * caller's Automaton._trivials); NULL when out of memory or past those
+ * sizes. */
+Query *mg_query_new(int k, int m, const int32_t *nxt, const int32_t *emit, const uint8_t *idle)
 {
     const uint64_t all = m == 64 ? ~0ULL : (1ULL << m) - 1;
     const size_t cells = (size_t)k * m;
@@ -832,6 +803,7 @@ Query *mg_query_new(int k, int m, const int32_t *nxt, const int32_t *emit)
     }
     memcpy(q->tables, nxt, cells * sizeof *q->tables);
     memcpy(q->tables + cells, emit, cells * sizeof *q->tables);
+    memcpy(q->idle, idle, k);
     q->k = k;
     q->m = m;
     q->invertible = 1;
@@ -846,14 +818,11 @@ Query *mg_query_new(int k, int m, const int32_t *nxt, const int32_t *emit)
     for (int s = 0; s < k; s++) {
         uint64_t seen = 0;
         q->states[s] = (uint8_t)s;
-        q->idle[s] = 1;
         for (int x = 0; x < m; x++) {
             seen |= 1ULL << emit[s * m + x];
             q->fixed[s] |= (uint64_t)(emit[s * m + x] == x) << x;
-            q->idle[s] &= nxt[s * m + x] == s;
         }
         q->invertible &= seen == all;
-        q->idle[s] &= q->fixed[s] == all;
     }
     return q;
 }
@@ -934,98 +903,58 @@ int mg_closure(Query *q, int n, const uint8_t *word, int64_t budget, int flags, 
     return rc;
 }
 
-/* The eventual-period loop of fixing_threshold over a closure record of
- * `count` nodes, in p's buffers.  The sets of sections at input lengths
- * 0, 1, ... start at {node 0} and step through `children`; being subsets of
- * a finite set, they repeat from some length on.  Sets *threshold to one
- * past the last length whose set holds a node fixing no letter, or to -1
- * when such a set lies on the repeating part (no threshold).  Returns 0, or
- * -1 when memory runs out.  Sets are bitsets over node indices. */
-static int period(Period *p, int64_t count, int m, const int32_t *children,
-                  const uint64_t *fixed, int64_t *threshold)
+/* The fixing threshold of a closure record of `count` nodes (the twin of
+ * _path_threshold), over ws, room for 3 * count entries.  Node v is a
+ * section at input length L when a path of L steps leads from node 0 to
+ * v, and every node is reachable from node 0.  A node fixing no letter
+ * that lies below a cycle recurs at unboundedly long inputs: -1.  Else the
+ * threshold is one past the longest path to such a node, 0 when there is
+ * none.  Peeling nodes of in-degree 0 from node 0 (Kahn) leaves exactly
+ * the nodes below a cycle, and its order gives the longest paths. */
+static int64_t longest_path(int32_t *ws, int64_t count, int m, const int32_t *children,
+                            const uint64_t *fixed)
 {
-    const size_t words = (size_t)(count + 63) / 64, bytes = words * sizeof(uint64_t);
-    size_t len = 0;
-    int64_t last_bad = -1;
-
-    if (bytes > p->bitcap) {
-        if (grow(&p->bad, bytes) || grow(&p->next, bytes))
-            return -1;
-        p->bitcap = bytes;
+    int32_t *in = ws, *dist = ws + count, *order = ws + 2 * count;
+    int64_t len = 0, threshold = 0;
+    memset(ws, 0, 2 * (size_t)count * sizeof *ws);
+    for (int64_t i = 0; i < count * m; i++)
+        in[children[i]]++;
+    if (!in[0])
+        order[len++] = 0;
+    for (int64_t q = 0; q < len; q++) {
+        const int32_t u = order[q], *row = children + (int64_t)u * m;
+        for (int x = 0; x < m; x++) {
+            if (dist[row[x]] <= dist[u])
+                dist[row[x]] = dist[u] + 1;
+            if (!--in[row[x]])
+                order[len++] = row[x];
+        }
     }
-    if (!p->tcap && table_grow(&p->slot, &p->tcap, NULL, 0))
-        return -1;
-    memset(p->slot, 0, p->tcap * sizeof *p->slot);
-    memset(p->bad, 0, bytes);
-    memset(p->next, 0, bytes);
     for (int64_t i = 0; i < count; i++)
-        if (!fixed[i])
-            p->bad[i / 64] |= 1ULL << (i % 64);
-    p->next[0] = 1;
-    for (;;) {
-        const uint64_t h = hash_bytes((const uint8_t *)p->next, bytes);
-        size_t j = h & (p->tcap - 1);
-        for (; p->slot[j]; j = (j + 1) & (p->tcap - 1)) {
-            size_t t = (size_t)p->slot[j] - 1;
-            if (p->hash[t] == h && memcmp(p->sets + t * words, p->next, bytes) == 0) {
-                *threshold = last_bad + 1;
-                for (; t < len; t++)
-                    if (p->bads[t])
-                        *threshold = -1;
-                return 0;
-            }
-        }
-        if (len + 1 >= INT32_MAX)
-            return -1;
-        if (len == p->cap) {
-            const size_t cap = p->cap ? 2 * p->cap : 16;
-            if (grow(&p->hash, cap * sizeof *p->hash) || grow(&p->bads, cap))
+        if (!fixed[i]) {
+            if (in[i])
                 return -1;
-            p->cap = cap;
+            if (dist[i] >= threshold)
+                threshold = dist[i] + 1;
         }
-        if ((len + 1) * bytes > p->setcap) {
-            const size_t setcap = 2 * (len + 1) * bytes;
-            if (grow(&p->sets, setcap))
-                return -1;
-            p->setcap = setcap;
-        }
-        if (2 * (len + 1) > p->tcap) {
-            if (table_grow(&p->slot, &p->tcap, p->hash, (int64_t)len))
-                return -1;
-            for (j = h & (p->tcap - 1); p->slot[j]; j = (j + 1) & (p->tcap - 1))
-                ;
-        }
-        uint64_t *cur = p->sets + len * words;
-        memcpy(cur, p->next, bytes);
-        p->hash[len] = h;
-        p->bads[len] = 0;
-        for (size_t w = 0; w < words; w++)
-            if (cur[w] & p->bad[w])
-                p->bads[len] = 1;
-        if (p->bads[len])
-            last_bad = (int64_t)len;
-        p->slot[j] = (int32_t)(++len);
-        memset(p->next, 0, bytes);
-        for (size_t w = 0; w < words; w++)
-            for (uint64_t bits = cur[w]; bits; bits &= bits - 1) {
-                const int32_t *row = children + (int64_t)(w * 64 + __builtin_ctzll(bits)) * m;
-                for (int x = 0; x < m; x++)
-                    p->next[row[x] / 64] |= 1ULL << (row[x] % 64);
-            }
-    }
+    return threshold;
 }
 
 /* The fixing threshold of word[0..n) into *threshold (-1 when there is
- * none): the record and the loop above in one call, so the record never
- * leaves C.  Returns what mg_closure returns without stop, or -1 when the
- * loop runs out of memory. */
+ * none): the record and the pass above in one call, so the record never
+ * leaves C.  Returns what mg_closure returns without stop, or -1 when
+ * memory runs out. */
 int mg_threshold(Query *q, int n, const uint8_t *word, int64_t budget, int64_t *threshold)
 {
     int rc = past_tables(q, word, n);
     if (!rc)
         rc = query_walk(q, n, word, budget, 0, 0);
+    if (!rc && 3 * (size_t)q->out.count > q->paths_cap) {
+        rc = grow(&q->paths, 3 * (size_t)q->out.count * sizeof *q->paths);
+        q->paths_cap = rc ? q->paths_cap : 3 * (size_t)q->out.count;
+    }
     if (!rc)
-        rc = period(&q->period, q->out.count, q->m, q->out.children, q->out.fixed, threshold);
+        *threshold = longest_path(q->paths, q->out.count, q->m, q->out.children, q->out.fixed);
     if (rc == -1 || query_bytes(q) > KEEP)
         query_trim(q);
     return rc;

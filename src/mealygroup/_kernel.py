@@ -4,7 +4,7 @@
 of a word from the records of its halves; only the fields the query reads
 are copied out (section words only for ``section_closure``; with
 ``stop``, as ``is_identity`` asks, the walk ends at the first section
-that moves a letter).  ``mg_threshold`` runs the eventual-period loop of
+that moves a letter).  ``mg_threshold`` runs the longest-path pass of
 ``fixing_threshold`` over the record in the same call.  ``mg_run`` is
 ``automata.apply`` and ``section_word``, so ``act`` and ``section`` load
 the kernel too.
@@ -33,7 +33,7 @@ import threading
 import weakref
 from pathlib import Path
 
-from .analysis import BudgetError, _Closure, _merge_round, _period_threshold, _walk_record
+from .analysis import BudgetError, _Closure, _merge_round, _path_threshold, _walk_record
 from .automata import check_state_word
 
 _CC = "cc"
@@ -84,7 +84,7 @@ _SIGNATURES = {
     "mg_scan": (ctypes.c_int, [_I32, _I32, _I32P, _I32P, _I32, _I32P, _I32, _I32P, _I32P,
                                _U64P, _I32, _I64, _I32, _I32, _I32, _U64P,
                                ctypes.POINTER(_I64), _I32P, ctypes.POINTER(_I64)]),
-    "mg_query_new": (_PTR, [_I32, _I32, _I32P, _I32P]),
+    "mg_query_new": (_PTR, [_I32, _I32, _I32P, _I32P, ctypes.c_char_p]),
     "mg_query_free": (None, [_PTR]),
     "mg_closure": (_I32, [_PTR, _I32, ctypes.c_char_p, _I64, _I32, ctypes.POINTER(_ClosureOut)]),
     "mg_closure_free": (None, [ctypes.POINTER(_ClosureOut)]),
@@ -240,8 +240,9 @@ class ClosureKernel:
 
     def __init__(self, lib, auto):
         self._lib, self._auto, self._m = lib, auto, auto.alphabet_size
-        self._handle = lib.mg_query_new(len(auto.states), self._m,
-                                        *_tables(auto._next, auto._emit0))
+        k = len(auto.states)
+        self._handle = lib.mg_query_new(k, self._m, *_tables(auto._next, auto._emit0),
+                                        bytes(s in auto._trivials for s in range(k)))
         if not self._handle:
             raise MemoryError(_OUT_OF_MEMORY)
         self._free = weakref.finalize(self, lib.mg_query_free, self._handle)
@@ -282,13 +283,13 @@ class ClosureKernel:
 
     def threshold(self, word):
         """The fixing threshold of ``word``, None when there is none: the
-        closure and the loop over it run in one ``mg_threshold`` call."""
+        closure and the pass over it run in one ``mg_threshold`` call."""
         w = self._word(word)
         with self._lock:
             rc = self._lib.mg_threshold(self._handle, len(w), w, SECTION_BUDGET, self._t)
             t = self._t.value
         if rc == _UNSETTLED:
-            return _period_threshold(_walk_record(self._auto, w), self._m)
+            return _path_threshold(_walk_record(self._auto, w), self._m)
         _check(rc, self._auto, w)
         return None if t == -1 else t
 

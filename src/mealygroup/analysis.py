@@ -38,7 +38,7 @@ letters, or a half of the word passes the section budget where that
 leaves the answer open (see ``_kernel.ClosureKernel``), and the reference
 survey scan reads depth and count off it.  Each query reads one record
 (``_record``), and only the fields it names leave C; :func:`fixing_threshold`
-runs the record and its eventual-period loop in one call (``mg_threshold``).
+runs the record and its longest-path pass in one call (``mg_threshold``).
 
 The survey's scan runs in the same compiled library (``mg_scan``).  A
 section of a product is a product of sections, so it builds the closure
@@ -1015,38 +1015,37 @@ def fixing_threshold(auto: Automaton, word: Sequence[int]) -> Optional[int]:
     >= t has a letter fixed by all its states.  None when sections without
     a common fixed letter recur at unboundedly long inputs.
 
-    Works on the finite closure: the sets of sections reachable at exact
-    input lengths L form an eventually periodic sequence; thresholds fall
-    out of the last length whose set contains a bad section.  With the
-    compiled kernel the closure and that loop run in one call.
+    A node v of the closure graph is a section at input length L exactly
+    when a path of L steps leads from node 0, which reaches every node, to
+    v.  So a node fixing no letter recurs at unboundedly long inputs exactly
+    when it lies below a cycle (None); else t is one past the longest path
+    to such a node, 0 when there is none.  The kernel runs both in one call.
     """
     kernel = _kernel_module().compiled_closure(auto)
     if kernel is None:
-        return _period_threshold(_walk_record(auto, word), auto.alphabet_size)
+        return _path_threshold(_walk_record(auto, word), auto.alphabet_size)
     return kernel.threshold(word)
 
 
-def _period_threshold(rec: _Closure, m: int) -> Optional[int]:
-    """The eventual-period loop of :func:`fixing_threshold` over node
-    indices: the reference twin of the loop (``period``) that the compiled
-    ``mg_threshold`` runs over its record."""
-    children = rec.children
-    bad = {i for i, fx in enumerate(rec.fixed) if not fx}
-    cur = frozenset([0])
-    hist = [cur]
-    hist_index = {cur: 0}
-    last_bad = 0 if 0 in bad else -1
-    while True:
-        cur = frozenset(c for i in cur for c in children[i * m : i * m + m])
-        start = hist_index.get(cur)
-        if start is not None:
-            if any(not bad.isdisjoint(sections) for sections in hist[start:]):
-                return None
-            return last_bad + 1
-        if not bad.isdisjoint(cur):
-            last_bad = len(hist)
-        hist_index[cur] = len(hist)
-        hist.append(cur)
+def _path_threshold(rec: _Closure, m: int) -> Optional[int]:
+    """The longest-path pass of :func:`fixing_threshold`, the twin of
+    ``longest_path`` in ``mg_threshold``: peeling nodes of in-degree 0 from
+    node 0 (Kahn) leaves exactly those below a cycle, with in-degree left,
+    and its order gives the longest paths."""
+    children, indegree, dist = rec.children, [0] * len(rec.fixed), [0] * len(rec.fixed)
+    for c in children:
+        indegree[c] += 1
+    order = [] if indegree[0] else [0]
+    for u in order:  # grows as nodes are peeled
+        for c in children[u * m : u * m + m]:
+            dist[c] = max(dist[c], dist[u] + 1)
+            indegree[c] -= 1
+            if not indegree[c]:
+                order.append(c)
+    bad = [v for v, fx in enumerate(rec.fixed) if not fx]
+    if any(indegree[v] for v in bad):
+        return None
+    return max((dist[v] + 1 for v in bad), default=0)
 
 
 @dataclass(frozen=True)

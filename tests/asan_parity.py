@@ -4,7 +4,9 @@ Builds ``_kernel.c`` with ``-fsanitize=address,undefined``, binds it in
 place of the cached library, and checks it against the Python twins: the
 closure record, the fixing threshold, the early-stopping record, and
 apply and section_word (``mg_run``) on seeded words and inputs of
-lengths 0 to 40 over Hanoi 3-5 and Basilica, identity words on Hanoi,
+lengths 0 to 40 over Hanoi 3-5, Basilica and a machine of cycles of 2, 3
+and 5 states (whose sections fixing no letter lie on cycles, so the
+threshold's pass leaves them unpeeled), identity words on Hanoi,
 long solver words and an input past the workspace's cap on Hanoi-4, and
 one survey scan.  Each machine keeps one query handle for the whole run,
 and the machines take turns on it, so a workspace left by a longer word,
@@ -31,7 +33,7 @@ from pathlib import Path
 from mealygroup import _kernel, hanoi_automaton, parse_automaton
 from mealygroup.automata import _run_state
 from mealygroup.analysis import (
-    _period_threshold,
+    _path_threshold,
     _scan_lengths,
     _walk_record,
     automaton_symmetries,
@@ -39,6 +41,7 @@ from mealygroup.analysis import (
     inverse_states,
 )
 from mealygroup.hanoi import frame_stewart
+from oracles import cycles_machine
 
 BASILICA = Path(__file__).parent.parent / "perfbench" / "basilica.txt"
 
@@ -69,7 +72,7 @@ def check_closures(auto, words, turn=0):
             lambda: kernel.record(word, ("nodes", "starts"))[:2] == reference[:2],
             lambda: (kernel.record(word, (), True) is None)
             == (_walk_record(auto, word, stop=True) is None),
-            lambda: kernel.threshold(word) == _period_threshold(reference, m),
+            lambda: kernel.threshold(word) == _path_threshold(reference, m),
         ]
         for i in range(len(queries)):
             assert queries[(turn + i) % len(queries)](), word
@@ -100,7 +103,7 @@ def main():
         _kernel._library = lambda: lib
         _kernel._closure_kernel.cache_clear()
         machines = [hanoi_automaton(3), hanoi_automaton(4), hanoi_automaton(5),
-                    parse_automaton(BASILICA.read_text())]
+                    parse_automaton(BASILICA.read_text()), cycles_machine((2, 3, 5))]
         handles = [_kernel.compiled_closure(auto) for auto in machines]
         rngs = [random.Random(seed) for seed in range(len(machines))]
         for turn, n in enumerate([*range(41), *range(40, -1, -1)]):
@@ -108,7 +111,7 @@ def main():
                 word = tuple(rng.choices(range(len(auto.states)), k=n))
                 # Hanoi generators are involutions, so w w^-1 is w then w
                 # reversed: the identity, which no early stop settles.
-                identity = [word + word[::-1]] if auto is not machines[3] and n <= 20 else []
+                identity = [word + word[::-1]] if auto in machines[:3] and n <= 20 else []
                 check_closures(auto, [word, *identity], turn)
                 m = auto.alphabet_size
                 check_runs(auto, [(word, tuple(rng.choices(range(1, m + 1), k=k)))

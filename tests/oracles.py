@@ -201,6 +201,28 @@ def cycle_machine(k):
     return Automaton(2, [f"s{s}" for s in range(k)], nxt, out)
 
 
+def cycles_machine(lengths):
+    """A root state r whose letter i leads, output i, into a cycle of the
+    i-th of ``lengths`` states; a cycle state steps to the next on every
+    letter and outputs x mod m + 1, so it fixes no letter.  The sets of
+    sections of (r,) at input lengths 0, 1, ... repeat only after the lcm
+    of ``lengths`` steps; (r,) has no fixing threshold."""
+    m = len(lengths)
+    starts = [1 + sum(lengths[:i]) for i in range(m)]
+    names, nxt, out = ["r"], [starts], [list(range(1, m + 1))]
+    for i, length in enumerate(lengths):
+        for j in range(length):
+            names.append(f"c{i}_{j}")
+            nxt.append([starts[i] + (j + 1) % length] * m)
+            out.append([x % m + 1 for x in range(1, m + 1)])
+    return Automaton(m, names, nxt, out)
+
+
+# The nine cycles of the first nine primes: 101 states, whose sets of
+# sections repeat only after 223,092,870 steps.
+PRIME_CYCLES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
 # ---------------------------------------------------------------------------
 # Random machines for property tests.
 

@@ -37,11 +37,11 @@ from mealygroup import (
     survey,
     word_depth,
 )
-from mealygroup import _kernel, analysis
+from mealygroup import _kernel, analysis, format_automaton
 from mealygroup.analysis import (
     BudgetError,
     _canonical_prefixes,
-    _period_threshold,
+    _path_threshold,
     _scan_lengths,
     _walk_record,
     automaton_symmetries,
@@ -343,7 +343,7 @@ def assert_closure_parity(auto, word):
     compiled = kernel.record(word)
     reference = _walk_record(auto, word)
     assert compiled == reference, word
-    assert kernel.threshold(word) == _period_threshold(reference, auto.alphabet_size), word
+    assert kernel.threshold(word) == _path_threshold(reference, auto.alphabet_size), word
     # The early stops of both twins give the answer the whole record gives.
     identity = reference.images == list(range(auto.alphabet_size)) * len(reference.nodes)
     stopped = kernel.record(word, (), True)
@@ -418,7 +418,7 @@ def test_a_closure_of_exactly_the_budget_fits_and_one_section_more_raises(ha4, m
     word = tuple(random.Random(0).choices(range(1, 7), k=16))
     rec = _walk_record(ha4, word)
     count = len(rec.nodes)
-    threshold = _period_threshold(rec, ha4.alphabet_size)
+    threshold = _path_threshold(rec, ha4.alphabet_size)
     # The last level holds more than one section, so at count - 1 the
     # budget runs out inside it, not at a level's end.
     assert rec.starts[-2] < count - 1
@@ -460,7 +460,7 @@ def kernel_calls(ha4, monkeypatch):
 @requires_cc
 def test_a_compiled_threshold_is_one_kernel_call(ha4, kernel_calls):
     word = tuple(random.Random(1).choices(range(1, 7), k=32))
-    assert fixing_threshold(ha4, word) == _period_threshold(_walk_record(ha4, word), 4)
+    assert fixing_threshold(ha4, word) == _path_threshold(_walk_record(ha4, word), 4)
     assert kernel_calls == ["mg_threshold"]
 
 
@@ -506,7 +506,7 @@ def mixed_queries(auto, words):
             (lambda w=word: kernel.record(w), ref),
             (lambda w=word: kernel.record(w, ("nodes", "starts"))[:2], ref[:2]),
             (lambda w=word: kernel.record(w, (), True) is not None, ref.identity),
-            (lambda w=word: kernel.threshold(w), _period_threshold(ref, auto.alphabet_size)),
+            (lambda w=word: kernel.threshold(w), _path_threshold(ref, auto.alphabet_size)),
         ][i % 4])
     return out
 
@@ -758,7 +758,7 @@ def test_a_half_past_the_budget_that_does_not_settle_the_answer_goes_to_the_walk
     kernel = _kernel.compiled_closure(RESET)
     assert unsettled(RESET, word, 9, False)
     assert kernel.record(word) == reference
-    assert kernel.threshold(word) == _period_threshold(reference, 2)
+    assert kernel.threshold(word) == _path_threshold(reference, 2)
     assert (section_count(RESET, word), word_depth(RESET, word)) == (9, reference.depth)
     # With stop, a word may move a letter before its closure passes the
     # budget.  This one's sections at inputs of up to two letters fix both
@@ -797,6 +797,60 @@ def test_claim_without_compiler_gives_the_same_csv():
     with no_compiler():
         assert claim_csv(*argv) == compiled
     assert compiled[0] == 0 and compiled[1].count("\n") == 51
+
+
+# --- fixing thresholds past the period of the sets of sections ----------------
+
+
+@pytest.fixture(params=[pytest.param("kernel", marks=requires_cc), "walk"])
+def threshold_twin(request):
+    """The twin that the test's fixing thresholds run on: the kernel, or the
+    walk when no compiler can be found."""
+    with no_compiler() if request.param == "walk" else contextlib.nullcontext():
+        yield request.param
+
+
+def test_a_threshold_whose_sets_of_sections_repeat_after_223092870_steps_is_none_at_once(
+        threshold_twin):
+    auto = oracles.cycles_machine(oracles.PRIME_CYCLES)
+    assert (len(auto.states), auto.alphabet_size) == (101, 9)
+    assert (_kernel.compiled_closure(auto) is None) == (threshold_twin == "walk")
+    start = time.perf_counter()
+    assert fixing_threshold(auto, (0,)) is None
+    assert time.perf_counter() - start < 1
+    # A cycle state fixes no letter and comes back at every multiple of its
+    # cycle's length; a word of cycle states has such a section too.
+    assert fixing_threshold(auto, (1,)) is None
+    assert fixing_threshold(auto, (3, 1)) is None
+
+
+# r reads letter 1 into b at once, and letter 2 through p and q into b three
+# letters later; b fixes no letter, and every section of e fixes both.
+DETOUR = Automaton(2, ["r", "p", "q", "b", "e"],
+                   [[3, 1], [2, 2], [3, 3], [4, 4], [4, 4]],
+                   [[1, 2], [1, 2], [1, 2], [2, 1], [1, 2]])
+
+
+def test_the_threshold_is_one_past_the_longest_path_to_a_section_fixing_no_letter(
+        threshold_twin):
+    assert (_kernel.compiled_closure(DETOUR) is None) == (threshold_twin == "walk")
+    fixing = [all(oracles.block_has_common_fixed(DETOUR, sec)
+                  for sec in oracles.sections_at_length(DETOUR, (0,), length))
+              for length in range(8)]
+    # b is a section at input lengths 1 and 3, and at no other.
+    assert fixing == [True, False, True, False, True, True, True, True]
+    assert fixing_threshold(DETOUR, (0,)) == 4
+    assert fixing_threshold(DETOUR, (1,)) == 3
+    assert fixing_threshold(DETOUR, (4,)) == 0
+
+
+def test_claim_on_the_cycle_machine_exits_1_with_inf_rows(threshold_twin, tmp_path):
+    path = tmp_path / "cycles.txt"
+    path.write_text(format_automaton(oracles.cycles_machine(oracles.PRIME_CYCLES)))
+    code, out = claim_csv("--automaton", str(path), "--lengths", "1", "--samples", "200")
+    header, *rows = out.splitlines()
+    assert (code, header, len(rows)) == (1, "n,word,t_star,bound,pass", 200)
+    assert all(row.split(",")[2::2] == ["inf", "false"] for row in rows)
 
 
 # --- apply and section_word ---------------------------------------------------
