@@ -24,8 +24,9 @@
  * witness only on a strictly better value, so closures computed and
  * witnesses equal those of the Python scan.  The symmetries (tying), the
  * commutation rule (forbid) and, at the last length, the reversal test
- * (reversal_smaller) prune words; mirror children are folded, not scanned
- * (rec); worker threads claim the subtrees at the split depth (descend).
+ * (reversal_smaller) prune words; mirror children are folded, not scanned,
+ * and twin children, which match an earlier sibling, are skipped (rec);
+ * worker threads claim the subtrees at the split depth (descend).
  *
  * mg_closure is the closure record that the queries read (_walk_record is
  * its twin).  It halves the word, builds the records of the halves the
@@ -280,11 +281,11 @@ typedef struct {
     const int32_t *allowed, *group;
     const uint64_t *comm; /* per state, the states that commute with it, or NULL */
     int32_t *active;   /* per DFS level, indices into group of the symmetries still tying */
-    /* The reversal test, when twin is not NULL: twin holds the maps
+    /* The reversal test, when maps is not NULL: maps holds the maps
      * sigma o iota (the identity first, then each of group), k entries each;
      * per state l, lo[l] is the least t(l) over those maps t, and
      * tie[tie_at[l] .. tie_at[l+1]) lists the maps that give it. */
-    int32_t *twin, *lo, *tie, *tie_at;
+    int32_t *maps, *lo, *tie, *tie_at;
     int mirror;        /* whether mirror children are folded (see rec) */
     int split;         /* the depth at which subtrees are claimed (see descend) */
     int counts;        /* whether words of length <= split count toward examined */
@@ -325,29 +326,29 @@ static void record(Scan *sc, int len, int64_t d, int64_t t)
     }
 }
 
-/* Fill the tables of the reversal test from iota (see Scan). */
-static int twins(Scan *sc, const int32_t *iota)
+/* Fill the maps of the reversal test from iota (see Scan). */
+static int reversal_maps(Scan *sc, const int32_t *iota)
 {
     const int k = sc->k, nt = sc->ng + 1;
-    sc->twin = malloc((size_t)nt * k * sizeof *sc->twin);
+    sc->maps = malloc((size_t)nt * k * sizeof *sc->maps);
     sc->tie = malloc((size_t)nt * k * sizeof *sc->tie);
     sc->lo = malloc(k * sizeof *sc->lo);
     sc->tie_at = malloc((k + 1) * sizeof *sc->tie_at);
-    if (!sc->twin || !sc->tie || !sc->lo || !sc->tie_at)
+    if (!sc->maps || !sc->tie || !sc->lo || !sc->tie_at)
         return -1;
     for (int j = 0; j < nt; j++)
         for (int s = 0; s < k; s++)
-            sc->twin[(size_t)j * k + s] = j ? sc->group[(size_t)(j - 1) * k + iota[s]] : iota[s];
+            sc->maps[(size_t)j * k + s] = j ? sc->group[(size_t)(j - 1) * k + iota[s]] : iota[s];
     int at = 0;
     for (int l = 0; l < k; l++) {
-        int lo = sc->twin[l];
+        int lo = sc->maps[l];
         for (int j = 1; j < nt; j++)
-            if (sc->twin[(size_t)j * k + l] < lo)
-                lo = sc->twin[(size_t)j * k + l];
+            if (sc->maps[(size_t)j * k + l] < lo)
+                lo = sc->maps[(size_t)j * k + l];
         sc->lo[l] = lo;
         sc->tie_at[l] = at;
         for (int j = 0; j < nt; j++)
-            if (sc->twin[(size_t)j * k + l] == lo)
+            if (sc->maps[(size_t)j * k + l] == lo)
                 sc->tie[at++] = j;
     }
     sc->tie_at[k] = at;
@@ -364,7 +365,7 @@ static int reversal_smaller(const Scan *sc)
     if (sc->lo[last] != w[0])
         return sc->lo[last] < w[0];
     for (int j = sc->tie_at[last]; j < sc->tie_at[last + 1]; j++) {
-        const int32_t *t = sc->twin + (size_t)sc->tie[j] * sc->k;
+        const int32_t *t = sc->maps + (size_t)sc->tie[j] * sc->k;
         for (int i = 1; i < n; i++) {
             const int c = t[w[n - 1 - i]];
             if (c != w[i]) {
@@ -407,6 +408,18 @@ static int same_automaton(const Closure *a, const Closure *b, int m)
            && !memcmp(a->children, b->children, (size_t)a->count * m * sizeof *a->children);
 }
 
+/* Whether s and t leave the same symmetries among active[0..nact) tying:
+ * each fixes both or neither. */
+static int same_tying(const Scan *sc, const int32_t *active, int nact, int s, int t)
+{
+    for (int j = 0; j < nact; j++) {
+        const int32_t *g = sc->group + (size_t)active[j] * sc->k;
+        if ((g[s] == s) != (g[t] == t))
+            return 0;
+    }
+    return 1;
+}
+
 /* Whether word[0..at) x word[at..len-1) is lex-smaller than u[0..len). */
 static int inserted_less(const int32_t *word, int at, int x, const int32_t *u, int len)
 {
@@ -418,7 +431,8 @@ static int inserted_less(const int32_t *word, int at, int x, const int32_t *u, i
     return 0;
 }
 
-enum { SKIP, DESCEND, MIRROR };
+/* What rec does with a child; the kinds from MIRROR on are not descended into. */
+enum { SKIP, DESCEND, MIRROR, TWIN };
 
 /* Fold the subtrees of the mirror children of word[0..depth), whose
  * words below it are all in the open scope: below a mirror c = v x the
@@ -508,12 +522,20 @@ static int descend(Scan *sc, int depth, const Closure *p, const int32_t *active,
  * is a mirror when its automaton, its tying symmetries (every one that
  * ties on v fixes s) and its forbidden set are v's: the walk reads nothing
  * else, so the words below c are v s u for the words v u below v, with
- * their depths and counts.  It is recorded but not descended into; the
- * counting worker adds the canonical words of the split length below it
- * to the prefixes done.  A node with mirror children records the words
- * below it in a scope of its own, folds the mirrors' subtrees there
- * (fold), and merges the scope into the enclosing one on strictly better
- * values only: its words come later in lex order. */
+ * their depths and counts.  A child c = v t shorter than n - 1 is a twin
+ * when an earlier child v s that is descended into has its depth and
+ * count, its forbidden set, its tying symmetries (each one that ties on v
+ * fixes both s and t or neither) and its automaton, compared in that
+ * order: the words below c are v t u for the words v s u below v s, with
+ * their depths and counts, and v s u is lex-smaller, so no best word of
+ * any length is below c.  A mirror or a twin is recorded but not
+ * descended into; the counting worker adds the canonical words of the
+ * split length below it to the prefixes done.  A node with mirror
+ * children records the words below it in a scope of its own, folds the
+ * mirrors' subtrees there (fold), and merges the scope into the enclosing
+ * one on strictly better values only: its words come later in lex order.
+ * Twins are not looked for one level above the leaves, where one saves at
+ * most one row of leaf walks and the compares would cost as much. */
 static int rec(Scan *sc, int depth, const Closure *p, const int32_t *active, int nact, uint64_t f)
 {
     int32_t *sub = sc->active + (size_t)(depth + 1) * sc->ng;
@@ -526,7 +548,7 @@ static int rec(Scan *sc, int depth, const Closure *p, const int32_t *active, int
             if ((sc->comm && f >> s & 1) || tying(sc, active, nact, s, sub) < 0)
                 continue;
             sc->word[depth] = s;
-            if (sc->twin && reversal_smaller(sc))
+            if (sc->maps && reversal_smaller(sc))
                 continue;
             if ((rc = walk(&sc->pairs, p, 0, &sc->machine, s, 0, 0, NULL, &d, &t)))
                 return rc;
@@ -549,6 +571,14 @@ static int rec(Scan *sc, int depth, const Closure *p, const int32_t *active, int
                   && same_automaton(&kid[a], p, sc->m) ? MIRROR : DESCEND;
         mirrors += kind[a] == MIRROR;
     }
+    if (sc->mirror && depth + 2 < sc->n)
+        for (int a = 1; a < na; a++)
+            for (int b = 0; kind[a] == DESCEND && b < a; b++)
+                if (kind[b] == DESCEND && kv[2 * b] == kv[2 * a] && kv[2 * b + 1] == kv[2 * a + 1]
+                    && forbid(sc, f, sc->allowed[b]) == forbid(sc, f, sc->allowed[a])
+                    && same_tying(sc, active, nact, sc->allowed[b], sc->allowed[a])
+                    && same_automaton(&kid[b], &kid[a], sc->m))
+                    kind[a] = TWIN;
     int64_t *const best = sc->best;
     int32_t *const witness = sc->witness;
     if (mirrors) {
@@ -559,13 +589,16 @@ static int rec(Scan *sc, int depth, const Closure *p, const int32_t *active, int
     }
     for (int a = 0; a < na; a++)
         if (kind[a] != SKIP) {
-            sc->word[depth] = sc->allowed[a];
+            const int s = sc->allowed[a];
+            sc->word[depth] = s;
             record(sc, depth + 1, kv[2 * a], kv[2 * a + 1]);
-            if (kind[a] == MIRROR && sc->counts && depth < sc->split)
+            if (kind[a] >= MIRROR && sc->counts && depth < sc->split) {
+                keep = tying(sc, active, nact, s, sub);
                 __atomic_fetch_add(&sc->shared[1],
-                                   canonical_words(sc, depth + 1, active, nact, f,
+                                   canonical_words(sc, depth + 1, sub, keep, forbid(sc, f, s),
                                                    sc->split - depth - 1),
                                    __ATOMIC_RELAXED);
+            }
         }
     for (int a = 0; a < na; a++) {
         const int s = sc->allowed[a];
@@ -633,7 +666,7 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const
     Closure root = {.children = calloc(m, sizeof(int32_t)), .count = 1, .cap = 1};
     int rc = n < 1 || n > MAXN || split < 0 || split >= n || (comm && k > 64) || !sc.active
              || !sc.kid || !sc.kv || !sc.kind || !sc.scope_best || !sc.scope_witness
-             || !root.children || (iota && twins(&sc, iota)) ? -1 : 0;
+             || !root.children || (iota && reversal_maps(&sc, iota)) ? -1 : 0;
     if (!rc) {
         for (int i = 0; i < n; i++) {
             examined[i] = 0;
@@ -655,7 +688,7 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const
     free(sc.scope_witness);
     free(sc.active);
     pairs_free(&sc.pairs);
-    free(sc.twin);
+    free(sc.maps);
     free(sc.lo);
     free(sc.tie);
     free(sc.tie_at);

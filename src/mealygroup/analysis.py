@@ -9,7 +9,7 @@ trivially -- which is the decision procedure behind :func:`is_identity`.
 
 The survey enumerates all words up to a length bound and reports, per
 length, the maximum depth and the maximum number of sections together
-with witnesses.  Five value-preserving reductions keep this tractable:
+with witnesses.  Six value-preserving reductions keep this tractable:
 words containing do-nothing states are skipped (inserting such a state
 changes neither depth nor section count), only the lexicographically
 least representative of each orbit under the machine's letter-relabeling
@@ -18,9 +18,10 @@ commuting states is (:func:`commuting_states`), and at the longest
 length a word is passed over when a relabeled mirror image of it that
 acts as its inverse is lex-smaller (:func:`inverse_states`); and a
 subtree of the DFS whose root has its parent's closure automaton and
-pruning state is folded from the parent's results, not scanned.  One
-canonical DFS to the longest length gives every length's maxima, since
-each word it reaches counts toward its own length.  Worker threads split
+pruning state is folded from the parent's results, not scanned, and one
+whose root has an earlier sibling's is skipped.  One canonical DFS to
+the longest length gives every length's maxima, since each word it
+reaches counts toward its own length.  Worker threads split
 that DFS by canonical prefix; results merge per length by a max-value /
 lex-least-witness rule, so output is identical for any worker count.
 
@@ -428,29 +429,33 @@ def inverse_states(auto: Automaton) -> Optional[tuple]:
 
 
 def commuting_states(auto: Automaton, allowed: Sequence[int]) -> Optional[tuple]:
-    """Per state, the bitmask of the states in ``allowed`` that commute
-    with it; None when none do or the machine has more than 64 states.
-    p and q commute when for every letter x, p(q(x)) = q(p(x)),
-    next(p, q(x)) = next(p, x), next(q, p(x)) = next(q, x), and the
-    sections next(p, x), next(q, x) are equal, do-nothing or commute: the
-    largest such relation, by dropping failing pairs until none fails."""
+    """Per state, the bitmask of the other states in ``allowed`` that
+    commute with it; None when none do or the machine has more than 64
+    states.  The relation is the largest set of ordered pairs (p, q) over
+    ``allowed``, p = q included, such that for every letter x, p(q(x)) =
+    q(p(x)), next(p, q(x)) = next(p, x), next(q, p(x)) = next(q, x), and
+    the sections (next(p, x), next(q, x)) hold a do-nothing state or are a
+    pair of the relation again; it is found by dropping failing pairs until
+    none fails.  For p = q only the second condition binds: next(p, p(x)) =
+    next(p, x).  p and q commute when p != q and (p, q) is in the relation."""
     k, nxt, emit0, trivials = len(auto.states), auto._next, auto._emit0, auto._trivials
     if k > 64:
         return None
     letters = range(auto.alphabet_size)
     pairs = {
         (p, q) for p in allowed for q in allowed
-        if p != q and all(emit0[p][emit0[q][x]] == emit0[q][emit0[p][x]]
-                          and nxt[p][emit0[q][x]] == nxt[p][x] and nxt[q][emit0[p][x]] == nxt[q][x]
-                          for x in letters)
+        if all(emit0[p][emit0[q][x]] == emit0[q][emit0[p][x]]
+               and nxt[p][emit0[q][x]] == nxt[p][x] and nxt[q][emit0[p][x]] == nxt[q][x]
+               for x in letters)
     }
-    fine = lambda p, q: p == q or p in trivials or q in trivials or (p, q) in pairs
+    fine = lambda p, q: p in trivials or q in trivials or (p, q) in pairs
     while bad := {(p, q) for p, q in pairs if not all(fine(nxt[p][x], nxt[q][x]) for x in letters)}:
         pairs -= bad
     masks = [0] * k
     for p, q in pairs:
-        masks[p] |= 1 << q
-    return tuple(masks) if pairs else None
+        if p != q:
+            masks[p] |= 1 << q
+    return tuple(masks) if any(masks) else None
 
 
 def orbit_count(allowed: Sequence[int], sigmas: Sequence[tuple], length: int) -> int:
@@ -561,10 +566,11 @@ def _scan_lengths(allowed, walk, group, iota, n_max, split=0, jobs=1, progress=N
     ``mg_scan`` builds.  With an ``iota``, words of length ``n_max`` pass
     the reversal test with the maps sigma o iota, sigma in ``group`` or the
     identity; ``comm`` as in :func:`_canonical_prefixes`; ``mirror`` folds
-    mirror children.  ``progress`` gets the canonical words of length
+    mirror children and skips the subtrees of twins (see :func:`survey`).
+    ``progress`` gets the canonical words of length
     ``split`` done, as ``mg_scan`` counts them, each time that count grows;
     ``jobs`` and ``every`` are unused."""
-    twins = () if iota is None else (iota, *(tuple(sg[s] for s in iota) for sg in group))
+    maps = () if iota is None else (iota, *(tuple(sg[s] for s in iota) for sg in group))
     examined = [0] * n_max
     word, done = [], 0
 
@@ -585,6 +591,7 @@ def _scan_lengths(allowed, walk, group, iota, n_max, split=0, jobs=1, progress=N
 
     def dfs(table, active, forbid, scope):
         depth, kids = len(word), []
+        descended = set()  # (automaton, tying symmetries, forbidden set) of each child gone below
         for s in allowed:
             sub = None if forbid >> s & 1 else _extend_active(active, s)
             if sub is None:
@@ -592,24 +599,31 @@ def _scan_lengths(allowed, walk, group, iota, n_max, split=0, jobs=1, progress=N
             word.append(s)
             if depth + 1 < n_max:
                 rec, after = walk(tuple(word)), _forbid(comm, forbid, s)
-                kids.append((s, rec, sub, after, mirror and len(sub) == len(active)
-                             and after == forbid and rec.children == table))
-            elif not any(t[s] <= word[0] and [t[c] for c in reversed(word)] < word for t in twins):
+                key = (tuple(rec.children), tuple(sub), after)
+                if mirror and len(sub) == len(active) and after == forbid and rec.children == table:
+                    kind = "mirror"
+                elif mirror and depth + 2 < n_max and key in descended:
+                    kind = "twin"
+                else:
+                    kind = "descend"
+                    descended.add(key)
+                kids.append((s, rec, sub, after, kind))
+            elif not any(t[s] <= word[0] and [t[c] for c in reversed(word)] < word for t in maps):
                 rec = walk(tuple(word))  # a leaf: recorded at once, and kids stays empty
                 record(scope, rec.depth, len(rec.nodes))
             word.pop()
-        mirrors = [s for s, *_, same in kids if same]
+        mirrors = [s for s, *_, kind in kids if kind == "mirror"]
         outer = scope
         if mirrors:
             scope = [[-1, None, -1, None] for _ in outer]
-        for s, rec, *_, same in kids:
+        for s, rec, sub, after, kind in kids:
             word.append(s)
             record(scope, rec.depth, len(rec.nodes))
             word.pop()
-            if same and depth < split:
-                passed(len(_canonical_prefixes(allowed, active, split - depth - 1, comm, forbid)))
-        for s, rec, sub, after, same in kids:
-            if not same:
+            if kind != "descend" and depth < split:
+                passed(len(_canonical_prefixes(allowed, sub, split - depth - 1, comm, after)))
+        for s, rec, sub, after, kind in kids:
+            if kind == "descend":
                 word.append(s)
                 dfs(rec.children, sub, after, scope)
                 word.pop()
@@ -773,9 +787,15 @@ def survey(
     the scan counts only the closures it computes (``closures``).
 
     ``commutation`` prunes the DFS with :func:`commuting_states`.  When p
-    and q commute, the sections of ...qp... are those of ...pq... with two
-    positions swapped (equal, do-nothing or commuting states again), so
-    both words have the same depth and count.  A word is the lex-least of
+    and q commute, then by induction on the input, the section of ...pq...
+    at each input is that of ...qp... with the two positions swapped, and
+    the pair of sections there holds a do-nothing state or is a pair of
+    the relation again: the conditions on (p', q') say that both orders
+    read and emit alike and step to the swapped pair.  For an equal pair
+    (t, t) the swap keeps only when next(t, t(x)) = next(t, x) for every
+    letter x, which is why the relation holds such pairs too.  So the swap
+    maps the sections of each input length one to one, and both words have
+    the same depth and count.  A word is the lex-least of
     its class under such swaps iff it has no factor b u a with a < b and a
     commuting with b and all of u (Anisimov and Knuth, 1979); the DFS keeps
     the states that would end such a factor and never appends one.  The
@@ -803,6 +823,21 @@ def survey(
     length ``n_max`` that the test would pass over.  Each of those has
     the depth and count of a lex-smaller word that the scan keeps, so the
     values and witnesses stay as above, and only ``closures`` drops.
+
+    ``mirror`` also skips the subtrees of twin children.  Call a child
+    c = v t of a DFS node v, shorter than ``n_max`` - 1, a twin when an
+    earlier child v s (s before t in ``allowed``) that the scan descends
+    into has c's closure automaton, tying symmetries (each symmetry tying
+    on v fixes both s and t or neither) and forbidden set.  As above, the
+    words below c are then v t u for the words v s u below v s, and v t u
+    has v s u's closure automaton, so its depth and count, while v s u is
+    lex-smaller.  So the lex-least best word of each length below any node
+    is never below a twin, and the scan records c but does not descend
+    into it: the values, witnesses and folds stay as above, and only
+    ``closures`` drops.  A child with a mirror's automaton, tying
+    symmetries and forbidden set is a mirror itself, so twins are only
+    looked for among the children descended into; and not one level
+    above the leaves, where a twin saves at most one row of leaf walks.
     ``mirror=False`` is the unreduced twin the tests compare with.
 
     Each of the compiled scan's ``jobs`` worker threads runs the whole
@@ -818,9 +853,11 @@ def survey(
     lex-least as in a serial scan, since a scope holds only words that
     come later in DFS order.  Only one worker counts the words above the
     split, so ``closures`` does not depend on ``jobs`` either, and results
-    are identical for any ``jobs``.  The Python scan runs the DFS whole on
-    this thread.  A scan that runs for long reports on stderr the prefixes
-    of the split length done so far (``# scan tasks=k/N seconds=S``).
+    are identical for any ``jobs``.  Twins are found alike by every
+    worker, so the claims stay in step.  The Python scan runs the DFS
+    whole on this thread.  A scan that runs for long reports on stderr the
+    prefixes of the split length done so far (``# scan tasks=k/N
+    seconds=S``).
 
     ``checkpoint`` names a file that records each row once the scan ends.
     A later run keeps the rows it holds; when it must scan for longer

@@ -8,8 +8,10 @@ lengths 0 to 40 over Hanoi 3-5, Basilica and a machine of cycles of 2, 3
 and 5 states (whose sections fixing no letter lie on cycles, so the
 threshold's pass leaves them unpeeled), identity words on Hanoi,
 long solver words and an input past the workspace's cap on Hanoi-4, and
-one survey scan.  Each machine keeps one query handle for the whole run,
-and the machines take turns on it, so a workspace left by a longer word,
+two survey scans on two worker threads, split below two letters: Hanoi-4,
+and Basilica, where the twin rule fires.  Each machine keeps one query
+handle for the whole run, and the machines take turns on it, so a
+workspace left by a longer word,
 by another kind of query or by a record or input past the workspace's
 cap is reused: lengths go 0 -> 40 -> 0, the solver words and the long
 input come before short ones, and the whole record, section words alone,
@@ -94,7 +96,9 @@ def check_scan(auto, n_max):
     iota, comm = inverse_states(auto), commuting_states(auto, allowed)
     scan = _kernel.compiled_scan(auto._next, auto._emit0, allowed, sigmas, iota, n_max, comm)
     walk = functools.partial(_walk_record, auto)
-    assert scan(2, 2) == _scan_lengths(allowed, walk, sigmas, iota, n_max, comm=comm)
+    rows = scan(2, 2)
+    assert rows == _scan_lengths(allowed, walk, sigmas, iota, n_max, comm=comm)
+    return rows
 
 
 def main():
@@ -127,6 +131,9 @@ def main():
         check_runs(ha4, [(tuple(rngs[1].choices(range(7), k=n)), (2,) * n) for n in range(12)])
         assert [_kernel.compiled_closure(auto) for auto in machines] == handles
         check_scan(ha4, 6)
+        # Basilica's children of the empty word are twins: no closure below
+        # the second is computed.
+        assert [row[0] for row in check_scan(machines[3], 8)] == [2, 2, 4, 8, 16, 32, 64, 128]
     print("sanitized kernels match the Python twins")
     return 0
 

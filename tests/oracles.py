@@ -223,6 +223,31 @@ def cycles_machine(lengths):
 PRIME_CYCLES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
+def every_invertible_machine(k, m):
+    """Every invertible machine of ``k`` states over ``m`` letters: each
+    state's row is a next state per letter and a permutation of the
+    letters, in every combination."""
+    rows = [(nxt, out) for nxt in itertools.product(range(k), repeat=m)
+            for out in itertools.permutations(range(1, m + 1))]
+    names = [f"s{i}" for i in range(k)]
+    for machine in itertools.product(rows, repeat=k):
+        yield Automaton(m, names, [nxt for nxt, _ in machine], [out for _, out in machine])
+
+
+NO_REDUCTION = {"exclude_trivial": False, "symmetry": False, "reversal": False,
+                "commutation": False, "mirror": False}
+
+
+def rows_differ(auto, n_max):
+    """Whether the survey of ``auto`` to ``n_max`` with every reduction and
+    the survey with none differ in any row's values or witnesses."""
+    from mealygroup import survey
+
+    values = lambda report: [(r.n, r.depth, r.depth_witness, r.theta, r.theta_witness)
+                             for r in report.rows]
+    return values(survey(auto, n_max)) != values(survey(auto, n_max, **NO_REDUCTION))
+
+
 # ---------------------------------------------------------------------------
 # Random machines for property tests.
 

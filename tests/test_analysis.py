@@ -20,6 +20,8 @@ from mealygroup import (
     common_fixed_letter,
     fixed_block_count,
     fixing_threshold,
+    format_automaton,
+    format_state_word,
     hanoi_automaton,
     is_identity,
     parse_automaton,
@@ -654,6 +656,43 @@ def test_commuting_states_on_a_small_machine():
     assert values_to(auto, 5) == values_to(auto, 5, commutation=False)
 
 
+# p and q act on each letter as if in either order, and their sections at
+# letter 3 are (q, q).  Below that equal pair the swap of p and q is not
+# kept (next(q, q(1)) = q but next(q, 1) = p), so p and q do not commute:
+# q.p.q.q has 10 sections, and p.q.q.q, the other order, 9.
+EQUAL_SECTIONS = """\
+alphabet 3
+states p q
+p 1 -> p 1
+p 2 -> p 2
+p 3 -> q 3
+q 1 -> p 2
+q 2 -> q 1
+q 3 -> q 3
+"""
+
+
+@pytest.mark.parametrize("scan", ["kernel", "python"])
+def test_an_equal_pair_of_sections_commutes_only_when_it_keeps_the_swap(scan, monkeypatch):
+    if scan == "python":
+        monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
+    auto = parse_automaton(EQUAL_SECTIONS)
+    assert commuting_pairs(auto) == set()
+    row = survey(auto, 4).rows[-1]
+    assert (row.theta, format_state_word(auto, row.theta_witness)) == (10, "q.p.q.q")
+    assert section_count(auto, row.theta_witness) == 10
+
+
+def test_every_reduction_keeps_every_row_on_every_two_state_machine_over_three_letters():
+    # All 2,304 invertible machines of 2 states over 3 letters, to n = 6:
+    # the rows with every reduction (twins included) and with none agree,
+    # witnesses included.  CI runs two larger sets the same way
+    # (tests/exhaustive_reductions.py).
+    differ = [format_automaton(auto) for auto in oracles.every_invertible_machine(2, 3)
+              if oracles.rows_differ(auto, 6)]
+    assert differ == []
+
+
 def test_commuting_states_stop_past_64_states():
     # s0 swaps the letters, every other state acts trivially but moves on,
     # so all of them commute; past 64 states no masks are made.
@@ -693,41 +732,65 @@ def test_every_trace_class_has_a_visited_word(ha4):
 # --- the mirror rule --------------------------------------------------------
 
 
-def mirror_pairs(auto, allowed, max_len):
-    """Every word v over ``allowed`` of at most ``max_len`` states, with a
-    state x in ``allowed``, that meets the survey scan's mirror condition:
-    v x has v's closure automaton (the child table of its walk record),
-    every symmetry that fixes v fixes x, and x leaves the forbidden set of
-    the commutation rule as it is."""
+def dfs_states(auto, allowed, max_len):
+    """Every word v over ``allowed`` of at most ``max_len`` states, with
+    what the survey scan's DFS appends by: ``state``, the symmetries that
+    fix v and v's forbidden set of the commutation rule, and ``after(x)``,
+    the same for v x."""
     group = automaton_symmetries(auto)
     comm = commuting_states(auto, allowed)
     for length in range(max_len + 1):
         for v in itertools.product(allowed, repeat=length):
-            table = _walk_record(auto, v).children
             tying = [sg for sg in group if all(sg[s] == s for s in v)]
             forbid = 0
             for s in v:
                 forbid = analysis._forbid(comm, forbid, s)
-            for x in allowed:
-                if (all(sg[x] == x for sg in tying) and analysis._forbid(comm, forbid, x) == forbid
-                        and _walk_record(auto, v + (x,)).children == table):
-                    yield v, x
+            yield v, (tying, forbid), lambda x, tying=tying, forbid=forbid: (
+                [sg for sg in tying if sg[x] == x], analysis._forbid(comm, forbid, x))
 
 
-def assert_mirrors_keep_depth_and_count(auto, exclude_trivial, max_len, seed):
-    """For every pair (v, x) of :func:`mirror_pairs` and two seeded
-    suffixes u of up to two states, v x u and v u have the same depth and
-    count by brute force (pairs whose brute force would read more than
-    BRUTE_INPUTS inputs are left out).  Returns the pairs checked."""
+def mirror_pairs(auto, allowed, max_len):
+    """Every pair (v x, v) of words over ``allowed``, v of at most
+    ``max_len`` states, that meets the survey scan's mirror condition: v x
+    has v's closure automaton (the child table of its walk record), every
+    symmetry that fixes v fixes x, and x leaves the forbidden set of the
+    commutation rule as it is."""
+    for v, state, after in dfs_states(auto, allowed, max_len):
+        table = _walk_record(auto, v).children
+        for x in allowed:
+            if after(x) == state and _walk_record(auto, v + (x,)).children == table:
+                yield v + (x,), v
+
+
+def twin_pairs(auto, allowed, max_len):
+    """Every pair (v s, v t) of words over ``allowed``, v of at most
+    ``max_len`` states and s before t in ``allowed``, that meets the survey
+    scan's twin condition: v s and v t have the same closure automaton,
+    each symmetry that fixes v fixes both s and t or neither, and s and t
+    leave the same forbidden set of the commutation rule."""
+    for v, _, after in dfs_states(auto, allowed, max_len):
+        tables = [_walk_record(auto, v + (x,)).children for x in allowed]
+        for i, j in itertools.combinations(range(len(allowed)), 2):
+            s, t = allowed[i], allowed[j]
+            if after(s) == after(t) and tables[i] == tables[j]:
+                yield v + (s,), v + (t,)
+
+
+def assert_pairs_keep_depth_and_count(pairs, auto, exclude_trivial, max_len, seed):
+    """For every pair (a, b) that ``pairs`` (:func:`mirror_pairs` or
+    :func:`twin_pairs`) gives and two seeded suffixes u of up to two
+    states, a u and b u have the same depth and count by brute force
+    (pairs whose brute force would read more than BRUTE_INPUTS inputs are
+    left out).  Returns the pairs checked."""
     allowed = [s for s in range(len(auto.states)) if not (exclude_trivial and s in auto._trivials)]
     rng = random.Random(seed)
     checked = 0
-    for v, x in mirror_pairs(auto, allowed, max_len):
+    for a, b in pairs(auto, allowed, max_len):
         for u in [tuple(rng.choices(allowed, k=rng.randrange(3))) for _ in range(2)]:
-            if auto.alphabet_size ** (depth_count(auto, v + (x,) + u)[0] + 1) > BRUTE_INPUTS:
+            if auto.alphabet_size ** (depth_count(auto, a + u)[0] + 1) > BRUTE_INPUTS:
                 continue
-            assert oracles.brute_depth_and_count(auto, v + (x,) + u) == \
-                oracles.brute_depth_and_count(auto, v + u), (v, x, u)
+            assert oracles.brute_depth_and_count(auto, a + u) == \
+                oracles.brute_depth_and_count(auto, b + u), (a, b, u)
             checked += 1
     return checked
 
@@ -737,8 +800,8 @@ def assert_mirrors_keep_depth_and_count(auto, exclude_trivial, max_len, seed):
 def test_a_mirror_keeps_depth_and_count_below_it_on_hanoi(pegs, max_len, exclude_trivial):
     # On Hanoi machines a(i,j) after a(i,j) is a mirror, and so is the
     # do-nothing state when it is allowed.
-    assert assert_mirrors_keep_depth_and_count(hanoi_automaton(pegs), exclude_trivial, max_len,
-                                               pegs) > 0
+    assert assert_pairs_keep_depth_and_count(mirror_pairs, hanoi_automaton(pegs), exclude_trivial,
+                                             max_len, pegs) > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -748,7 +811,61 @@ def test_a_mirror_keeps_depth_and_count_below_it_on_hanoi(pegs, max_len, exclude
     seed=st.integers(0, 2**32 - 1),
 )
 def test_a_mirror_keeps_depth_and_count_below_it_on_random_machines(auto, exclude_trivial, seed):
-    assert_mirrors_keep_depth_and_count(auto, exclude_trivial, 2, seed)
+    assert_pairs_keep_depth_and_count(mirror_pairs, auto, exclude_trivial, 2, seed)
+
+
+def test_a_twin_keeps_depth_and_count_below_it_on_basilica():
+    # Up to 5 letters, Basilica's only twins are a and b, the children of
+    # the empty word: a u and b u agree for every u of up to 4 letters.
+    auto = parse_automaton(BASILICA.read_text())
+    assert list(twin_pairs(auto, [0, 1], 4)) == [((0,), (1,))]
+    for u in itertools.chain.from_iterable(itertools.product((0, 1), repeat=n) for n in range(5)):
+        assert oracles.brute_depth_and_count(auto, (0, *u)) == \
+            oracles.brute_depth_and_count(auto, (1, *u)), u
+
+
+def test_a_twin_keeps_depth_and_count_below_it_on_every_two_state_machine_over_two_letters():
+    # Twins are rare on the random machines below; 12 of these 64 have some.
+    machines = list(oracles.every_invertible_machine(2, 2))
+    checked = [assert_pairs_keep_depth_and_count(twin_pairs, auto, True, 2, 0) for auto in machines]
+    assert sum(map(bool, checked)) == 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    auto=st.one_of(both_shapes, oracles.inverse_closed_machines(), oracles.commuting_machines()),
+    exclude_trivial=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_twin_keeps_depth_and_count_below_it_on_random_machines(auto, exclude_trivial, seed):
+    assert_pairs_keep_depth_and_count(twin_pairs, auto, exclude_trivial, 2, seed)
+
+
+# s0 and s1 act as the identity, and a symmetry swaps them with the
+# letters; s2 swaps the letters and moves to s1 or s0.
+SWAPPED_IDENTITIES = """\
+alphabet 2
+states s0 s1 s2
+s0 1 -> s0 1
+s0 2 -> s1 2
+s1 1 -> s0 1
+s1 2 -> s1 2
+s2 1 -> s1 2
+s2 2 -> s0 1
+"""
+
+
+@pytest.mark.parametrize("scan", ["kernel", "python"])
+def test_a_twin_needs_its_siblings_tying_symmetries(scan, monkeypatch):
+    # s2.s0 and s2.s2 have one closure automaton and no forbidden states,
+    # but the symmetry ties on s2.s2 only: it is no twin, and the scan goes
+    # below it.
+    if scan == "python":
+        monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
+    auto = parse_automaton(SWAPPED_IDENTITIES)
+    assert automaton_symmetries(auto) == ((0, 1, 2), (1, 0, 2))
+    assert _walk_record(auto, (2, 0)).children == _walk_record(auto, (2, 2)).children
+    assert [row.closures for row in survey(auto, 6).rows] == [2, 5, 10, 13, 15, 15]
 
 
 def scan_outputs(auto, n_max, tmp_path, **options):
@@ -762,8 +879,8 @@ def scan_outputs(auto, n_max, tmp_path, **options):
 
 
 def mirror_closures(auto, n_max, tmp_path, **options):
-    """The closures per length of the survey with the mirror rule and of
-    the survey without it, after
+    """The closures per length of the survey with the mirror rule (mirrors
+    and twins) and of the survey without it, after
     checking that its rows, witnesses and checkpoint records are those of
     the survey without it, and its closures no more, at jobs 1, 2 and 4
     (whose splits differ), and that its closures do not depend on jobs."""
@@ -789,7 +906,23 @@ def test_the_mirror_rule_changes_only_closures_on_hanoi(pegs, n_max, tmp_path):
 def test_the_mirror_rule_changes_only_closures_on_basilica(tmp_path):
     auto = parse_automaton(BASILICA.read_text())
     closures, plain = mirror_closures(auto, 13, tmp_path)
-    assert closures == plain == [2**n for n in range(1, 14)]  # no mirror
+    assert plain == [2**n for n in range(1, 14)]
+    # No mirror, but the root's children a and b are twins: the scan
+    # computes no closure below b.
+    assert closures == BASILICA_CLOSURES
+
+
+BASILICA_CLOSURES = [2] + [2**n for n in range(1, 13)]
+
+
+@pytest.mark.parametrize("scan", ["kernel", "python"])
+def test_twins_halve_the_basilica_scan(scan, monkeypatch):
+    if scan == "python":
+        monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    auto = parse_automaton(BASILICA.read_text())
+    for jobs in (1, 2):
+        assert [row.closures for row in survey(auto, 13, jobs=jobs).rows] == BASILICA_CLOSURES
 
 
 @pytest.mark.parametrize("options", [{"symmetry": False}, {"exclude_trivial": False},

@@ -147,13 +147,19 @@ def test_table_caps_workers_at_the_cpu_count(monkeypatch, scan_calls):
 
 
 def interrupt_main(monkeypatch, scan_calls, jobs):
-    """Ctrl-C: a SIGINT to the main thread once every worker has made its
-    kernel call."""
+    """Ctrl-C: a SIGINT to the main thread once every worker is about to
+    make its kernel call.  Each worker then waits for the stop flag, which
+    the main thread sets once it handles the signal, so no subtree is
+    claimed before the scan is stopped, however late the signal arrives."""
     both = threading.Barrier(jobs)
 
     def interrupt():
         if both.wait(timeout=60) == 0:
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        shared = scan_calls[0][1][-1]  # mg_scan's shared counters
+        deadline = time.monotonic() + 60
+        while not shared[2] and time.monotonic() < deadline:
+            time.sleep(0.001)
 
     scan_calls.before = interrupt
 
