@@ -736,14 +736,14 @@ def _is_record(rec, allowed) -> bool:
     )
 
 
-def _append_checkpoint(path, fingerprint, rec):
-    path = Path(path)
-    text = json.dumps(rec) + "\n"
-    if not path.exists() or path.stat().st_size == 0:
-        # One write for header and first record: a torn first append then
-        # leaves no header without records behind.
-        text = json.dumps({"fingerprint": fingerprint}) + "\n" + text
-    with path.open("a") as fh:
+def _append_checkpoint(path, fingerprint, recs):
+    """Append the records ``recs`` to ``path`` in one write, after the
+    header when the file is empty: a torn first append then leaves no
+    header without records behind."""
+    text = "".join(json.dumps(rec) + "\n" for rec in recs)
+    with open(path, "a") as fh:
+        if fh.tell() == 0:
+            text = json.dumps({"fingerprint": fingerprint}) + "\n" + text
         fh.write(text)
 
 
@@ -933,6 +933,9 @@ def survey(
             # The scan recomputes the rows the checkpoint holds: a free check.
             if n in done and _values(done[n]) != _values(rec):
                 raise AutomatonError(f"checkpoint {checkpoint} disagrees with the scan at n={n}")
+        if checkpoint:
+            _append_checkpoint(checkpoint, fingerprint,
+                               [rec for n, rec in sorted(scanned.items()) if n not in done])
 
     # The empty word has one section (itself) at depth 0; it seeds the
     # cumulative maxima so degenerate machines still report sane rows.
@@ -940,11 +943,7 @@ def survey(
     best_t = (1, 0, ())
     rows = []
     for n in range(1, n_max + 1):
-        rec = done.get(n)
-        if rec is None:
-            rec = scanned[n]
-            if checkpoint:
-                _append_checkpoint(checkpoint, fingerprint, rec)
+        rec = done[n] if n in done else scanned[n]
         if rec["depth_witness"] is not None and rec["depth"] > best_d[0]:
             best_d = (rec["depth"], n, tuple(rec["depth_witness"]))
         if rec["theta_witness"] is not None and rec["theta"] > best_t[0]:

@@ -62,83 +62,100 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # Each subcommand takes only the options it reads.
-    hanoi = _Parser(add_help=False)
-    hanoi.add_argument("--out", metavar="PATH", help="write data output to PATH instead of stdout")
-    hanoi.add_argument(
-        "--pegs",
-        type=int,
-        metavar="M",
-        help=f"use the M-peg Hanoi machine (default {DEFAULT_PEGS} when no file is given)",
-    )
-    machine = _Parser(add_help=False, parents=[hanoi])
-    machine.add_argument("--automaton", metavar="FILE", help="machine description file")
-    csv_output = _Parser(add_help=False)
-    csv_output.add_argument(
-        "--csv", action="store_true", help="emit CSV instead of the plain table"
-    )
+# The commands, in the order the top-level help lists them.
+COMMANDS = ("gen", "act", "section", "wp", "table", "claim", "solve")
 
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with ``command``'s subparser only, when it names one: a
+    run builds just the subparser it parses.  Without one it has every
+    subparser, which the top-level help, usage and errors list."""
     parser = _Parser(
         prog="mealygroup",
         description="Invertible Mealy automata: actions, sections, word problem, "
         "depth/growth surveys, and Hanoi game strategies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", parents=[hanoi], help="emit a Hanoi machine description")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("act", parents=[machine], help="apply a state word to an input word")
-    p.add_argument("--word", required=True, help="dot-separated state names (may be empty)")
-    p.add_argument("--input", required=True, help="input letters")
-    p.set_defaults(func=_cmd_act)
-
-    p = sub.add_parser(
-        "section", parents=[machine], help="section of a state word at an input word"
-    )
-    p.add_argument("--word", required=True)
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=_cmd_section)
-
-    p = sub.add_parser("wp", parents=[machine], help="decide whether a state word acts as identity")
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_wp)
-
-    p = sub.add_parser(
-        "table", parents=[machine, csv_output], help="exhaustive depth / section-growth table"
-    )
-    p.add_argument("--max-n", type=int, required=True, metavar="N", help="largest word length")
-    p.add_argument("--jobs", type=int, default=1, metavar="N", help="worker threads")
-    p.add_argument(
-        "--long-run", action="store_true", help="allow enumerations beyond the default budget"
-    )
-    p.add_argument("--no-symmetry", action="store_true", help="disable symmetry orbit reduction")
-    p.add_argument(
-        "--include-trivial-state",
-        action="store_true",
-        help="enumerate words containing the do-nothing state too",
-    )
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser(
-        "claim", parents=[machine, csv_output], help="fixing thresholds of random words vs bound"
-    )
-    p.add_argument(
-        "--lengths", default="4,8,16,32", metavar="LIST", help="comma-separated word lengths"
-    )
-    p.add_argument("--samples", type=int, default=200, metavar="K", help="words per length")
-    p.add_argument("--seed", type=int, default=0, metavar="U64", help="sampling seed")
-    p.set_defaults(func=_cmd_claim)
-
-    p = sub.add_parser("solve", parents=[machine], help="strategy word moving a full tower")
-    p.add_argument("--disks", type=int, required=True, metavar="K")
-    p.add_argument("--from-peg", type=int, default=1, metavar="P", dest="from_peg")
-    p.add_argument("--to-peg", type=int, default=None, metavar="P", dest="to_peg")
-    p.add_argument("--verify", action="store_true", help="replay the word and check the target")
-    p.set_defaults(func=_cmd_solve)
-
+    for name in COMMANDS:
+        if command in (None, name):
+            _add_command(sub, name)
     return parser
+
+
+def _add_shared_options(p, *, automaton=True, csv=False) -> None:
+    """The options several commands read, in the order their ``--help``
+    lists them: ``--out`` and ``--pegs`` always, then ``--automaton``
+    and ``--csv`` where asked."""
+    p.add_argument("--out", metavar="PATH", help="write data output to PATH instead of stdout")
+    p.add_argument(
+        "--pegs",
+        type=int,
+        metavar="M",
+        help=f"use the M-peg Hanoi machine (default {DEFAULT_PEGS} when no file is given)",
+    )
+    if automaton:
+        p.add_argument("--automaton", metavar="FILE", help="machine description file")
+    if csv:
+        p.add_argument("--csv", action="store_true", help="emit CSV instead of the plain table")
+
+
+def _add_command(sub, name) -> None:
+    # Each subcommand takes only the options it reads.
+    if name == "gen":
+        p = sub.add_parser("gen", help="emit a Hanoi machine description")
+        _add_shared_options(p, automaton=False)
+        p.set_defaults(func=_cmd_gen)
+    elif name == "act":
+        p = sub.add_parser("act", help="apply a state word to an input word")
+        _add_shared_options(p)
+        p.add_argument("--word", required=True, help="dot-separated state names (may be empty)")
+        p.add_argument("--input", required=True, help="input letters")
+        p.set_defaults(func=_cmd_act)
+    elif name == "section":
+        p = sub.add_parser("section", help="section of a state word at an input word")
+        _add_shared_options(p)
+        p.add_argument("--word", required=True)
+        p.add_argument("--input", required=True)
+        p.set_defaults(func=_cmd_section)
+    elif name == "wp":
+        p = sub.add_parser("wp", help="decide whether a state word acts as identity")
+        _add_shared_options(p)
+        p.add_argument("--word", required=True)
+        p.set_defaults(func=_cmd_wp)
+    elif name == "table":
+        p = sub.add_parser("table", help="exhaustive depth / section-growth table")
+        _add_shared_options(p, csv=True)
+        p.add_argument("--max-n", type=int, required=True, metavar="N", help="largest word length")
+        p.add_argument("--jobs", type=int, default=1, metavar="N", help="worker threads")
+        p.add_argument(
+            "--long-run", action="store_true", help="allow enumerations beyond the default budget"
+        )
+        p.add_argument(
+            "--no-symmetry", action="store_true", help="disable symmetry orbit reduction"
+        )
+        p.add_argument(
+            "--include-trivial-state",
+            action="store_true",
+            help="enumerate words containing the do-nothing state too",
+        )
+        p.set_defaults(func=_cmd_table)
+    elif name == "claim":
+        p = sub.add_parser("claim", help="fixing thresholds of random words vs bound")
+        _add_shared_options(p, csv=True)
+        p.add_argument(
+            "--lengths", default="4,8,16,32", metavar="LIST", help="comma-separated word lengths"
+        )
+        p.add_argument("--samples", type=int, default=200, metavar="K", help="words per length")
+        p.add_argument("--seed", type=int, default=0, metavar="U64", help="sampling seed")
+        p.set_defaults(func=_cmd_claim)
+    elif name == "solve":
+        p = sub.add_parser("solve", help="strategy word moving a full tower")
+        _add_shared_options(p)
+        p.add_argument("--disks", type=int, required=True, metavar="K")
+        p.add_argument("--from-peg", type=int, default=1, metavar="P", dest="from_peg")
+        p.add_argument("--to-peg", type=int, default=None, metavar="P", dest="to_peg")
+        p.add_argument("--verify", action="store_true", help="replay the word and check the target")
+        p.set_defaults(func=_cmd_solve)
 
 
 def _load_automaton(args) -> Automaton:
@@ -340,8 +357,9 @@ def _cmd_solve(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (AutomatonError, BudgetError, ValueError, OSError) as exc:

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -962,6 +963,29 @@ def test_closures_with_the_mirror_rule_on_hanoi(ha3, ha4):
         assert [row.closures for row in rows] == [
             1, 2, 3, 9, 27, 78, 234, 693, 2073, 6189, 18522, 17847
         ]
+
+
+# 5 pegs have 15 commuting pairs of states, each state in three of them,
+# so the commutation rule's forbidden set carries states past one letter:
+# without the carry the closures grow (3,916, 32,041 and 108,774 at n = 6,
+# 7 and 8 on the kernel), while the rows stay the same.
+# The Python scan stops at n = 6, where it takes a fraction of a second.
+HANOI5_CLOSURES = {
+    "kernel": [1, 3, 10, 63, 474, 3740, 30167, 101473],
+    "python": [1, 3, 10, 63, 474, 1612],
+}
+
+
+@pytest.mark.parametrize("scan", ["kernel", "python"])
+def test_closures_with_the_commutation_rule_on_hanoi5(scan, ha5, monkeypatch):
+    if scan == "python":
+        monkeypatch.setattr(_kernel, "_CC", "mealygroup-no-such-compiler")
+    elif shutil.which(_kernel._CC) is None:
+        pytest.skip(f"no C compiler ({_kernel._CC}) on PATH")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    closures = HANOI5_CLOSURES[scan]
+    for jobs in (1, 2):
+        assert [row.closures for row in survey(ha5, len(closures), jobs=jobs).rows] == closures
 
 
 def test_growth_csv_shape(ha4):

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import signal
 import threading
@@ -329,6 +331,38 @@ def test_resume_scans_once_and_keeps_the_recorded_rows(tmp_path):
     # The recorded rows keep their own seconds; the new ones share the scan's.
     seconds = [ln.split("seconds=")[1] for ln in table_lines(err)]
     assert seconds[3] == seconds[4]
+
+
+# The checkpoint of table --pegs 4 to n = 5, each row's seconds as S.
+HANOI4_CHECKPOINT = """\
+{"fingerprint": "4ebd4fc94f8ea3dabb3c517e968386c9e8da3d83f3cddeb47bc32e49d52ba82a"}
+{"n": 1, "depth": 1, "depth_witness": [1], "theta": 2, "theta_witness": [1], \
+"examined": 1, "orbits": 1, "seconds": S}
+{"n": 2, "depth": 2, "depth_witness": [1, 6], "theta": 4, "theta_witness": [1, 2], \
+"examined": 3, "orbits": 3, "seconds": S}
+{"n": 3, "depth": 2, "depth_witness": [1, 1, 6], "theta": 8, "theta_witness": [1, 2, 6], \
+"examined": 12, "orbits": 12, "seconds": S}
+{"n": 4, "depth": 3, "depth_witness": [1, 2, 3, 6], "theta": 13, "theta_witness": [1, 2, 5, 6], \
+"examined": 60, "orbits": 60, "seconds": S}
+{"n": 5, "depth": 4, "depth_witness": [1, 2, 4, 5, 6], "theta": 17, \
+"theta_witness": [1, 2, 3, 5, 6], "examined": 336, "orbits": 336, "seconds": S}
+"""
+
+
+def test_checkpoint_bytes_of_a_fresh_run_and_of_a_resume(tmp_path):
+    out = tmp_path / "t.csv"
+    ckpt = tmp_path / "t.csv.ckpt"
+    argv = ("table", "--pegs", "4", "--long-run", "--out", str(out))
+    seconds = re.compile(r'(?<="seconds": )[^}]+')
+    assert run_cli(*argv, "--max-n", "3")[0] == 0
+    first = ckpt.read_text()
+    assert seconds.sub("S", first) == "".join(HANOI4_CHECKPOINT.splitlines(keepends=True)[:4])
+    assert run_cli(*argv, "--max-n", "5")[0] == 0
+    resumed = ckpt.read_text()
+    assert resumed.startswith(first) and seconds.sub("S", resumed) == HANOI4_CHECKPOINT
+    # The rows one scan adds carry its one wall time.
+    new = seconds.findall(resumed)[3:]
+    assert len(new) == 2 and new[0] == new[1]
 
 
 def test_failed_out_write_keeps_the_old_target(tmp_path, monkeypatch):
@@ -672,6 +706,118 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "mealygroup: error: the following arguments are required: command\n"
+    )
+
+
+def exits(run):
+    """(exit code, stdout, stderr) of ``run()``, which argparse may end
+    with SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return run(), out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+TOP_HELP = """\
+usage: mealygroup [-h] {gen,act,section,wp,table,claim,solve} ...
+
+Invertible Mealy automata: actions, sections, word problem, depth/growth
+surveys, and Hanoi game strategies.
+
+positional arguments:
+  {gen,act,section,wp,table,claim,solve}
+    gen                 emit a Hanoi machine description
+    act                 apply a state word to an input word
+    section             section of a state word at an input word
+    wp                  decide whether a state word acts as identity
+    table               exhaustive depth / section-growth table
+    claim               fixing thresholds of random words vs bound
+    solve               strategy word moving a full tower
+
+options:
+  -h, --help            show this help message and exit
+"""
+INVALID_CHOICE = ("mealygroup: error: argument command: invalid choice: 'bogus' "
+                  "(choose from 'gen', 'act', 'section', 'wp', 'table', 'claim', 'solve')\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("--help", (0, TOP_HELP, "")),
+    ("-h", (0, TOP_HELP, "")),
+    ("--help wp", (0, TOP_HELP, "")),
+    ("bogus", (2, "", INVALID_CHOICE)),
+    ("bogus --help", (2, "", INVALID_CHOICE)),
+])
+def test_the_top_level_help_and_errors_list_every_command(argv, expected, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert exits(lambda: main(argv.split())) == expected
+
+
+def test_main_builds_only_the_command_it_runs(monkeypatch):
+    built, build = [], cli._build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    for argv in (["wp", "--word", "e"], ["gen", "--help"], [], ["--help"], ["bogus"],
+                 ["--pegs", "3", "gen"]):
+        exits(lambda: main(argv))
+    assert built == ["wp", "gen", None, None, None, None]
+
+
+def subparsers(parser):
+    """The subparsers of ``parser``, by command."""
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_command_alone_has_the_help_of_the_whole_parser(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    alone, whole = subparsers(cli._build_parser(command)), subparsers(cli._build_parser())
+    assert (list(alone), list(whole)) == ([command], list(cli.COMMANDS))
+    assert alone[command].format_help() == whole[command].format_help()
+
+
+# Per command: valid runs, a missing required option, an option another
+# command reads, and a value that is not an integer.
+PARSE_CASES = [
+    "gen", "gen --pegs 3 --out F", "gen --automaton F", "gen --pegs x", "gen --help",
+    "act --word e --input 1", "act --automaton F --pegs 3 --out F --word a.b --input 12",
+    "act --word e", "act --word e --input 1 --seed 1", "act --pegs x --word e --input 1",
+    "section --word e --input 1", "section --input 1", "section --word e --input 1 --csv",
+    "section --pegs 3.0 --word e --input 1",
+    "wp --word e", "wp --word= --out F", "wp", "wp --word e --jobs 2", "wp --pegs 4x --word e",
+    "table --max-n 8", "table --pegs 4 --max-n 8 --jobs 2 --long-run --csv --out F",
+    "table --max-n 3 --no-symmetry --include-trivial-state", "table --jobs 2",
+    "table --max-n 3 --word e", "table --max-n x", "table --max-n 3 --jobs two",
+    "claim", "claim --lengths 4,8 --samples 3 --seed 7 --csv --out F", "claim --disks 3",
+    "claim --samples x", "claim --seed 1.5",
+    "solve --disks 3", "solve --pegs 4 --disks 3 --from-peg 2 --to-peg 4 --verify", "solve",
+    "solve --disks 3 --max-n 2", "solve --disks three", "solve --disks 3 --to-peg x",
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES)
+def test_a_command_alone_parses_as_the_whole_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = argv.split()
+    alone, whole = (exits(lambda: cli._build_parser(command).parse_args(argv))
+                    for command in (argv[0], None))
+    assert alone == whole
+    code, out, err = whole
+    if isinstance(code, argparse.Namespace):
+        assert (out, err) == ("", "")
+    elif code == 2:
+        assert out == "" and len(err.splitlines()) == 1 and "error" in err
+    else:
+        assert (code, err) == (0, "") and out.startswith(f"usage: mealygroup {argv[0]} ")
 
 
 @pytest.mark.parametrize("argv, foreign", [
@@ -680,6 +826,8 @@ def test_missing_subcommand_is_usage_error(capsys):
     ("act --word e --input 1", "--seed 1"),
     ("solve --disks 3", "--csv"),
     ("gen", "--automaton F"),
+    ("section --word e --input 1", "--verify"),
+    ("table --max-n 1", "--samples 3"),
 ])
 def test_options_a_subcommand_does_not_read_exit_2_with_one_line(argv, foreign):
     out, err = io.StringIO(), io.StringIO()
