@@ -26,7 +26,8 @@
  * commutation rule (forbid) and, at the last length, the reversal test
  * (reversal_smaller) prune words; mirror children are folded, not scanned,
  * and twin children, which match an earlier sibling, are skipped (rec);
- * worker threads claim the subtrees at the split depth (descend).
+ * worker threads claim the subtrees at the split depth (descend), and one
+ * of them first counts those subtrees (the census, mg_scan).
  *
  * mg_closure is the closure record that the queries read (_walk_record is
  * its twin).  It halves the word, builds the records of the halves the
@@ -289,9 +290,11 @@ typedef struct {
     int mirror;        /* whether mirror children are folded (see rec) */
     int split;         /* the depth at which subtrees are claimed (see descend) */
     int counts;        /* whether words of length <= split count toward examined */
+    int census;        /* whether descend only numbers the nodes of depth split */
     int64_t ordinal;   /* the next node of depth split, numbered in DFS order */
     int64_t claim;     /* the ordinal this worker holds, or -1 */
-    int64_t *shared;   /* the caller's: next ordinal to claim, prefixes done, stop flag */
+    int64_t *shared;   /* the caller's: next ordinal to claim, subtrees done, stop flag,
+                        * subtrees to scan */
     int32_t word[MAXN];
     /* Per DFS depth d and allowed state a, the child word[0..d) allowed[a]:
      * its closure automaton, its depth and count, and what rec does with it. */
@@ -465,25 +468,6 @@ static void fold(Scan *sc, int depth, const uint8_t *kind)
     }
 }
 
-/* The canonical words of `left` letters more than word[0..depth), whose
- * tying symmetries are active[0..nact) and whose forbidden set is f; the
- * rows of sc->active past depth hold the symmetries on the way. */
-static int64_t canonical_words(const Scan *sc, int depth, const int32_t *active, int nact,
-                               uint64_t f, int left)
-{
-    int32_t *sub = sc->active + (size_t)(depth + 1) * sc->ng;
-    int64_t total = 0;
-    int keep;
-    if (!left)
-        return 1;
-    for (int a = 0; a < sc->na; a++) {
-        const int s = sc->allowed[a];
-        if (!(sc->comm && f >> s & 1) && (keep = tying(sc, active, nact, s, sub)) >= 0)
-            total += canonical_words(sc, depth + 1, sub, keep, forbid(sc, f, s), left - 1);
-    }
-    return total;
-}
-
 static int rec(Scan *sc, int depth, const Closure *p, const int32_t *active, int nact,
                uint64_t f);
 
@@ -492,14 +476,18 @@ static int rec(Scan *sc, int depth, const Closure *p, const int32_t *active, int
  * worker numbers the nodes of that depth alike, in DFS order, and holds
  * one claim at a time: once past it, it reads the stop flag and claims the
  * next ordinal not yet taken.  The counter only grows, so each node is
- * claimed once, by a worker that has not yet passed it.  Returns 1 once
- * the stop flag is set. */
+ * claimed once, by a worker that has not yet passed it.  In the census,
+ * every node of that depth is numbered and none is gone below, so the
+ * ordinals then count the subtrees to scan.  Returns 1 once the stop flag
+ * is set. */
 static int descend(Scan *sc, int depth, const Closure *p, const int32_t *active, int nact,
                    uint64_t f)
 {
     if (depth != sc->split)
         return rec(sc, depth, p, active, nact, f);
     const int64_t i = sc->ordinal++;
+    if (sc->census)
+        return 0;
     if (sc->claim < i) {
         if (__atomic_load_n(&sc->shared[2], __ATOMIC_RELAXED))
             return 1;
@@ -529,11 +517,11 @@ static int descend(Scan *sc, int depth, const Closure *p, const int32_t *active,
  * order: the words below c are v t u for the words v s u below v s, with
  * their depths and counts, and v s u is lex-smaller, so no best word of
  * any length is below c.  A mirror or a twin is recorded but not
- * descended into; the counting worker adds the canonical words of the
- * split length below it to the prefixes done.  A node with mirror
- * children records the words below it in a scope of its own, folds the
- * mirrors' subtrees there (fold), and merges the scope into the enclosing
- * one on strictly better values only: its words come later in lex order.
+ * descended into, so no node of the split depth below it is numbered
+ * (descend).  A node with mirror children records the words below it in a
+ * scope of its own, folds the mirrors' subtrees there (fold), and merges
+ * the scope into the enclosing one on strictly better values only: its
+ * words come later in lex order.
  * Twins are not looked for one level above the leaves, where one saves at
  * most one row of leaf walks and the compares would cost as much. */
 static int rec(Scan *sc, int depth, const Closure *p, const int32_t *active, int nact, uint64_t f)
@@ -589,16 +577,8 @@ static int rec(Scan *sc, int depth, const Closure *p, const int32_t *active, int
     }
     for (int a = 0; a < na; a++)
         if (kind[a] != SKIP) {
-            const int s = sc->allowed[a];
-            sc->word[depth] = s;
+            sc->word[depth] = sc->allowed[a];
             record(sc, depth + 1, kv[2 * a], kv[2 * a + 1]);
-            if (kind[a] >= MIRROR && sc->counts && depth < sc->split) {
-                keep = tying(sc, active, nact, s, sub);
-                __atomic_fetch_add(&sc->shared[1],
-                                   canonical_words(sc, depth + 1, sub, keep, forbid(sc, f, s),
-                                                   sc->split - depth - 1),
-                                   __ATOMIC_RELAXED);
-            }
         }
     for (int a = 0; a < na; a++) {
         const int s = sc->allowed[a];
@@ -625,21 +605,22 @@ static int rec(Scan *sc, int depth, const Closure *p, const int32_t *active, int
 /* The survey scan to length n (n <= MAXN), run once by each of the
  * caller's worker threads: the whole canonical DFS from the empty word,
  * the subtrees at depth split (0 <= split < n) shared out by claims on the
- * counter shared[0] (see descend).  shared[1] counts the canonical words of
- * length split done: those whose subtree a worker scanned, and, when
- * counts is set, those below a mirror this worker passed.  Only the worker
- * with counts set counts the words of length <= split toward examined, so
- * the workers' examined add up to the closures the DFS computed.  With comm
- * (k <= 64 masks) not NULL, words pass the commutation rule too; with iota
- * (k entries) not NULL, words of length n pass the reversal test; with
- * mirror set, mirror children are folded (see rec).  Results for length L
- * go to index j = L - 1: closures computed in examined[j], best depth in
- * best[2j] (-1 when the worker reached no word of length L), best count in
- * best[2j+1], and their witnesses at witness[2nj], the count's n entries
- * on.  Returns 0; 1 when it stopped on the stop flag shared[2];
- * -1 when memory runs out or n or split is out of range; or -2 when a
- * closure passes `budget` sections.  With anything but 0 the results are
- * meaningless, and either error sets the stop flag. */
+ * counter shared[0] (see descend).  shared[1] counts the subtrees scanned.
+ * The worker with counts set first runs the census, a DFS that numbers the
+ * nodes of depth split without going below them (see descend), stores
+ * their number, the subtrees to scan, in shared[3], and then scans from
+ * cleared results.  Only that worker counts the words of length <= split
+ * toward examined, so the workers' examined add up to the closures the
+ * scan computed.  With comm (k <= 64 masks) not NULL, words pass the
+ * commutation rule too; with iota (k entries) not NULL, words of length n
+ * pass the reversal test; with mirror set, mirror children are folded (see
+ * rec).  Results for length L go to index j = L - 1: closures computed in
+ * examined[j], best depth in best[2j] (-1 when the worker reached no word
+ * of length L), best count in best[2j+1], and their witnesses at
+ * witness[2nj], the count's n entries on.  Returns 0; 1 when it stopped on
+ * the stop flag shared[2]; -1 when memory runs out or n or split is out of
+ * range; or -2 when a closure passes `budget` sections.  With anything but
+ * 0 the results are meaningless, and either error sets the stop flag. */
 int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const int32_t *allowed,
             int ng, const int32_t *group, const int32_t *iota, const uint64_t *comm, int mirror,
             int64_t budget, int n, int split, int counts, uint64_t *examined, int64_t *best,
@@ -667,14 +648,20 @@ int mg_scan(int k, int m, const int32_t *nxt, const int32_t *emit, int na, const
     int rc = n < 1 || n > MAXN || split < 0 || split >= n || (comm && k > 64) || !sc.active
              || !sc.kid || !sc.kv || !sc.kind || !sc.scope_best || !sc.scope_witness
              || !root.children || (iota && reversal_maps(&sc, iota)) ? -1 : 0;
-    if (!rc) {
+    if (!rc)
+        for (int j = 0; j < ng; j++)
+            sc.active[j] = j;
+    /* The census, then the scan; the other workers only scan. */
+    for (int pass = !counts; !rc && pass < 2; pass++) {
+        sc.census = !pass;
+        sc.ordinal = 0;
         for (int i = 0; i < n; i++) {
             examined[i] = 0;
             best[2 * i] = best[2 * i + 1] = -1;
         }
-        for (int j = 0; j < ng; j++)
-            sc.active[j] = j;
         rc = descend(&sc, 0, &root, sc.active, ng, 0);
+        if (!rc && sc.census)
+            __atomic_store_n(&shared[3], sc.ordinal, __ATOMIC_RELAXED);
     }
     if (rc < 0)
         __atomic_store_n(&shared[2], 1, __ATOMIC_RELAXED);

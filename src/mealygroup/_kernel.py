@@ -142,13 +142,14 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None, mirror=Tru
     the closure walk bound in: ``scan(split, jobs=1, progress=None,
     every=None)`` gives the same per-length results up to ``n_max``.  Each
     of ``jobs`` worker threads makes one ``mg_scan`` call, which releases
-    the GIL, runs the whole DFS and claims the subtrees below the canonical
-    prefixes of ``split`` letters from a shared counter; their results are
-    merged per length here.  This thread only waits, passing ``progress``
-    the prefixes done every ``every`` seconds and at the end.  Once the
-    wait raises (Ctrl-C) or a worker fails, no subtree is claimed, and the
-    error comes when the running ones end.  None when the kernel cannot be
-    loaded or ``n_max`` is past 64."""
+    the GIL, runs the whole DFS and claims the subtrees at depth ``split``
+    from a shared counter; their results are merged per length here.  The
+    first worker counts those subtrees before it claims any.  This thread
+    only waits, passing ``progress`` (subtrees scanned, subtrees to scan)
+    every ``every`` seconds once that count is known, and at the end.  Once
+    the wait raises (Ctrl-C) or a worker fails, no subtree is claimed, and
+    the error comes when the running ones end.  None when the kernel cannot
+    be loaded or ``n_max`` is past 64."""
     if n_max > _MAXN:
         return None
     lib = _library()
@@ -163,7 +164,9 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None, mirror=Tru
     def scan(split, jobs=1, progress=None, every=None):
         if not 0 <= split < n_max:
             raise ValueError(f"cannot split a scan to length {n_max} at {split}")
-        shared = (_I64 * 3)()  # the next ordinal to claim, prefixes done, the stop flag
+        # The next ordinal to claim, subtrees done, the stop flag, and the
+        # subtrees to scan (-1 until the census ends).
+        shared = (_I64 * 4)(0, 0, 0, -1)
         # Per worker: closures computed, best depth and count, and witnesses.
         outs = [((ctypes.c_uint64 * n_max)(), (_I64 * (2 * n_max))(),
                  (_I32 * (2 * n_max * n_max))()) for _ in range(jobs)]
@@ -180,8 +183,8 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None, mirror=Tru
             for w in workers:
                 w.join(every)
                 while w.is_alive():
-                    if progress:
-                        progress(shared[1])
+                    if progress and shared[3] >= 0:
+                        progress(shared[1], shared[3])
                     w.join(every)
         finally:
             shared[2] = 1  # the stop flag: running subtrees end, and no other is claimed
@@ -198,7 +201,7 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None, mirror=Tru
                 if best[2 * j] >= 0 else (0, -1, None, -1, None)
                 for examined, best, witness in outs))
         if progress:
-            progress(shared[1])
+            progress(shared[1], shared[3])
         return tuple(rows)
 
     return scan

@@ -534,13 +534,12 @@ def _forbid(comm, forbid, s):
     return comm[s] & (forbid | ((1 << s) - 1)) if comm else 0
 
 
-def _canonical_prefixes(allowed, sigmas, length, comm=None, forbid=0):
+def _canonical_prefixes(allowed, sigmas, length, comm=None):
     """Every canonical word of ``length`` in lex order (``allowed`` order),
     with the symmetries still tying on it; with the masks ``comm`` of
     :func:`commuting_states`, only words that are the lex-least order of
-    their commuting letters.  ``sigmas`` and ``forbid`` may be those of a
-    word the canonical words go on from."""
-    words = [((), tuple(sigmas), forbid)]  # (word, tying symmetries, forbidden set)
+    their commuting letters."""
+    words = [((), tuple(sigmas), 0)]  # (word, tying symmetries, forbidden set)
     for _ in range(length):
         words = [
             (word + (s,), tuple(sub), _forbid(comm, forbid, s))
@@ -567,12 +566,12 @@ def _scan_lengths(allowed, walk, group, iota, n_max, split=0, jobs=1, progress=N
     the reversal test with the maps sigma o iota, sigma in ``group`` or the
     identity; ``comm`` as in :func:`_canonical_prefixes`; ``mirror`` folds
     mirror children and skips the subtrees of twins (see :func:`survey`).
-    ``progress`` gets the canonical words of length
-    ``split`` done, as ``mg_scan`` counts them, each time that count grows;
-    ``jobs`` and ``every`` are unused."""
+    As in ``mg_scan``, a census first runs the DFS down to depth ``split``
+    only, to count the subtrees there; ``progress`` then gets (subtrees
+    scanned, subtrees to scan) each time a subtree ends.  ``jobs`` and
+    ``every`` are unused."""
     maps = () if iota is None else (iota, *(tuple(sg[s] for s in iota) for sg in group))
-    examined = [0] * n_max
-    word, done = [], 0
+    word, done, subtrees = [], 0, 0
 
     def record(scope, d, t):
         i = len(word) - 1
@@ -583,14 +582,12 @@ def _scan_lengths(allowed, walk, group, iota, n_max, split=0, jobs=1, progress=N
         if t > best[2]:
             best[2:4] = t, tuple(word)
 
-    def passed(prefixes):
-        nonlocal done
-        done += prefixes
-        if progress:
-            progress(done)
-
     def dfs(table, active, forbid, scope):
+        nonlocal done, subtrees
         depth, kids = len(word), []
+        if census and depth == split:
+            subtrees += 1
+            return
         descended = set()  # (automaton, tying symmetries, forbidden set) of each child gone below
         for s in allowed:
             sub = None if forbid >> s & 1 else _extend_active(active, s)
@@ -616,12 +613,10 @@ def _scan_lengths(allowed, walk, group, iota, n_max, split=0, jobs=1, progress=N
         outer = scope
         if mirrors:
             scope = [[-1, None, -1, None] for _ in outer]
-        for s, rec, sub, after, kind in kids:
+        for s, rec, *_ in kids:
             word.append(s)
             record(scope, rec.depth, len(rec.nodes))
             word.pop()
-            if kind != "descend" and depth < split:
-                passed(len(_canonical_prefixes(allowed, sub, split - depth - 1, comm, after)))
         for s, rec, sub, after, kind in kids:
             if kind == "descend":
                 word.append(s)
@@ -634,10 +629,14 @@ def _scan_lengths(allowed, walk, group, iota, n_max, split=0, jobs=1, progress=N
                     if found[j] > best[j]:
                         best[j : j + 2] = found[j : j + 2]
         if depth == split:
-            passed(1)
+            done += 1
+            if progress:
+                progress(done, subtrees)
 
-    scope = [[-1, None, -1, None] for _ in examined]
-    dfs(walk(()).children, group, 0, scope)
+    for census in (True, False):  # the census, then the scan, each from cleared results
+        examined = [0] * n_max
+        scope = [[-1, None, -1, None] for _ in examined]
+        dfs(walk(()).children, group, 0, scope)
     return tuple(
         (ex, d, dw, t, tw) if d >= 0 else (0, -1, None, -1, None)
         for ex, (d, dw, t, tw) in zip(examined, scope)
@@ -841,8 +840,8 @@ def survey(
     ``mirror=False`` is the unreduced twin the tests compare with.
 
     Each of the compiled scan's ``jobs`` worker threads runs the whole
-    DFS, but descends below a canonical prefix of the split length only
-    when it claims that prefix, so each subtree there is scanned once.
+    DFS, but descends below a node of the split length only when it
+    claims that node's subtree, so each subtree there is scanned once.
     Every worker walks and records the words above the split, and folds
     every mirror on its own results; the survey merges the workers'
     results per length.  That gives the fold of the merged results:
@@ -855,9 +854,11 @@ def survey(
     split, so ``closures`` does not depend on ``jobs`` either, and results
     are identical for any ``jobs``.  Twins are found alike by every
     worker, so the claims stay in step.  The Python scan runs the DFS
-    whole on this thread.  A scan that runs for long reports on stderr the
-    prefixes of the split length done so far (``# scan tasks=k/N
-    seconds=S``).
+    whole on this thread.  Before its first claim, one worker (and the
+    Python scan) runs the DFS down to the split length only and counts the
+    nodes there, none of them below a mirror or twin.  So a scan that runs
+    for long reports on stderr the subtrees scanned so far out of the
+    subtrees to scan (``# scan tasks=k/N seconds=S``).
 
     ``checkpoint`` names a file that records each row once the scan ends.
     A later run keeps the rows it holds; when it must scan for longer
@@ -974,26 +975,26 @@ def _values(rec):
 def _scan_all(scan, allowed, sigmas, comm, jobs, n_max):
     """Merged ``(closures computed, best depth, witness, best count,
     witness)`` of every length 1 .. ``n_max``, from one canonical DFS.  The
-    scan's workers claim its subtrees below the canonical prefixes of the
-    split length.  A scan on one thread is split too: a Ctrl-C then waits
-    for the running subtree, not for the whole scan.  Every
-    :data:`TASK_REPORT_SECONDS` at most, the prefixes done so far are
-    reported on stderr: those whose subtree is scanned, and those below a
-    mirror that the DFS has passed."""
+    scan's workers claim its subtrees at the split length, which is chosen
+    by counting canonical prefixes.  A scan on one thread is split too: a
+    Ctrl-C then waits for the running subtree, not for the whole scan.
+    Every :data:`TASK_REPORT_SECONDS` at most, the subtrees scanned so far
+    and the subtrees to scan, as the scan counts them, are reported on
+    stderr; once a line is out, so is the one with every subtree done."""
     t0 = last = time.perf_counter()
+    shown = None  # the subtrees done on the last line, None before the first
     # The shortest split with 8 prefixes a thread, but at most 4 letters.
     for split in range(min(4, n_max - 1) + 1 if allowed else 1):
-        prefixes = len(_canonical_prefixes(allowed, sigmas, split, comm))
-        if prefixes >= 8 * jobs:
+        if len(_canonical_prefixes(allowed, sigmas, split, comm)) >= 8 * jobs:
             break
 
-    def progress(done):
-        nonlocal last
+    def progress(done, subtrees):
+        nonlocal last, shown
         now = time.perf_counter()
-        if now - last >= TASK_REPORT_SECONDS:
-            print(f"# scan tasks={done}/{prefixes} seconds={now - t0:.3f}",
+        if now - last >= TASK_REPORT_SECONDS or shown is not None and shown < done == subtrees:
+            print(f"# scan tasks={done}/{subtrees} seconds={now - t0:.3f}",
                   file=sys.stderr, flush=True)
-            last = now
+            last, shown = now, done
 
     return dict(enumerate(scan(split, jobs, progress, TASK_REPORT_SECONDS), 1))
 

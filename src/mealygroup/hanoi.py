@@ -148,29 +148,12 @@ def solve_3peg(disks: int, source: int = 1, target: int = 3) -> tuple:
     """Classical three-peg solution moving ``disks`` disks source -> target.
 
     Returns generator names, rightmost move first, length 2**disks - 1.
+    Unlike :func:`frame_stewart`, equal pegs are refused at 0 disks too.
     """
-    if disks < 0:
-        raise AutomatonError("disk count must be nonnegative")
-    source, target = int(source), int(target)
-    for p in (source, target):
-        if not 1 <= p <= 3:
-            raise AutomatonError(f"peg {p} out of range 1..3")
-    if source == target:
+    names = frame_stewart(3, disks, source, target)  # checks the disks and the pegs
+    if int(source) == int(target):
         raise AutomatonError("source and target pegs must differ")
-
-    moves = []
-
-    def rec(k, a, b):
-        if k == 0:
-            return
-        c = 6 - a - b
-        rec(k - 1, a, c)
-        moves.append((a, b))
-        rec(k - 1, c, b)
-
-    rec(disks, source, target)
-    moves.reverse()
-    return tuple(generator_name(i, j) for i, j in moves)
+    return names
 
 
 def _split_tables(pegs: int, disks: int):

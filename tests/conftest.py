@@ -36,7 +36,7 @@ class ScanCalls(list):
         self.codes = []
 
     def counters(self):
-        """(subtrees claimed, prefixes done) of the scan called first: the
+        """(subtrees claimed, subtrees done) of the scan called first: the
         counters its workers share.  A worker claims no subtree once the
         stop flag is set, and one past the last when none is left."""
         shared = self[0][1][-1]  # mg_scan's shared counters

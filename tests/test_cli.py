@@ -215,9 +215,9 @@ def test_table_reports_scan_tasks_as_they_finish(monkeypatch):
     code, out, err = run_cli(*argv)
     assert (code, out) == (0, quiet_out)
     lines = err.splitlines()
-    # The waiting thread reads the kernel's counter of prefixes done (the
+    # The waiting thread reads the kernel's counter of subtrees done (the
     # Python scan reports each time it grows): the counts never fall, and
-    # the last line, once the scan ends, counts every prefix.
+    # the last line, once the scan ends, counts every subtree.
     tasks = [ln for ln in lines if ln.startswith("# scan tasks=")]
     counts = [tuple(map(int, ln.split()[2].removeprefix("tasks=").split("/"))) for ln in tasks]
     total = counts[-1][1]
@@ -233,8 +233,8 @@ def test_table_reports_scan_tasks_as_they_finish(monkeypatch):
 @pytest.mark.parametrize("compiler", [True, False])
 def test_scan_progress_counts_the_prefixes_below_mirrors(monkeypatch, compiler):
     # The 3-peg scan to n = 12 at --jobs 2 splits at 4 letters: 14
-    # canonical prefixes, 5 of them below a mirror of 2 letters, which the
-    # DFS passes before it scans any subtree.
+    # canonical prefixes, but the 5 below a mirror of 2 letters are not
+    # subtrees, so the scan counts 9 subtrees to scan before it reports.
     if compiler and shutil.which(_kernel._CC) is None:
         pytest.skip(f"no C compiler ({_kernel._CC}) on PATH")
     if not compiler:
@@ -245,12 +245,37 @@ def test_scan_progress_counts_the_prefixes_below_mirrors(monkeypatch, compiler):
     assert code == 0
     counts = [tuple(map(int, ln.split()[2].removeprefix("tasks=").split("/")))
               for ln in err.splitlines() if ln.startswith("# scan tasks=")]
-    assert {total for _, total in counts} == {14}
+    assert {total for _, total in counts} == {9}
     counts = [done for done, _ in counts]
-    assert counts == sorted(counts) and counts[-1] == 14
+    assert counts == sorted(counts) and counts[-1] == 9
     if not compiler:
-        # The Python scan reports each time the count grows.
-        assert counts == list(range(5, 15))
+        # The Python scan reports each time a subtree ends.
+        assert counts == list(range(1, 10))
+
+
+def test_scan_progress_ends_with_every_subtree_once_a_line_is_out(monkeypatch, capsys):
+    # A scan that reports (done, subtrees) at the given clock readings, with
+    # lines at most 10 s apart: a scan done before its first line prints
+    # nothing, and one that printed a line prints the line with every
+    # subtree done, once, however soon it comes.
+    monkeypatch.setattr(analysis, "TASK_REPORT_SECONDS", 10)
+
+    def report(*calls):
+        clock = iter([0.0] + [now for now, _ in calls])
+        monkeypatch.setattr(analysis.time, "perf_counter", lambda: next(clock))
+
+        def scan(split, jobs, progress, every):
+            for _, call in calls:
+                progress(*call)
+            return ()
+
+        analysis._scan_all(scan, (1, 2), (), None, 1, 3)
+        return [ln.split()[2] for ln in capsys.readouterr().err.splitlines()]
+
+    assert report((1.0, (1, 3)), (2.0, (3, 3))) == []
+    assert report((11.0, (1, 3)), (12.0, (2, 3)), (13.0, (3, 3)), (13.5, (3, 3))) == [
+        "tasks=1/3", "tasks=3/3"]
+    assert report((11.0, (3, 3)), (11.5, (3, 3))) == ["tasks=3/3"]
 
 
 def test_resume_rejects_a_checkpoint_that_disagrees_with_the_scan(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -150,6 +151,21 @@ def test_solve_3peg_rejects_bad_pegs():
         solve_3peg(2, 0, 3)
     with pytest.raises(AutomatonError):
         solve_3peg(-1, 1, 3)
+
+
+def test_solve_3peg_refuses_equal_pegs_at_zero_disks():
+    assert frame_stewart(3, 0, 2, 2) == ()
+    with pytest.raises(AutomatonError, match="must differ"):
+        solve_3peg(0, 2, 2)
+
+
+def test_solve_3peg_names_are_pinned():
+    # The names for 0..10 disks between every ordered pair of distinct
+    # pegs, one dotted line each, as the classical recursion gave them.
+    text = "".join(".".join(solve_3peg(disks, a, b)) + "\n"
+                   for disks in range(11) for a in (1, 2, 3) for b in (1, 2, 3) if a != b)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "170d16f81520b34a75b606a3ac42eea6ea9e81139297722385ebef648fdba45f")
 
 
 def test_frame_stewart_three_pegs_is_classic():

@@ -40,7 +40,6 @@ from mealygroup import (
 from mealygroup import _kernel, analysis, format_automaton
 from mealygroup.analysis import (
     BudgetError,
-    _canonical_prefixes,
     _path_threshold,
     _scan_lengths,
     _walk_record,
@@ -96,7 +95,8 @@ def assert_parity(auto, n_max, **options):
     two; with the reversal test off and, when the machine has an
     inverse_states map, on; with the commutation rule off and, when some
     states commute, on; and with the mirror rule off and on.  Each
-    compiled scan must also report every prefix of its split length done."""
+    compiled scan must also end its progress where the Python scan at the
+    same split ends it, every subtree done."""
     walk = functools.lru_cache(maxsize=None)(functools.partial(_walk_record, auto))
     for reversal, commutation, mirror in itertools.product((False, True), repeat=3):
         if reversal and inverse_states(auto) is None:
@@ -117,15 +117,32 @@ def assert_bound(auto, n, walk, commutation=True, **options):
     comm = commuting_states(auto, allowed) if commutation else None
     if commutation and comm is None:
         return False
+    assert_splits(compiled, reference, n, commutation, options)
+    return True
+
+
+def assert_splits(compiled, reference, n, *context):
+    """At every split below ``n``, on one thread and on two, the compiled
+    scan's rows are the Python scan's, and its progress ends where the
+    Python scan's ends at that split."""
     expected = reference()
     for split in range(n):
-        prefixes = len(_canonical_prefixes(allowed, sigmas, split, comm))
+        last = progress_end(reference, split, 1, expected)
         for jobs in (1, 2):
-            done = []
-            assert compiled(split, jobs, done.append, 60) == expected, (
-                n, split, jobs, commutation, options)
-            assert done == [prefixes]
-    return True
+            assert progress_end(compiled, split, jobs, expected) == last, (
+                n, split, jobs, *context)
+
+
+def progress_end(scan, split, jobs, expected):
+    """The last progress call of ``scan`` at ``split`` on ``jobs`` threads,
+    whose rows must be ``expected``: (N, N) for the N subtrees it counted,
+    or (0, 0) for a Python scan with no subtree there, which reports only
+    as a subtree ends."""
+    calls = []
+    assert scan(split, jobs, lambda *call: calls.append(call), 60) == expected, (split, jobs)
+    done, total = calls[-1] if calls else (0, 0)
+    assert done == total, calls
+    return done, total
 
 
 @requires_cc
@@ -176,6 +193,55 @@ def test_kernel_matches_reference_on_inverse_closed_machines(auto, symmetry):
 def test_kernel_matches_reference_on_commuting_machines(auto, exclude_trivial):
     # With the do-nothing state allowed, it commutes with every state.
     assert_parity(auto, 5, exclude_trivial=exclude_trivial)
+
+
+@requires_cc
+@settings(max_examples=40, deadline=None)
+@given(
+    auto=st.one_of(invertible_machines(), dies_or_stays_machines(), inverse_closed_machines(),
+                   commuting_machines()),
+    exclude_trivial=st.booleans(),
+    symmetry=st.booleans(),
+)
+def test_both_scans_count_the_same_subtrees_on_random_machines(auto, exclude_trivial, symmetry):
+    # The machines on which the mirror rule is checked, with the survey's
+    # own reductions: at every split of the scan to n = 5, on one thread and
+    # on two, the compiled scan ends its progress where the Python scan does.
+    _, _, compiled, reference = twins(auto, 5, exclude_trivial=exclude_trivial,
+                                      symmetry=symmetry)
+    assert_splits(compiled, reference, 5)
+
+
+class FirstReport(Exception):
+    """Raised by a progress callback to stop a scan at its first report."""
+
+
+@requires_cc
+@pytest.mark.parametrize("machine, n_max, split, subtrees", [
+    ("hanoi4", 8, 4, 39),
+    ("hanoi5", 8, 4, 62),
+    ("basilica", 13, 3, 4),
+    ("basilica", 13, 4, 8),
+])
+def test_the_scans_count_the_subtrees_at_the_split(machine, n_max, split, subtrees):
+    # Fewer than the canonical prefixes of the split length (52, 79, 8 and
+    # 16): those below a mirror or a twin are not subtrees.  The compiled
+    # scan ends at (N, N) on one thread and on two.  The Python scan's
+    # first report already carries N, so it is stopped there.
+    auto = (parse_automaton(BASILICA.read_text()) if machine == "basilica"
+            else hanoi_automaton(int(machine.removeprefix("hanoi"))))
+    _, _, compiled, reference = twins(auto, n_max)
+    for jobs in (1, 2):
+        calls = []
+        compiled(split, jobs, lambda *call: calls.append(call), 60)
+        assert calls[-1] == (subtrees, subtrees), jobs
+
+    def stop(*call):
+        raise FirstReport(call)
+
+    with pytest.raises(FirstReport) as report:
+        reference(split, 1, stop)
+    assert report.value.args == ((1, subtrees),)
 
 
 @requires_cc
