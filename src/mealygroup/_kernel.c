@@ -383,7 +383,7 @@ static int reversal_smaller(const Scan *sc)
 
 /* The forbidden set after appending s to a word whose set is f: the
  * states a that commute with s and are smaller than s or already
- * forbidden (the commutation rule of analysis._canonical_prefixes). */
+ * forbidden (the commutation rule of analysis._forbid). */
 static uint64_t forbid(const Scan *sc, uint64_t f, int s)
 {
     return sc->comm ? sc->comm[s] & (f | ((1ULL << s) - 1)) : 0;

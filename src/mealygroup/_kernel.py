@@ -146,7 +146,8 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None, mirror=Tru
     from a shared counter; their results are merged per length here.  The
     first worker counts those subtrees before it claims any.  This thread
     only waits, passing ``progress`` (subtrees scanned, subtrees to scan)
-    every ``every`` seconds once that count is known, and at the end.  Once
+    every ``every`` seconds once that count is known, and at the end; as
+    in the Python scan, there is no call when no node lies at ``split``.  Once
     the wait raises (Ctrl-C) or a worker fails, no subtree is claimed, and
     the error comes when the running ones end.  None when the kernel cannot
     be loaded or ``n_max`` is past 64."""
@@ -183,7 +184,7 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None, mirror=Tru
             for w in workers:
                 w.join(every)
                 while w.is_alive():
-                    if progress and shared[3] >= 0:
+                    if progress and shared[3] > 0:
                         progress(shared[1], shared[3])
                     w.join(every)
         finally:
@@ -200,7 +201,7 @@ def compiled_scan(nxt, emit0, allowed, group, iota, n_max, comm=None, mirror=Tru
                  best[2 * j + 1], tuple(witness[w + n_max : w + n_max + length]))
                 if best[2 * j] >= 0 else (0, -1, None, -1, None)
                 for examined, best, witness in outs))
-        if progress:
+        if progress and shared[3] > 0:
             progress(shared[1], shared[3])
         return tuple(rows)
 

@@ -21,8 +21,9 @@ subtree of the DFS whose root has its parent's closure automaton and
 pruning state is folded from the parent's results, not scanned, and one
 whose root has an earlier sibling's is skipped.  One canonical DFS to
 the longest length gives every length's maxima, since each word it
-reaches counts toward its own length.  Worker threads split
-that DFS by canonical prefix; results merge per length by a max-value /
+reaches counts toward its own length.  Worker threads share out the
+subtrees below the words of 4 letters (of n - 1 letters when the longest
+length n is below 5); results merge per length by a max-value /
 lex-least-witness rule, so output is identical for any worker count.
 
 Every closure question -- depth, section count, the word problem, fixing
@@ -534,22 +535,6 @@ def _forbid(comm, forbid, s):
     return comm[s] & (forbid | ((1 << s) - 1)) if comm else 0
 
 
-def _canonical_prefixes(allowed, sigmas, length, comm=None):
-    """Every canonical word of ``length`` in lex order (``allowed`` order),
-    with the symmetries still tying on it; with the masks ``comm`` of
-    :func:`commuting_states`, only words that are the lex-least order of
-    their commuting letters."""
-    words = [((), tuple(sigmas), 0)]  # (word, tying symmetries, forbidden set)
-    for _ in range(length):
-        words = [
-            (word + (s,), tuple(sub), _forbid(comm, forbid, s))
-            for word, active, forbid in words
-            for s in allowed
-            if not forbid >> s & 1 and (sub := _extend_active(active, s)) is not None
-        ]
-    return [(word, active) for word, active, _ in words]
-
-
 def _scan_lengths(allowed, walk, group, iota, n_max, split=0, jobs=1, progress=None, every=None,
                   *, comm=None, mirror=True):
     """The reference twin of ``_kernel.compiled_scan``: the canonical DFS
@@ -564,7 +549,8 @@ def _scan_lengths(allowed, walk, group, iota, n_max, split=0, jobs=1, progress=N
     (``_walk_record``), whose child table is the closure automaton that
     ``mg_scan`` builds.  With an ``iota``, words of length ``n_max`` pass
     the reversal test with the maps sigma o iota, sigma in ``group`` or the
-    identity; ``comm`` as in :func:`_canonical_prefixes`; ``mirror`` folds
+    identity; ``comm`` holds the masks of :func:`commuting_states`, and
+    :func:`_forbid` keeps each word's forbidden set; ``mirror`` folds
     mirror children and skips the subtrees of twins (see :func:`survey`).
     As in ``mg_scan``, a census first runs the DFS down to depth ``split``
     only, to count the subtrees there; ``progress`` then gets (subtrees
@@ -840,8 +826,9 @@ def survey(
     ``mirror=False`` is the unreduced twin the tests compare with.
 
     Each of the compiled scan's ``jobs`` worker threads runs the whole
-    DFS, but descends below a node of the split length only when it
-    claims that node's subtree, so each subtree there is scanned once.
+    DFS, but descends below a node of the split length (4, or ``n_max`` -
+    1 when that is shorter, for any ``jobs``) only when it claims that
+    node's subtree, so each subtree there is scanned once.
     Every worker walks and records the words above the split, and folds
     every mirror on its own results; the survey merges the workers'
     results per length.  That gives the fold of the merged results:
@@ -872,8 +859,8 @@ def survey(
         raise AutomatonError("growth surveys need an invertible automaton")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    # More workers than CPUs only add threads: the scan splits by prefix,
-    # so the rows are the same for any worker count.
+    # More workers than CPUs only add threads; the rows are the same for
+    # any worker count.
     jobs = min(max(1, int(jobs)), os.cpu_count() or 1)
 
     trivials = auto._trivials if exclude_trivial else ()
@@ -914,7 +901,7 @@ def survey(
     scanned, closures = {}, {}
     if any(n not in done for n in range(1, n_max + 1)):
         t0 = time.perf_counter()
-        merged = _scan_all(scan, allowed, sigmas, comm, jobs, n_max)
+        merged = _scan_all(scan, jobs, n_max)
         seconds = time.perf_counter() - t0
         for n, (computed, d, dw, t, tw) in merged.items():
             closures[n] = computed
@@ -972,21 +959,20 @@ def _values(rec):
     return {key: value for key, value in rec.items() if key != "seconds"}
 
 
-def _scan_all(scan, allowed, sigmas, comm, jobs, n_max):
+def _scan_all(scan, jobs, n_max):
     """Merged ``(closures computed, best depth, witness, best count,
     witness)`` of every length 1 .. ``n_max``, from one canonical DFS.  The
-    scan's workers claim its subtrees at the split length, which is chosen
-    by counting canonical prefixes.  A scan on one thread is split too: a
-    Ctrl-C then waits for the running subtree, not for the whole scan.
-    Every :data:`TASK_REPORT_SECONDS` at most, the subtrees scanned so far
-    and the subtrees to scan, as the scan counts them, are reported on
-    stderr; once a line is out, so is the one with every subtree done."""
+    scan's workers claim its subtrees at 4 letters, or at ``n_max`` - 1
+    when that is shorter, for any ``jobs``: so the subtrees, and the N of
+    the progress lines, are the same on any number of threads.  A scan on
+    one thread is split too: a Ctrl-C then waits for the running subtree,
+    not for the whole scan.  Every :data:`TASK_REPORT_SECONDS` at most, the
+    subtrees scanned so far and the subtrees to scan, as the scan counts
+    them, are reported on stderr; once a line is out, so is the one with
+    every subtree done."""
     t0 = last = time.perf_counter()
     shown = None  # the subtrees done on the last line, None before the first
-    # The shortest split with 8 prefixes a thread, but at most 4 letters.
-    for split in range(min(4, n_max - 1) + 1 if allowed else 1):
-        if len(_canonical_prefixes(allowed, sigmas, split, comm)) >= 8 * jobs:
-            break
+    split = min(4, n_max - 1)
 
     def progress(done, subtrees):
         nonlocal last, shown

@@ -40,7 +40,6 @@ from mealygroup import (
 )
 from mealygroup import _kernel, analysis
 from mealygroup.analysis import (
-    _canonical_prefixes,
     _scan_lengths,
     _walk_record,
     automaton_symmetries,
@@ -325,15 +324,23 @@ def test_orbit_count_matches_explicit_orbits(pegs, length):
 
 
 def test_canonical_enumeration_hits_every_orbit_once(ha4):
+    # The scan with the symmetries alone (no commutation, mirror or
+    # reversal rule) walks one word of each orbit, the lex-least.
     sigmas = automaton_symmetries(ha4)
     non_id = tuple(sg for sg in sigmas if sg != tuple(range(7)))
     allowed = tuple(range(1, 7))
+    walked = []
+
+    def walk(word):
+        walked.append(word)
+        return _walk_record(ha4, word)
+
+    _scan_lengths(allowed, walk, non_id, None, 4, mirror=False)
     for n in range(1, 5):
-        reps = _canonical_prefixes(allowed, non_id, n)
-        assert len(reps) == orbit_count(allowed, sigmas, n)
-        # representatives are lexicographically least in their orbit
-        for prefix, _ in reps[:50]:
-            assert all(tuple(sg[s] for s in prefix) >= prefix for sg in sigmas)
+        reps = [word for word in walked if len(word) == n]
+        assert len(reps) == len(set(reps)) == orbit_count(allowed, sigmas, n)
+        for word in reps:
+            assert all(tuple(sg[s] for s in word) >= word for sg in sigmas)
 
 
 def test_relabeling_preserves_depth_and_count(ha4):
@@ -883,8 +890,8 @@ def mirror_closures(auto, n_max, tmp_path, **options):
     """The closures per length of the survey with the mirror rule (mirrors
     and twins) and of the survey without it, after
     checking that its rows, witnesses and checkpoint records are those of
-    the survey without it, and its closures no more, at jobs 1, 2 and 4
-    (whose splits differ), and that its closures do not depend on jobs."""
+    the survey without it, and its closures no more, at jobs 1, 2 and 4,
+    and that its closures do not depend on jobs."""
     rows, records, plain = scan_outputs(auto, n_max, tmp_path, mirror=False, **options)
     counts = set()
     with pytest.MonkeyPatch.context() as mp:

@@ -195,7 +195,7 @@ def test_fault_in_a_threaded_round_stops_it_with_one_line(monkeypatch, scan_call
     threads = [thread for thread, _ in scan_calls]
     assert 1 <= len(threads) <= jobs and threading.main_thread() not in threads
     assert not any(thread.is_alive() for thread in threads)
-    # 52 canonical prefixes of 4 letters, 39 of them outside a mirror.
+    # 39 subtrees at 4 letters.
     taken, _ = scan_calls.counters()
     assert taken < 39
     time.sleep(0.2)
@@ -232,9 +232,9 @@ def test_table_reports_scan_tasks_as_they_finish(monkeypatch):
 
 @pytest.mark.parametrize("compiler", [True, False])
 def test_scan_progress_counts_the_prefixes_below_mirrors(monkeypatch, compiler):
-    # The 3-peg scan to n = 12 at --jobs 2 splits at 4 letters: 14
-    # canonical prefixes, but the 5 below a mirror of 2 letters are not
-    # subtrees, so the scan counts 9 subtrees to scan before it reports.
+    # The 3-peg scan to n = 12 splits at 4 letters: 14 canonical words,
+    # but the 5 below a mirror of 2 letters are not subtrees, so the scan
+    # counts 9 subtrees to scan before it reports.
     if compiler and shutil.which(_kernel._CC) is None:
         pytest.skip(f"no C compiler ({_kernel._CC}) on PATH")
     if not compiler:
@@ -253,6 +253,34 @@ def test_scan_progress_counts_the_prefixes_below_mirrors(monkeypatch, compiler):
         assert counts == list(range(1, 10))
 
 
+@requires_cc
+def test_scan_progress_counts_the_same_subtrees_at_any_jobs(monkeypatch):
+    # The 4-peg scan to n = 8 splits at 4 letters on one thread as on two,
+    # so both count the same 39 subtrees and end at 39/39.  (The Python
+    # scan's 39 there is pinned in tests/test_kernel.py.)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(analysis, "TASK_REPORT_SECONDS", 0)
+    for jobs in ("1", "2"):
+        code, _, err = run_cli("table", "--pegs", "4", "--max-n", "8", "--jobs", jobs)
+        assert code == 0
+        counts = [ln.split()[2] for ln in err.splitlines() if ln.startswith("# scan tasks=")]
+        assert {count.split("/")[1] for count in counts} == {"39"}, jobs
+        assert counts[-1] == "tasks=39/39", jobs
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_scan_splits_at_four_letters_or_one_short_of_the_longest(jobs):
+    splits = []
+
+    def scan(split, *args):
+        splits.append(split)
+        return ()
+
+    for n_max in range(1, 8):
+        analysis._scan_all(scan, jobs, n_max)
+    assert splits == [0, 1, 2, 3, 4, 4, 4]
+
+
 def test_scan_progress_ends_with_every_subtree_once_a_line_is_out(monkeypatch, capsys):
     # A scan that reports (done, subtrees) at the given clock readings, with
     # lines at most 10 s apart: a scan done before its first line prints
@@ -269,7 +297,7 @@ def test_scan_progress_ends_with_every_subtree_once_a_line_is_out(monkeypatch, c
                 progress(*call)
             return ()
 
-        analysis._scan_all(scan, (1, 2), (), None, 1, 3)
+        analysis._scan_all(scan, 1, 3)
         return [ln.split()[2] for ln in capsys.readouterr().err.splitlines()]
 
     assert report((1.0, (1, 3)), (2.0, (3, 3))) == []
@@ -617,8 +645,8 @@ def test_closures_past_the_section_budget_exit_2_with_one_line(tmp_path, monkeyp
 @requires_cc
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_task_past_the_section_budget_stops_the_others(monkeypatch, scan_calls, jobs):
-    # The lamplighter scan to n = 12 claims subtrees below prefixes of 3
-    # letters at jobs=1 and of 4 at jobs=2.  The words up to the split stay
+    # The lamplighter scan to n = 12 claims subtrees below prefixes of 4
+    # letters, at jobs=1 as at jobs=2.  The words up to the split stay
     # within 1,000 sections; each claimed subtree meets a word of 1,024 and
     # returns -2.  The first -2 sets the stop flag: each worker ends with
     # its running subtree or at its next claim, and none claims after

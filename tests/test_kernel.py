@@ -136,13 +136,12 @@ def assert_splits(compiled, reference, n, *context):
 def progress_end(scan, split, jobs, expected):
     """The last progress call of ``scan`` at ``split`` on ``jobs`` threads,
     whose rows must be ``expected``: (N, N) for the N subtrees it counted,
-    or (0, 0) for a Python scan with no subtree there, which reports only
-    as a subtree ends."""
+    or None when no node lies at the split and the scan made no call."""
     calls = []
     assert scan(split, jobs, lambda *call: calls.append(call), 60) == expected, (split, jobs)
-    done, total = calls[-1] if calls else (0, 0)
-    assert done == total, calls
-    return done, total
+    last = calls[-1] if calls else None
+    assert last is None or last[0] == last[1] > 0, calls
+    return last
 
 
 @requires_cc
@@ -210,6 +209,25 @@ def test_both_scans_count_the_same_subtrees_on_random_machines(auto, exclude_tri
     _, _, compiled, reference = twins(auto, 5, exclude_trivial=exclude_trivial,
                                       symmetry=symmetry)
     assert_splits(compiled, reference, 5)
+
+
+# Both states do nothing, so no word but the empty one is scanned: at any
+# split past 0 no node lies at the split.
+IDLE = Automaton(2, ["e1", "e2"], [[0, 0], [1, 1]], [[1, 2], [1, 2]])
+
+
+@requires_cc
+def test_both_scans_end_alike_when_no_node_lies_at_the_split(monkeypatch, capsys):
+    # Neither scan reports at a split past 0, and a survey, which splits
+    # there from n = 2 on, prints no "# scan" line on either scan.
+    for n in range(1, 6):
+        _, _, compiled, reference = twins(IDLE, n)
+        assert_splits(compiled, reference, n)
+    monkeypatch.setattr(analysis, "TASK_REPORT_SECONDS", 0)
+    for cc in (_kernel._CC, "mealygroup-no-such-compiler"):
+        monkeypatch.setattr(_kernel, "_CC", cc)
+        assert survey(IDLE, 5).depths() == [0] * 5
+        assert "# scan" not in capsys.readouterr().err
 
 
 class FirstReport(Exception):
